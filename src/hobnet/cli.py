@@ -19,6 +19,7 @@ import numpy as np
 
 from .connectivity import (
     LEVELS,
+    ConnectivityError,
     build_graph_set,
     composite_connectivity,
     gamma_for_retained_fraction,
@@ -29,18 +30,22 @@ from .connectivity import (
 )
 from .ffc import (
     ModelConfig,
+    ModelError,
     checkpoint_meta,
     fit,
-    load_checkpoint,
+    load_fit,
     parse_toggles,
-    predict_proba,
     prepare_cohort,
     preset_train_config,
     save_checkpoint,
 )
 from .harness import (
     ExperimentRow,
+    HarnessError,
+    check_unseen,
+    cohort_split_plan,
     compute_metrics,
+    evaluate_fit,
     holdout_plan,
     make_splits,
     read_cohort,
@@ -52,8 +57,10 @@ from .harness import (
     write_cohort,
     write_metrics_csv,
 )
-from .hgnn import HgnnConfig
+from .hcnn import HcnnError
+from .hgnn import HgnnConfig, HgnnError
 from .population import (
+    PopulationError,
     build_phenotype_encoder,
     embed_subjects,
     gcn_classify,
@@ -63,6 +70,19 @@ from .population import (
     standardize_phenotypes,
     train_population_head,
     weight_matrix,
+)
+from .spectral import SpectralError
+
+# failures that end a command with one line on stderr and exit code 2
+CLI_ERRORS = (
+    ConnectivityError,
+    ModelError,
+    HarnessError,
+    PopulationError,
+    SpectralError,
+    HgnnError,
+    HcnnError,
+    OSError,
 )
 
 
@@ -119,7 +139,8 @@ def cmd_train(args) -> int:
         hgnn=HgnnConfig(k=args.k, blocks=args.blocks, encoder=args.encoder),
     )
     train_cfg = preset_train_config(args.preset, seed=args.seed)
-    result = fit(cohort, hierarchy, model_cfg, train_cfg)
+    plan = cohort_split_plan(args.cohort, cohort, args.seed)
+    result = fit(cohort, hierarchy, model_cfg, train_cfg, subject_ids=plan.subjects_in("train"))
     save_checkpoint(args.out, result.params, checkpoint_meta(result))
     print(
         f"trained {model_cfg.toggles.name} for {train_cfg.epochs} epochs; "
@@ -129,30 +150,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params, meta = load_checkpoint(args.ckpt)
-    cfg = ModelConfig.from_dict(meta["model_config"])
+    result = load_fit(args.ckpt)
     cohort = read_cohort(args.cohort)
     hierarchy = read_cohort_hierarchy(args.cohort)
     plan = read_split_plan(args.split_plan)
-    labels = cohort.labels()
-    rows = []
-    if plan.mode == "holdout":
-        parts = [("test", plan.subjects_in("test"))]
-    else:
-        parts = [(fold, plan.subjects_in(fold)) for fold in plan.folds()]
-    for index, (part, ids) in enumerate(parts):
-        subs = prepare_cohort(
-            cohort,
-            hierarchy,
-            meta["gammas"],
-            adjacency_mode=meta["adjacency_mode"],
-            encoder=cfg.hgnn.encoder,
-            subject_ids=ids,
+    rows = [
+        ExperimentRow(
+            run_id=f"eval:{part}",
+            seed=result.train_config.seed,
+            fold=index,
+            metrics=evaluate_fit(result, cohort, hierarchy, ids),
         )
-        scores = np.array([predict_proba(params, cfg, s)[1] for s in subs])
-        fold_labels = np.array([labels[s.subject_id] for s in subs])
-        metrics = compute_metrics(scores, fold_labels)
-        rows.append(ExperimentRow(run_id=f"eval:{part}", seed=meta["seed"], fold=index, metrics=metrics))
+        for index, (part, _, ids) in enumerate(plan.scored_parts())
+    ]
     write_metrics_csv(args.out, rows)
     print(f"wrote {len(rows)} evaluation rows to {args.out}")
     return 0
@@ -176,47 +186,40 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_popgraph(args) -> int:
-    params, meta = load_checkpoint(args.ckpt)
-    cfg = ModelConfig.from_dict(meta["model_config"])
+    result = load_fit(args.ckpt)
+    seed = result.train_config.seed
     cohort = read_cohort(args.cohort)
     hierarchy = read_cohort_hierarchy(args.cohort)
     phenotypes = read_phenotypes_csv(args.phenotypes)
     missing = [sid for sid in cohort.ids() if sid not in phenotypes]
     if missing:
         raise SystemExit(f"phenotype file lacks subject {missing[0]!r}")
+    plan = cohort_split_plan(args.cohort, cohort, seed)
+    check_unseen(result, plan.subjects_in("test"))
     subs = prepare_cohort(
         cohort,
         hierarchy,
-        meta["gammas"],
-        adjacency_mode=meta["adjacency_mode"],
-        encoder=cfg.hgnn.encoder,
+        result.gammas,
+        adjacency_mode=result.adjacency_mode,
+        encoder=result.config.hgnn.encoder,
     )
     records = [phenotypes[s.subject_id] for s in subs]
-    embeddings = embed_subjects(params, cfg, subs)
-    encoder = build_phenotype_encoder(
-        standardize_phenotypes(records).shape[1], seed=int(meta["seed"])
-    )
+    embeddings = embed_subjects(result.params, result.config, subs)
+    encoder = build_phenotype_encoder(standardize_phenotypes(records).shape[1], seed=seed)
     _, adjacency = population_adjacency(
         similarity_m1(embeddings),
         phenotype_similarity_m2(records),
         weight_matrix(records, encoder),
         retain_fraction=args.retain_pct / 100.0,
     )
-    plan_path = Path(args.cohort) / "split_plan.json"
-    if plan_path.exists():
-        plan = read_split_plan(plan_path)
-    else:
-        plan = make_splits(cohort, holdout_plan(seed=int(meta["seed"])))
     order = {sid: i for i, sid in enumerate(s.subject_id for s in subs)}
     train_idx = np.array([order[sid] for sid in plan.subjects_in("train")])
     test_idx = np.array([order[sid] for sid in plan.subjects_in("test")])
     labels = np.array([s.label for s in subs])
-    pop = train_population_head(
-        embeddings, adjacency, labels, train_idx, seed=int(meta["seed"])
-    )
+    pop = train_population_head(embeddings, adjacency, labels, train_idx, seed=seed)
     probs = gcn_classify(embeddings, adjacency, pop.head).data
     metrics = compute_metrics(probs[test_idx, 1], labels[test_idx])
-    rows = [ExperimentRow(run_id="popgraph", seed=int(meta["seed"]), fold=0, metrics=metrics)]
+    rows = [ExperimentRow(run_id="popgraph", seed=seed, fold=0, metrics=metrics)]
     write_metrics_csv(args.out, rows)
     print(
         f"population-graph test metrics: ACC {metrics.acc:.3f}, AUC {metrics.auc:.3f}; "
@@ -302,7 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CLI_ERRORS as exc:
+        print(f"hobnet: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -406,18 +406,31 @@ def build_graph_set(
 def read_timeseries_csv(path: str | Path, subject_id: str | None = None) -> RoiTimeSeries:
     """CSV with a header row of ROI names and one row per timepoint."""
     path = Path(path)
+    subject_id = subject_id or path.stem
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ConnectivityError(f"{path}: empty time-series file") from None
-        rows = [[float(v) for v in row] for row in reader if row]
-    return RoiTimeSeries(
-        subject_id=subject_id or path.stem,
-        samples=np.array(rows, dtype=np.float64),
-        roi_names=[h.strip() for h in header],
-    )
+        rows = []
+        for row in filter(None, reader):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} values for {len(header)} ROI names")
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ConnectivityError(
+                    f"{path}: row {reader.line_num}: subject {subject_id!r}: {exc}"
+                ) from None
+    try:
+        return RoiTimeSeries(
+            subject_id=subject_id,
+            samples=np.array(rows, dtype=np.float64),
+            roi_names=[h.strip() for h in header],
+        )
+    except ConnectivityError as exc:
+        raise ConnectivityError(f"{path}: {exc}") from None
 
 
 def write_timeseries_csv(path: str | Path, ts: RoiTimeSeries) -> None:

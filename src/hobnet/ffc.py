@@ -488,6 +488,7 @@ class FitResult:
     loss_trace: list[float]
     level_widths: dict[str, int]
     fc_len: int
+    subject_ids: list[str]
 
 
 def fit(
@@ -516,24 +517,21 @@ def fit(
     )
 
     wanted = None if subject_ids is None else set(subject_ids)
-    records = [
-        r for r in cohort.subjects if wanted is None or r.subject_id in wanted
+    series = [
+        r.timeseries for r in cohort.subjects if wanted is None or r.subject_id in wanted
     ]
-    if not records:
+    if not series:
         raise ModelError("no training subjects selected")
     if gammas is None:
-        gammas = select_cohort_gammas([r.timeseries for r in records], hierarchy)
-    subs = [
-        prepare_subject(
-            r.timeseries,
-            hierarchy,
-            gammas,
-            label=r.label,
-            adjacency_mode=adjacency_mode,
-            encoder=model_cfg.hgnn.encoder,
-        )
-        for r in records
-    ]
+        gammas = select_cohort_gammas(series, hierarchy)
+    subs = prepare_cohort(
+        cohort,
+        hierarchy,
+        gammas,
+        adjacency_mode=adjacency_mode,
+        encoder=model_cfg.hgnn.encoder,
+        subject_ids=wanted,
+    )
     level_widths = {level: subs[0].levels[level].width for level in LEVELS}
     fc_len = subs[0].fc_len
     params = build_model_params(model_cfg, level_widths, fc_len, train_cfg.seed)
@@ -571,6 +569,7 @@ def fit(
         loss_trace=trace,
         level_widths=level_widths,
         fc_len=fc_len,
+        subject_ids=[sub.subject_id for sub in subs],
     )
 
 
@@ -625,6 +624,27 @@ def checkpoint_meta(result: FitResult) -> dict:
         "train_config": asdict(result.train_config),
         "gammas": result.gammas,
         "adjacency_mode": result.adjacency_mode,
+        "loss_trace": result.loss_trace,
         "level_widths": result.level_widths,
         "fc_len": result.fc_len,
+        "subject_ids": result.subject_ids,
     }
+
+
+def load_fit(path: str | Path) -> FitResult:
+    """Inverse of ``save_checkpoint(path, result.params, checkpoint_meta(result))``."""
+    params, meta = load_checkpoint(path)
+    try:
+        return FitResult(
+            params=params,
+            config=ModelConfig.from_dict(meta["model_config"]),
+            train_config=TrainConfig(**meta["train_config"]),
+            gammas=meta["gammas"],
+            adjacency_mode=meta["adjacency_mode"],
+            loss_trace=meta["loss_trace"],
+            level_widths=meta["level_widths"],
+            fc_len=meta["fc_len"],
+            subject_ids=meta["subject_ids"],
+        )
+    except KeyError as exc:
+        raise ModelError(f"{path}: checkpoint has no {exc} record; retrain it") from None

@@ -31,6 +31,7 @@ from .ffc import (
     ModelConfig,
     TrainConfig,
     fit,
+    parse_toggles,
     prepare_cohort,
     score_subjects,
 )
@@ -190,7 +191,22 @@ class SplitPlan:
         return [sid for sid, p in self.assignments.items() if p == part]
 
     def folds(self) -> list[str]:
-        return sorted({p for p in self.assignments.values() if p.startswith("fold")})
+        """k-fold part names in numeric order: fold0, fold1, ..., fold10."""
+        parts = {p for p in self.assignments.values() if p.startswith("fold")}
+        return sorted(parts, key=lambda p: int(p[len("fold"):]))
+
+    def scored_parts(self) -> list[tuple[str, list[str], list[str]]]:
+        """(part, training ids, scored ids) for each part that reports metrics.
+
+        A holdout scores its test part with a model trained on its train
+        part; a k-fold plan scores every fold, in order, against the others.
+        """
+        if self.mode == "holdout":
+            return [("test", self.subjects_in("train"), self.subjects_in("test"))]
+        return [
+            (fold, [sid for sid, p in self.assignments.items() if p != fold], self.subjects_in(fold))
+            for fold in self.folds()
+        ]
 
     def to_json(self) -> dict:
         return {
@@ -403,8 +419,23 @@ def write_metrics_csv(path: str | Path, rows: Iterable[ExperimentRow]) -> None:
             )
 
 
+def check_unseen(result: FitResult, subject_ids: Iterable[str]) -> None:
+    """Refuse to report metrics on a subject the fit was trained on."""
+    seen = set(result.subject_ids).intersection(subject_ids)
+    if seen:
+        raise HarnessError(
+            f"{len(seen)} scored subjects were trained on (first {min(seen)!r}); "
+            "train on the split plan's train part"
+        )
+
+
 def evaluate_fit(result: FitResult, cohort: Cohort, hierarchy: AtlasHierarchy, subject_ids) -> Metrics:
-    """Score held-out subjects with the fit's thresholds and encoder."""
+    """Score held-out subjects with the fit's thresholds and encoder.
+
+    Refuses subjects the fit was trained on.
+    """
+    subject_ids = list(subject_ids)
+    check_unseen(result, subject_ids)
     subs = prepare_cohort(
         cohort,
         hierarchy,
@@ -432,43 +463,34 @@ def run_experiment(
 ) -> ExperimentResult:
     """Train/evaluate over repeated holdouts or k folds; one row per fold.
 
-    Every repeat re-splits and re-trains with its own derived seed, so the
-    rows are independent draws of the same configuration.
+    Row ``f`` trains with seed ``train_cfg.seed + f``. A holdout repeat
+    re-splits with that seed, so the rows are independent draws of the same
+    configuration. k-fold splits once with ``train_cfg.seed`` and scores the
+    folds in numeric order (fold0, fold1, ..., fold10), each with a model
+    trained on all the other folds.
     """
-    rows = []
     if mode == "holdout":
-        for r in range(repeats):
-            seed_r = train_cfg.seed + r
-            plan = make_splits(cohort, holdout_plan(seed_r, fractions))
-            result = fit(
-                cohort,
-                hierarchy,
-                model_cfg,
-                replace(train_cfg, seed=seed_r),
-                subject_ids=plan.subjects_in("train"),
-                gammas=gammas,
-            )
-            metrics = evaluate_fit(result, cohort, hierarchy, plan.subjects_in("test"))
-            rows.append(ExperimentRow(run_id=run_id, seed=seed_r, fold=r, metrics=metrics))
+        plans = [
+            make_splits(cohort, holdout_plan(train_cfg.seed + r, fractions)) for r in range(repeats)
+        ]
     elif mode == "kfold":
-        plan = make_splits(cohort, kfold_plan(train_cfg.seed, k))
-        for f, fold in enumerate(plan.folds()):
-            test_ids = set(plan.subjects_in(fold))
-            train_ids = [sid for sid in cohort.ids() if sid not in test_ids]
-            result = fit(
-                cohort,
-                hierarchy,
-                model_cfg,
-                replace(train_cfg, seed=train_cfg.seed + f),
-                subject_ids=train_ids,
-                gammas=gammas,
-            )
-            metrics = evaluate_fit(result, cohort, hierarchy, sorted(test_ids))
-            rows.append(
-                ExperimentRow(run_id=run_id, seed=train_cfg.seed + f, fold=f, metrics=metrics)
-            )
+        plans = [make_splits(cohort, kfold_plan(train_cfg.seed, k))]
     else:
         raise HarnessError(f"unknown experiment mode {mode!r}")
+    folds = [(train, test) for plan in plans for _, train, test in plan.scored_parts()]
+    rows = []
+    for f, (train_ids, test_ids) in enumerate(folds):
+        seed_f = train_cfg.seed + f
+        result = fit(
+            cohort,
+            hierarchy,
+            model_cfg,
+            replace(train_cfg, seed=seed_f),
+            subject_ids=train_ids,
+            gammas=gammas,
+        )
+        metrics = evaluate_fit(result, cohort, hierarchy, test_ids)
+        rows.append(ExperimentRow(run_id=run_id, seed=seed_f, fold=f, metrics=metrics))
     return ExperimentResult(rows=rows)
 
 
@@ -493,23 +515,12 @@ def run_ablation(
     seeds: int = 5,
 ) -> ExperimentResult:
     """One holdout run per (branch configuration, seed)."""
-    from .ffc import parse_toggles
-
     rows = []
     for name in toggles:
         cfg = replace(model_cfg, toggles=parse_toggles(name))
-        for s in range(seeds):
-            seed_s = train_cfg.seed + s
-            plan = make_splits(cohort, holdout_plan(seed_s))
-            result = fit(
-                cohort,
-                hierarchy,
-                cfg,
-                replace(train_cfg, seed=seed_s),
-                subject_ids=plan.subjects_in("train"),
-            )
-            metrics = evaluate_fit(result, cohort, hierarchy, plan.subjects_in("test"))
-            rows.append(ExperimentRow(run_id=name, seed=seed_s, fold=s, metrics=metrics))
+        rows += run_experiment(
+            cohort, hierarchy, cfg, train_cfg, mode="holdout", repeats=seeds, run_id=name
+        ).rows
     return ExperimentResult(rows=rows)
 
 
@@ -547,43 +558,83 @@ def write_cohort(
             fh.write("\n")
 
 
-def read_phenotypes_csv(path: str | Path) -> dict[str, PhenotypeRecord]:
-    records = {}
-    with Path(path).open(newline="") as fh:
+def _read_table(path: Path, needed: set[str]) -> Iterable[tuple[int, dict[str, str]]]:
+    """(line number, row) pairs of a CSV whose header has the ``needed`` columns."""
+    with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
-        needed = {"subject-id", "gender", "age", "site"}
         if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            raise HarnessError(f"{path}: phenotype CSV needs columns {sorted(needed)}")
+            raise HarnessError(f"{path}: CSV needs columns {sorted(needed)}")
         for row in reader:
+            if None in row or None in row.values():
+                raise HarnessError(
+                    f"{path}: row {reader.line_num}: subject {row.get('subject-id')!r}: "
+                    f"row length differs from the {len(reader.fieldnames)}-column header"
+                )
+            yield reader.line_num, row
+
+
+def read_phenotypes_csv(path: str | Path) -> dict[str, PhenotypeRecord]:
+    path = Path(path)
+    records = {}
+    for line, row in _read_table(path, {"subject-id", "gender", "age", "site"}):
+        try:
             rec = PhenotypeRecord(
-                subject_id=row["subject-id"],
-                gender=row["gender"],
-                age=float(row["age"]),
-                site=row["site"],
+                subject_id=row["subject-id"], gender=row["gender"], age=row["age"], site=row["site"]
             )
-            records[rec.subject_id] = rec
+        except ValueError as exc:  # a non-numeric age, or PopulationError
+            raise HarnessError(f"{path}: row {line}: subject {row['subject-id']!r}: {exc}") from None
+        records[rec.subject_id] = rec
     return records
 
 
 def read_cohort(directory: str | Path) -> Cohort:
     directory = Path(directory)
-    labels: dict[str, int] = {}
-    with (directory / "labels.csv").open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            labels[row["subject-id"]] = int(row["label"])
-    phenotypes = read_phenotypes_csv(directory / "phenotypes.csv")
+    labels_path = directory / "labels.csv"
+    labels: dict[str, tuple[int, int]] = {}
+    for line, row in _read_table(labels_path, {"subject-id", "label"}):
+        try:
+            label = int(row["label"])
+        except ValueError:
+            label = None
+        if label not in (0, 1):
+            raise HarnessError(
+                f"{labels_path}: row {line}: subject {row['subject-id']!r}: "
+                f"label {row['label']!r} is not 0 or 1"
+            )
+        labels[row["subject-id"]] = (label, line)
+    phenotypes_path = directory / "phenotypes.csv"
+    phenotypes = read_phenotypes_csv(phenotypes_path)
     subjects = []
     for sid in sorted(labels):
-        ts = read_timeseries_csv(directory / "timeseries" / f"{sid}.csv", subject_id=sid)
-        subjects.append(
-            SubjectRecord(timeseries=ts, label=labels[sid], phenotype=phenotypes[sid])
-        )
+        label, line = labels[sid]
+        if sid not in phenotypes:
+            raise HarnessError(
+                f"{phenotypes_path}: no row for subject {sid!r} (row {line} of {labels_path})"
+            )
+        ts_path = directory / "timeseries" / f"{sid}.csv"
+        if not ts_path.is_file():
+            raise HarnessError(f"{labels_path}: row {line}: subject {sid!r}: no file {ts_path}")
+        ts = read_timeseries_csv(ts_path, subject_id=sid)
+        subjects.append(SubjectRecord(timeseries=ts, label=label, phenotype=phenotypes[sid]))
     return Cohort(subjects=subjects)
 
 
 def read_split_plan(path: str | Path) -> SplitPlan:
     with Path(path).open() as fh:
         return SplitPlan.from_json(json.load(fh))
+
+
+def cohort_split_plan(directory: str | Path, cohort: Cohort, seed: int) -> SplitPlan:
+    """The holdout plan the CLI trains and scores by.
+
+    That is the cohort directory's ``split_plan.json`` when present, else a
+    stratified holdout of ``cohort`` seeded with ``seed``.
+    """
+    path = Path(directory) / "split_plan.json"
+    plan = read_split_plan(path) if path.exists() else make_splits(cohort, holdout_plan(seed))
+    if plan.mode != "holdout":
+        raise HarnessError(f"{path}: train and popgraph need a holdout plan, got {plan.mode!r}")
+    return plan
 
 
 def read_cohort_hierarchy(directory: str | Path) -> AtlasHierarchy:

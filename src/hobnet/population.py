@@ -34,8 +34,10 @@ class PhenotypeRecord:
 
     def __post_init__(self):
         self.age = float(self.age)
-        if self.age <= 0:
-            raise PopulationError(f"subject {self.subject_id}: age must be positive, got {self.age}")
+        if not 0 < self.age < np.inf:
+            raise PopulationError(
+                f"subject {self.subject_id}: age must be positive and finite, got {self.age}"
+            )
         for name in ("gender", "site"):
             if not getattr(self, name):
                 raise PopulationError(f"subject {self.subject_id}: missing {name}")

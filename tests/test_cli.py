@@ -2,12 +2,36 @@
 
 import csv
 import json
+import shutil
+from dataclasses import replace
 
 import pytest
 
 from hobnet.cli import main
-from hobnet.connectivity import write_hierarchy_json, write_timeseries_csv
-from hobnet.harness import nested_hierarchy, synth_generate
+from hobnet.connectivity import RoiTimeSeries, write_hierarchy_json, write_timeseries_csv
+from hobnet.ffc import (
+    ModelConfig,
+    TrainConfig,
+    checkpoint_meta,
+    load_checkpoint,
+    load_fit,
+    parse_toggles,
+    save_checkpoint,
+)
+from hobnet.harness import (
+    Cohort,
+    Metrics,
+    SubjectRecord,
+    kfold_plan,
+    make_splits,
+    nested_hierarchy,
+    read_cohort,
+    read_split_plan,
+    run_experiment,
+    synth_generate,
+    write_cohort,
+)
+from hobnet.hgnn import HgnnConfig
 
 from conftest import random_timeseries
 
@@ -87,13 +111,14 @@ class TestThresholdCurve:
 
 @pytest.fixture(scope="module")
 def trained(workspace):
+    # --seed is the synth seed, so the cohort's plan is run_experiment's first holdout
     ckpt = workspace / "model.ckpt"
     code = run(
         "train", "--cohort", workspace / "cohort",
         "--hierarchy", workspace / "hierarchy.json",
         "--preset", "custom", "--toggles", "HGNN+HCNN",
         "--encoder", "res-cheb", "--k", 2, "--blocks", 2,
-        "--seed", 5, "--out", ckpt,
+        "--seed", 3, "--out", ckpt,
     )
     assert code == 0
     return ckpt
@@ -125,10 +150,126 @@ class TestTrainEvalAblatePopgraph:
         assert rows[0]["run_id"] == "popgraph"
         assert 0.0 <= float(rows[0]["acc"]) <= 1.0
 
+    def test_train_fits_only_the_plan_train_part(self, workspace, trained):
+        plan = read_split_plan(workspace / "cohort" / "split_plan.json")
+        assert sorted(load_fit(trained).subject_ids) == sorted(plan.subjects_in("train"))
+
+    def test_train_then_eval_matches_run_experiment(self, workspace, trained):
+        out = workspace / "metrics_match.csv"
+        assert run(
+            "eval", "--ckpt", trained, "--cohort", workspace / "cohort",
+            "--split-plan", workspace / "cohort" / "split_plan.json", "--out", out,
+        ) == 0
+        with out.open() as fh:
+            (row,) = list(csv.DictReader(fh))
+        model_cfg = ModelConfig(
+            toggles=parse_toggles("HGNN+HCNN"), hgnn=HgnnConfig(k=2, blocks=2, encoder="res-cheb")
+        )
+        expected = run_experiment(
+            read_cohort(workspace / "cohort"), nested_hierarchy(2, 2, 2), model_cfg,
+            TrainConfig(seed=3), mode="holdout", repeats=1,
+        ).rows[0].metrics
+        assert Metrics(*(float(row[key]) for key in ("acc", "sen", "spec", "auc"))) == expected
+
+    def test_eval_numbers_twelve_folds_in_numeric_order(self, workspace, trained, tmp_path):
+        # 24 subjects no checkpoint has seen, in a 12-fold plan
+        h = nested_hierarchy(2, 2, 2)
+        fresh = synth_generate(24, h, signal=0.8, noise=0.3, seed=21, n_timepoints=60)
+        cohort = Cohort([
+            SubjectRecord(
+                timeseries=RoiTimeSeries(f"new{i:02d}", r.timeseries.samples, r.timeseries.roi_names),
+                label=r.label,
+                phenotype=replace(r.phenotype, subject_id=f"new{i:02d}"),
+            )
+            for i, r in enumerate(fresh.subjects)
+        ])
+        write_cohort(tmp_path, cohort, hierarchy=h, split_plan=make_splits(cohort, kfold_plan(0, 12)))
+        out = tmp_path / "folds.csv"
+        assert run(
+            "eval", "--ckpt", trained, "--cohort", tmp_path,
+            "--split-plan", tmp_path / "split_plan.json", "--out", out,
+        ) == 0
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["run_id"], r["fold"]) for r in rows] == [(f"eval:fold{i}", str(i)) for i in range(12)]
+
+    def test_eval_refuses_to_score_training_subjects(self, workspace, trained, capsys):
+        cohort = read_cohort(workspace / "cohort")
+        plan_path = workspace / "kfold_plan.json"
+        plan_path.write_text(json.dumps(make_splits(cohort, kfold_plan(0, 2)).to_json()))
+        code = run(
+            "eval", "--ckpt", trained, "--cohort", workspace / "cohort",
+            "--split-plan", plan_path, "--out", workspace / "leak.csv",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hobnet: error:") and "were trained on" in err
+        assert err.count("\n") == 1
+        assert not (workspace / "leak.csv").exists()
+
+    def test_popgraph_refuses_a_plan_whose_test_part_was_trained_on(self, workspace, trained, tmp_path, capsys):
+        shutil.copytree(workspace / "cohort", tmp_path / "cohort")
+        plan = read_split_plan(workspace / "cohort" / "split_plan.json")
+        swap = {"train": "test", "test": "train", "val": "val"}
+        swapped = replace(plan, assignments={sid: swap[p] for sid, p in plan.assignments.items()})
+        (tmp_path / "cohort" / "split_plan.json").write_text(json.dumps(swapped.to_json()))
+        code = run(
+            "popgraph", "--ckpt", trained, "--cohort", tmp_path / "cohort",
+            "--phenotypes", tmp_path / "cohort" / "phenotypes.csv", "--out", tmp_path / "pop.csv",
+        )
+        assert code == 2
+        assert "were trained on" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "popgraph"])
+    def test_scoring_refuses_checkpoint_without_training_record(
+        self, workspace, trained, tmp_path, capsys, command
+    ):
+        params, meta = load_checkpoint(trained)
+        del meta["subject_ids"]
+        old = tmp_path / "old.ckpt"
+        save_checkpoint(old, params, meta)
+        cohort = workspace / "cohort"
+        extra = (
+            ["--split-plan", cohort / "split_plan.json"] if command == "eval"
+            else ["--phenotypes", cohort / "phenotypes.csv"]
+        )
+        code = run(command, "--ckpt", old, "--cohort", cohort, *extra, "--out", tmp_path / "x.csv")
+        assert code == 2
+        assert "no 'subject_ids' record" in capsys.readouterr().err
+
     def test_ablate_rejects_unknown_matrix(self, workspace):
         with pytest.raises(SystemExit, match="table4"):
             run("ablate", "--cohort", workspace / "cohort", "--matrix", "mystery",
                 "--out", workspace / "a.csv")
+
+
+class TestCliErrors:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--k", 0], "k, blocks, and hidden_dim must all be >= 1"),
+            (["--toggles", "foo"], "unknown toggles 'foo'"),
+        ],
+    )
+    def test_bad_train_flags_give_one_line_and_exit_2(self, workspace, capsys, flags, message):
+        code = run(
+            "train", "--cohort", workspace / "cohort", "--hierarchy", workspace / "hierarchy.json",
+            *flags, "--out", workspace / "bad.ckpt",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hobnet: error: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_missing_checkpoint_gives_one_line_and_exit_2(self, workspace, capsys):
+        code = run(
+            "eval", "--ckpt", workspace / "nope.ckpt", "--cohort", workspace / "cohort",
+            "--split-plan", workspace / "cohort" / "split_plan.json", "--out", workspace / "n.csv",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hobnet: error: ") and "nope.ckpt" in err
+        assert err.count("\n") == 1
 
 
 class TestAblateSmoke:

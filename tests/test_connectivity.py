@@ -1,6 +1,9 @@
 """Connectivity construction against brute-force oracles."""
 
+import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,6 +393,42 @@ class TestFileFormats:
         back = read_timeseries_csv(path, subject_id=ts.subject_id)
         assert back.roi_names == ts.roi_names
         np.testing.assert_array_equal(back.samples, ts.samples)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("1.0,oops,3.0", "could not convert string to float: 'oops'"), ("1.0,2.0", "2 values for 3 ROI names")],
+    )
+    def test_bad_timeseries_row_names_file_row_and_subject(self, tmp_path, row, message):
+        path = tmp_path / "ts.csv"
+        path.write_text(f"a,b,c\n0.5,0.1,0.2\n{row}\n")
+        with pytest.raises(ConnectivityError, match=rf"ts\.csv: row 3: subject 'sub7': {message}"):
+            read_timeseries_csv(path, subject_id="sub7")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(
+                    st.floats().map(repr), st.sampled_from(["", "nan", "1e999", " 2 "]), st.text(max_size=4)
+                ),
+                min_size=1,
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_fuzzed_timeseries_raise_only_connectivity_errors(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.csv"
+            with path.open("w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+            try:
+                ts = read_timeseries_csv(path)
+            except ConnectivityError as exc:
+                assert "fuzz.csv" in str(exc)
+                return
+            assert ts.samples.shape[1] == len(ts.roi_names)
 
     def test_hierarchy_roundtrip(self, tmp_path):
         h = toy_hierarchy_4_6_10()

@@ -19,6 +19,7 @@ from hobnet.ffc import (
     fit,
     fuse,
     load_checkpoint,
+    load_fit,
     loss,
     model_forward,
     parse_toggles,
@@ -320,6 +321,31 @@ class TestCheckpoint:
         np.testing.assert_array_equal(
             predict_proba(result.params, cfg, subs[0]), predict_proba(loaded, cfg_back, subs[0])
         )
+
+    def test_load_fit_inverts_checkpoint_meta(self, tmp_path):
+        hierarchy, cohort = tiny_cohort()
+        result = fit(cohort, hierarchy, small_config(), TrainConfig(epochs=2, seed=8),
+                     subject_ids=cohort.ids()[:8])
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, result.params, checkpoint_meta(result))
+        back = load_fit(path)
+        assert back.subject_ids == cohort.ids()[:8]
+        for field in ("config", "train_config", "gammas", "adjacency_mode", "loss_trace",
+                      "level_widths", "fc_len", "subject_ids"):
+            assert getattr(back, field) == getattr(result, field), field
+        assert list(back.params) == list(result.params)
+        for name in result.params:
+            assert back.params[name].data.tobytes() == result.params[name].data.tobytes()
+
+    def test_load_fit_refuses_checkpoint_without_training_record(self, tmp_path):
+        hierarchy, cohort = tiny_cohort()
+        result = fit(cohort, hierarchy, small_config(), TrainConfig(epochs=1, seed=8))
+        meta = checkpoint_meta(result)
+        del meta["subject_ids"]
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, result.params, meta)
+        with pytest.raises(ModelError, match="old.ckpt: checkpoint has no 'subject_ids' record"):
+            load_fit(path)
 
     def test_config_dict_roundtrip(self):
         cfg = small_config("HGNN+CNN")

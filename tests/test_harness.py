@@ -1,10 +1,16 @@
 """Synthetic cohorts, split plans, metrics, and driver determinism."""
 
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hobnet.connectivity import pearson_fc
-from hobnet.ffc import TrainConfig
+from hobnet.ffc import TrainConfig, fit
 from hobnet.harness import (
     Cohort,
     ExperimentRow,
@@ -12,12 +18,14 @@ from hobnet.harness import (
     Metrics,
     SingleClassError,
     compute_metrics,
+    evaluate_fit,
     holdout_plan,
     kfold_plan,
     make_splits,
     mann_whitney_auc,
     nested_hierarchy,
     read_cohort,
+    read_phenotypes_csv,
     read_split_plan,
     run_ablation,
     run_experiment,
@@ -153,6 +161,22 @@ class TestSplits:
         c = make_splits(cohort, holdout_plan(seed=5))
         assert a.assignments != c.assignments
 
+    def test_kfold_twelve_parts_in_numeric_order(self):
+        cohort = self.cohort_of(24)
+        plan = make_splits(cohort, kfold_plan(seed=0, k=12))
+        expected = [f"fold{i}" for i in range(12)]
+        assert plan.folds() == expected
+        assert [part for part, _, _ in plan.scored_parts()] == expected
+        for part, train, ids in plan.scored_parts():
+            assert ids == plan.subjects_in(part)
+            assert not set(train) & set(ids)
+            assert sorted(train + ids) == sorted(cohort.ids())
+
+    def test_holdout_scores_test_part_and_trains_on_train_part(self):
+        cohort = self.cohort_of(30)
+        plan = make_splits(cohort, holdout_plan(seed=4))
+        assert plan.scored_parts() == [("test", plan.subjects_in("train"), plan.subjects_in("test"))]
+
     def test_kfold_class_too_small_is_an_error(self):
         cohort = self.cohort_of(8, imbalance=0.25, seed=2)  # 2 positives
         with pytest.raises(HarnessError, match="fewer than"):
@@ -244,6 +268,23 @@ class TestCsvDeterminism:
         assert "0.3333333333333333" in lines[1]
 
 
+# rows appended to a valid cohort's CSVs: well-formed rows with plausible or
+# arbitrary cells, or ragged rows of anything
+_ID = st.one_of(st.sampled_from(["s0000", "s0003", "s9"]), st.text(max_size=3))
+_WORD = st.one_of(st.sampled_from(["F", "site-a", ""]), st.text(max_size=3))
+_LABEL = st.one_of(st.sampled_from(["0", "1", "2", ""]), st.text(max_size=3))
+_AGE = st.one_of(
+    st.sampled_from(["12.5", "0", "-3", "nan", "inf"]), st.floats().map(repr), st.text(max_size=3)
+)
+LABEL_ROWS = st.lists(
+    st.one_of(st.tuples(_ID, _LABEL).map(list), st.lists(_LABEL, min_size=1, max_size=3)), max_size=3
+)
+PHENOTYPE_ROWS = st.lists(
+    st.one_of(st.tuples(_ID, _WORD, _AGE, _WORD).map(list), st.lists(_WORD, min_size=1, max_size=5)),
+    max_size=4,
+)
+
+
 class TestCohortIo:
     def test_roundtrip_preserves_samples_and_phenotypes(self, tmp_path):
         h = nested_hierarchy(2, 2, 2)
@@ -255,6 +296,64 @@ class TestCohortIo:
             np.testing.assert_array_equal(a.timeseries.samples, b.timeseries.samples)
             assert a.label == b.label
             assert a.phenotype == b.phenotype
+
+    @pytest.mark.parametrize(
+        "name, find, replace, message",
+        [
+            ("labels.csv", "s0003,1", "s0003,yes", r"labels\.csv: row 5: subject 's0003': label 'yes'"),
+            ("labels.csv", "s0003,1", "s0003", r"labels\.csv: row 5: subject 's0003': row length"),
+            ("phenotypes.csv", "s0002,", "s9999,", r"phenotypes\.csv: no row for subject 's0002' \(row 4 of"),
+        ],
+    )
+    def test_bad_cohort_files_name_file_row_and_subject(self, tmp_path, name, find, replace, message):
+        h = nested_hierarchy(2, 2, 2)
+        write_cohort(tmp_path, synth_generate(6, h, seed=9, n_timepoints=40), hierarchy=h)
+        path = tmp_path / name
+        path.write_text(path.read_text().replace(find, replace))
+        with pytest.raises(HarnessError, match=message):
+            read_cohort(tmp_path)
+
+    def test_non_numeric_age_names_file_row_and_subject(self, tmp_path):
+        path = tmp_path / "phenotypes.csv"
+        path.write_text("subject-id,gender,age,site\ns0,F,12.5,a\ns1,M,twelve,b\n")
+        with pytest.raises(HarnessError, match=r"phenotypes\.csv: row 3: subject 's1': .*'twelve'"):
+            read_phenotypes_csv(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(PHENOTYPE_ROWS)
+    @example([["s0000", "F", "nan", "site-a"]])
+    def test_fuzzed_phenotypes_raise_only_harness_errors(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "phenotypes.csv"
+            with path.open("w", newline="") as fh:
+                csv.writer(fh).writerows([["subject-id", "gender", "age", "site"], *rows])
+            try:
+                records = read_phenotypes_csv(path)
+            except HarnessError as exc:
+                assert "phenotypes.csv" in str(exc)
+                return
+        for record in records.values():
+            assert 0 < record.age < np.inf and record.gender and record.site
+
+    @settings(max_examples=100, deadline=None)
+    @given(LABEL_ROWS)
+    @example([["s9", "1"]])
+    def test_fuzzed_labels_raise_only_harness_errors(self, rows):
+        h = nested_hierarchy(2, 1, 2)
+        cohort = synth_generate(4, h, seed=9, n_timepoints=20)
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            write_cohort(directory, cohort)
+            with (directory / "phenotypes.csv").open("a") as fh:
+                fh.write("s9,F,12.5,site-a\n")  # s9 has a phenotype but no time series
+            with (directory / "labels.csv").open("a", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+            try:
+                back = read_cohort(directory)
+            except HarnessError:
+                return
+        assert set(back.ids()) >= set(cohort.ids())
+        assert all(record.label in (0, 1) for record in back.subjects)
 
     def test_duplicate_subject_ids_rejected(self):
         h = nested_hierarchy(2, 1, 2)
@@ -302,3 +401,12 @@ class TestDrivers:
         )
         assert len(result.rows) == 4
         assert {r.run_id for r in result.rows} == {"HGNN", "HCNN"}
+
+    def test_evaluate_fit_refuses_training_subjects(self):
+        h = nested_hierarchy(2, 2, 2)
+        cohort = synth_generate(8, h, signal=0.8, noise=0.3, seed=15, n_timepoints=40)
+        ids = cohort.ids()
+        result = fit(cohort, h, small_config(), TrainConfig(epochs=1, seed=0), subject_ids=ids[:4])
+        assert result.subject_ids == ids[:4]
+        with pytest.raises(HarnessError, match="1 scored subjects were trained on"):
+            evaluate_fit(result, cohort, h, ids[3:])
