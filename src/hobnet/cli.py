@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import NonFiniteValue, ShapeMismatch, TapeError
 from .connectivity import (
     LEVELS,
     ConnectivityError,
@@ -83,6 +84,9 @@ CLI_ERRORS = (
     HgnnError,
     HcnnError,
     OSError,
+    ShapeMismatch,
+    NonFiniteValue,
+    TapeError,
 )
 
 

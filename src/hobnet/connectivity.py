@@ -222,14 +222,26 @@ def rv_coefficient(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def level_connectivity(ts: RoiTimeSeries, hierarchy: AtlasHierarchy, level: str) -> ConnectivityMatrix:
-    """RV coefficient between every ordered pair of same-level column blocks."""
+    """RV coefficient between every pair of same-level column blocks.
+
+    With X the level's columns in composite order and C = X'X, block (i, j)
+    of C is A_i'A_j, so ||A_i'A_j||_F^2 is the sum of C*C over that block:
+    N = P'(C*C)P for the 0/1 block-membership matrix P, and
+    RV_ij = N_ij / sqrt(N_ii N_jj), the ``rv_coefficient`` of every pair
+    from one cross-product. Blocks with disjoint support have exactly zero
+    entries in C and so an RV of exactly 0.0.
+    """
     columns = hierarchy.group_columns(level, ts.roi_names)
-    m = len(columns)
-    values = np.ones((m, m))
-    blocks = [ts.samples[:, cols] for cols in columns]
-    for i in range(m):
-        for j in range(i + 1, m):
-            values[i, j] = values[j, i] = rv_coefficient(blocks[i], blocks[j])
+    x = ts.samples[:, np.concatenate(columns)]
+    membership = np.repeat(np.eye(len(columns)), [len(cols) for cols in columns], axis=0)
+    cross = x.T @ x
+    sums = membership.T @ (cross * cross) @ membership
+    sums = (sums + sums.T) / 2.0  # the products round asymmetrically
+    norms = np.sqrt(np.diag(sums))
+    if np.any(norms == 0.0):
+        raise ConnectivityError("rv_coefficient: all-zero block, coefficient undefined")
+    values = np.minimum(sums / np.outer(norms, norms), 1.0)
+    np.fill_diagonal(values, 1.0)
     return ConnectivityMatrix(level=level, values=values, kind="rv")
 
 

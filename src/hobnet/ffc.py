@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, replace
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -635,7 +636,7 @@ def load_fit(path: str | Path) -> FitResult:
     """Inverse of ``save_checkpoint(path, result.params, checkpoint_meta(result))``."""
     params, meta = load_checkpoint(path)
     try:
-        return FitResult(
+        result = FitResult(
             params=params,
             config=ModelConfig.from_dict(meta["model_config"]),
             train_config=TrainConfig(**meta["train_config"]),
@@ -648,3 +649,16 @@ def load_fit(path: str | Path) -> FitResult:
         )
     except KeyError as exc:
         raise ModelError(f"{path}: checkpoint has no {exc} record; retrain it") from None
+    built = build_model_params(
+        result.config, result.level_widths, result.fc_len, result.train_config.seed
+    )
+    for got, want in zip_longest(_param_shapes(params), _param_shapes(built)):
+        if got != want:
+            raise ModelError(
+                f"{path}: checkpoint parameter {got} does not match {want} built from its config"
+            )
+    return result
+
+
+def _param_shapes(params: ModelParams) -> list[tuple[str, tuple[int, ...]]]:
+    return [(p.name, p.value.shape) for p in params.parameters()]

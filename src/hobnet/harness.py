@@ -432,10 +432,16 @@ def check_unseen(result: FitResult, subject_ids: Iterable[str]) -> None:
 def evaluate_fit(result: FitResult, cohort: Cohort, hierarchy: AtlasHierarchy, subject_ids) -> Metrics:
     """Score held-out subjects with the fit's thresholds and encoder.
 
-    Refuses subjects the fit was trained on.
+    Refuses subjects the fit was trained on and subjects not in the cohort.
     """
     subject_ids = list(subject_ids)
     check_unseen(result, subject_ids)
+    known = set(cohort.ids())
+    unknown = [sid for sid in subject_ids if sid not in known]
+    if unknown:
+        raise HarnessError(
+            f"{len(unknown)} scored subjects are not in the cohort (first {unknown[0]!r})"
+        )
     subs = prepare_cohort(
         cohort,
         hierarchy,
@@ -573,10 +579,21 @@ def _read_table(path: Path, needed: set[str]) -> Iterable[tuple[int, dict[str, s
             yield reader.line_num, row
 
 
+def _check_first_row(path: Path, lines: dict[str, int], subject_id: str, line: int) -> None:
+    """Record ``subject_id``'s row in ``lines``, refusing a second row for it."""
+    if subject_id in lines:
+        raise HarnessError(
+            f"{path}: rows {lines[subject_id]} and {line}: subject {subject_id!r} appears twice"
+        )
+    lines[subject_id] = line
+
+
 def read_phenotypes_csv(path: str | Path) -> dict[str, PhenotypeRecord]:
     path = Path(path)
     records = {}
+    lines: dict[str, int] = {}
     for line, row in _read_table(path, {"subject-id", "gender", "age", "site"}):
+        _check_first_row(path, lines, row["subject-id"], line)
         try:
             rec = PhenotypeRecord(
                 subject_id=row["subject-id"], gender=row["gender"], age=row["age"], site=row["site"]
@@ -590,8 +607,10 @@ def read_phenotypes_csv(path: str | Path) -> dict[str, PhenotypeRecord]:
 def read_cohort(directory: str | Path) -> Cohort:
     directory = Path(directory)
     labels_path = directory / "labels.csv"
-    labels: dict[str, tuple[int, int]] = {}
+    labels: dict[str, int] = {}
+    lines: dict[str, int] = {}
     for line, row in _read_table(labels_path, {"subject-id", "label"}):
+        _check_first_row(labels_path, lines, row["subject-id"], line)
         try:
             label = int(row["label"])
         except ValueError:
@@ -601,12 +620,12 @@ def read_cohort(directory: str | Path) -> Cohort:
                 f"{labels_path}: row {line}: subject {row['subject-id']!r}: "
                 f"label {row['label']!r} is not 0 or 1"
             )
-        labels[row["subject-id"]] = (label, line)
+        labels[row["subject-id"]] = label
     phenotypes_path = directory / "phenotypes.csv"
     phenotypes = read_phenotypes_csv(phenotypes_path)
     subjects = []
     for sid in sorted(labels):
-        label, line = labels[sid]
+        label, line = labels[sid], lines[sid]
         if sid not in phenotypes:
             raise HarnessError(
                 f"{phenotypes_path}: no row for subject {sid!r} (row {line} of {labels_path})"

@@ -15,11 +15,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .rng import named_stream
 
 _EXACT_MAX_NODES = 64
-_POWER_MAX_ITERS = 10000
-_POWER_TOL = 1e-9
+_LAMBDA_TOL = 1e-9
 
 
 class SpectralError(ValueError):
@@ -35,40 +33,12 @@ class GraphLaplacian:
     rescaled: np.ndarray
 
 
-def _power_iteration(matrix: np.ndarray, seed: int = 0) -> float | None:
-    """Dominant eigenvalue of a symmetric PSD matrix, or None on stagnation.
-
-    Iterates past the guaranteed 1e-9 tolerance toward machine precision so
-    the estimate does not depend on node ordering; the extra iterations are
-    cheap at these sizes.
-    """
-    m = matrix.shape[0]
-    v = named_stream(seed, "power-iteration-start").normal(size=m)
-    v /= np.linalg.norm(v)
-    previous = None
-    reached_required_tol = False
-    for _ in range(_POWER_MAX_ITERS):
-        w = matrix @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return None
-        current = float(v @ w)
-        v = w / norm
-        if previous is not None:
-            step = abs(current - previous)
-            if step <= _POWER_TOL * max(1.0, abs(current)):
-                reached_required_tol = True
-            if step <= 1e-15 * max(1.0, abs(current)):
-                return current
-        previous = current
-    return previous if reached_required_tol else None
-
-
 def normalized_laplacian(adjacency: np.ndarray) -> GraphLaplacian:
     """I - D^{-1/2} A D^{-1/2} with isolated-node rows left as identity.
 
-    The dominant eigenvalue comes from power iteration; if it stagnates
-    (disconnected or defective cases) the spectral upper bound 2 is used, so
+    The dominant eigenvalue is the last of ``np.linalg.eigvalsh``, exact to
+    rounding and independent of node order; a Laplacian without a positive
+    eigenvalue (self-loops only) takes the spectral upper bound 2 instead, so
     the rescaled spectrum never exceeds [-1, 1].
     """
     a = np.asarray(adjacency, dtype=np.float64)
@@ -82,8 +52,8 @@ def normalized_laplacian(adjacency: np.ndarray) -> GraphLaplacian:
     inv_sqrt = np.where(degrees > 0.0, 1.0 / np.sqrt(np.where(degrees > 0.0, degrees, 1.0)), 0.0)
     lap = np.eye(a.shape[0]) - inv_sqrt[:, None] * a * inv_sqrt[None, :]
     lap = (lap + lap.T) / 2.0
-    lam = _power_iteration(lap)
-    if lam is None or lam <= _POWER_TOL:
+    lam = np.linalg.eigvalsh(lap)[-1]
+    if lam <= _LAMBDA_TOL:
         lam = 2.0
     rescaled = (2.0 / lam) * lap - np.eye(a.shape[0])
     return GraphLaplacian(laplacian=lap, lambda_max=float(lam), rescaled=rescaled)

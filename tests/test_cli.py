@@ -5,6 +5,7 @@ import json
 import shutil
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from hobnet.cli import main
@@ -269,6 +270,37 @@ class TestCliErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("hobnet: error: ") and "nope.ckpt" in err
+        assert err.count("\n") == 1
+
+    def test_eval_on_a_plan_naming_unknown_subjects_gives_one_line_and_exit_2(
+        self, workspace, trained, tmp_path, capsys
+    ):
+        plan = read_split_plan(workspace / "cohort" / "split_plan.json")
+        stale = replace(plan, assignments={**plan.assignments, "s9999": "test"})
+        (tmp_path / "stale.json").write_text(json.dumps(stale.to_json()))
+        code = run(
+            "eval", "--ckpt", trained, "--cohort", workspace / "cohort",
+            "--split-plan", tmp_path / "stale.json", "--out", tmp_path / "m.csv",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hobnet: error: ") and "not in the cohort (first 's9999')" in err
+        assert err.count("\n") == 1
+
+    def test_nan_weight_in_checkpoint_gives_one_line_and_exit_2(
+        self, workspace, trained, tmp_path, capsys
+    ):
+        header, payload = trained.read_bytes().split(b"\n", 1)
+        nan_ckpt = tmp_path / "nan.ckpt"
+        nan = np.array([np.nan], dtype="<f8").tobytes()
+        nan_ckpt.write_bytes(header + b"\n" + nan + payload[len(nan):])
+        code = run(
+            "eval", "--ckpt", nan_ckpt, "--cohort", workspace / "cohort",
+            "--split-plan", workspace / "cohort" / "split_plan.json", "--out", tmp_path / "m.csv",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hobnet: error: ") and "NaN or Inf" in err
         assert err.count("\n") == 1
 
 

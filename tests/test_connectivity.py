@@ -45,6 +45,34 @@ def rv_trace_oracle(a, b):
     return np.trace(aa @ bb) / np.sqrt(np.trace(aa @ aa) * np.trace(bb @ bb))
 
 
+def rv_pair_loop(ts, hierarchy, level):
+    """One rv_coefficient call per block pair: the oracle for level_connectivity."""
+    blocks = [ts.samples[:, cols] for cols in hierarchy.group_columns(level, ts.roi_names)]
+    m = len(blocks)
+    values = np.ones((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            values[i, j] = values[j, i] = rv_coefficient(blocks[i], blocks[j])
+    return values
+
+
+def assert_matches_pair_loop(ts, hierarchy):
+    for level in (WAN, MAN, LAN):
+        expected = rv_pair_loop(ts, hierarchy, level)
+        np.testing.assert_allclose(
+            level_connectivity(ts, hierarchy, level).values, expected, rtol=0, atol=1e-12
+        )
+
+
+def uneven_hierarchy():
+    """Groups of 1, 2 and 5 ROIs under two networks."""
+    sizes = {"g1": 1, "g2": 2, "g5": 5}
+    man = {f"{g}.r{i}": g for g, n in sizes.items() for i in range(n)}
+    return AtlasHierarchy(
+        rois=sorted(man), man_partition=man, wan_partition={"g1": "n0", "g2": "n1", "g5": "n0"}
+    )
+
+
 class TestPearsonFc:
     def test_identical_columns_give_one(self):
         rng = np.random.default_rng(0)
@@ -168,6 +196,41 @@ class TestLevelConnectivity:
         a = ts.samples[:, [0]]
         b = ts.samples[:, [1]]
         assert cm[0, 1] == pytest.approx(rv_trace_oracle(a, b), abs=1e-12)
+
+
+class TestLevelConnectivityMatchesPairLoop:
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (4, 2, 2), (7, 4, 7)])
+    def test_nested_hierarchies(self, shape):
+        h = make_nested_hierarchy(*shape)
+        ts = random_timeseries(len(h.rois), n_timepoints=60, seed=sum(shape), names=h.rois)
+        assert_matches_pair_loop(ts, h)
+
+    def test_uneven_groups(self):
+        h = uneven_hierarchy()
+        assert [len(c) for c in h.group_columns(MAN, h.rois)] == [1, 5, 2]
+        ts = random_timeseries(8, n_timepoints=30, seed=11, names=h.rois)
+        assert_matches_pair_loop(ts, h)
+
+    def test_csv_column_order_differs_from_hierarchy(self, tmp_path):
+        h = uneven_hierarchy()
+        order = np.random.default_rng(12).permutation(len(h.rois))
+        shuffled = random_timeseries(8, n_timepoints=30, seed=13, names=[h.rois[i] for i in order])
+        write_timeseries_csv(tmp_path / "ts.csv", shuffled)
+        ts = read_timeseries_csv(tmp_path / "ts.csv")
+        assert ts.roi_names != h.ordered_rois
+        assert_matches_pair_loop(ts, h)
+
+    def test_disjoint_support_gives_exact_zero(self):
+        h = make_nested_hierarchy(2, 2, 2)
+        samples = np.random.default_rng(14).normal(size=(20, 8))
+        samples[:10, 4:] = 0.0  # network 1 is silent while network 0 is active
+        samples[10:, :4] = 0.0
+        ts = RoiTimeSeries("s", samples, h.rois)
+        for level in (WAN, MAN, LAN):
+            values = level_connectivity(ts, h, level).values
+            half = values.shape[0] // 2
+            assert np.all(values[:half, half:] == 0.0) and np.all(values[half:, :half] == 0.0)
+            assert np.all(values[:half, :half] > 0.0)
 
 
 class TestRetainedEdgeCurve:

@@ -347,6 +347,18 @@ class TestCheckpoint:
         with pytest.raises(ModelError, match="old.ckpt: checkpoint has no 'subject_ids' record"):
             load_fit(path)
 
+    def test_load_fit_refuses_parameters_that_do_not_match_the_config(self, tmp_path):
+        hierarchy, cohort = tiny_cohort()
+        result = fit(cohort, hierarchy, small_config(), TrainConfig(epochs=1, seed=8))
+        meta = checkpoint_meta(result)
+        meta["level_widths"] = {**meta["level_widths"], "man": meta["level_widths"]["man"] + 1}
+        path = tmp_path / "stale.ckpt"
+        save_checkpoint(path, result.params, meta)
+        message = (r"stale\.ckpt: checkpoint parameter \('hgnn\.man\.proj\.w', \(4, 4\)\) "
+                   r"does not match \('hgnn\.man\.proj\.w', \(5, 4\)\)")
+        with pytest.raises(ModelError, match=message):
+            load_fit(path)
+
     def test_config_dict_roundtrip(self):
         cfg = small_config("HGNN+CNN")
         back = ModelConfig.from_dict(cfg.to_dict())

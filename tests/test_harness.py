@@ -303,6 +303,10 @@ class TestCohortIo:
             ("labels.csv", "s0003,1", "s0003,yes", r"labels\.csv: row 5: subject 's0003': label 'yes'"),
             ("labels.csv", "s0003,1", "s0003", r"labels\.csv: row 5: subject 's0003': row length"),
             ("phenotypes.csv", "s0002,", "s9999,", r"phenotypes\.csv: no row for subject 's0002' \(row 4 of"),
+            ("labels.csv", "s0003,1", "s0003,1\ns0003,0",
+             r"labels\.csv: rows 5 and 6: subject 's0003' appears twice"),
+            ("phenotypes.csv", "\ns0003,", "\ns0002,M,20.0,site-a\ns0003,",
+             r"phenotypes\.csv: rows 4 and 5: subject 's0002' appears twice"),
         ],
     )
     def test_bad_cohort_files_name_file_row_and_subject(self, tmp_path, name, find, replace, message):
@@ -410,3 +414,14 @@ class TestDrivers:
         assert result.subject_ids == ids[:4]
         with pytest.raises(HarnessError, match="1 scored subjects were trained on"):
             evaluate_fit(result, cohort, h, ids[3:])
+
+    def test_evaluate_fit_refuses_subjects_not_in_the_cohort(self):
+        h = nested_hierarchy(2, 2, 2)
+        cohort = synth_generate(8, h, signal=0.8, noise=0.3, seed=15, n_timepoints=40)
+        ids = cohort.ids()
+        result = fit(cohort, h, small_config(), TrainConfig(epochs=1, seed=0), subject_ids=ids[:4])
+        for scored, count in ((ids[4:] + ["gone1", "gone2"], 2), (["gone1"], 1)):
+            with pytest.raises(
+                HarnessError, match=rf"{count} scored subjects are not in the cohort \(first 'gone1'\)"
+            ):
+                evaluate_fit(result, cohort, h, scored)

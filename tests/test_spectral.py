@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hobnet.autodiff import Parameter, Tape, Tensor, backward, total
+from hobnet.connectivity import block_diagonal
 from hobnet.spectral import (
     SpectralError,
     cheb_apply,
@@ -53,6 +54,16 @@ class TestNormalizedLaplacian:
             eigvals = np.linalg.eigvalsh(lap.rescaled)
             assert eigvals.min() >= -1.0 - 1e-9
             assert eigvals.max() <= 1.0 + 1e-9
+
+    def test_lambda_max_matches_eigh(self):
+        graphs = [random_graph(m, seed, density) for seed, (m, density) in
+                  enumerate([(2, 1.0), (7, 0.5), (16, 0.2), (40, 0.1), (64, 0.05)])]
+        # disconnected, block-diagonal graphs like the lan level
+        graphs += [block_diagonal([random_graph(m, 10 + seed + m) for m in (1, 2, 5, 7)])
+                   for seed in range(5)]
+        for a in graphs:
+            lap = normalized_laplacian(a)
+            assert abs(lap.lambda_max - np.linalg.eigh(lap.laplacian)[0][-1]) <= 1e-12
 
     def test_asymmetric_adjacency_rejected(self):
         a = np.array([[0.0, 1.0], [0.5, 0.0]])
