@@ -281,6 +281,19 @@ def concat(*parts: Tensor, axis: int = 0) -> Tensor:
     return _record("concat", parts, out, backward)
 
 
+def reshape(x: Tensor, shape) -> Tensor:
+    """Row-major view of the same entries in a new shape (one ``-1`` allowed)."""
+    try:
+        out = x.data.reshape(shape)
+    except ValueError:
+        raise ShapeMismatch(f"reshape: cannot view shape {x.shape} as {shape}") from None
+
+    def backward(g: np.ndarray):
+        return (g.reshape(x.shape),)
+
+    return _record("reshape", (x,), out, backward)
+
+
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """Valid-mode 1-D convolution (sliding dot product, no kernel flip).
 
@@ -483,6 +496,7 @@ _PRIMITIVES: dict[str, Callable] = {
     "relu": relu,
     "softmax": softmax,
     "concat": concat,
+    "reshape": reshape,
     "conv1d": conv1d,
     "mean-over-axis": mean_over_axis,
     "upper-triangle-flatten": upper_triangle_flatten,

@@ -200,6 +200,12 @@ def cmd_popgraph(args) -> int:
         raise SystemExit(f"phenotype file lacks subject {missing[0]!r}")
     plan = cohort_split_plan(args.cohort, cohort, seed)
     check_unseen(result, plan.subjects_in("test"))
+    known = set(cohort.ids())
+    unknown = [sid for sid in plan.assignments if sid not in known]
+    if unknown:
+        raise HarnessError(
+            f"{len(unknown)} split-plan subjects are not in the cohort (first {unknown[0]!r})"
+        )
     subs = prepare_cohort(
         cohort,
         hierarchy,

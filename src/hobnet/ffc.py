@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -112,10 +112,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelConfig":
-        hgnn_kwargs = dict(payload["hgnn"])
+        payload = _config_kwargs(cls, payload, "model_config")
+        hgnn_kwargs = _config_kwargs(HgnnConfig, payload["hgnn"], "model_config.hgnn")
         if hgnn_kwargs.get("ghop_mlp_hidden") is not None:
             hgnn_kwargs["ghop_mlp_hidden"] = tuple(hgnn_kwargs["ghop_mlp_hidden"])
-        hcnn_kwargs = dict(payload["hcnn"])
+        hcnn_kwargs = _config_kwargs(HcnnConfig, payload["hcnn"], "model_config.hcnn")
         for key in ("kernel_sizes", "channels", "strides", "mlp_hidden"):
             hcnn_kwargs[key] = tuple(hcnn_kwargs[key])
         if hcnn_kwargs.get("hop_mlp_hidden") is not None:
@@ -126,6 +127,14 @@ class ModelConfig:
             hcnn=HcnnConfig(**hcnn_kwargs),
             head_hidden=tuple(payload["head_hidden"]),
         )
+
+
+def _config_kwargs(cls, payload: dict, where: str) -> dict:
+    """``payload`` as keyword arguments of ``cls``; a key it has no field for is an error."""
+    unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ModelError(f"{where} has unknown key {unknown[0]!r}")
+    return dict(payload)
 
 
 PRESETS: dict[str, dict] = {
@@ -612,6 +621,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
             if len(payload) != count * 8:
                 raise ModelError(f"{path}: truncated payload for parameter {entry['name']!r}")
             values = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            if not np.all(np.isfinite(values)):
+                raise ModelError(f"{path}: parameter {entry['name']!r} holds NaN or Inf values")
             params.create(entry["name"], values)
         if fh.read(1):
             raise ModelError(f"{path}: trailing bytes after final parameter")
@@ -639,7 +650,9 @@ def load_fit(path: str | Path) -> FitResult:
         result = FitResult(
             params=params,
             config=ModelConfig.from_dict(meta["model_config"]),
-            train_config=TrainConfig(**meta["train_config"]),
+            train_config=TrainConfig(
+                **_config_kwargs(TrainConfig, meta["train_config"], "train_config")
+            ),
             gammas=meta["gammas"],
             adjacency_mode=meta["adjacency_mode"],
             loss_trace=meta["loss_trace"],
@@ -649,6 +662,8 @@ def load_fit(path: str | Path) -> FitResult:
         )
     except KeyError as exc:
         raise ModelError(f"{path}: checkpoint has no {exc} record; retrain it") from None
+    except ModelError as exc:
+        raise ModelError(f"{path}: {exc}") from None
     built = build_model_params(
         result.config, result.level_widths, result.fc_len, result.train_config.seed
     )

@@ -76,14 +76,6 @@ def dr_unflatten(flat: np.ndarray, n: int) -> np.ndarray:
     return out + out.T
 
 
-def _flatten_channels(x: Tensor) -> Tensor:
-    """Row-major [channels, length] -> [channels*length] using selector rows."""
-    c = x.shape[0]
-    eye = np.eye(c)
-    rows = [ad.matmul(Tensor(eye[i]), x) for i in range(c)]
-    return ad.concat(*rows)
-
-
 def hcnn_first_order(
     params,
     prefix: str,
@@ -107,7 +99,7 @@ def hcnn_first_order(
         stride=cfg.strides[1],
     )
     h = ad.dropout(ad.relu(h), cfg.dropout, rng, train)
-    return mlp_forward(_flatten_channels(h), params, f"{prefix}.mlp")
+    return mlp_forward(ad.reshape(h, (-1,)), params, f"{prefix}.mlp")
 
 
 def hop(z: Tensor) -> Tensor:

@@ -89,14 +89,8 @@ def afm_combine(block_outputs: list[Tensor], r: Tensor) -> Tensor:
             raise HgnnError(f"block output shapes differ: {shape} vs {out.shape}")
     if r.shape != (len(block_outputs),):
         raise HgnnError(f"need {len(block_outputs)} mixing weights, got shape {r.shape}")
-    s = afm_weights(r)
-    combined = None
-    for l, out in enumerate(block_outputs):
-        selector = Tensor(np.eye(len(block_outputs))[l : l + 1])
-        weight = ad.matmul(selector, s)  # differentiable scalar slice, shape (1,)
-        term = ad.hadamard(weight, out)
-        combined = term if combined is None else ad.add(combined, term)
-    return combined
+    columns = ad.concat(*(ad.reshape(out, (-1, 1)) for out in block_outputs), axis=1)
+    return ad.reshape(ad.matmul(columns, afm_weights(r)), shape)
 
 
 def ghop(z: Tensor) -> Tensor:

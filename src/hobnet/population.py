@@ -109,15 +109,11 @@ def standardize_phenotypes(records: Sequence[PhenotypeRecord]) -> np.ndarray:
     ages = np.array([r.age for r in records], dtype=np.float64)
     std = ages.std()
     z_age = (ages - ages.mean()) / std if std > 0 else np.zeros_like(ages)
-    genders = sorted({r.gender for r in records})
-    sites = sorted({r.site for r in records})
-    rows = []
-    for z, record in zip(z_age, records):
-        row = [z]
-        row.extend(1.0 if record.gender == g else 0.0 for g in genders)
-        row.extend(1.0 if record.site == s else 0.0 for s in sites)
-        rows.append(row)
-    return np.array(rows)
+    genders = np.array([r.gender for r in records])
+    sites = np.array([r.site for r in records])
+    return np.column_stack(
+        [z_age, genders[:, None] == np.unique(genders), sites[:, None] == np.unique(sites)]
+    )
 
 
 def build_phenotype_encoder(n_features: int, seed: int, widths: tuple[int, ...] = (16, 8)) -> ModelParams:
@@ -130,9 +126,7 @@ def build_phenotype_encoder(n_features: int, seed: int, widths: tuple[int, ...] 
 def weight_matrix(records: Sequence[PhenotypeRecord], encoder: ModelParams) -> np.ndarray:
     """Cosine similarity of encoded phenotypes, mapped to [0, 1]."""
     features = standardize_phenotypes(records)
-    encoded = np.vstack(
-        [mlp_forward(Tensor(row), encoder, "phenotype").data for row in features]
-    )
+    encoded = mlp_forward(Tensor(features), encoder, "phenotype").data
     norms = np.linalg.norm(encoded, axis=1)
     zero = np.where(norms == 0.0)[0]
     if zero.size:
@@ -197,19 +191,12 @@ def gcn_classify(
     head: ModelParams,
 ) -> Tensor:
     """Per-node class probabilities from one propagation layer plus the head."""
-    a = np.asarray(adjacency, dtype=np.float64)
-    if np.max(np.abs(a - a.T)) > 1e-12:
-        raise PopulationError("population adjacency is asymmetric beyond 1e-12")
-    if a.min() < 0.0:
-        raise PopulationError("population adjacency entries must be non-negative")
-    propagation = Tensor(first_order_propagation(a))
-    mixed = ad.matmul(propagation, Tensor(np.asarray(y, dtype=np.float64)))
-    hidden = ad.relu(ad.matmul(mixed, head["gcn.w"].value))
-    return ad.softmax(mlp_forward(hidden, head, "head"), axis=-1)
+    return head_forward(first_order_propagation(adjacency) @ y, head)
 
 
 def head_forward(y: np.ndarray, head: ModelParams) -> Tensor:
-    """The same head without any graph mixing (identity-adjacency baseline)."""
+    """The head on already-mixed node features, one row per node; with
+    unmixed features it is the identity-adjacency baseline."""
     hidden = ad.relu(ad.matmul(Tensor(np.asarray(y, dtype=np.float64)), head["gcn.w"].value))
     return ad.softmax(mlp_forward(hidden, head, "head"), axis=-1)
 
@@ -238,14 +225,13 @@ def train_population_head(
         raise PopulationError("no labeled subjects to train on")
     head = build_population_head(y.shape[1], seed, gcn_dim=gcn_dim)
     state = AdamState.for_params(head.parameters())
-    selector = Tensor(np.eye(y.shape[0])[train_index])
+    # the propagation has no parameter and the head works row by row
+    mixed_train = (first_order_propagation(adjacency) @ y)[train_index]
     trace = []
     for _ in range(epochs):
         head.zero_grad()
         with Tape() as tape:
-            probs = gcn_classify(y, adjacency, head)
-            picked = ad.matmul(selector, probs)
-            ce = ad.cross_entropy(picked, labels[train_index])
+            ce = ad.cross_entropy(head_forward(mixed_train, head), labels[train_index])
         backward(tape, ce)
         adam_step(head.parameters(), state, lr)
         trace.append(ce.item())

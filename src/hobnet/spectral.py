@@ -125,6 +125,8 @@ def first_order_propagation(adjacency: np.ndarray) -> np.ndarray:
         raise SpectralError(f"adjacency must be square, got shape {a.shape}")
     if np.max(np.abs(a - a.T)) > 1e-12:
         raise SpectralError("adjacency is asymmetric beyond 1e-12")
+    if a.min() < 0.0:
+        raise SpectralError("adjacency entries must be non-negative")
     a_hat = a + np.eye(a.shape[0])
     inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
     return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]

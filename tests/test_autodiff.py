@@ -122,6 +122,16 @@ class TestPrimitiveExamples:
         with pytest.raises(ShapeMismatch, match=r"\(2, 3\).*\(2, 2\)"):
             ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
+    def test_reshape_is_a_row_major_view(self):
+        x = np.arange(12.0).reshape(3, 4)
+        np.testing.assert_array_equal(ad.reshape(Tensor(x), (-1,)).data, x.ravel())
+        np.testing.assert_array_equal(primitive_forward("reshape", [Tensor(x)], shape=(2, 6)).data,
+                                      x.reshape(2, 6))
+
+    def test_reshape_bad_shape_names_both_shapes(self):
+        with pytest.raises(ShapeMismatch, match=r"\(3, 4\).*\(5, -1\)"):
+            ad.reshape(Tensor(np.zeros((3, 4))), (5, -1))
+
     def test_unknown_primitive_kind(self):
         with pytest.raises(ValueError, match="unknown primitive"):
             primitive_forward("fft", [Tensor([1.0])])
@@ -267,6 +277,13 @@ class TestPrimitiveGradients:
         b = Parameter("b", self.rng.normal(size=(4, 3)))
         w = self.weight((6, 3))
         fd_over_all_entries(lambda: scalar_loss(ad.concat(a.value, b.value, axis=0), w), [a, b])
+
+    def test_reshape(self):
+        p = Parameter("x", self.rng.normal(size=(3, 4)))
+        w = self.weight((2, 6))
+        fd_over_all_entries(lambda: scalar_loss(ad.reshape(p.value, (2, -1)), w), [p])
+        w_flat = self.weight(12)
+        fd_over_all_entries(lambda: scalar_loss(ad.reshape(p.value, (-1,)), w_flat), [p])
 
     def test_conv1d(self):
         x = Parameter("x", self.rng.normal(size=(2, 12)))

@@ -300,8 +300,45 @@ class TestCliErrors:
         )
         assert code == 2
         err = capsys.readouterr().err
+        first = json.loads(header)["params"][0]["name"]
         assert err.startswith("hobnet: error: ") and "NaN or Inf" in err
+        assert "nan.ckpt" in err and repr(first) in err
         assert err.count("\n") == 1
+
+    def test_checkpoint_with_an_unknown_config_key_gives_one_line_and_exit_2(
+        self, workspace, trained, tmp_path, capsys
+    ):
+        params, meta = load_checkpoint(trained)
+        meta["model_config"]["hgnn"]["depth"] = 2
+        ckpt = tmp_path / "future.ckpt"
+        save_checkpoint(ckpt, params, meta)
+        code = run(
+            "eval", "--ckpt", ckpt, "--cohort", workspace / "cohort",
+            "--split-plan", workspace / "cohort" / "split_plan.json", "--out", tmp_path / "m.csv",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hobnet: error: ") and "future.ckpt" in err
+        assert "model_config.hgnn has unknown key 'depth'" in err
+        assert err.count("\n") == 1
+
+    def test_popgraph_on_a_plan_naming_unknown_subjects_gives_one_line_and_exit_2(
+        self, workspace, trained, tmp_path, capsys
+    ):
+        shutil.copytree(workspace / "cohort", tmp_path / "cohort")
+        plan = read_split_plan(workspace / "cohort" / "split_plan.json")
+        stale = replace(plan, assignments={**plan.assignments, "s9999": "test"})
+        (tmp_path / "cohort" / "split_plan.json").write_text(json.dumps(stale.to_json()))
+        code = run(
+            "popgraph", "--ckpt", trained, "--cohort", tmp_path / "cohort",
+            "--phenotypes", tmp_path / "cohort" / "phenotypes.csv", "--out", tmp_path / "pop.csv",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hobnet: error: ")
+        assert "1 split-plan subjects are not in the cohort (first 's9999')" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "pop.csv").exists()
 
 
 class TestAblateSmoke:

@@ -359,6 +359,28 @@ class TestCheckpoint:
         with pytest.raises(ModelError, match=message):
             load_fit(path)
 
+    @pytest.mark.parametrize(
+        "section, where",
+        [
+            (("model_config",), "model_config"),
+            (("model_config", "hgnn"), "model_config.hgnn"),
+            (("model_config", "hcnn"), "model_config.hcnn"),
+            (("train_config",), "train_config"),
+        ],
+    )
+    def test_load_fit_refuses_an_unknown_config_key(self, tmp_path, section, where):
+        hierarchy, cohort = tiny_cohort()
+        result = fit(cohort, hierarchy, small_config(), TrainConfig(epochs=1, seed=8))
+        meta = checkpoint_meta(result)
+        target = meta
+        for key in section:
+            target = target[key]
+        target["depth"] = 2
+        path = tmp_path / "future.ckpt"
+        save_checkpoint(path, result.params, meta)
+        with pytest.raises(ModelError, match=f"future.ckpt: {where} has unknown key 'depth'"):
+            load_fit(path)
+
     def test_config_dict_roundtrip(self):
         cfg = small_config("HGNN+CNN")
         back = ModelConfig.from_dict(cfg.to_dict())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hobnet import autodiff as ad
-from hobnet.autodiff import Tensor, finite_difference_check, total
+from hobnet.autodiff import Parameter, Tape, Tensor, backward, finite_difference_check, total
 from hobnet.connectivity import pearson_fc
 from hobnet.ffc import ModelConfig, build_model_params, parse_toggles
 from hobnet.hcnn import (
@@ -97,6 +97,32 @@ class TestFirstOrder:
         cfg_hcnn = HcnnConfig(kernel_sizes=(9, 5), channels=(2, 2), strides=(2, 2))
         with pytest.raises(HcnnError, match="exceeds"):
             cfg_hcnn.conv_output_length(6)
+
+
+def flatten_channels_by_selectors(x: Tensor) -> Tensor:
+    """The former channel flatten: one eye-row matmul per channel, then a concat."""
+    eye = np.eye(x.shape[0])
+    return ad.concat(*[ad.matmul(Tensor(eye[i]), x) for i in range(x.shape[0])])
+
+
+class TestChannelFlatten:
+    def test_reshape_is_bit_identical_to_selector_rows(self):
+        rng = np.random.default_rng(9)
+        x = Parameter("x", rng.normal(size=(16, 13)))
+        kernel = Tensor(rng.normal(size=(16, 16, 3)))
+        bias = Tensor(rng.normal(size=16))
+        w = Tensor(rng.normal(size=16 * 11))
+        values, grads = [], []
+        for flatten in (lambda h: ad.reshape(h, (-1,)), flatten_channels_by_selectors):
+            x.zero_grad()
+            with Tape() as tape:
+                flat = flatten(ad.relu(ad.conv1d(x.value, kernel, bias)))
+                loss = total(ad.hadamard(flat, w))
+            backward(tape, loss)
+            values.append(flat.data.tobytes())
+            grads.append(x.grad.tobytes())
+        assert values[0] == values[1]
+        assert grads[0] == grads[1]
 
 
 class TestHop:

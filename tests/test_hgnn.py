@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hobnet.autodiff import Parameter, Tensor, finite_difference_check, total
+from hobnet import autodiff as ad
+from hobnet.autodiff import Parameter, Tape, Tensor, backward, finite_difference_check, total
 from hobnet.connectivity import LAN, MAN, WAN
 from hobnet.ffc import (
     ModelConfig,
@@ -36,7 +37,40 @@ def toy_inputs(encoder="res-cheb", seed=0, gamma=0.3):
     return hierarchy, sub
 
 
+def afm_combine_by_selectors(block_outputs, r):
+    """The former AFM mix: an eye-row matmul per weight, a hadamard and a running add."""
+    s = afm_weights(r)
+    combined = None
+    for l, out in enumerate(block_outputs):
+        weight = ad.matmul(Tensor(np.eye(len(block_outputs))[l : l + 1]), s)
+        term = ad.hadamard(weight, out)
+        combined = term if combined is None else ad.add(combined, term)
+    return combined
+
+
 class TestAfm:
+    @pytest.mark.parametrize("blocks, shape", [(1, (4, 3)), (2, (5, 2)), (3, (10, 16)), (5, (7, 4))])
+    def test_matches_selector_loop_oracle(self, blocks, shape):
+        rng = np.random.default_rng(blocks)
+        outs = [Parameter(f"h{l}", rng.normal(size=shape)) for l in range(blocks)]
+        r = Parameter("r", rng.normal(size=blocks) * 2.0)
+        w = Tensor(rng.normal(size=shape))
+        results = []
+        for combine in (afm_combine, afm_combine_by_selectors):
+            for p in (r, *outs):
+                p.zero_grad()
+            with Tape() as tape:
+                z = combine([o.value for o in outs], r.value)
+                loss = total(ad.hadamard(z, w))
+            backward(tape, loss)
+            results.append((z.data, r.grad.copy(), [o.grad.copy() for o in outs]))
+        (z_new, dr_new, dh_new), (z_old, dr_old, dh_old) = results
+        assert z_new.shape == z_old.shape == shape
+        np.testing.assert_allclose(z_new, z_old, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dr_new, dr_old, rtol=0, atol=1e-12)
+        for got, want in zip(dh_new, dh_old):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_uniform_r_gives_mean_of_blocks(self):
         rng = np.random.default_rng(0)
         outs = [Tensor(rng.normal(size=(4, 3))) for _ in range(3)]

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from hobnet.ffc import ModelParams, TrainConfig, fit, prepare_cohort
+from hobnet import autodiff as ad
+from hobnet.autodiff import Tape, Tensor, backward
+from hobnet.ffc import AdamState, ModelParams, TrainConfig, adam_step, fit, prepare_cohort
 from hobnet.harness import nested_hierarchy, synth_generate
+from hobnet.layers import mlp_forward
 from hobnet.population import (
     PhenotypeRecord,
     PopulationError,
@@ -20,6 +23,7 @@ from hobnet.population import (
     train_population_head,
     weight_matrix,
 )
+from hobnet.spectral import first_order_propagation
 
 from test_ffc import small_config
 
@@ -103,6 +107,33 @@ class TestPhenotypeSimilarityM2:
         assert np.all((m2 >= 0.0) & (m2 <= 1.0))
         assert np.max(np.abs(m2 - m2.T)) <= 1e-12
         assert np.all(np.diag(m2) == 1.0)
+
+
+def standardize_phenotypes_by_rows(records):
+    """The former feature builder: one Python row per subject."""
+    ages = np.array([r.age for r in records])
+    z_age = (ages - ages.mean()) / ages.std() if ages.std() > 0 else np.zeros_like(ages)
+    genders = sorted({r.gender for r in records})
+    sites = sorted({r.site for r in records})
+    return np.array(
+        [
+            [z, *(float(r.gender == g) for g in genders), *(float(r.site == s) for s in sites)]
+            for z, r in zip(z_age, records)
+        ]
+    )
+
+
+class TestStandardizePhenotypes:
+    @pytest.mark.parametrize("n", [2, 7, 50])
+    def test_matches_per_row_oracle(self, n):
+        rng = np.random.default_rng(n)
+        records = [
+            record(f"s{i}", rng.choice(["F", "M"]), float(rng.uniform(6, 60)), rng.choice(["b", "a", "c"]))
+            for i in range(n)
+        ]
+        got = standardize_phenotypes(records)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, standardize_phenotypes_by_rows(records))
 
 
 class TestWeightMatrix:
@@ -254,6 +285,50 @@ class TestGcnClassify:
         head = build_population_head(3, seed=5)
         probs = gcn_classify(y, np.eye(4), head).data
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+
+def gcn_classify_by_tensors(y, adjacency, head):
+    """The former classifier: the propagation and the head recorded as one forward."""
+    mixed = ad.matmul(Tensor(first_order_propagation(adjacency)), Tensor(y))
+    hidden = ad.relu(ad.matmul(mixed, head["gcn.w"].value))
+    return ad.softmax(mlp_forward(hidden, head, "head"), axis=-1)
+
+
+def train_population_head_by_selector(y, adjacency, labels, train_index, seed, epochs, lr):
+    """The former trainer: every node each epoch, then a dense eye-row selector."""
+    head = build_population_head(y.shape[1], seed)
+    state = AdamState.for_params(head.parameters())
+    selector = Tensor(np.eye(y.shape[0])[train_index])
+    trace = []
+    for _ in range(epochs):
+        head.zero_grad()
+        with Tape() as tape:
+            picked = ad.matmul(selector, gcn_classify_by_tensors(y, adjacency, head))
+            ce = ad.cross_entropy(picked, labels[train_index])
+        backward(tape, ce)
+        adam_step(head.parameters(), state, lr)
+        trace.append(ce.item())
+    return head, trace
+
+
+class TestTrainMatchesSelectorOracle:
+    @pytest.mark.parametrize("n, retain, seed", [(12, 0.3, 0), (40, 0.1, 1), (25, 1.0, 2)])
+    def test_loss_trace_and_probabilities(self, n, retain, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=(n, 10))
+        m1, m2, w = TestPopulationAdjacency().combined_inputs(n, seed=seed)
+        _, adj = population_adjacency(m1, m2, w, retain_fraction=retain)
+        labels = rng.integers(0, 2, size=n)
+        train_index = np.sort(rng.choice(n, size=2 * n // 3, replace=False))
+        pop = train_population_head(y, adj, labels, train_index, seed=seed, epochs=200, lr=5e-3)
+        head, trace = train_population_head_by_selector(y, adj, labels, train_index, seed, 200, 5e-3)
+        np.testing.assert_allclose(pop.loss_trace, trace, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            gcn_classify(y, adj, pop.head).data,
+            gcn_classify_by_tensors(y, adj, head).data,
+            rtol=0,
+            atol=1e-12,
+        )
 
 
 class TestEmbedAndTrain:

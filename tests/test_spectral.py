@@ -70,9 +70,12 @@ class TestNormalizedLaplacian:
         with pytest.raises(SpectralError, match="asymmetric"):
             normalized_laplacian(a)
 
-    def test_negative_entries_rejected(self):
+    @pytest.mark.parametrize(
+        "build", [normalized_laplacian, first_order_propagation], ids=lambda f: f.__name__
+    )
+    def test_negative_entries_rejected(self, build):
         with pytest.raises(SpectralError, match="non-negative"):
-            normalized_laplacian(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+            build(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
 
 class TestChebApply:
