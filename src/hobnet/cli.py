@@ -173,8 +173,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    if args.matrix != "table4":
-        raise SystemExit(f"unknown ablation matrix {args.matrix!r}; only 'table4' is available")
     cohort = read_cohort(args.cohort)
     hierarchy = read_cohort_hierarchy(args.cohort)
     # desk-scale sweep defaults: narrow model, short schedule
@@ -197,20 +195,13 @@ def cmd_popgraph(args) -> int:
     phenotypes = read_phenotypes_csv(args.phenotypes)
     missing = [sid for sid in cohort.ids() if sid not in phenotypes]
     if missing:
-        raise SystemExit(f"phenotype file lacks subject {missing[0]!r}")
+        raise HarnessError(f"{args.phenotypes}: no row for cohort subject {missing[0]!r}")
     plan = cohort_split_plan(args.cohort, cohort, seed)
     check_unseen(result, plan.subjects_in("test"))
-    known = set(cohort.ids())
-    unknown = [sid for sid in plan.assignments if sid not in known]
-    if unknown:
-        raise HarnessError(
-            f"{len(unknown)} split-plan subjects are not in the cohort (first {unknown[0]!r})"
-        )
     subs = prepare_cohort(
         cohort,
         hierarchy,
         result.gammas,
-        adjacency_mode=result.adjacency_mode,
         encoder=result.config.hgnn.encoder,
     )
     records = [phenotypes[s.subject_id] for s in subs]
@@ -297,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="run the branch-configuration sweep")
     p.add_argument("--cohort", required=True)
-    p.add_argument("--matrix", default="table4")
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablate)

@@ -21,6 +21,9 @@ MAN = "man"
 LAN = "lan"
 LEVELS = (WAN, MAN, LAN)
 
+# the threshold grid that gamma selection and retained-fraction lookup scan
+GAMMA_GRID = np.linspace(0.0, 1.0, 101)
+
 
 class ConnectivityError(ValueError):
     """Invalid time series, hierarchy, or threshold input."""
@@ -277,24 +280,11 @@ def select_cutoff(curve: list[tuple[float, float]]) -> float:
     return float(g[1 + int(np.argmax(curvature))])
 
 
-def auto_cutoff(cm: ConnectivityMatrix, grid_size: int = 101) -> float:
-    """Inflection-selected threshold, with a fallback for edgeless matrices.
-
-    A matrix whose off-diagonal entries are never positive gives a constant
-    retained curve; every threshold then produces the same adjacency, so 1.0
-    is returned instead of failing.
-    """
-    curve = retained_edge_curve(cm, np.linspace(0.0, 1.0, grid_size))
-    if all(f == 0.0 for _, f in curve):
-        return 1.0
-    return select_cutoff(curve)
-
-
-def gamma_for_retained_fraction(cm: ConnectivityMatrix, fraction: float, grid_size: int = 101) -> float:
+def gamma_for_retained_fraction(cm: ConnectivityMatrix, fraction: float) -> float:
     """Smallest grid threshold whose retained fraction drops to ``fraction``."""
     if not 0.0 <= fraction <= 1.0:
         raise ConnectivityError(f"retained fraction must be in [0, 1], got {fraction}")
-    curve = retained_edge_curve(cm, np.linspace(0.0, 1.0, grid_size))
+    curve = retained_edge_curve(cm, GAMMA_GRID)
     for g, kept in curve:
         if kept <= fraction:
             return g
@@ -381,26 +371,22 @@ def composite_connectivity(
 def build_graph_set(
     ts: RoiTimeSeries,
     hierarchy: AtlasHierarchy,
-    gammas: dict[str, float] | float | None = None,
+    gammas: dict[str, float] | float,
     mode: str = "binary",
-    grid_size: int = 101,
 ) -> HierarchicalGraphSet:
     """Assemble the three-level graph inputs for one subject.
 
-    ``gammas`` may be a per-level dict, one shared threshold, or ``None`` to
-    select each level's threshold at the inflection of its retained-edge
-    curve. The two lower levels are masked to their parent blocks before
-    thresholding, which makes both adjacency and features exactly
-    block-diagonal (features are zero-padded to the composite width).
+    ``gammas`` is a per-level dict or one shared threshold. The two lower
+    levels are masked to their parent blocks before thresholding, which
+    makes both adjacency and features exactly block-diagonal (features are
+    zero-padded to the composite width).
     """
     adjacency: dict[str, np.ndarray] = {}
     features: dict[str, np.ndarray] = {}
     chosen: dict[str, float] = {}
     for level in LEVELS:
         cm = composite_connectivity(ts, hierarchy, level)
-        if gammas is None:
-            gamma = auto_cutoff(cm, grid_size)
-        elif isinstance(gammas, dict):
+        if isinstance(gammas, dict):
             gamma = gammas[level]
         else:
             gamma = float(gammas)
@@ -456,10 +442,13 @@ def write_timeseries_csv(path: str | Path, ts: RoiTimeSeries) -> None:
 def read_hierarchy_json(path: str | Path) -> AtlasHierarchy:
     """JSON with keys ``lan`` (ROI list), ``man`` (ROI->group), ``wan`` (group->network)."""
     with Path(path).open() as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConnectivityError(f"{path}: not valid JSON ({exc})") from None
     for key in ("lan", "man", "wan"):
         if key not in payload:
-            raise ConnectivityError(f"hierarchy file is missing key {key!r}")
+            raise ConnectivityError(f"{path}: hierarchy file is missing key {key!r}")
     return AtlasHierarchy(
         rois=list(payload["lan"]),
         man_partition=dict(payload["man"]),

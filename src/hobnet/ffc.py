@@ -21,6 +21,7 @@ from . import hcnn as hcnn_mod
 from . import hgnn as hgnn_mod
 from .autodiff import NonFiniteValue, Parameter, Tape, Tensor, backward
 from .connectivity import (
+    GAMMA_GRID,
     LEVELS,
     AtlasHierarchy,
     RoiTimeSeries,
@@ -234,24 +235,22 @@ class SubjectInputs:
 def select_cohort_gammas(
     series: Sequence[RoiTimeSeries],
     hierarchy: AtlasHierarchy,
-    grid_size: int = 101,
 ) -> dict[str, float]:
     """Per-level cutoff from the inflection of the cohort-mean retained curve."""
     if not series:
         raise ModelError("gamma selection needs at least one subject")
-    grid = np.linspace(0.0, 1.0, grid_size)
     gammas: dict[str, float] = {}
     for level in LEVELS:
-        mean_curve = np.zeros(grid_size)
+        mean_curve = np.zeros(GAMMA_GRID.size)
         for ts in series:
             cm = composite_connectivity(ts, hierarchy, level)
-            mean_curve += [f for _, f in retained_edge_curve(cm, grid)]
+            mean_curve += [f for _, f in retained_edge_curve(cm, GAMMA_GRID)]
         mean_curve /= len(series)
         if np.all(mean_curve == 0.0):
             # edgeless level: every threshold gives the same adjacency
             gammas[level] = 1.0
         else:
-            gammas[level] = select_cutoff(list(zip(grid.tolist(), mean_curve.tolist())))
+            gammas[level] = select_cutoff(list(zip(GAMMA_GRID.tolist(), mean_curve.tolist())))
     return gammas
 
 
@@ -260,7 +259,6 @@ def prepare_subject(
     hierarchy: AtlasHierarchy,
     gammas: dict[str, float] | float,
     label: int = 0,
-    adjacency_mode: str = "binary",
     encoder: str = "res-cheb",
     fc_source: RoiTimeSeries | None = None,
 ) -> SubjectInputs:
@@ -270,7 +268,7 @@ def prepare_subject(
     the same recording than the graph hierarchy; by default both branches
     share ``ts``.
     """
-    graphs = build_graph_set(ts, hierarchy, gammas=gammas, mode=adjacency_mode)
+    graphs = build_graph_set(ts, hierarchy, gammas=gammas)
     levels: dict[str, LevelInput] = {}
     for level in LEVELS:
         adjacency = graphs.adjacency[level]
@@ -295,7 +293,6 @@ def prepare_cohort(
     cohort,
     hierarchy: AtlasHierarchy,
     gammas: dict[str, float] | float,
-    adjacency_mode: str = "binary",
     encoder: str = "res-cheb",
     subject_ids: Iterable[str] | None = None,
 ) -> list[SubjectInputs]:
@@ -310,7 +307,6 @@ def prepare_cohort(
                 hierarchy,
                 gammas,
                 label=record.label,
-                adjacency_mode=adjacency_mode,
                 encoder=encoder,
             )
         )
@@ -409,9 +405,9 @@ def fused_features(
     return graph_feat if graph_feat is not None else cnn_feat
 
 
-def predict(z: Tensor, params: ModelParams, prefix: str = "head") -> Tensor:
+def predict(z: Tensor, params: ModelParams) -> Tensor:
     """Two-class probability vector from the fused features."""
-    return ad.softmax(mlp_forward(z, params, prefix))
+    return ad.softmax(mlp_forward(z, params, "head"))
 
 
 def loss(probs: Tensor, labels) -> Tensor:
@@ -465,11 +461,9 @@ def adam_step(
     params: Iterable[Parameter],
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     """One bias-corrected Adam update from the parameters' current gradients."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.t += 1
     t = state.t
     for p in params:
@@ -494,7 +488,6 @@ class FitResult:
     config: ModelConfig
     train_config: TrainConfig
     gammas: dict[str, float]
-    adjacency_mode: str
     loss_trace: list[float]
     level_widths: dict[str, int]
     fc_len: int
@@ -508,7 +501,6 @@ def fit(
     train_cfg: TrainConfig,
     subject_ids: Iterable[str] | None = None,
     gammas: dict[str, float] | float | None = None,
-    adjacency_mode: str = "binary",
 ) -> FitResult:
     """Train the fused model on (a subset of) the cohort.
 
@@ -538,7 +530,6 @@ def fit(
         cohort,
         hierarchy,
         gammas,
-        adjacency_mode=adjacency_mode,
         encoder=model_cfg.hgnn.encoder,
         subject_ids=wanted,
     )
@@ -575,7 +566,6 @@ def fit(
         config=model_cfg,
         train_config=train_cfg,
         gammas=dict(gammas) if isinstance(gammas, dict) else {level: float(gammas) for level in LEVELS},
-        adjacency_mode=adjacency_mode,
         loss_trace=trace,
         level_widths=level_widths,
         fc_len=fc_len,
@@ -635,7 +625,6 @@ def checkpoint_meta(result: FitResult) -> dict:
         "model_config": result.config.to_dict(),
         "train_config": asdict(result.train_config),
         "gammas": result.gammas,
-        "adjacency_mode": result.adjacency_mode,
         "loss_trace": result.loss_trace,
         "level_widths": result.level_widths,
         "fc_len": result.fc_len,
@@ -646,6 +635,8 @@ def checkpoint_meta(result: FitResult) -> dict:
 def load_fit(path: str | Path) -> FitResult:
     """Inverse of ``save_checkpoint(path, result.params, checkpoint_meta(result))``."""
     params, meta = load_checkpoint(path)
+    if meta.get("adjacency_mode", "binary") != "binary":
+        raise ModelError(f"{path}: checkpoint uses weighted graphs, which are no longer built; retrain it")
     try:
         result = FitResult(
             params=params,
@@ -654,7 +645,6 @@ def load_fit(path: str | Path) -> FitResult:
                 **_config_kwargs(TrainConfig, meta["train_config"], "train_config")
             ),
             gammas=meta["gammas"],
-            adjacency_mode=meta["adjacency_mode"],
             loss_trace=meta["loss_trace"],
             level_widths=meta["level_widths"],
             fc_len=meta["fc_len"],

@@ -82,12 +82,6 @@ class Cohort:
     def labels(self) -> dict[str, int]:
         return {s.subject_id: s.label for s in self.subjects}
 
-    def by_id(self, subject_id: str) -> SubjectRecord:
-        for s in self.subjects:
-            if s.subject_id == subject_id:
-                return s
-        raise HarnessError(f"unknown subject id {subject_id!r}")
-
 
 def nested_hierarchy(
     n_networks: int = 4, groups_per_network: int = 2, rois_per_group: int = 2
@@ -346,35 +340,27 @@ class Metrics:
 def compute_metrics(
     scores: np.ndarray,
     labels: np.ndarray,
-    threshold: float = 0.5,
-    with_auc: bool = True,
 ) -> Metrics:
-    """Confusion metrics at the fixed threshold plus rank-based AUC.
+    """Confusion metrics at threshold 0.5 plus rank-based AUC.
 
-    Predictions are positive at ``score >= threshold``. Single-class label
-    sets make AUC (and one of SEN/SPEC) undefined: with ``with_auc`` the
-    call raises; without it the undefined fields are NaN.
+    Predictions are positive at ``score >= 0.5``. A single-class label set
+    makes AUC (and one of SEN/SPEC) undefined, so the call raises
+    ``SingleClassError``.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise HarnessError(f"scores shape {scores.shape} != labels shape {labels.shape}")
-    preds = scores >= threshold
+    preds = scores >= 0.5
     actual = labels == 1
     tp = int(np.sum(preds & actual))
     tn = int(np.sum(~preds & ~actual))
     fp = int(np.sum(preds & ~actual))
     fn = int(np.sum(~preds & actual))
     acc = (tp + tn) / len(labels)
-    sen = tp / (tp + fn) if (tp + fn) else float("nan")
-    spec = tn / (tn + fp) if (tn + fp) else float("nan")
-    if with_auc:
-        auc = mann_whitney_auc(scores, labels)
-    else:
-        try:
-            auc = mann_whitney_auc(scores, labels)
-        except SingleClassError:
-            auc = float("nan")
+    auc = mann_whitney_auc(scores, labels)
+    sen = tp / (tp + fn)
+    spec = tn / (tn + fp)
     return Metrics(acc=acc, sen=sen, spec=spec, auc=auc)
 
 
@@ -446,7 +432,6 @@ def evaluate_fit(result: FitResult, cohort: Cohort, hierarchy: AtlasHierarchy, s
         cohort,
         hierarchy,
         result.gammas,
-        adjacency_mode=result.adjacency_mode,
         encoder=result.config.hgnn.encoder,
         subject_ids=subject_ids,
     )
@@ -462,7 +447,6 @@ def run_experiment(
     train_cfg: TrainConfig,
     mode: str = "holdout",
     k: int = 10,
-    fractions: tuple[float, float, float] = (0.7, 0.1, 0.2),
     repeats: int = 10,
     run_id: str = "run",
     gammas: dict[str, float] | float | None = None,
@@ -477,7 +461,7 @@ def run_experiment(
     """
     if mode == "holdout":
         plans = [
-            make_splits(cohort, holdout_plan(train_cfg.seed + r, fractions)) for r in range(repeats)
+            make_splits(cohort, holdout_plan(train_cfg.seed + r)) for r in range(repeats)
         ]
     elif mode == "kfold":
         plans = [make_splits(cohort, kfold_plan(train_cfg.seed, k))]
@@ -640,19 +624,31 @@ def read_cohort(directory: str | Path) -> Cohort:
 
 def read_split_plan(path: str | Path) -> SplitPlan:
     with Path(path).open() as fh:
-        return SplitPlan.from_json(json.load(fh))
+        try:
+            return SplitPlan.from_json(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise HarnessError(f"{path}: not valid JSON ({exc})") from None
+        except KeyError as exc:
+            raise HarnessError(f"{path}: split plan file is missing key {exc}") from None
 
 
 def cohort_split_plan(directory: str | Path, cohort: Cohort, seed: int) -> SplitPlan:
     """The holdout plan the CLI trains and scores by.
 
     That is the cohort directory's ``split_plan.json`` when present, else a
-    stratified holdout of ``cohort`` seeded with ``seed``.
+    stratified holdout of ``cohort`` seeded with ``seed``. A plan naming a
+    subject the cohort lacks is refused.
     """
     path = Path(directory) / "split_plan.json"
     plan = read_split_plan(path) if path.exists() else make_splits(cohort, holdout_plan(seed))
     if plan.mode != "holdout":
         raise HarnessError(f"{path}: train and popgraph need a holdout plan, got {plan.mode!r}")
+    known = set(cohort.ids())
+    unknown = [sid for sid in plan.assignments if sid not in known]
+    if unknown:
+        raise HarnessError(
+            f"{path}: {len(unknown)} split-plan subjects are not in the cohort (first {unknown[0]!r})"
+        )
     return plan
 
 

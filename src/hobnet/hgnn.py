@@ -106,10 +106,9 @@ def chebconv_block(
     cfg: HgnnConfig,
     train: bool,
     rng: np.random.Generator,
-    apply_norm_act: bool = True,
 ) -> Tensor:
-    """One convolution block; ``apply_norm_act=False`` bypasses everything
-    after the filter for verification runs."""
+    """One convolution block: filter, per-block norm, ReLU, dropout and,
+    for ``res-cheb``, the identity skip."""
     if cfg.encoder == "gcn":
         conv = ad.matmul(
             ad.matmul(Tensor(level.propagation), h_in), params[f"{prefix}.w"].value
@@ -117,8 +116,6 @@ def chebconv_block(
     else:
         thetas = [params[f"{prefix}.theta{k}"].value for k in range(cfg.k)]
         conv = cheb_apply(level.lap, h_in, thetas)
-    if not apply_norm_act:
-        return conv
     normed = ad.per_block_norm(
         conv,
         params[f"{prefix}.norm.gain"].value,

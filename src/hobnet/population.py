@@ -44,6 +44,7 @@ class PhenotypeRecord:
 
 
 AGE_KERNEL_YEARS = 5.0
+GCN_DIM = 32
 
 
 def embed_subjects(
@@ -116,10 +117,10 @@ def standardize_phenotypes(records: Sequence[PhenotypeRecord]) -> np.ndarray:
     )
 
 
-def build_phenotype_encoder(n_features: int, seed: int, widths: tuple[int, ...] = (16, 8)) -> ModelParams:
+def build_phenotype_encoder(n_features: int, seed: int) -> ModelParams:
     """Shared-weight encoder applied to every subject's phenotype vector."""
     store = ModelParams()
-    init_mlp(store, "phenotype", [n_features, *widths], seed)
+    init_mlp(store, "phenotype", [n_features, 16, 8], seed)
     return store
 
 
@@ -176,12 +177,11 @@ def population_adjacency(
 def build_population_head(
     embed_dim: int,
     seed: int,
-    gcn_dim: int = 32,
     head_hidden: tuple[int, ...] = (16,),
 ) -> ModelParams:
     store = ModelParams()
-    init_param(store, "gcn.w", (embed_dim, gcn_dim), seed)
-    init_mlp(store, "head", [gcn_dim, *head_hidden, 2], seed)
+    init_param(store, "gcn.w", (embed_dim, GCN_DIM), seed)
+    init_mlp(store, "head", [GCN_DIM, *head_hidden, 2], seed)
     return store
 
 
@@ -216,14 +216,13 @@ def train_population_head(
     seed: int = 0,
     epochs: int = 200,
     lr: float = 1e-3,
-    gcn_dim: int = 32,
 ) -> PopulationResult:
     """Fit the node classifier on the labeled subset, transductively."""
     labels = np.asarray(labels)
     train_index = np.asarray(train_index, dtype=np.intp)
     if train_index.size == 0:
         raise PopulationError("no labeled subjects to train on")
-    head = build_population_head(y.shape[1], seed, gcn_dim=gcn_dim)
+    head = build_population_head(y.shape[1], seed)
     state = AdamState.for_params(head.parameters())
     # the propagation has no parameter and the head works row by row
     mixed_train = (first_order_propagation(adjacency) @ y)[train_index]

@@ -33,6 +33,18 @@ class GraphLaplacian:
     rescaled: np.ndarray
 
 
+def _checked_adjacency(adjacency: np.ndarray) -> np.ndarray:
+    """``adjacency`` as float64, refused unless square, symmetric and non-negative."""
+    a = np.asarray(adjacency, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise SpectralError(f"adjacency must be square, got shape {a.shape}")
+    if np.max(np.abs(a - a.T)) > 1e-12:
+        raise SpectralError("adjacency is asymmetric beyond 1e-12")
+    if a.min() < 0.0:
+        raise SpectralError("adjacency entries must be non-negative")
+    return a
+
+
 def normalized_laplacian(adjacency: np.ndarray) -> GraphLaplacian:
     """I - D^{-1/2} A D^{-1/2} with isolated-node rows left as identity.
 
@@ -41,13 +53,7 @@ def normalized_laplacian(adjacency: np.ndarray) -> GraphLaplacian:
     eigenvalue (self-loops only) takes the spectral upper bound 2 instead, so
     the rescaled spectrum never exceeds [-1, 1].
     """
-    a = np.asarray(adjacency, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise SpectralError(f"adjacency must be square, got shape {a.shape}")
-    if np.max(np.abs(a - a.T)) > 1e-12:
-        raise SpectralError("adjacency is asymmetric beyond 1e-12")
-    if a.min() < 0.0:
-        raise SpectralError("adjacency entries must be non-negative")
+    a = _checked_adjacency(adjacency)
     degrees = a.sum(axis=1)
     inv_sqrt = np.where(degrees > 0.0, 1.0 / np.sqrt(np.where(degrees > 0.0, degrees, 1.0)), 0.0)
     lap = np.eye(a.shape[0]) - inv_sqrt[:, None] * a * inv_sqrt[None, :]
@@ -120,13 +126,7 @@ def spectral_filter_exact(lap: GraphLaplacian, features: Tensor, thetas: list[Te
 
 def first_order_propagation(adjacency: np.ndarray) -> np.ndarray:
     """Renormalized propagation D^{-1/2} (A + I) D^{-1/2} for plain GCN layers."""
-    a = np.asarray(adjacency, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise SpectralError(f"adjacency must be square, got shape {a.shape}")
-    if np.max(np.abs(a - a.T)) > 1e-12:
-        raise SpectralError("adjacency is asymmetric beyond 1e-12")
-    if a.min() < 0.0:
-        raise SpectralError("adjacency entries must be non-negative")
+    a = _checked_adjacency(adjacency)
     a_hat = a + np.eye(a.shape[0])
     inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
     return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]

@@ -13,7 +13,6 @@ from hobnet.autodiff import (
     Tensor,
     backward,
     finite_difference_check,
-    primitive_forward,
 )
 from hobnet.rng import named_stream
 
@@ -45,15 +44,11 @@ class TestPrimitiveExamples:
     """Hand-checked values for individual primitives."""
 
     def test_conv1d_identity_like_kernel(self):
-        out = primitive_forward(
-            "conv1d", [Tensor([1.0, 2.0, 3.0]), Tensor([1.0, 0.0]), Tensor(0.0)]
-        )
+        out = ad.conv1d(Tensor([1.0, 2.0, 3.0]), Tensor([1.0, 0.0]), Tensor(0.0))
         np.testing.assert_array_equal(out.data, [1.0, 2.0])
 
     def test_conv1d_sliding_window_sum(self):
-        out = primitive_forward(
-            "conv1d", [Tensor([1.0, 2.0, 3.0]), Tensor([1.0, 1.0]), Tensor(0.0)]
-        )
+        out = ad.conv1d(Tensor([1.0, 2.0, 3.0]), Tensor([1.0, 1.0]), Tensor(0.0))
         np.testing.assert_array_equal(out.data, [3.0, 5.0])
 
     def test_conv1d_multichannel_stride(self):
@@ -71,7 +66,7 @@ class TestPrimitiveExamples:
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_softmax_symmetry(self):
-        out = primitive_forward("softmax", [Tensor([0.0, 0.0])])
+        out = ad.softmax(Tensor([0.0, 0.0]))
         np.testing.assert_allclose(out.data, [0.5, 0.5], atol=1e-15)
 
     def test_softmax_sums_to_one_and_shift_invariance(self):
@@ -125,16 +120,11 @@ class TestPrimitiveExamples:
     def test_reshape_is_a_row_major_view(self):
         x = np.arange(12.0).reshape(3, 4)
         np.testing.assert_array_equal(ad.reshape(Tensor(x), (-1,)).data, x.ravel())
-        np.testing.assert_array_equal(primitive_forward("reshape", [Tensor(x)], shape=(2, 6)).data,
-                                      x.reshape(2, 6))
+        np.testing.assert_array_equal(ad.reshape(Tensor(x), (2, 6)).data, x.reshape(2, 6))
 
     def test_reshape_bad_shape_names_both_shapes(self):
         with pytest.raises(ShapeMismatch, match=r"\(3, 4\).*\(5, -1\)"):
             ad.reshape(Tensor(np.zeros((3, 4))), (5, -1))
-
-    def test_unknown_primitive_kind(self):
-        with pytest.raises(ValueError, match="unknown primitive"):
-            primitive_forward("fft", [Tensor([1.0])])
 
     def test_cross_entropy_label_validation(self):
         with pytest.raises(ValueError, match="labels"):

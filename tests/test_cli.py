@@ -238,11 +238,6 @@ class TestTrainEvalAblatePopgraph:
         assert code == 2
         assert "no 'subject_ids' record" in capsys.readouterr().err
 
-    def test_ablate_rejects_unknown_matrix(self, workspace):
-        with pytest.raises(SystemExit, match="table4"):
-            run("ablate", "--cohort", workspace / "cohort", "--matrix", "mystery",
-                "--out", workspace / "a.csv")
-
 
 class TestCliErrors:
     @pytest.mark.parametrize(
@@ -339,6 +334,69 @@ class TestCliErrors:
         assert "1 split-plan subjects are not in the cohort (first 's9999')" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "pop.csv").exists()
+
+    def test_train_on_a_plan_naming_unknown_subjects_gives_one_line_and_exit_2(
+        self, workspace, tmp_path, capsys
+    ):
+        shutil.copytree(workspace / "cohort", tmp_path / "cohort")
+        plan = read_split_plan(workspace / "cohort" / "split_plan.json")
+        stale = replace(plan, assignments={**plan.assignments, "s9999": "train"})
+        (tmp_path / "cohort" / "split_plan.json").write_text(json.dumps(stale.to_json()))
+        code = run(
+            "train", "--cohort", tmp_path / "cohort", "--hierarchy", workspace / "hierarchy.json",
+            "--out", tmp_path / "model.ckpt",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hobnet: error: ")
+        assert "split_plan.json: 1 split-plan subjects are not in the cohort (first 's9999')" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "model.ckpt").exists()
+
+    def test_popgraph_with_a_phenotype_file_lacking_a_subject_gives_one_line_and_exit_2(
+        self, workspace, trained, tmp_path, capsys
+    ):
+        header, first, *rest = (workspace / "cohort" / "phenotypes.csv").read_text().splitlines()
+        phenotypes = tmp_path / "partial.csv"
+        phenotypes.write_text("\n".join([header, *rest]) + "\n")
+        code = run(
+            "popgraph", "--ckpt", trained, "--cohort", workspace / "cohort",
+            "--phenotypes", phenotypes, "--out", tmp_path / "pop.csv",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hobnet: error: ")
+        assert f"partial.csv: no row for cohort subject {first.split(',')[0]!r}" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("damage", ["truncated", "missing key"])
+    @pytest.mark.parametrize("reader", ["split plan", "hierarchy"])
+    def test_malformed_json_input_gives_one_line_and_exit_2(
+        self, workspace, trained, tmp_path, capsys, reader, damage
+    ):
+        if reader == "split plan":
+            source, key = workspace / "cohort" / "split_plan.json", "mode"
+        else:
+            source, key = workspace / "hierarchy.json", "wan"
+        bad = tmp_path / "bad.json"
+        if damage == "truncated":
+            text = source.read_text()
+            bad.write_text(text[: len(text) // 2])
+            expected = "bad.json: not valid JSON"
+        else:
+            payload = json.loads(source.read_text())
+            del payload[key]
+            bad.write_text(json.dumps(payload))
+            expected = f"bad.json: {reader} file is missing key {key!r}"
+        if reader == "split plan":
+            argv = ("eval", "--ckpt", trained, "--cohort", workspace / "cohort", "--split-plan", bad)
+        else:
+            argv = ("graphgen", "--timeseries", workspace / "ts.csv", "--hierarchy", bad, "--gamma", 0.4)
+        code = run(*argv, "--out", tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hobnet: error: ") and expected in err
+        assert err.count("\n") == 1
 
 
 class TestAblateSmoke:

@@ -396,14 +396,6 @@ class TestGraphSet:
         for level in (WAN, MAN, LAN):
             assert np.all(np.diag(graphs.adjacency[level]) == 1.0)
 
-    def test_auto_gamma_uses_inflection(self):
-        h = make_nested_hierarchy(2, 2, 3)
-        ts = random_timeseries(12, n_timepoints=60, seed=13, names=h.rois)
-        graphs = build_graph_set(ts, h, gammas=None)
-        assert set(graphs.gammas) == {WAN, MAN, LAN}
-        for g in graphs.gammas.values():
-            assert 0.0 <= g <= 1.0
-
     def test_retained_fraction_gamma_helper(self):
         h = make_nested_hierarchy(2, 2, 2)
         ts = random_timeseries(8, seed=14, names=h.rois)

@@ -330,8 +330,8 @@ class TestCheckpoint:
         save_checkpoint(path, result.params, checkpoint_meta(result))
         back = load_fit(path)
         assert back.subject_ids == cohort.ids()[:8]
-        for field in ("config", "train_config", "gammas", "adjacency_mode", "loss_trace",
-                      "level_widths", "fc_len", "subject_ids"):
+        for field in ("config", "train_config", "gammas", "loss_trace", "level_widths", "fc_len",
+                      "subject_ids"):
             assert getattr(back, field) == getattr(result, field), field
         assert list(back.params) == list(result.params)
         for name in result.params:
@@ -345,6 +345,25 @@ class TestCheckpoint:
         path = tmp_path / "old.ckpt"
         save_checkpoint(path, result.params, meta)
         with pytest.raises(ModelError, match="old.ckpt: checkpoint has no 'subject_ids' record"):
+            load_fit(path)
+
+    def test_load_fit_reads_a_checkpoint_recording_binary_adjacency(self, tmp_path):
+        # checkpoints written before the adjacency mode became a constant carry this key
+        hierarchy, cohort = tiny_cohort()
+        result = fit(cohort, hierarchy, small_config(), TrainConfig(epochs=1, seed=8))
+        path = tmp_path / "binary.ckpt"
+        save_checkpoint(path, result.params, {**checkpoint_meta(result), "adjacency_mode": "binary"})
+        back = load_fit(path)
+        assert back.gammas == result.gammas and back.subject_ids == result.subject_ids
+        for name in result.params:
+            assert back.params[name].data.tobytes() == result.params[name].data.tobytes()
+
+    def test_load_fit_refuses_a_checkpoint_recording_weighted_adjacency(self, tmp_path):
+        hierarchy, cohort = tiny_cohort()
+        result = fit(cohort, hierarchy, small_config(), TrainConfig(epochs=1, seed=8))
+        path = tmp_path / "weighted.ckpt"
+        save_checkpoint(path, result.params, {**checkpoint_meta(result), "adjacency_mode": "weighted"})
+        with pytest.raises(ModelError, match="weighted.ckpt: checkpoint uses weighted graphs"):
             load_fit(path)
 
     def test_load_fit_refuses_parameters_that_do_not_match_the_config(self, tmp_path):
