@@ -128,9 +128,6 @@ class Tape:
         popped = _TAPE_STACK.pop()
         assert popped is self
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
 
 _TAPE_STACK: list[Tape] = []
 
@@ -249,13 +246,14 @@ def relu(x: Tensor) -> Tensor:
     return _record("relu", (x,), out, backward)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    shifted = x.data - np.max(x.data, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g: np.ndarray):
-        inner = (g * s).sum(axis=axis, keepdims=True)
+        inner = (g * s).sum(axis=-1, keepdims=True)
         return (s * (g - inner),)
 
     return _record("softmax", (x,), s, backward)
@@ -293,78 +291,57 @@ def reshape(x: Tensor, shape) -> Tensor:
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """Valid-mode 1-D convolution (sliding dot product, no kernel flip).
 
-    ``x`` is ``[length]`` or ``[channels_in, length]``; ``kernel`` is
-    ``[k]`` (single channel) or ``[channels_out, channels_in, k]``.
-    A 1-D input with a 1-D kernel yields a 1-D output.
+    ``x`` is ``[channels_in, length]``, ``kernel`` is
+    ``[channels_out, channels_in, k]`` and ``bias`` is ``[channels_out]``.
     """
     if stride < 1:
         raise ShapeMismatch(f"conv1d: stride must be >= 1, got {stride}")
-    flat_io = x.ndim == 1 and kernel.ndim == 1
-    xd = x.data if x.ndim == 2 else x.data[None, :]
-    if kernel.ndim == 1:
-        kd = kernel.data[None, None, :]
-    elif kernel.ndim == 3:
-        kd = kernel.data
-    else:
-        raise ShapeMismatch(f"conv1d: kernel must be 1-D or 3-D, got shape {kernel.shape}")
-    c_out, c_in, k = kd.shape
-    if xd.ndim != 2 or xd.shape[0] != c_in:
+    if kernel.ndim != 3:
+        raise ShapeMismatch(f"conv1d: kernel must be 3-D, got shape {kernel.shape}")
+    c_out, c_in, k = kernel.shape
+    if x.ndim != 2 or x.shape[0] != c_in:
         raise ShapeMismatch(
             f"conv1d: input shape {x.shape} does not match kernel shape {kernel.shape}"
         )
-    length = xd.shape[1]
+    length = x.shape[1]
     if k < 1 or k > length:
         raise ShapeMismatch(f"conv1d: kernel size {k} invalid for input length {length}")
-    bd = np.broadcast_to(bias.data.reshape(-1), (c_out,)) if bias.size in (1, c_out) else None
-    if bd is None:
+    if bias.shape != (c_out,):
         raise ShapeMismatch(f"conv1d: bias shape {bias.shape} incompatible with {c_out} channels")
-    windows = np.lib.stride_tricks.sliding_window_view(xd, k, axis=1)[:, ::stride, :]
+    kd = kernel.data
+    windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=1)[:, ::stride, :]
     n_out = windows.shape[1]
-    out = np.einsum("ocj,cij->oi", kd, windows) + bd[:, None]
-    if flat_io:
-        out = out[0]
+    out = np.einsum("ocj,cij->oi", kd, windows) + bias.data[:, None]
 
     def backward(g: np.ndarray):
-        g2 = g if g.ndim == 2 else g[None, :]
-        dk = np.einsum("oi,cij->ocj", g2, windows)
-        db = g2.sum(axis=1)
-        dx = np.zeros_like(xd)
+        dk = np.einsum("oi,cij->ocj", g, windows)
+        db = g.sum(axis=1)
+        dx = np.zeros_like(x.data)
         for j in range(k):
             dx[:, j : j + stride * (n_out - 1) + 1 : stride] += np.einsum(
-                "oi,oc->ci", g2, kd[:, :, j]
+                "oi,oc->ci", g, kd[:, :, j]
             )
-        if x.ndim == 1:
-            dx = dx[0]
-        if kernel.ndim == 1:
-            dk = dk[0, 0]
-        if bias.size == 1:
-            db = db.sum().reshape(bias.shape)
         return dx, dk, db
 
     return _record("conv1d", (x, kernel, bias), out, backward)
 
 
-def mean_over_axis(x: Tensor, axis: int | None = None) -> Tensor:
-    """Arithmetic mean along one axis (``axis=None`` reduces to a scalar)."""
-    out = np.mean(x.data, axis=axis)
-    n = x.size if axis is None else x.data.shape[axis]
+def mean_over_axis(x: Tensor) -> Tensor:
+    """Arithmetic mean over the first axis (the rows)."""
+    out = np.mean(x.data, axis=0)
+    n = x.data.shape[0]
 
     def backward(g: np.ndarray):
-        if axis is None:
-            return (np.full(x.shape, g / n),)
-        return (np.broadcast_to(np.expand_dims(g, axis), x.shape) / n,)
+        return (np.broadcast_to(g, x.shape) / n,)
 
     return _record("mean-over-axis", (x,), np.asarray(out), backward)
 
 
-def upper_triangle_flatten(x: Tensor, include_diagonal: bool = False) -> Tensor:
-    """Row-major flatten of the (strict) upper triangle of a square matrix."""
+def upper_triangle_flatten(x: Tensor) -> Tensor:
+    """Row-major flatten of the upper triangle, diagonal included, of a square matrix."""
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ShapeMismatch(f"upper-triangle-flatten expects a square matrix, got {x.shape}")
-    n = x.shape[0]
-    if n < 2 and not include_diagonal:
-        raise ShapeMismatch("upper-triangle-flatten: strict triangle needs n >= 2")
-    rows, cols = np.triu_indices(n, k=0 if include_diagonal else 1)
+    rows, cols = np.triu_indices(x.shape[0])
     out = x.data[rows, cols]
 
     def backward(g: np.ndarray):
@@ -386,12 +363,7 @@ def outer(a: Tensor, b: Tensor) -> Tensor:
     return _record("outer-product", (a, b), out, backward)
 
 
-def per_block_norm(
-    x: Tensor,
-    gain: Tensor,
-    shift: Tensor,
-    blocks: Sequence[np.ndarray] | None = None,
-) -> Tensor:
+def per_block_norm(x: Tensor, gain: Tensor, shift: Tensor, blocks: Sequence[np.ndarray]) -> Tensor:
     """Normalize features over the node rows of each block independently.
 
     Statistics (mean, biased variance) are taken per block and per feature
@@ -406,8 +378,6 @@ def per_block_norm(
         raise ShapeMismatch(
             f"per-block-norm: gain/shift must have shape ({d},), got {gain.shape} and {shift.shape}"
         )
-    if blocks is None:
-        blocks = [np.arange(m)]
     blocks = [np.asarray(b, dtype=np.intp) for b in blocks]
     if sum(len(b) for b in blocks) != m:
         raise ShapeMismatch("per-block-norm: blocks must partition the node rows")
@@ -480,11 +450,6 @@ def cross_entropy(probs: Tensor, labels) -> Tensor:
         return (dp.reshape(probs.shape),)
 
     return _record("cross-entropy", (probs,), np.asarray(out), backward)
-
-
-def total(x: Tensor) -> Tensor:
-    """Sum of all entries, composed from mean-over-axis and scalar-scale."""
-    return scale(mean_over_axis(x, axis=None), float(x.size))
 
 
 # ---------------------------------------------------------------------------

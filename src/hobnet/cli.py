@@ -53,6 +53,7 @@ from .harness import (
     read_cohort_hierarchy,
     read_phenotypes_csv,
     read_split_plan,
+    require_parts,
     run_ablation,
     synth_generate,
     write_cohort,
@@ -158,6 +159,7 @@ def cmd_eval(args) -> int:
     cohort = read_cohort(args.cohort)
     hierarchy = read_cohort_hierarchy(args.cohort)
     plan = read_split_plan(args.split_plan)
+    require_parts(plan, [part for part, _, _ in plan.scored_parts()], args.split_plan)
     rows = [
         ExperimentRow(
             run_id=f"eval:{part}",
@@ -197,6 +199,7 @@ def cmd_popgraph(args) -> int:
     if missing:
         raise HarnessError(f"{args.phenotypes}: no row for cohort subject {missing[0]!r}")
     plan = cohort_split_plan(args.cohort, cohort, seed)
+    require_parts(plan, ("train", "test"), Path(args.cohort) / "split_plan.json")
     check_unseen(result, plan.subjects_in("test"))
     subs = prepare_cohort(
         cohort,

@@ -57,10 +57,6 @@ class RoiTimeSeries:
                 f"subject {self.subject_id}: ROI {self.roi_names[flat[0]]!r} has zero variance"
             )
 
-    @property
-    def n_rois(self) -> int:
-        return self.samples.shape[1]
-
 
 @dataclass
 class AtlasHierarchy:
@@ -306,24 +302,6 @@ def build_adjacency(cm: ConnectivityMatrix, gamma: float, mode: str = "binary") 
     return adj
 
 
-def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
-    """Stack square blocks along the diagonal, exact zeros elsewhere."""
-    if not blocks:
-        raise ConnectivityError("block_diagonal needs at least one block")
-    mats = [np.asarray(b, dtype=np.float64) for b in blocks]
-    for b in mats:
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ConnectivityError(f"block_diagonal: non-square block of shape {b.shape}")
-    total = sum(b.shape[0] for b in mats)
-    out = np.zeros((total, total))
-    offset = 0
-    for b in mats:
-        k = b.shape[0]
-        out[offset : offset + k, offset : offset + k] = b
-        offset += k
-    return out
-
-
 def node_features(cm: ConnectivityMatrix) -> np.ndarray:
     """Connectivity-profile features: row i is node i's feature vector."""
     return cm.values.copy()
@@ -446,9 +424,13 @@ def read_hierarchy_json(path: str | Path) -> AtlasHierarchy:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConnectivityError(f"{path}: not valid JSON ({exc})") from None
-    for key in ("lan", "man", "wan"):
+    if not isinstance(payload, dict):
+        raise ConnectivityError(f"{path}: hierarchy file must hold a JSON object")
+    for key, kind, name in (("lan", list, "array"), ("man", dict, "object"), ("wan", dict, "object")):
         if key not in payload:
             raise ConnectivityError(f"{path}: hierarchy file is missing key {key!r}")
+        if not isinstance(payload[key], kind):
+            raise ConnectivityError(f"{path}: hierarchy key {key!r} must be a JSON {name}")
     return AtlasHierarchy(
         rois=list(payload["lan"]),
         man_partition=dict(payload["man"]),

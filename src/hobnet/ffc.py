@@ -500,12 +500,11 @@ def fit(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     subject_ids: Iterable[str] | None = None,
-    gammas: dict[str, float] | float | None = None,
 ) -> FitResult:
     """Train the fused model on (a subset of) the cohort.
 
-    Thresholds default to the inflection of the cohort-mean retained-edge
-    curve per level, computed on the training subjects only. Training is
+    Thresholds are the inflection of the cohort-mean retained-edge curve
+    per level, computed on the training subjects only. Training is
     full-batch unless ``train_cfg.batch_size`` says otherwise, and every
     random choice is drawn from streams named by the seed, so equal seeds
     give bitwise-equal traces.
@@ -524,8 +523,7 @@ def fit(
     ]
     if not series:
         raise ModelError("no training subjects selected")
-    if gammas is None:
-        gammas = select_cohort_gammas(series, hierarchy)
+    gammas = select_cohort_gammas(series, hierarchy)
     subs = prepare_cohort(
         cohort,
         hierarchy,
@@ -565,7 +563,7 @@ def fit(
         params=params,
         config=model_cfg,
         train_config=train_cfg,
-        gammas=dict(gammas) if isinstance(gammas, dict) else {level: float(gammas) for level in LEVELS},
+        gammas=gammas,
         loss_trace=trace,
         level_widths=level_widths,
         fc_len=fc_len,

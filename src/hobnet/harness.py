@@ -449,7 +449,6 @@ def run_experiment(
     k: int = 10,
     repeats: int = 10,
     run_id: str = "run",
-    gammas: dict[str, float] | float | None = None,
 ) -> ExperimentResult:
     """Train/evaluate over repeated holdouts or k folds; one row per fold.
 
@@ -477,7 +476,6 @@ def run_experiment(
             model_cfg,
             replace(train_cfg, seed=seed_f),
             subject_ids=train_ids,
-            gammas=gammas,
         )
         metrics = evaluate_fit(result, cohort, hierarchy, test_ids)
         rows.append(ExperimentRow(run_id=run_id, seed=seed_f, fold=f, metrics=metrics))
@@ -623,13 +621,28 @@ def read_cohort(directory: str | Path) -> Cohort:
 
 
 def read_split_plan(path: str | Path) -> SplitPlan:
+    """The plan in a JSON file, refused unless its mode and parts are usable."""
     with Path(path).open() as fh:
         try:
-            return SplitPlan.from_json(json.load(fh))
+            payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise HarnessError(f"{path}: not valid JSON ({exc})") from None
-        except KeyError as exc:
-            raise HarnessError(f"{path}: split plan file is missing key {exc}") from None
+    if not isinstance(payload, dict):
+        raise HarnessError(f"{path}: split plan file must hold a JSON object")
+    if not isinstance(payload.get("assignments", {}), dict):
+        raise HarnessError(f"{path}: split plan key 'assignments' must be a JSON object")
+    try:
+        plan = SplitPlan.from_json(payload)
+    except KeyError as exc:
+        raise HarnessError(f"{path}: split plan file is missing key {exc}") from None
+    if plan.mode not in ("holdout", "kfold"):
+        raise HarnessError(f"{path}: split mode must be 'holdout' or 'kfold', got {plan.mode!r}")
+    parts = set(plan.assignments.values())
+    if plan.mode == "kfold" and not (
+        parts and all(isinstance(p, str) and p[:4] == "fold" and p[4:].isdigit() for p in parts)
+    ):
+        raise HarnessError(f"{path}: k-fold parts must be fold0, fold1, ..., got {sorted(map(str, parts))}")
+    return plan
 
 
 def cohort_split_plan(directory: str | Path, cohort: Cohort, seed: int) -> SplitPlan:
@@ -650,6 +663,13 @@ def cohort_split_plan(directory: str | Path, cohort: Cohort, seed: int) -> Split
             f"{path}: {len(unknown)} split-plan subjects are not in the cohort (first {unknown[0]!r})"
         )
     return plan
+
+
+def require_parts(plan: SplitPlan, parts: Iterable[str], source: str | Path) -> None:
+    """Refuse a plan that puts no subject in one of ``parts``."""
+    for part in parts:
+        if not plan.subjects_in(part):
+            raise HarnessError(f"{source}: split plan part {part!r} is empty")
 
 
 def read_cohort_hierarchy(directory: str | Path) -> AtlasHierarchy:

@@ -68,14 +68,6 @@ def dr_flatten(fc) -> np.ndarray:
     return values[rows, cols].copy()
 
 
-def dr_unflatten(flat: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`dr_flatten` up to the zero diagonal (test helper)."""
-    out = np.zeros((n, n))
-    rows, cols = np.triu_indices(n, k=1)
-    out[rows, cols] = flat
-    return out + out.T
-
-
 def hcnn_first_order(
     params,
     prefix: str,
@@ -111,5 +103,5 @@ def hop(z: Tensor) -> Tensor:
 
 def hop_concat(z: Tensor, params, prefix: str) -> Tensor:
     """First-order features joined with the re-embedded outer-product terms."""
-    flat = ad.upper_triangle_flatten(hop(z), include_diagonal=True)
+    flat = ad.upper_triangle_flatten(hop(z))
     return ad.concat(z, mlp_forward(flat, params, prefix))

@@ -66,10 +66,6 @@ class LevelInput:
         self._feature_tensor = Tensor(self.features)
 
     @property
-    def n_nodes(self) -> int:
-        return self.features.shape[0]
-
-    @property
     def width(self) -> int:
         return self.features.shape[1]
 
@@ -161,10 +157,10 @@ def branch_high_order(
     the Gram matrix and maps it back to the hidden width through an MLP;
     with ``high_order=False`` only the first-order readout remains.
     """
-    first = ad.mean_over_axis(z, axis=0)
+    first = ad.mean_over_axis(z)
     if not high_order:
         return first
-    gram_flat = ad.upper_triangle_flatten(ghop(z), include_diagonal=True)
+    gram_flat = ad.upper_triangle_flatten(ghop(z))
     high = mlp_forward(gram_flat, params, prefix)
     return ad.concat(first, high)
 

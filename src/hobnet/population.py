@@ -45,6 +45,7 @@ class PhenotypeRecord:
 
 AGE_KERNEL_YEARS = 5.0
 GCN_DIM = 32
+HEAD_HIDDEN = 16
 
 
 def embed_subjects(
@@ -174,14 +175,10 @@ def population_adjacency(
     return binary, adjacency
 
 
-def build_population_head(
-    embed_dim: int,
-    seed: int,
-    head_hidden: tuple[int, ...] = (16,),
-) -> ModelParams:
+def build_population_head(embed_dim: int, seed: int) -> ModelParams:
     store = ModelParams()
     init_param(store, "gcn.w", (embed_dim, GCN_DIM), seed)
-    init_mlp(store, "head", [GCN_DIM, *head_hidden, 2], seed)
+    init_mlp(store, "head", [GCN_DIM, HEAD_HIDDEN, 2], seed)
     return store
 
 
@@ -198,7 +195,7 @@ def head_forward(y: np.ndarray, head: ModelParams) -> Tensor:
     """The head on already-mixed node features, one row per node; with
     unmixed features it is the identity-adjacency baseline."""
     hidden = ad.relu(ad.matmul(Tensor(np.asarray(y, dtype=np.float64)), head["gcn.w"].value))
-    return ad.softmax(mlp_forward(hidden, head, "head"), axis=-1)
+    return ad.softmax(mlp_forward(hidden, head, "head"))
 
 
 @dataclass

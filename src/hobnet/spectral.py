@@ -1,10 +1,8 @@
-"""Graph Laplacians, Chebyshev polynomial filtering, and an exact oracle.
+"""Graph Laplacians, Chebyshev polynomial filtering and GCN propagation.
 
 The symmetric normalized Laplacian is rescaled by its dominant eigenvalue so
 its spectrum fits in [-1, 1], which is where the Chebyshev recurrence is
-stable. ``cheb_apply`` runs the recurrence through the autodiff primitives;
-``spectral_filter_exact`` evaluates the same filter through a dense
-eigendecomposition and exists purely as a test oracle for small graphs.
+stable. ``cheb_apply`` runs the recurrence through the autodiff primitives.
 """
 
 from __future__ import annotations
@@ -16,12 +14,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-_EXACT_MAX_NODES = 64
 _LAMBDA_TOL = 1e-9
 
 
 class SpectralError(ValueError):
-    """Invalid adjacency, shapes, or oracle misuse."""
+    """Invalid adjacency or filter shapes."""
 
 
 @dataclass
@@ -96,31 +93,6 @@ def cheb_apply(lap: GraphLaplacian, features: Tensor, thetas: list[Tensor]) -> T
         z_k = ad.add(ad.scale(ad.matmul(lt, z_prev1), 2.0), ad.scale(z_prev2, -1.0))
         out = ad.add(out, ad.matmul(z_k, thetas[k]))
         z_prev2, z_prev1 = z_prev1, z_k
-    return out
-
-
-def spectral_filter_exact(lap: GraphLaplacian, features: Tensor, thetas: list[Tensor]) -> np.ndarray:
-    """Eigendecomposition evaluation of the same filter; test oracle only.
-
-    Applies U (sum_k theta_k T_k(rescaled eigenvalues)) U^T per feature and
-    is not differentiable. Restricted to small graphs by design.
-    """
-    m = lap.laplacian.shape[0]
-    if m > _EXACT_MAX_NODES:
-        raise SpectralError(
-            f"exact filter is limited to {_EXACT_MAX_NODES} nodes (got {m}); use cheb_apply"
-        )
-    if not thetas:
-        raise SpectralError("spectral_filter_exact needs at least one filter matrix")
-    eigvals, eigvecs = np.linalg.eigh(lap.laplacian)
-    lam_t = (2.0 / lap.lambda_max) * eigvals - 1.0
-    polys = [np.ones_like(lam_t), lam_t]
-    while len(polys) < len(thetas):
-        polys.append(2.0 * lam_t * polys[-1] - polys[-2])
-    h = features.data
-    out = np.zeros((h.shape[0], thetas[0].shape[1]))
-    for theta, poly in zip(thetas, polys):
-        out += (eigvecs * poly) @ (eigvecs.T @ (h @ theta.data))
     return out
 
 

@@ -61,9 +61,10 @@ from hobnet.population import (
     weight_matrix,
 )
 from hobnet.rng import named_stream
-from hobnet.spectral import cheb_apply, normalized_laplacian, spectral_filter_exact
+from hobnet.spectral import cheb_apply, normalized_laplacian
 
 from conftest import random_timeseries, toy_hierarchy_4_6_10
+from oracles import spectral_filter_exact
 
 
 def report(criterion: int, detail: str) -> None:

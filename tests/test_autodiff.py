@@ -16,10 +16,12 @@ from hobnet.autodiff import (
 )
 from hobnet.rng import named_stream
 
+from oracles import total
+
 
 def scalar_loss(out: Tensor, weight: np.ndarray) -> Tensor:
     """Reduce an op output to a scalar with a fixed random weighting."""
-    return ad.total(ad.hadamard(out, Tensor(weight)))
+    return ad.matmul(ad.reshape(out, (-1,)), Tensor(np.ravel(weight)))
 
 
 class TestTensorBasics:
@@ -44,12 +46,25 @@ class TestPrimitiveExamples:
     """Hand-checked values for individual primitives."""
 
     def test_conv1d_identity_like_kernel(self):
-        out = ad.conv1d(Tensor([1.0, 2.0, 3.0]), Tensor([1.0, 0.0]), Tensor(0.0))
-        np.testing.assert_array_equal(out.data, [1.0, 2.0])
+        out = ad.conv1d(Tensor([[1.0, 2.0, 3.0]]), Tensor([[[1.0, 0.0]]]), Tensor([0.0]))
+        np.testing.assert_array_equal(out.data, [[1.0, 2.0]])
 
     def test_conv1d_sliding_window_sum(self):
-        out = ad.conv1d(Tensor([1.0, 2.0, 3.0]), Tensor([1.0, 1.0]), Tensor(0.0))
-        np.testing.assert_array_equal(out.data, [3.0, 5.0])
+        out = ad.conv1d(Tensor([[1.0, 2.0, 3.0]]), Tensor([[[1.0, 1.0]]]), Tensor([0.0]))
+        np.testing.assert_array_equal(out.data, [[3.0, 5.0]])
+
+    @pytest.mark.parametrize(
+        "x, kernel, bias",
+        [
+            ([1.0, 2.0, 3.0], [[[1.0, 0.0]]], [0.0]),
+            ([[1.0, 2.0, 3.0]], [1.0, 0.0], [0.0]),
+            ([[1.0, 2.0, 3.0]], [[[1.0, 0.0]]], 0.0),
+        ],
+        ids=["1-D input", "1-D kernel", "scalar bias"],
+    )
+    def test_conv1d_refuses_all_but_the_channel_form(self, x, kernel, bias):
+        with pytest.raises(ShapeMismatch, match="conv1d"):
+            ad.conv1d(Tensor(x), Tensor(kernel), Tensor(bias))
 
     def test_conv1d_multichannel_stride(self):
         rng = np.random.default_rng(7)
@@ -104,11 +119,6 @@ class TestPrimitiveExamples:
         np.testing.assert_allclose(kept, 1.0 / 0.7, atol=1e-12)
         assert abs(out.data.mean() - 1.0) < 0.02
 
-    def test_upper_triangle_flatten_strict(self):
-        m = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
-        out = ad.upper_triangle_flatten(Tensor(m)).data
-        np.testing.assert_array_equal(out, [1.0, 2.0, 3.0])
-
     def test_outer_product(self):
         out = ad.outer(Tensor([1.0, 2.0]), Tensor([1.0, 2.0])).data
         np.testing.assert_array_equal(out, [[1.0, 2.0], [2.0, 4.0]])
@@ -132,7 +142,7 @@ class TestPrimitiveExamples:
 
     def test_per_block_norm_zero_input_gives_shift(self):
         x = Tensor(np.zeros((4, 3)))
-        out = ad.per_block_norm(x, Tensor(np.ones(3)), Tensor([1.0, 2.0, 3.0]))
+        out = ad.per_block_norm(x, Tensor(np.ones(3)), Tensor([1.0, 2.0, 3.0]), [np.arange(4)])
         np.testing.assert_array_equal(out.data, np.tile([1.0, 2.0, 3.0], (4, 1)))
 
 
@@ -140,14 +150,14 @@ class TestBackwardSemantics:
     def test_sum_gradient_is_ones(self):
         p = Parameter("p", [1.0, 2.0, 3.0])
         with Tape() as tape:
-            loss = ad.total(p.value)
+            loss = total(p.value)
         backward(tape, loss)
         np.testing.assert_allclose(p.grad, [1.0, 1.0, 1.0], atol=1e-12)
 
     def test_quadratic_gradient(self):
         p = Parameter("p", [1.0, 2.0])
         with Tape() as tape:
-            loss = ad.total(ad.hadamard(p.value, p.value))
+            loss = total(ad.hadamard(p.value, p.value))
         backward(tape, loss)
         np.testing.assert_allclose(p.grad, [2.0, 4.0], atol=1e-12)
 
@@ -155,14 +165,14 @@ class TestBackwardSemantics:
         used = Parameter("used", [2.0])
         unused = Parameter("unused", [5.0])
         with Tape() as tape:
-            loss = ad.total(ad.hadamard(used.value, used.value))
+            loss = total(ad.hadamard(used.value, used.value))
         backward(tape, loss)
         np.testing.assert_array_equal(unused.grad, [0.0])
 
     def test_double_backward_is_an_error(self):
         p = Parameter("p", [1.0])
         with Tape() as tape:
-            loss = ad.total(p.value)
+            loss = total(p.value)
         backward(tape, loss)
         with pytest.raises(TapeError, match="already ran"):
             backward(tape, loss)
@@ -178,7 +188,7 @@ class TestBackwardSemantics:
         a = Parameter("a", np.random.default_rng(0).normal(size=(3, 4)))
         b = Parameter("b", np.random.default_rng(1).normal(size=(4, 2)))
         with Tape() as tape:
-            loss = ad.total(ad.matmul(a.value, b.value))
+            loss = total(ad.matmul(a.value, b.value))
         backward(tape, loss)
         assert a.grad.shape == a.value.shape
         assert b.grad.shape == b.value.shape
@@ -186,7 +196,7 @@ class TestBackwardSemantics:
     def test_reused_tensor_accumulates_both_paths(self):
         p = Parameter("p", [3.0])
         with Tape() as tape:
-            loss = ad.total(ad.add(ad.hadamard(p.value, p.value), p.value))
+            loss = total(ad.add(ad.hadamard(p.value, p.value), p.value))
         backward(tape, loss)
         np.testing.assert_allclose(p.grad, [7.0], atol=1e-12)
 
@@ -288,15 +298,12 @@ class TestPrimitiveGradients:
     def test_mean_over_axis(self):
         p = Parameter("x", self.rng.normal(size=(4, 5)))
         w = self.weight(5)
-        fd_over_all_entries(lambda: scalar_loss(ad.mean_over_axis(p.value, axis=0), w), [p])
-        fd_over_all_entries(lambda: ad.scale(ad.mean_over_axis(p.value, axis=None), 3.3), [p])
+        fd_over_all_entries(lambda: scalar_loss(ad.mean_over_axis(p.value), w), [p])
 
     def test_upper_triangle_flatten(self):
         p = Parameter("x", self.rng.normal(size=(4, 4)))
         w = self.weight(10)
-        fd_over_all_entries(
-            lambda: scalar_loss(ad.upper_triangle_flatten(p.value, include_diagonal=True), w), [p]
-        )
+        fd_over_all_entries(lambda: scalar_loss(ad.upper_triangle_flatten(p.value), w), [p])
 
     def test_outer_product(self):
         a = Parameter("a", self.rng.normal(size=4))
@@ -335,7 +342,7 @@ class TestFiniteDifferenceChecker:
     def test_quadratic_matches_exactly(self):
         theta = Parameter("theta", [3.0])
         report = finite_difference_check(
-            lambda: ad.total(ad.hadamard(theta.value, theta.value)), [theta], h=1e-5
+            lambda: total(ad.hadamard(theta.value, theta.value)), [theta], h=1e-5
         )
         entry = report.entries[0]
         assert abs(entry.analytic - 6.0) < 1e-9
@@ -343,7 +350,7 @@ class TestFiniteDifferenceChecker:
 
     def test_relu_kink_is_skipped_and_reported(self):
         theta = Parameter("theta", [0.0])
-        report = finite_difference_check(lambda: ad.total(ad.relu(theta.value)), [theta])
+        report = finite_difference_check(lambda: total(ad.relu(theta.value)), [theta])
         assert len(report.skipped) == 1
         assert report.skipped[0].name == "theta"
 
@@ -370,7 +377,7 @@ class TestFiniteDifferenceChecker:
         p = Parameter("p", [1.0])
 
         def f():
-            return ad.total(ad.hadamard(p.value, Tensor([gen.random()])))
+            return ad.matmul(p.value, Tensor([gen.random()]))
 
         with pytest.raises(RuntimeError, match="not deterministic"):
             finite_difference_check(f, [p])

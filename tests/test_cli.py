@@ -369,8 +369,59 @@ class TestCliErrors:
         assert f"partial.csv: no row for cohort subject {first.split(',')[0]!r}" in err
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("damage", ["truncated", "missing key"])
-    @pytest.mark.parametrize("reader", ["split plan", "hierarchy"])
+    def test_eval_on_a_plan_with_an_empty_test_part_gives_one_line_and_exit_2(
+        self, workspace, trained, tmp_path, capsys
+    ):
+        plan = read_split_plan(workspace / "cohort" / "split_plan.json")
+        no_test = {sid: "val" if p == "test" else p for sid, p in plan.assignments.items()}
+        (tmp_path / "no_test.json").write_text(json.dumps(replace(plan, assignments=no_test).to_json()))
+        code = run(
+            "eval", "--ckpt", trained, "--cohort", workspace / "cohort",
+            "--split-plan", tmp_path / "no_test.json", "--out", tmp_path / "m.csv",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hobnet: error: ")
+        assert "no_test.json: split plan part 'test' is empty" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_popgraph_on_a_plan_with_an_empty_test_part_gives_one_line_and_exit_2(
+        self, workspace, trained, tmp_path, capsys
+    ):
+        shutil.copytree(workspace / "cohort", tmp_path / "cohort")
+        plan = read_split_plan(workspace / "cohort" / "split_plan.json")
+        no_test = {sid: "val" if p == "test" else p for sid, p in plan.assignments.items()}
+        (tmp_path / "cohort" / "split_plan.json").write_text(
+            json.dumps(replace(plan, assignments=no_test).to_json())
+        )
+        code = run(
+            "popgraph", "--ckpt", trained, "--cohort", tmp_path / "cohort",
+            "--phenotypes", tmp_path / "cohort" / "phenotypes.csv", "--out", tmp_path / "pop.csv",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hobnet: error: ")
+        assert "split_plan.json: split plan part 'test' is empty" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "pop.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("reader", "damage"),
+        [
+            ("split plan", "truncated"),
+            ("split plan", "missing key"),
+            ("split plan", "not an object"),
+            ("split plan", "unknown mode"),
+            ("split plan", "assignments not an object"),
+            ("split plan", "k-fold part not a fold"),
+            ("hierarchy", "truncated"),
+            ("hierarchy", "missing key"),
+            ("hierarchy", "not an object"),
+            ("hierarchy", "lan not a list"),
+            ("hierarchy", "man not an object"),
+        ],
+    )
     def test_malformed_json_input_gives_one_line_and_exit_2(
         self, workspace, trained, tmp_path, capsys, reader, damage
     ):
@@ -378,16 +429,35 @@ class TestCliErrors:
             source, key = workspace / "cohort" / "split_plan.json", "mode"
         else:
             source, key = workspace / "hierarchy.json", "wan"
+        text = source.read_text()
+        payload = json.loads(text)
+        content, message = {
+            "truncated": (text[: len(text) // 2], "not valid JSON"),
+            "missing key": (
+                json.dumps({k: v for k, v in payload.items() if k != key}),
+                f"{reader} file is missing key {key!r}",
+            ),
+            "not an object": ("[]", f"{reader} file must hold a JSON object"),
+            "unknown mode": (
+                json.dumps({**payload, "mode": "bogus"}),
+                "split mode must be 'holdout' or 'kfold', got 'bogus'",
+            ),
+            "assignments not an object": (
+                json.dumps({**payload, "assignments": []}),
+                "split plan key 'assignments' must be a JSON object",
+            ),
+            "k-fold part not a fold": (
+                json.dumps({**payload, "mode": "kfold"}),
+                "k-fold parts must be fold0, fold1, ..., got ['test', 'train', 'val']",
+            ),
+            "lan not a list": (json.dumps({**payload, "lan": 5}), "hierarchy key 'lan' must be a JSON array"),
+            "man not an object": (
+                json.dumps({**payload, "man": "ab"}),
+                "hierarchy key 'man' must be a JSON object",
+            ),
+        }[damage]
         bad = tmp_path / "bad.json"
-        if damage == "truncated":
-            text = source.read_text()
-            bad.write_text(text[: len(text) // 2])
-            expected = "bad.json: not valid JSON"
-        else:
-            payload = json.loads(source.read_text())
-            del payload[key]
-            bad.write_text(json.dumps(payload))
-            expected = f"bad.json: {reader} file is missing key {key!r}"
+        bad.write_text(content)
         if reader == "split plan":
             argv = ("eval", "--ckpt", trained, "--cohort", workspace / "cohort", "--split-plan", bad)
         else:
@@ -395,8 +465,9 @@ class TestCliErrors:
         code = run(*argv, "--out", tmp_path / "out")
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("hobnet: error: ") and expected in err
+        assert err.startswith("hobnet: error: ") and f"bad.json: {message}" in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestAblateSmoke:

@@ -18,7 +18,6 @@ from hobnet.connectivity import (
     ConnectivityError,
     ConnectivityMatrix,
     RoiTimeSeries,
-    block_diagonal,
     build_adjacency,
     build_graph_set,
     gamma_for_retained_fraction,
@@ -36,6 +35,7 @@ from hobnet.connectivity import (
 )
 
 from conftest import make_nested_hierarchy, random_timeseries, toy_hierarchy_4_6_10
+from oracles import block_diagonal
 
 
 def rv_trace_oracle(a, b):

@@ -35,6 +35,7 @@ from hobnet.harness import nested_hierarchy, synth_generate
 from hobnet.layers import init_mlp
 
 from conftest import random_timeseries, toy_hierarchy_4_6_10
+from oracles import total
 
 SMALL_MODEL = dict(
     hgnn=HgnnConfig(k=2, blocks=2, hidden_dim=4),
@@ -185,7 +186,7 @@ class TestAdam:
         for _ in range(2):
             p.zero_grad()
             with Tape() as tape:
-                out = ad.total(ad.hadamard(p.value, p.value))
+                out = total(ad.hadamard(p.value, p.value))
             values.append(out.item())
             backward(tape, out)
             adam_step([p], state, lr=0.01)

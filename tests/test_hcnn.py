@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from hobnet import autodiff as ad
-from hobnet.autodiff import Parameter, Tape, Tensor, backward, finite_difference_check, total
+from hobnet.autodiff import Parameter, Tape, Tensor, backward, finite_difference_check
 from hobnet.connectivity import pearson_fc
 from hobnet.ffc import ModelConfig, build_model_params, parse_toggles
 from hobnet.hcnn import (
     HcnnConfig,
     HcnnError,
     dr_flatten,
-    dr_unflatten,
     hcnn_first_order,
     hop,
     hop_concat,
@@ -21,6 +20,7 @@ from hobnet.ffc import ModelParams
 from hobnet.rng import named_stream
 
 from conftest import random_timeseries
+from oracles import dr_unflatten
 
 
 class TestDrFlatten:
@@ -117,7 +117,7 @@ class TestChannelFlatten:
             x.zero_grad()
             with Tape() as tape:
                 flat = flatten(ad.relu(ad.conv1d(x.value, kernel, bias)))
-                loss = total(ad.hadamard(flat, w))
+                loss = ad.matmul(flat, w)
             backward(tape, loss)
             values.append(flat.data.tobytes())
             grads.append(x.grad.tobytes())
@@ -200,7 +200,7 @@ class TestCnnBranchGradients:
 
         def f():
             z = hcnn_first_order(params, "hcnn", x, cfg_hcnn, train=False, rng=named_stream(0, "x"))
-            return total(ad.hadamard(hc(z, params, "hcnn.hop"), Tensor(w)))
+            return ad.matmul(hc(z, params, "hcnn.hop"), Tensor(w))
 
         report = finite_difference_check(
             f, params.parameters(), h=1e-5, tolerance=1e-4, max_entries=60, seed=1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hobnet import autodiff as ad
-from hobnet.autodiff import Parameter, Tape, Tensor, backward, finite_difference_check, total
+from hobnet.autodiff import Parameter, Tape, Tensor, backward, finite_difference_check
 from hobnet.connectivity import LAN, MAN, WAN
 from hobnet.ffc import (
     ModelConfig,
@@ -55,14 +55,14 @@ class TestAfm:
         rng = np.random.default_rng(blocks)
         outs = [Parameter(f"h{l}", rng.normal(size=shape)) for l in range(blocks)]
         r = Parameter("r", rng.normal(size=blocks) * 2.0)
-        w = Tensor(rng.normal(size=shape))
+        w = Tensor(rng.normal(size=shape).ravel())
         results = []
         for combine in (afm_combine, afm_combine_by_selectors):
             for p in (r, *outs):
                 p.zero_grad()
             with Tape() as tape:
                 z = combine([o.value for o in outs], r.value)
-                loss = total(ad.hadamard(z, w))
+                loss = ad.matmul(ad.reshape(z, (-1,)), w)
             backward(tape, loss)
             results.append((z.data, r.grad.copy(), [o.grad.copy() for o in outs]))
         (z_new, dr_new, dh_new), (z_old, dr_old, dh_old) = results
@@ -116,7 +116,7 @@ class TestAfm:
         def f():
             from hobnet import autodiff as ad
 
-            return total(ad.hadamard(afm_combine(outs, r.value), Tensor(w)))
+            return ad.matmul(ad.reshape(afm_combine(outs, r.value), (-1,)), Tensor(w.ravel()))
 
         report = finite_difference_check(f, [r], tolerance=1e-6)
         assert report.passed and not report.skipped
@@ -161,7 +161,7 @@ class TestChebconvBlock:
             params[f"hgnn.man.block0.theta{k}"].value.data[:] = 0.0
         params["hgnn.man.block0.norm.gain"].value.data[:] = 1.0
         params["hgnn.man.block0.norm.shift"].value.data[:] = 0.0
-        h_in = Tensor(np.random.default_rng(6).normal(size=(level.n_nodes, 5)))
+        h_in = Tensor(np.random.default_rng(6).normal(size=(level.features.shape[0], 5)))
         out = chebconv_block(
             h_in, level, params, "hgnn.man.block0", cfg, train=False, rng=named_stream(0, "x")
         )
@@ -177,7 +177,7 @@ class TestChebconvBlock:
             fc_len=45,
             seed=1,
         )
-        h_in = Tensor(np.random.default_rng(7).normal(size=(level.n_nodes, 4)))
+        h_in = Tensor(np.random.default_rng(7).normal(size=(level.features.shape[0], 4)))
         theta0 = params["hgnn.wan.block0.theta0"]
         out = cheb_apply(level.lap, h_in, [theta0.value])
         np.testing.assert_allclose(out.data, h_in.data @ theta0.data, atol=1e-12)
@@ -285,7 +285,7 @@ class TestGraphBranchGradients:
         def f():
             from hobnet import autodiff as ad
 
-            return total(ad.hadamard(fused_features(params, cfg, sub, train=False), Tensor(w)))
+            return ad.matmul(fused_features(params, cfg, sub, train=False), Tensor(w))
 
         report = finite_difference_check(
             f, params.parameters(), h=1e-5, tolerance=1e-4, max_entries=60, seed=0

@@ -291,7 +291,7 @@ def gcn_classify_by_tensors(y, adjacency, head):
     """The former classifier: the propagation and the head recorded as one forward."""
     mixed = ad.matmul(Tensor(first_order_propagation(adjacency)), Tensor(y))
     hidden = ad.relu(ad.matmul(mixed, head["gcn.w"].value))
-    return ad.softmax(mlp_forward(hidden, head, "head"), axis=-1)
+    return ad.softmax(mlp_forward(hidden, head, "head"))
 
 
 def train_population_head_by_selector(y, adjacency, labels, train_index, seed, epochs, lr):
