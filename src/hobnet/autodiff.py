@@ -32,9 +32,8 @@ class TapeError(RuntimeError):
 class Tensor:
     """Dense n-dimensional array of float64 values.
 
-    ``grad`` stays ``None`` until a backward pass deposits a gradient; leaf
-    tensors owned by a :class:`Parameter` keep a persistent zero-initialized
-    buffer instead so optimizers can always read them.
+    ``grad`` stays ``None`` until a backward pass deposits a gradient;
+    :class:`Parameter` reads it as zeros until then.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -75,7 +74,11 @@ class Tensor:
 
 
 class Parameter:
-    """Named trainable tensor with a persistent gradient buffer."""
+    """Named trainable tensor with a gradient buffer made on first use.
+
+    A model that is only scored never allocates one; once made, the buffer
+    is kept and zeroed in place.
+    """
 
     __slots__ = ("name", "value")
 
@@ -83,7 +86,6 @@ class Parameter:
         self.name = name
         self.value = value if isinstance(value, Tensor) else Tensor(value)
         self.value.requires_grad = True
-        self.value.grad = np.zeros_like(self.value.data)
 
     @property
     def data(self) -> np.ndarray:
@@ -91,11 +93,13 @@ class Parameter:
 
     @property
     def grad(self) -> np.ndarray:
-        assert self.value.grad is not None
+        if self.value.grad is None:
+            self.value.grad = np.zeros(self.value.shape)
         return self.value.grad
 
     def zero_grad(self) -> None:
-        self.value.grad = np.zeros_like(self.value.data)
+        if self.value.grad is not None:
+            self.value.grad.fill(0.0)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Parameter({self.name!r}, shape={self.value.shape})"
@@ -164,39 +168,47 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; 1-D operands are treated as a row (lhs) or column (rhs)."""
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise ShapeMismatch(f"matmul supports 1-D/2-D operands, got {a.shape} and {b.shape}")
-    a2 = a.data if a.ndim == 2 else a.data[None, :]
-    b2 = b.data if b.ndim == 2 else b.data[:, None]
-    if a2.shape[1] != b2.shape[0]:
+    """Matrix product over the last two axes.
+
+    A 1-D lhs is a row and a 1-D rhs a column. A 1-D or 2-D rhs is shared by
+    every row of a batched lhs ``[..., n, k]``: the product runs as one
+    ``[N*n, k] @ [k, p]`` call, and the rhs gradient reduces over the batch in
+    one more. A batched rhs ``[..., k, p]`` pairs with a lhs of the same
+    leading axes, matrix by matrix.
+    """
+    if a.ndim < 1 or b.ndim < 1 or (b.ndim > 2 and a.shape[:-2] != b.shape[:-2]):
+        raise ShapeMismatch(f"matmul: cannot multiply shapes {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
         raise ShapeMismatch(f"matmul: inner dimensions differ for {a.shape} and {b.shape}")
-    out = a2 @ b2
-    if a.ndim == 1:
-        out = out[0]
-    if b.ndim == 1:
-        out = out[..., 0]
+
+    if b.ndim > 2:
+        out = np.matmul(a.data, b.data)
+
+        def backward(g: np.ndarray):
+            da = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            return da, np.matmul(np.swapaxes(a.data, -1, -2), g)
+
+        return _record("matmul", (a, b), out, backward)
+
+    a2 = a.data.reshape(-1, a.shape[-1])
+    b2 = b.data if b.ndim == 2 else b.data[:, None]
+    out = (a2 @ b2).reshape(a.shape[:-1] + b.shape[1:])
 
     def backward(g: np.ndarray):
-        g2 = g
-        if a.ndim == 1:
-            g2 = g2[None, ...]
-        if b.ndim == 1:
-            g2 = g2[..., None]
-        da = (g2 @ b2.T).reshape(a.shape)
-        db = (a2.T @ g2).reshape(b.shape)
-        return da, db
+        g2 = g.reshape(a2.shape[0], b2.shape[1])
+        return (g2 @ b2.T).reshape(a.shape), (a2.T @ g2).reshape(b.shape)
 
     return _record("matmul", (a, b), out, backward)
 
 
 def transpose(x: Tensor) -> Tensor:
-    if x.ndim != 2:
-        raise ShapeMismatch(f"transpose expects a 2-D tensor, got shape {x.shape}")
-    out = np.ascontiguousarray(x.data.T)
+    """Swap the last two axes."""
+    if x.ndim < 2:
+        raise ShapeMismatch(f"transpose expects a matrix or a stack of them, got shape {x.shape}")
+    out = np.ascontiguousarray(np.swapaxes(x.data, -1, -2))
 
     def backward(g: np.ndarray):
-        return (np.ascontiguousarray(g.T),)
+        return (np.ascontiguousarray(np.swapaxes(g, -1, -2)),)
 
     return _record("transpose", (x,), out, backward)
 
@@ -291,74 +303,83 @@ def reshape(x: Tensor, shape) -> Tensor:
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """Valid-mode 1-D convolution (sliding dot product, no kernel flip).
 
-    ``x`` is ``[channels_in, length]``, ``kernel`` is
-    ``[channels_out, channels_in, k]`` and ``bias`` is ``[channels_out]``.
+    ``x`` is ``[channels_in, length]`` or a batch ``[batch, channels_in,
+    length]``, ``kernel`` is ``[channels_out, channels_in, k]`` and ``bias``
+    is ``[channels_out]``. Every output position of every input is one row
+    of a window matrix, so the batch runs as one matrix product.
     """
     if stride < 1:
         raise ShapeMismatch(f"conv1d: stride must be >= 1, got {stride}")
     if kernel.ndim != 3:
         raise ShapeMismatch(f"conv1d: kernel must be 3-D, got shape {kernel.shape}")
     c_out, c_in, k = kernel.shape
-    if x.ndim != 2 or x.shape[0] != c_in:
+    if x.ndim not in (2, 3) or x.shape[-2] != c_in:
         raise ShapeMismatch(
             f"conv1d: input shape {x.shape} does not match kernel shape {kernel.shape}"
         )
-    length = x.shape[1]
+    length = x.shape[-1]
     if k < 1 or k > length:
         raise ShapeMismatch(f"conv1d: kernel size {k} invalid for input length {length}")
     if bias.shape != (c_out,):
         raise ShapeMismatch(f"conv1d: bias shape {bias.shape} incompatible with {c_out} channels")
-    kd = kernel.data
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=1)[:, ::stride, :]
-    n_out = windows.shape[1]
-    out = np.einsum("ocj,cij->oi", kd, windows) + bias.data[:, None]
+    lead = x.shape[:-2]
+    kd = kernel.data.reshape(c_out, c_in * k)
+    windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=-1)[..., ::stride, :]
+    n_out = windows.shape[-2]
+    # rows: (input, output position); columns: (input channel, kernel tap)
+    cols = np.swapaxes(windows, -3, -2).reshape(-1, c_in * k)
+    out = np.ascontiguousarray(np.swapaxes((cols @ kd.T).reshape(lead + (n_out, c_out)), -1, -2))
+    out += bias.data[:, None]
 
     def backward(g: np.ndarray):
-        dk = np.einsum("oi,cij->ocj", g, windows)
-        db = g.sum(axis=1)
+        g2 = np.swapaxes(g, -1, -2).reshape(-1, c_out)
+        dk = (g2.T @ cols).reshape(kernel.shape)
+        db = g2.sum(axis=0)
+        dcols = np.swapaxes((g2 @ kd).reshape(lead + (n_out, c_in, k)), -3, -2)
         dx = np.zeros_like(x.data)
         for j in range(k):
-            dx[:, j : j + stride * (n_out - 1) + 1 : stride] += np.einsum(
-                "oi,oc->ci", g, kd[:, :, j]
-            )
+            dx[..., j : j + stride * (n_out - 1) + 1 : stride] += dcols[..., j]
         return dx, dk, db
 
     return _record("conv1d", (x, kernel, bias), out, backward)
 
 
 def mean_over_axis(x: Tensor) -> Tensor:
-    """Arithmetic mean over the first axis (the rows)."""
-    out = np.mean(x.data, axis=0)
-    n = x.data.shape[0]
+    """Arithmetic mean over the node axis, the second to last (rows of each matrix)."""
+    if x.ndim < 2:
+        raise ShapeMismatch(f"mean-over-axis expects [..., nodes, features], got shape {x.shape}")
+    out = np.mean(x.data, axis=-2)
+    n = x.shape[-2]
 
     def backward(g: np.ndarray):
-        return (np.broadcast_to(g, x.shape) / n,)
+        return (np.broadcast_to(g[..., None, :], x.shape) / n,)
 
-    return _record("mean-over-axis", (x,), np.asarray(out), backward)
+    return _record("mean-over-axis", (x,), out, backward)
 
 
 def upper_triangle_flatten(x: Tensor) -> Tensor:
-    """Row-major flatten of the upper triangle, diagonal included, of a square matrix."""
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ShapeMismatch(f"upper-triangle-flatten expects a square matrix, got {x.shape}")
-    rows, cols = np.triu_indices(x.shape[0])
-    out = x.data[rows, cols]
+    """Row-major flatten of the upper triangle, diagonal included, of each square matrix."""
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
+        raise ShapeMismatch(f"upper-triangle-flatten expects square matrices, got {x.shape}")
+    rows, cols = np.triu_indices(x.shape[-1])
+    out = x.data[..., rows, cols]
 
     def backward(g: np.ndarray):
         dx = np.zeros_like(x.data)
-        dx[rows, cols] = g
+        dx[..., rows, cols] = g
         return (dx,)
 
     return _record("upper-triangle-flatten", (x,), out, backward)
 
 
 def outer(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 1 or b.ndim != 1:
-        raise ShapeMismatch(f"outer-product expects 1-D operands, got {a.shape} and {b.shape}")
-    out = np.outer(a.data, b.data)
+    """Outer product of the last axes: ``[..., n]`` and ``[..., p]`` give ``[..., n, p]``."""
+    if a.ndim not in (1, 2) or a.shape[:-1] != b.shape[:-1]:
+        raise ShapeMismatch(f"outer-product expects vectors or rows of them, got {a.shape}, {b.shape}")
+    out = a.data[..., :, None] * b.data[..., None, :]
 
     def backward(g: np.ndarray):
-        return g @ b.data, a.data @ g
+        return (g @ b.data[..., :, None])[..., 0], (a.data[..., None, :] @ g)[..., 0, :]
 
     return _record("outer-product", (a, b), out, backward)
 
@@ -366,14 +387,16 @@ def outer(a: Tensor, b: Tensor) -> Tensor:
 def per_block_norm(x: Tensor, gain: Tensor, shift: Tensor, blocks: Sequence[np.ndarray]) -> Tensor:
     """Normalize features over the node rows of each block independently.
 
-    Statistics (mean, biased variance) are taken per block and per feature
-    column, then a learnable per-feature affine ``gain * xhat + shift`` is
-    applied. Cross-block statistics are never mixed, which preserves the
-    block-diagonal locality of the composite graphs.
+    ``x`` is ``[nodes, features]`` or a batch ``[batch, nodes, features]``.
+    Statistics (mean, biased variance) are taken per matrix, per block and
+    per feature column, then a learnable per-feature affine
+    ``gain * xhat + shift`` is applied. Cross-block statistics are never
+    mixed, which preserves the block-diagonal locality of the composite
+    graphs.
     """
-    if x.ndim != 2:
-        raise ShapeMismatch(f"per-block-norm expects [nodes, features], got {x.shape}")
-    m, d = x.shape
+    if x.ndim not in (2, 3):
+        raise ShapeMismatch(f"per-block-norm expects [..., nodes, features], got {x.shape}")
+    m, d = x.shape[-2:]
     if gain.shape != (d,) or shift.shape != (d,):
         raise ShapeMismatch(
             f"per-block-norm: gain/shift must have shape ({d},), got {gain.shape} and {shift.shape}"
@@ -385,22 +408,24 @@ def per_block_norm(x: Tensor, gain: Tensor, shift: Tensor, blocks: Sequence[np.n
     xhat = np.empty_like(x.data)
     inv_std = []
     for idx in blocks:
-        xb = x.data[idx]
-        mu = xb.mean(axis=0)
-        var = xb.var(axis=0)
+        xb = x.data[..., idx, :]
+        mu = xb.mean(axis=-2, keepdims=True)
+        var = xb.var(axis=-2, keepdims=True)
         istd = 1.0 / np.sqrt(var + 1e-5)
-        xhat[idx] = (xb - mu) * istd
+        xhat[..., idx, :] = (xb - mu) * istd
         inv_std.append(istd)
     out = xhat * gain.data + shift.data
 
     def backward(g: np.ndarray):
-        dgain = (g * xhat).sum(axis=0)
-        dshift = g.sum(axis=0)
+        dgain = (g * xhat).reshape(-1, d).sum(axis=0)
+        dshift = g.reshape(-1, d).sum(axis=0)
         dx = np.empty_like(x.data)
         for idx, istd in zip(blocks, inv_std):
-            gb = g[idx] * gain.data
-            xh = xhat[idx]
-            dx[idx] = istd * (gb - gb.mean(axis=0) - xh * (gb * xh).mean(axis=0))
+            gb = g[..., idx, :] * gain.data
+            xh = xhat[..., idx, :]
+            mean_gb = gb.mean(axis=-2, keepdims=True)
+            mean_gbxh = (gb * xh).mean(axis=-2, keepdims=True)
+            dx[..., idx, :] = istd * (gb - mean_gb - xh * mean_gbxh)
         return dx, dgain, dshift
 
     return _record("per-block-norm", (x, gain, shift), out, backward)
@@ -461,8 +486,9 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Propagate d(loss)/d(leaf) through the tape, newest node first.
 
     Gradients accumulate into ``.grad`` of every leaf tensor that requires
-    them; parameters untouched by the forward pass keep their zero buffers.
-    A tape can be consumed exactly once.
+    them; parameters untouched by the forward pass keep zero gradients.
+    A tape can be consumed exactly once: each node leaves it once its
+    gradient has flowed back, freeing the arrays the node saved.
     """
     if tape.consumed:
         raise TapeError("backward already ran on this tape; rerun the forward pass first")
@@ -476,7 +502,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
-    for node in reversed(tape.nodes):
+    while tape.nodes:
+        node = tape.nodes.pop()
         g = grads.pop(id(node.output), None)
         holders.pop(id(node.output), None)
         if g is None:

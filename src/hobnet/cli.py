@@ -145,6 +145,7 @@ def cmd_train(args) -> int:
     )
     train_cfg = preset_train_config(args.preset, seed=args.seed)
     plan = cohort_split_plan(args.cohort, cohort, args.seed)
+    require_parts(plan, ["train"], Path(args.cohort) / "split_plan.json")
     result = fit(cohort, hierarchy, model_cfg, train_cfg, subject_ids=plan.subjects_in("train"))
     save_checkpoint(args.out, result.params, checkpoint_meta(result))
     print(

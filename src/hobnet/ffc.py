@@ -12,7 +12,7 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import zip_longest
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .connectivity import (
     select_cutoff,
 )
 from .hcnn import HcnnConfig, dr_flatten
-from .hgnn import HgnnConfig, LevelInput
+from .hgnn import HgnnConfig, LevelBatch, LevelInput
 from .layers import init_mlp, init_param, mlp_forward
 from .rng import named_stream
 from .spectral import first_order_propagation, normalized_laplacian
@@ -209,6 +209,11 @@ class ModelParams(Mapping):
         for p in self._params.values():
             p.zero_grad()
 
+    def release_grads(self) -> None:
+        """Drop every gradient buffer; the next use of one makes it again, zeroed."""
+        for p in self._params.values():
+            p.value.grad = None
+
     def total_size(self) -> int:
         return sum(p.value.size for p in self._params.values())
 
@@ -230,6 +235,46 @@ class SubjectInputs:
     @property
     def fc_len(self) -> int:
         return self.fc_input.shape[1]
+
+
+@dataclass
+class SubjectBatch:
+    """The constant inputs of a stack of subjects, each with a leading batch
+    axis: ``[B, m, w]`` features and ``[B, m, m]`` graph operators per
+    level, ``[B, 1, fc_len]`` FC vectors and ``[B]`` labels."""
+
+    levels: dict[str, LevelBatch]
+    fc_input: Tensor
+    labels: np.ndarray
+
+    @classmethod
+    def stack(cls, subs: Sequence[SubjectInputs]) -> "SubjectBatch":
+        if not subs:
+            raise ModelError("no subjects to stack")
+        return cls(
+            levels={lv: LevelBatch.stack([s.levels[lv] for s in subs]) for lv in subs[0].levels},
+            fc_input=Tensor(np.stack([s.fc_input.data for s in subs])),
+            labels=np.array([s.label for s in subs]),
+        )
+
+    def take(self, index: np.ndarray) -> "SubjectBatch":
+        """The subjects at ``index``, in that order."""
+        return SubjectBatch(
+            levels={lv: batch.take(index) for lv, batch in self.levels.items()},
+            fc_input=Tensor(self.fc_input.data[index]),
+            labels=self.labels[index],
+        )
+
+
+# subjects per eval-mode forward; at 196 ROIs each adds about 4 MiB of
+# activations held at once
+SCORE_BATCH = 8
+
+
+def eval_batches(subs: Sequence[SubjectInputs]) -> Iterator[SubjectBatch]:
+    """``subs`` in order, in stacks of at most ``SCORE_BATCH`` subjects."""
+    for start in range(0, len(subs), SCORE_BATCH):
+        yield SubjectBatch.stack(subs[start : start + SCORE_BATCH])
 
 
 def select_cohort_gammas(
@@ -361,24 +406,25 @@ def build_model_params(
 
 
 def fuse(z_graph: Tensor, z_fc: Tensor, expected: tuple[int, int] | None = None) -> Tensor:
-    """Concatenate branch features, graph features first."""
-    if z_graph.ndim != 1 or z_fc.ndim != 1:
-        raise ModelError(f"fuse expects 1-D features, got {z_graph.shape} and {z_fc.shape}")
-    if expected is not None and (z_graph.shape[0], z_fc.shape[0]) != expected:
+    """Concatenate branch features, graph features first: vectors, or rows of a batch."""
+    if z_graph.ndim not in (1, 2) or z_graph.shape[:-1] != z_fc.shape[:-1]:
         raise ModelError(
-            f"fuse width mismatch: got ({z_graph.shape[0]}, {z_fc.shape[0]}), expected {expected}"
+            f"fuse expects 1-D features or rows of them, got {z_graph.shape}, {z_fc.shape}"
         )
-    return ad.concat(z_graph, z_fc)
+    widths = (z_graph.shape[-1], z_fc.shape[-1])
+    if expected is not None and widths != expected:
+        raise ModelError(f"fuse width mismatch: got {widths}, expected {expected}")
+    return ad.concat(z_graph, z_fc, axis=-1)
 
 
 def fused_features(
     params: ModelParams,
     cfg: ModelConfig,
-    sub: SubjectInputs,
+    batch: SubjectBatch,
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Concatenated per-subject feature vector from the enabled branches."""
+    """Fused feature rows ``[B, fused_width]`` from the enabled branches."""
     if not (cfg.toggles.graph or cfg.toggles.cnn):
         raise ModelError("all branches disabled; enable the graph branch, the CNN branch, or both")
     if rng is None:
@@ -387,7 +433,7 @@ def fused_features(
     if cfg.toggles.graph:
         per_level = []
         for level in cfg.graph_levels():
-            z = hgnn_mod.level_encoder(params, f"hgnn.{level}", sub.levels[level], cfg.hgnn, train, rng)
+            z = hgnn_mod.level_encoder(params, f"hgnn.{level}", batch.levels[level], cfg.hgnn, train, rng)
             per_level.append(
                 hgnn_mod.branch_high_order(
                     z, params, f"hgnn.{level}.ghop", high_order=cfg.toggles.graph_high_order
@@ -396,7 +442,7 @@ def fused_features(
         graph_feat = hgnn_mod.multiview_fuse(*per_level) if len(per_level) == 3 else per_level[0]
     cnn_feat = None
     if cfg.toggles.cnn:
-        z_fc = hcnn_mod.hcnn_first_order(params, "hcnn", sub.fc_input, cfg.hcnn, train, rng)
+        z_fc = hcnn_mod.hcnn_first_order(params, "hcnn", batch.fc_input, cfg.hcnn, train, rng)
         cnn_feat = (
             hcnn_mod.hop_concat(z_fc, params, "hcnn.hop") if cfg.toggles.cnn_high_order else z_fc
         )
@@ -406,7 +452,7 @@ def fused_features(
 
 
 def predict(z: Tensor, params: ModelParams) -> Tensor:
-    """Two-class probability vector from the fused features."""
+    """Two-class probabilities from the fused features, one row per subject."""
     return ad.softmax(mlp_forward(z, params, "head"))
 
 
@@ -418,23 +464,20 @@ def loss(probs: Tensor, labels) -> Tensor:
 def model_forward(
     params: ModelParams,
     cfg: ModelConfig,
-    sub: SubjectInputs,
+    batch: SubjectBatch,
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    return predict(fused_features(params, cfg, sub, train, rng), params)
-
-
-def predict_proba(params: ModelParams, cfg: ModelConfig, sub: SubjectInputs) -> np.ndarray:
-    """Eval-mode class probabilities (dropout off, nothing recorded)."""
-    return model_forward(params, cfg, sub, train=False).data.copy()
+    """Class probabilities ``[B, 2]`` of a stack of subjects."""
+    return predict(fused_features(params, cfg, batch, train, rng), params)
 
 
 def score_subjects(
     params: ModelParams, cfg: ModelConfig, subs: Sequence[SubjectInputs]
 ) -> np.ndarray:
     """Positive-class probability per subject, eval mode."""
-    return np.array([predict_proba(params, cfg, sub)[1] for sub in subs])
+    scores = [model_forward(params, cfg, batch).data[:, 1] for batch in eval_batches(subs)]
+    return np.concatenate(scores) if scores else np.zeros(0)
 
 
 # ---------------------------------------------------------------------------
@@ -457,23 +500,46 @@ class AdamState:
         )
 
 
+# entries per slice of an Adam update, so its two scratch arrays stay small
+# however large the parameter (hcnn.mlp.l0.w has 9.8M entries at 196 ROIs)
+ADAM_SLICE = 8192
+
+
 def adam_step(
     params: Iterable[Parameter],
     state: AdamState,
     lr: float,
 ) -> None:
-    """One bias-corrected Adam update from the parameters' current gradients."""
+    """One bias-corrected Adam update from the parameters' current gradients.
+
+    The moments and the parameter update in place, in slices of at most
+    ``ADAM_SLICE`` entries along the first axis, in the operation order of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)``.
+    """
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.t += 1
-    t = state.t
+    c1, c2 = 1.0 - beta1**state.t, 1.0 - beta2**state.t
     for p in params:
-        g = p.grad
-        m = state.m[p.name] = beta1 * state.m[p.name] + (1.0 - beta1) * g
-        v = state.v[p.name] = beta2 * state.v[p.name] + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p.value.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        if not np.all(np.isfinite(p.value.data)):
+        x, g, m, v = p.value.data, p.grad, state.m[p.name], state.v[p.name]
+        rows = max(1, ADAM_SLICE // x[0].size)
+        for r in range(0, len(x), rows):
+            xs, gs, ms, vs = x[r : r + rows], g[r : r + rows], m[r : r + rows], v[r : r + rows]
+            step = np.multiply(gs, 1.0 - beta1)
+            ms *= beta1
+            ms += step
+            np.multiply(gs, 1.0 - beta2, out=step)
+            step *= gs
+            vs *= beta2
+            vs += step
+            np.divide(ms, c1, out=step)
+            step *= lr
+            denom = np.divide(vs, c2)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            step /= denom
+            xs -= step
+        if not np.all(np.isfinite(x)):
             raise NonFiniteValue(f"parameter {p.name!r} became non-finite after the update")
 
 
@@ -505,9 +571,10 @@ def fit(
 
     Thresholds are the inflection of the cohort-mean retained-edge curve
     per level, computed on the training subjects only. Training is
-    full-batch unless ``train_cfg.batch_size`` says otherwise, and every
-    random choice is drawn from streams named by the seed, so equal seeds
-    give bitwise-equal traces.
+    full-batch unless ``train_cfg.batch_size`` says otherwise; the inputs
+    are stacked once, and each mini-batch runs as one stacked forward pass
+    on one tape. Every random choice is drawn from streams named by the
+    seed, so equal seeds give bitwise-equal traces.
     """
     if not (model_cfg.toggles.graph or model_cfg.toggles.cnn):
         raise ModelError("all branches disabled; nothing to train")
@@ -533,12 +600,17 @@ def fit(
     )
     level_widths = {level: subs[0].levels[level].width for level in LEVELS}
     fc_len = subs[0].fc_len
+    subject_ids = [sub.subject_id for sub in subs]
+    cohort_batch = SubjectBatch.stack(subs)
+    # the stack holds every array training reads; the per-subject copies go
+    # before the parameters, optimizer state and tapes take their memory
+    del subs
     params = build_model_params(model_cfg, level_widths, fc_len, train_cfg.seed)
 
     state = AdamState.for_params(params.parameters())
     drop_rng = named_stream(train_cfg.seed, "dropout")
     shuffle_rng = named_stream(train_cfg.seed, "batch-shuffle")
-    n = len(subs)
+    n = len(subject_ids)
     batch = n if train_cfg.batch_size is None else min(train_cfg.batch_size, n)
 
     trace: list[float] = []
@@ -546,19 +618,16 @@ def fit(
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, batch):
-            chunk = order[start : start + batch]
+            mini = cohort_batch.take(order[start : start + batch])
             params.zero_grad()
             with Tape() as tape:
-                batch_loss = None
-                for i in chunk:
-                    probs = model_forward(params, model_cfg, subs[i], train=True, rng=drop_rng)
-                    ce = loss(probs, [subs[i].label])
-                    batch_loss = ce if batch_loss is None else ad.add(batch_loss, ce)
-                batch_loss = ad.scale(batch_loss, 1.0 / len(chunk))
+                probs = model_forward(params, model_cfg, mini, train=True, rng=drop_rng)
+                batch_loss = loss(probs, mini.labels)
             backward(tape, batch_loss)
             adam_step(params.parameters(), state, train_cfg.learning_rate)
-            epoch_loss += batch_loss.item() * len(chunk)
+            epoch_loss += batch_loss.item() * len(mini.labels)
         trace.append(epoch_loss / n)
+    params.release_grads()
     return FitResult(
         params=params,
         config=model_cfg,
@@ -567,7 +636,7 @@ def fit(
         loss_trace=trace,
         level_widths=level_widths,
         fc_len=fc_len,
-        subject_ids=[sub.subject_id for sub in subs],
+        subject_ids=subject_ids,
     )
 
 

@@ -3,7 +3,9 @@
 The upper triangle of the functional-connectivity matrix is flattened in
 row order, passed through two strided 1-D convolution layers and an MLP to
 a fixed-width first-order feature vector, then enriched with an
-outer-product high-order term re-embedded by a second MLP.
+outer-product high-order term re-embedded by a second MLP. The forward
+functions take one subject's vector or a stack of them with a leading batch
+axis.
 """
 
 from __future__ import annotations
@@ -76,7 +78,10 @@ def hcnn_first_order(
     train: bool,
     rng: np.random.Generator,
 ) -> Tensor:
-    """conv -> ReLU -> conv -> ReLU -> flatten -> MLP, to the branch width."""
+    """conv -> ReLU -> conv -> ReLU -> flatten -> MLP, to the branch width.
+
+    ``x`` is one FC vector ``[1, L]`` or a batch of them ``[B, 1, L]``.
+    """
     h = ad.conv1d(
         x,
         params[f"{prefix}.conv0.w"].value,
@@ -91,17 +96,17 @@ def hcnn_first_order(
         stride=cfg.strides[1],
     )
     h = ad.dropout(ad.relu(h), cfg.dropout, rng, train)
-    return mlp_forward(ad.reshape(h, (-1,)), params, f"{prefix}.mlp")
+    return mlp_forward(ad.reshape(h, h.shape[:-2] + (-1,)), params, f"{prefix}.mlp")
 
 
 def hop(z: Tensor) -> Tensor:
-    """Outer product of the first-order feature vector with itself."""
-    if z.ndim != 1:
-        raise HcnnError(f"hop expects a 1-D feature vector, got shape {z.shape}")
+    """Outer product of the first-order feature vector (or of each row) with itself."""
+    if z.ndim not in (1, 2):
+        raise HcnnError(f"hop expects a 1-D feature vector or rows of them, got shape {z.shape}")
     return ad.outer(z, z)
 
 
 def hop_concat(z: Tensor, params, prefix: str) -> Tensor:
     """First-order features joined with the re-embedded outer-product terms."""
     flat = ad.upper_triangle_flatten(hop(z))
-    return ad.concat(z, mlp_forward(flat, params, prefix))
+    return ad.concat(z, mlp_forward(flat, params, prefix), axis=-1)

@@ -5,12 +5,14 @@ own stack of spectral convolution blocks. A block is convolution, per-block
 feature normalization, ReLU, and dropout, with an identity skip connection
 in the residual variant. The per-block outputs are mixed by softmax-weighted
 adaptive feature maps, pooled into a first-order readout plus a Gram-matrix
-high-order readout, and the three views are concatenated.
+high-order readout, and the three views are concatenated. Each function
+takes one subject's tensors or a stack of subjects with a leading batch axis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -59,15 +61,44 @@ class LevelInput:
     norm_blocks: list[np.ndarray]
     lap: GraphLaplacian | None = None
     propagation: np.ndarray | None = None
-    _feature_tensor: Tensor = field(init=False, repr=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self._feature_tensor = Tensor(self.features)
 
     @property
     def width(self) -> int:
         return self.features.shape[1]
+
+    @property
+    def operator(self) -> np.ndarray:
+        """The matrix the encoder filters with: the rescaled Laplacian, or
+        the renormalized propagation of the ``gcn`` encoder."""
+        return self.propagation if self.lap is None else self.lap.rescaled
+
+
+@dataclass
+class LevelBatch:
+    """One graph view of a stack of subjects: node features ``[B, m, w]`` and
+    graph operators ``[B, m, m]``. Every subject has the same ``m`` nodes,
+    split into the same normalization blocks."""
+
+    features: Tensor
+    operator: Tensor
+    norm_blocks: list[np.ndarray]
+
+    @classmethod
+    def stack(cls, levels: Sequence[LevelInput]) -> "LevelBatch":
+        return cls(
+            features=Tensor(np.stack([lv.features for lv in levels])),
+            operator=Tensor(np.stack([lv.operator for lv in levels])),
+            norm_blocks=levels[0].norm_blocks,
+        )
+
+    def take(self, index: np.ndarray) -> "LevelBatch":
+        """The subjects at ``index``, in that order."""
+        return LevelBatch(
+            Tensor(self.features.data[index]), Tensor(self.operator.data[index]), self.norm_blocks
+        )
 
 
 def afm_weights(r: Tensor) -> Tensor:
@@ -90,13 +121,13 @@ def afm_combine(block_outputs: list[Tensor], r: Tensor) -> Tensor:
 
 
 def ghop(z: Tensor) -> Tensor:
-    """Gram matrix of node embeddings: symmetric PSD high-order statistics."""
+    """Gram matrix of node embeddings ``[..., m, d]``: symmetric PSD high-order statistics."""
     return ad.matmul(ad.transpose(z), z)
 
 
 def chebconv_block(
     h_in: Tensor,
-    level: LevelInput,
+    level: LevelBatch,
     params,
     prefix: str,
     cfg: HgnnConfig,
@@ -106,12 +137,10 @@ def chebconv_block(
     """One convolution block: filter, per-block norm, ReLU, dropout and,
     for ``res-cheb``, the identity skip."""
     if cfg.encoder == "gcn":
-        conv = ad.matmul(
-            ad.matmul(Tensor(level.propagation), h_in), params[f"{prefix}.w"].value
-        )
+        conv = ad.matmul(ad.matmul(level.operator, h_in), params[f"{prefix}.w"].value)
     else:
         thetas = [params[f"{prefix}.theta{k}"].value for k in range(cfg.k)]
-        conv = cheb_apply(level.lap, h_in, thetas)
+        conv = cheb_apply(level.operator, h_in, thetas)
     normed = ad.per_block_norm(
         conv,
         params[f"{prefix}.norm.gain"].value,
@@ -127,7 +156,7 @@ def chebconv_block(
 def level_encoder(
     params,
     prefix: str,
-    level: LevelInput,
+    level: LevelBatch,
     cfg: HgnnConfig,
     train: bool,
     rng: np.random.Generator,
@@ -135,7 +164,7 @@ def level_encoder(
     """Project raw node features to the hidden width, run the block stack,
     and mix the per-block embeddings with adaptive feature maps."""
     h = ad.add(
-        ad.matmul(level._feature_tensor, params[f"{prefix}.proj.w"].value),
+        ad.matmul(level.features, params[f"{prefix}.proj.w"].value),
         params[f"{prefix}.proj.b"].value,
     )
     outputs = []
@@ -153,22 +182,24 @@ def branch_high_order(
 ) -> Tensor:
     """Per-graph feature vector: mean readout, plus re-embedded Gram features.
 
-    The high-order half flattens the upper triangle (diagonal included) of
-    the Gram matrix and maps it back to the hidden width through an MLP;
-    with ``high_order=False`` only the first-order readout remains.
+    ``z`` is ``[m, d]`` or a batch ``[B, m, d]``, and the result ``[2d]`` or
+    ``[B, 2d]``. The high-order half flattens the upper triangle (diagonal
+    included) of the Gram matrix and maps it back to the hidden width
+    through an MLP; with ``high_order=False`` only the first-order readout
+    remains.
     """
     first = ad.mean_over_axis(z)
     if not high_order:
         return first
     gram_flat = ad.upper_triangle_flatten(ghop(z))
     high = mlp_forward(gram_flat, params, prefix)
-    return ad.concat(first, high)
+    return ad.concat(first, high, axis=-1)
 
 
 def multiview_fuse(z_wan: Tensor, z_man: Tensor, z_lan: Tensor) -> Tensor:
-    """Concatenate the three view vectors in top-down order."""
+    """Concatenate the three view vectors (or rows of them) in top-down order."""
     if not (z_wan.shape == z_man.shape == z_lan.shape):
         raise HgnnError(
             f"view features must share one length, got {z_wan.shape}, {z_man.shape}, {z_lan.shape}"
         )
-    return ad.concat(z_wan, z_man, z_lan)
+    return ad.concat(z_wan, z_man, z_lan, axis=-1)

@@ -9,6 +9,7 @@ the nodes transductively.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -16,7 +17,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .ffc import AdamState, ModelConfig, ModelParams, SubjectInputs, adam_step, fused_features
+from .ffc import (
+    AdamState,
+    ModelConfig,
+    ModelParams,
+    SubjectInputs,
+    adam_step,
+    eval_batches,
+    fused_features,
+)
 from .layers import init_mlp, init_param, mlp_forward
 from .spectral import first_order_propagation
 
@@ -54,8 +63,7 @@ def embed_subjects(
     """Fused feature vector per subject, eval mode; rows follow ``subs``."""
     if not params:
         raise PopulationError("embed_subjects needs trained model parameters")
-    rows = [fused_features(params, cfg, sub, train=False).data.copy() for sub in subs]
-    return np.vstack(rows)
+    return np.vstack([fused_features(params, cfg, batch).data for batch in eval_batches(subs)])
 
 
 def _pearson_rows(y: np.ndarray) -> np.ndarray:
@@ -113,8 +121,13 @@ def standardize_phenotypes(records: Sequence[PhenotypeRecord]) -> np.ndarray:
     z_age = (ages - ages.mean()) / std if std > 0 else np.zeros_like(ages)
     genders = np.array([r.gender for r in records])
     sites = np.array([r.site for r in records])
+    # sorted(set(...)) is np.unique's order; np.unique imports numpy.ma
     return np.column_stack(
-        [z_age, genders[:, None] == np.unique(genders), sites[:, None] == np.unique(sites)]
+        [
+            z_age,
+            genders[:, None] == np.array(sorted(set(genders))),
+            sites[:, None] == np.array(sorted(set(sites))),
+        ]
     )
 
 
@@ -140,6 +153,24 @@ def weight_matrix(records: Sequence[PhenotypeRecord], encoder: ModelParams) -> n
     w = (w + w.T) / 2.0
     np.fill_diagonal(w, 1.0)
     return w
+
+
+def linear_quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` of a 1-D array, bit for bit.
+
+    ``np.quantile`` imports ``numpy.ma`` on first use, about 1.2 MiB of
+    resident memory that nothing else here needs. The default ``linear``
+    method interpolates between the order statistics around ``(n - 1) q``.
+    """
+    n = values.size
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        return float(values.max())
+    lo = math.floor(virtual)
+    low, high = np.partition(values, (lo, lo + 1))[lo : lo + 2]
+    t = virtual - lo
+    diff = high - low
+    return float(high - diff * (1 - t) if t >= 0.5 else low + diff * t)
 
 
 def population_adjacency(
@@ -169,7 +200,7 @@ def population_adjacency(
     if retain_fraction == 0.0:
         binary = np.eye(n)
     else:
-        threshold = np.quantile(off_values, 1.0 - retain_fraction)
+        threshold = linear_quantile(off_values, 1.0 - retain_fraction)
         binary = np.where(combined >= threshold, 1.0, 0.0) * off_mask + np.eye(n)
     adjacency = binary * w
     return binary, adjacency

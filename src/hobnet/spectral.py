@@ -23,11 +23,16 @@ class SpectralError(ValueError):
 
 @dataclass
 class GraphLaplacian:
-    """Normalized Laplacian with its dominant eigenvalue and rescaled form."""
+    """Normalized Laplacian with its dominant eigenvalue."""
 
     laplacian: np.ndarray
     lambda_max: float
-    rescaled: np.ndarray
+
+    @property
+    def rescaled(self) -> np.ndarray:
+        """``(2 / lambda_max) L - I``, spectrum in [-1, 1]; built on each read,
+        so a prepared subject holds one matrix per level, not two."""
+        return (2.0 / self.lambda_max) * self.laplacian - np.eye(self.laplacian.shape[0])
 
 
 def _checked_adjacency(adjacency: np.ndarray) -> np.ndarray:
@@ -58,39 +63,38 @@ def normalized_laplacian(adjacency: np.ndarray) -> GraphLaplacian:
     lam = np.linalg.eigvalsh(lap)[-1]
     if lam <= _LAMBDA_TOL:
         lam = 2.0
-    rescaled = (2.0 / lam) * lap - np.eye(a.shape[0])
-    return GraphLaplacian(laplacian=lap, lambda_max=float(lam), rescaled=rescaled)
+    return GraphLaplacian(laplacian=lap, lambda_max=float(lam))
 
 
-def cheb_apply(lap: GraphLaplacian, features: Tensor, thetas: list[Tensor]) -> Tensor:
+def cheb_apply(rescaled: Tensor, features: Tensor, thetas: list[Tensor]) -> Tensor:
     """Sum_k T_k(rescaled L) @ H @ theta_k via the three-term recurrence.
 
-    Differentiable with respect to the features and every filter matrix; the
-    Laplacian itself is a constant of the graph.
+    ``rescaled`` is the rescaled Laplacian ``[m, m]`` and ``features``
+    ``[m, d]``, or stacks of them ``[B, m, m]`` and ``[B, m, d]``; each
+    ``theta_k`` is one ``[d, out_dim]`` matrix shared by the stack.
+    Differentiable with respect to the features and every filter matrix;
+    the Laplacian itself is a constant of the graph.
     """
     if not thetas:
         raise SpectralError("cheb_apply needs at least one filter matrix (K >= 1)")
-    if features.ndim != 2:
-        raise SpectralError(f"features must be [nodes, dim], got shape {features.shape}")
-    m, d = features.shape
-    if lap.rescaled.shape[0] != m:
-        raise SpectralError(
-            f"graph has {lap.rescaled.shape[0]} nodes but features have {m} rows"
-        )
+    if features.ndim < 2:
+        raise SpectralError(f"features must be [..., nodes, dim], got shape {features.shape}")
+    m, d = features.shape[-2:]
+    if rescaled.shape[-1] != m:
+        raise SpectralError(f"graph has {rescaled.shape[-1]} nodes but features have {m} rows")
     for k, theta in enumerate(thetas):
         if theta.ndim != 2 or theta.shape[0] != d:
             raise SpectralError(
                 f"filter {k} has shape {theta.shape}, expected ({d}, out_dim)"
             )
-    lt = Tensor(lap.rescaled)
     out = ad.matmul(features, thetas[0])
     if len(thetas) == 1:
         return out
     z_prev2 = features
-    z_prev1 = ad.matmul(lt, features)
+    z_prev1 = ad.matmul(rescaled, features)
     out = ad.add(out, ad.matmul(z_prev1, thetas[1]))
     for k in range(2, len(thetas)):
-        z_k = ad.add(ad.scale(ad.matmul(lt, z_prev1), 2.0), ad.scale(z_prev2, -1.0))
+        z_k = ad.add(ad.scale(ad.matmul(rescaled, z_prev1), 2.0), ad.scale(z_prev2, -1.0))
         out = ad.add(out, ad.matmul(z_k, thetas[k]))
         z_prev2, z_prev1 = z_prev1, z_k
     return out

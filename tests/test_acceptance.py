@@ -23,6 +23,7 @@ from hobnet.ffc import (
     HcnnConfig,
     HgnnConfig,
     ModelConfig,
+    SubjectBatch,
     TrainConfig,
     build_model_params,
     checkpoint_meta,
@@ -31,7 +32,6 @@ from hobnet.ffc import (
     loss,
     model_forward,
     parse_toggles,
-    predict_proba,
     prepare_cohort,
     prepare_subject,
     save_checkpoint,
@@ -47,7 +47,7 @@ from hobnet.harness import (
     synth_generate,
     write_metrics_csv,
 )
-from hobnet.hgnn import LevelInput, afm_weights, level_encoder
+from hobnet.hgnn import LevelBatch, LevelInput, afm_weights, level_encoder
 from hobnet.population import (
     build_phenotype_encoder,
     embed_subjects,
@@ -121,7 +121,7 @@ class TestCriterion1GradientCorrectness:
         params = build_model_params(cfg, widths, sub.fc_len, seed=13)
 
         def f():
-            return loss(model_forward(params, cfg, sub, train=False), [sub.label])
+            return loss(model_forward(params, cfg, SubjectBatch.stack([sub]), train=False), [sub.label])
 
         fd = finite_difference_check(
             f, params.parameters(), h=1e-5, tolerance=1e-4, max_entries=120, seed=3
@@ -150,7 +150,7 @@ class TestCriterion2SpectralExactness:
             h = Tensor(rng.normal(size=(m, 3)))
             thetas = [Tensor(rng.normal(size=(3, 2))) for _ in range(k)]
             delta = np.max(
-                np.abs(spectral_filter_exact(lap, h, thetas) - cheb_apply(lap, h, thetas).data)
+                np.abs(spectral_filter_exact(lap, h, thetas) - cheb_apply(Tensor(lap.rescaled), h, thetas).data)
             )
             worst = max(worst, float(delta))
         assert worst <= 1e-8, f"max |exact - recurrence| = {worst}"
@@ -171,8 +171,9 @@ class TestCriterion3BlockDiagonalLocality:
             level = sub.levels[level_name]
             blocks = level.norm_blocks
             base = level_encoder(
-                params, f"hgnn.{level_name}", level, cfg, train=False, rng=named_stream(0, "na")
-            ).data
+                params, f"hgnn.{level_name}", LevelBatch.stack([level]), cfg, train=False,
+                rng=named_stream(0, "na"),
+            ).data[0]
             for b, block in enumerate(blocks):
                 bumped_feats = level.features.copy()
                 bumped_feats[block[0], block[0]] += 2.5
@@ -184,8 +185,9 @@ class TestCriterion3BlockDiagonalLocality:
                     propagation=level.propagation,
                 )
                 out = level_encoder(
-                    params, f"hgnn.{level_name}", bumped, cfg, train=False, rng=named_stream(0, "na")
-                ).data
+                    params, f"hgnn.{level_name}", LevelBatch.stack([bumped]), cfg, train=False,
+                    rng=named_stream(0, "na"),
+                ).data[0]
                 others = np.concatenate([blk for j, blk in enumerate(blocks) if j != b])
                 deviation = np.max(np.abs(out[others] - base[others]))
                 assert deviation == 0.0, f"{level_name} block {b}: deviation {deviation}"
@@ -358,10 +360,10 @@ class TestCriterion11CheckpointRoundTrip:
             encoder=cfg.hgnn.encoder,
             subject_ids=full_run["plan"].subjects_in("test")[:5],
         )
-        for sub in subs:
-            np.testing.assert_array_equal(
-                predict_proba(result.params, cfg, sub), predict_proba(loaded, cfg, sub)
-            )
+        batch = SubjectBatch.stack(subs)
+        np.testing.assert_array_equal(
+            model_forward(result.params, cfg, batch).data, model_forward(loaded, cfg, batch).data
+        )
         report(11, f"{len(result.params)} parameters bit-identical, outputs identical")
 
 

@@ -381,3 +381,74 @@ class TestFiniteDifferenceChecker:
 
         with pytest.raises(RuntimeError, match="not deterministic"):
             finite_difference_check(f, [p])
+
+
+# (name, op, operand shapes without the batch axis, whether each operand is stacked)
+BLOCKS = [np.array([0, 1, 2]), np.array([3, 4, 5, 6])]
+BATCHED_FORMS = [
+    ("matmul-shared-matrix", ad.matmul, [(4, 5), (5, 2)], [True, False]),
+    ("matmul-shared-vector", ad.matmul, [(4, 5), (5,)], [True, False]),
+    ("matmul-stacked-rhs", ad.matmul, [(4, 5), (5, 2)], [True, True]),
+    ("transpose", ad.transpose, [(4, 2)], [True]),
+    ("mean-over-axis", ad.mean_over_axis, [(4, 5)], [True]),
+    ("upper-triangle-flatten", ad.upper_triangle_flatten, [(4, 4)], [True]),
+    ("outer", ad.outer, [(4,), (5,)], [True, True]),
+    (
+        "per-block-norm",
+        lambda x, g, s: ad.per_block_norm(x, g, s, blocks=BLOCKS),
+        [(7, 3), (3,), (3,)],
+        [True, False, False],
+    ),
+    (
+        "conv1d",
+        lambda x, k, b: ad.conv1d(x, k, b, stride=2),
+        [(2, 12), (3, 2, 4), (3,)],
+        [True, False, False],
+    ),
+]
+
+
+def run_with_grads(op, values, weight):
+    """Forward value and every operand's gradient under a fixed scalar weighting."""
+    params = [Parameter(f"p{i}", v) for i, v in enumerate(values)]
+    with Tape() as tape:
+        out = op(*(p.value for p in params))
+        loss = scalar_loss(out, weight)
+    backward(tape, loss)
+    return out.data, [p.grad for p in params]
+
+
+@pytest.mark.parametrize(
+    "op, shapes, stacked", [case[1:] for case in BATCHED_FORMS], ids=[c[0] for c in BATCHED_FORMS]
+)
+class TestBatchedPrimitives:
+    """Every primitive the model stacks subjects through, in its batched form."""
+
+    def operands(self, shapes, stacked, batch, seed=0):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(size=((batch,) if s else ()) + shape) for shape, s in zip(shapes, stacked)]
+
+    def test_finite_differences(self, op, shapes, stacked):
+        params = [Parameter(f"p{i}", v) for i, v in enumerate(self.operands(shapes, stacked, 3))]
+        out = op(*(p.value for p in params))
+        weight = np.random.default_rng(1).normal(size=out.shape)
+        fd_over_all_entries(lambda: scalar_loss(op(*(p.value for p in params)), weight), params)
+
+    def test_a_batch_of_one_is_the_unbatched_form_bit_for_bit(self, op, shapes, stacked):
+        single = self.operands(shapes, stacked, 1)
+        plain = [v[0] if s else v for v, s in zip(single, stacked)]
+        out_plain = op(*(Tensor(v) for v in plain))
+        weight = np.random.default_rng(2).normal(size=out_plain.shape)
+        value, grads = run_with_grads(op, single, weight[None])
+        value_plain, grads_plain = run_with_grads(op, plain, weight)
+        assert value.shape == (1,) + value_plain.shape
+        assert value[0].tobytes() == value_plain.tobytes()
+        for g, g_plain, s in zip(grads, grads_plain, stacked):
+            assert (g[0] if s else g).tobytes() == g_plain.tobytes()
+
+    def test_each_row_of_a_batch_is_its_own_subject(self, op, shapes, stacked):
+        values = self.operands(shapes, stacked, 3, seed=4)
+        out = op(*(Tensor(v) for v in values)).data
+        for b in range(3):
+            row = op(*(Tensor(v[b] if s else v) for v, s in zip(values, stacked))).data
+            np.testing.assert_allclose(out[b], row, rtol=1e-13, atol=1e-13)

@@ -1,0 +1,153 @@
+"""Stacked mini-batches against the per-subject forward pass they replace.
+
+The per-subject forward lives in ``oracles``; every comparison allows
+1e-12, and the tape-size tests count instead of timing.
+"""
+
+import numpy as np
+import pytest
+
+from hobnet import ffc
+from hobnet.autodiff import Tape, backward
+from hobnet.connectivity import LEVELS
+from hobnet.ffc import (
+    SCORE_BATCH,
+    TOGGLES,
+    HcnnConfig,
+    HgnnConfig,
+    ModelConfig,
+    SubjectBatch,
+    build_model_params,
+    fused_features,
+    loss,
+    model_forward,
+    parse_toggles,
+    prepare_cohort,
+    score_subjects,
+)
+from hobnet.harness import nested_hierarchy, synth_generate
+from hobnet.hgnn import ENCODERS
+from hobnet.population import embed_subjects
+from hobnet.rng import named_stream
+
+from oracles import subject_batch_loss, subject_features, subject_forward
+
+SIZES = (1, 3, 8)
+
+
+def small_config(toggles: str, encoder: str = "res-cheb") -> ModelConfig:
+    return ModelConfig(
+        toggles=TOGGLES[toggles],
+        hgnn=HgnnConfig(k=2, blocks=2, hidden_dim=4, encoder=encoder),
+        hcnn=HcnnConfig(kernel_sizes=(5, 3), channels=(2, 3), strides=(2, 2), mlp_hidden=(8,), out_dim=4),
+        head_hidden=(8,),
+    )
+
+
+def model_params(cfg: ModelConfig, subs, seed: int = 5):
+    widths = {level: subs[0].levels[level].width for level in LEVELS}
+    return build_model_params(cfg, widths, subs[0].fc_len, seed)
+
+
+@pytest.fixture(scope="module")
+def prepared():
+    """Sixteen prepared subjects per encoder on an 8-ROI hierarchy."""
+    hierarchy = nested_hierarchy(2, 2, 2)
+    cohort = synth_generate(16, hierarchy, signal=0.8, noise=0.3, seed=3, n_timepoints=60)
+    return {encoder: prepare_cohort(cohort, hierarchy, 0.3, encoder=encoder) for encoder in ENCODERS}
+
+
+def gradients(params, make_loss) -> dict[str, np.ndarray]:
+    params.zero_grad()
+    with Tape() as tape:
+        value = make_loss()
+    backward(tape, value)
+    return {name: params[name].grad.copy() for name in params}
+
+
+def assert_close(got, want, what):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=what)
+
+
+@pytest.mark.parametrize("encoder", ENCODERS)
+@pytest.mark.parametrize("toggles", sorted(TOGGLES))
+def test_batched_path_matches_the_per_subject_oracle(prepared, toggles, encoder):
+    subs = prepared[encoder]
+    cfg = small_config(toggles, encoder)
+    params = model_params(cfg, subs)
+    cohort_batch = SubjectBatch.stack(subs)
+    order = named_stream(11, "batch-order").permutation(len(subs))
+    for size in SIZES:
+        chosen = order[:size]
+        batch = cohort_batch.take(chosen)
+        features = fused_features(params, cfg, batch).data
+        probs = model_forward(params, cfg, batch).data
+        for row, i in enumerate(chosen):
+            assert_close(features[row], subject_features(params, cfg, subs[i]).data, f"features B={size}")
+            assert_close(probs[row], subject_forward(params, cfg, subs[i]).data, f"probs B={size}")
+        rng = named_stream(0, "dropout")  # rate 0: training mode draws no mask
+        batched = gradients(
+            params, lambda: loss(model_forward(params, cfg, batch, True, rng), batch.labels)
+        )
+        per_subject = gradients(
+            params, lambda: subject_batch_loss(params, cfg, [subs[i] for i in chosen], True, rng)
+        )
+        for name in params:
+            assert_close(batched[name], per_subject[name], f"d/d {name}, B={size}")
+
+
+def test_atlas_scale_eval_scores_match_the_per_subject_oracle():
+    hierarchy = nested_hierarchy(7, 4, 7)
+    cohort = synth_generate(4, hierarchy, signal=0.6, noise=0.5, seed=1, n_timepoints=120)
+    subs = prepare_cohort(cohort, hierarchy, {"wan": 0.02, "man": 0.59, "lan": 0.73})
+    cfg = ModelConfig(
+        toggles=parse_toggles("HGNN+HCNN"),
+        hgnn=HgnnConfig(k=3, blocks=3, hidden_dim=16),
+        hcnn=HcnnConfig(out_dim=16),
+        head_hidden=(64,),
+    )
+    params = model_params(cfg, subs, seed=7)
+    assert subs[0].levels["lan"].features.shape == (196, 196)
+    embedded = embed_subjects(params, cfg, subs)
+    scores = score_subjects(params, cfg, subs)
+    for row, sub in enumerate(subs):
+        assert_close(embedded[row], subject_features(params, cfg, sub).data, "features")
+        assert_close(scores[row], subject_forward(params, cfg, sub).data[1], "score")
+
+
+def tape_nodes(run) -> int:
+    with Tape() as tape:
+        run()
+    return len(tape.nodes)
+
+
+def test_the_training_tape_of_a_batch_of_8_is_as_long_as_a_batch_of_1(prepared):
+    subs = prepared["res-cheb"]
+    cfg = small_config("hgnn+hcnn")
+    params = model_params(cfg, subs)
+    cohort_batch = SubjectBatch.stack(subs)
+    rng = named_stream(0, "dropout")
+
+    def train_loss(size):
+        batch = cohort_batch.take(np.arange(size))
+        return lambda: loss(model_forward(params, cfg, batch, True, rng), batch.labels)
+
+    assert tape_nodes(train_loss(8)) == tape_nodes(train_loss(1)) > 100
+
+
+def test_scoring_a_full_stack_records_no_more_than_scoring_one_subject(prepared, monkeypatch):
+    subs = prepared["res-cheb"]
+    assert len(subs) >= SCORE_BATCH
+    cfg = small_config("hgnn+hcnn")
+    params = model_params(cfg, subs)
+    calls = []
+    forward = ffc.model_forward
+    monkeypatch.setattr(ffc, "model_forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
+    counts = []
+    for n in (1, SCORE_BATCH):
+        calls.clear()
+        nodes = tape_nodes(lambda: score_subjects(params, cfg, subs[:n]))
+        embed_nodes = tape_nodes(lambda: embed_subjects(params, cfg, subs[:n]))
+        counts.append((nodes, embed_nodes, len(calls)))
+    assert counts[1] == counts[0]
+    assert counts[0][2] == 1

@@ -353,6 +353,26 @@ class TestCliErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "model.ckpt").exists()
 
+    def test_train_on_a_plan_with_an_empty_train_part_gives_one_line_and_exit_2(
+        self, workspace, tmp_path, capsys
+    ):
+        shutil.copytree(workspace / "cohort", tmp_path / "cohort")
+        plan = read_split_plan(workspace / "cohort" / "split_plan.json")
+        no_train = {sid: "val" if p == "train" else p for sid, p in plan.assignments.items()}
+        (tmp_path / "cohort" / "split_plan.json").write_text(
+            json.dumps(replace(plan, assignments=no_train).to_json())
+        )
+        code = run(
+            "train", "--cohort", tmp_path / "cohort", "--hierarchy", workspace / "hierarchy.json",
+            "--out", tmp_path / "model.ckpt",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hobnet: error: ")
+        assert "split_plan.json: split plan part 'train' is empty" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_popgraph_with_a_phenotype_file_lacking_a_subject_gives_one_line_and_exit_2(
         self, workspace, trained, tmp_path, capsys
     ):

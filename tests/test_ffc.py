@@ -12,6 +12,7 @@ from hobnet.ffc import (
     ModelConfig,
     ModelError,
     ModelParams,
+    SubjectBatch,
     TrainConfig,
     adam_step,
     build_model_params,
@@ -24,7 +25,6 @@ from hobnet.ffc import (
     model_forward,
     parse_toggles,
     predict,
-    predict_proba,
     prepare_cohort,
     prepare_subject,
     preset_train_config,
@@ -46,6 +46,11 @@ SMALL_MODEL = dict(
 
 def small_config(toggles="HGNN+HCNN"):
     return ModelConfig(toggles=parse_toggles(toggles), **SMALL_MODEL)
+
+
+def predict_proba(params, cfg, sub):
+    """Eval-mode class probabilities of one subject, a stack of one."""
+    return model_forward(params, cfg, SubjectBatch.stack([sub])).data[0]
 
 
 def tiny_cohort(n=12, seed=0, signal=0.8, noise=0.3):
@@ -204,6 +209,47 @@ class TestAdam:
         adam_step([p], state, lr=0.0)
         np.testing.assert_allclose(state.m["w"], [0.09], atol=1e-15)
         np.testing.assert_allclose(state.v["w"], [0.000999], atol=1e-15)
+
+
+    def test_in_place_update_is_byte_identical_to_the_reference_order(self):
+        import oracles
+
+        # "d" and "e" span several ADAM_SLICE slices
+        shapes = {"a": (5, 3), "b": (4,), "c": (2, 3, 2), "d": (3000, 7), "e": (20000,)}
+        runs = []
+        for step in (adam_step, oracles.adam_step):
+            rng = np.random.default_rng(17)
+            params = [Parameter(name, np.random.default_rng(1).normal(size=shape))
+                      for name, shape in shapes.items()]
+            state = AdamState.for_params(params)
+            grads = np.random.default_rng(2)
+            for _ in range(5):
+                for p in params:
+                    p.value.grad = grads.normal(size=p.value.shape) * rng.choice([1e-3, 1.0, 50.0])
+                step(params, state, lr=1e-2)
+            runs.append([(p.data.tobytes(), state.m[p.name].tobytes(), state.v[p.name].tobytes())
+                         for p in params])
+        assert runs[0] == runs[1]
+
+    def test_scoring_and_fitting_leave_no_gradient_buffers(self):
+        hierarchy, cohort = tiny_cohort()
+        result = fit(cohort, hierarchy, small_config(), TrainConfig(epochs=1, seed=8))
+        subs = prepare_cohort(cohort, hierarchy, result.gammas)
+        built = build_model_params(small_config(), result.level_widths, result.fc_len, seed=0)
+        for params in (built, result.params):
+            predict_proba(params, small_config(), subs[0])
+            assert all(p.value.grad is None for p in params.parameters())
+            assert not params["head.l0.w"].grad.any()  # read as zeros, made on first use
+
+    def test_zero_grad_reuses_each_buffer(self):
+        params = build_model_params(small_config(), {"wan": 2, "man": 4, "lan": 8}, 28, seed=0)
+        buffers = {name: params[name].grad for name in params}
+        for name in params:
+            params[name].grad[...] = 1.0
+        params.zero_grad()
+        for name in params:
+            assert params[name].grad is buffers[name]
+            assert not params[name].grad.any()
 
 
 class TestPresets:
@@ -436,5 +482,5 @@ class TestMixedAtlasSizes:
         params = build_model_params(
             cfg, {lvl: sub.levels[lvl].width for lvl in ("wan", "man", "lan")}, sub.fc_len, seed=0
         )
-        probs = model_forward(params, cfg, sub)
-        assert abs(probs.data.sum() - 1.0) <= 1e-12
+        probs = predict_proba(params, cfg, sub)
+        assert abs(probs.sum() - 1.0) <= 1e-12

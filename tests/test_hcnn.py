@@ -149,9 +149,16 @@ class TestHop:
             eigvals = np.sort(np.abs(np.linalg.eigvalsh(out)))
             assert np.all(eigvals[:-1] <= 1e-10)
 
-    def test_rejects_matrices(self):
+    def test_rows_are_a_batch_of_vectors(self):
+        z = np.random.default_rng(11).normal(size=(3, 4))
+        out = hop(Tensor(z)).data
+        assert out.shape == (3, 4, 4)
+        for row, vector in zip(out, z):
+            np.testing.assert_array_equal(row, hop(Tensor(vector)).data)
+
+    def test_rejects_stacks_of_matrices(self):
         with pytest.raises(HcnnError, match="1-D"):
-            hop(Tensor(np.zeros((2, 2))))
+            hop(Tensor(np.zeros((2, 2, 2))))
 
 
 class TestHopConcat:

@@ -8,6 +8,7 @@ from hobnet.autodiff import Parameter, Tape, Tensor, backward, finite_difference
 from hobnet.connectivity import LAN, MAN, WAN
 from hobnet.ffc import (
     ModelConfig,
+    SubjectBatch,
     build_model_params,
     fused_features,
     parse_toggles,
@@ -16,6 +17,7 @@ from hobnet.ffc import (
 from hobnet.hgnn import (
     HgnnConfig,
     HgnnError,
+    LevelBatch,
     LevelInput,
     afm_combine,
     afm_weights,
@@ -161,9 +163,9 @@ class TestChebconvBlock:
             params[f"hgnn.man.block0.theta{k}"].value.data[:] = 0.0
         params["hgnn.man.block0.norm.gain"].value.data[:] = 1.0
         params["hgnn.man.block0.norm.shift"].value.data[:] = 0.0
-        h_in = Tensor(np.random.default_rng(6).normal(size=(level.features.shape[0], 5)))
+        h_in = Tensor(np.random.default_rng(6).normal(size=(1, level.features.shape[0], 5)))
         out = chebconv_block(
-            h_in, level, params, "hgnn.man.block0", cfg, train=False, rng=named_stream(0, "x")
+            h_in, LevelBatch.stack([level]), params, "hgnn.man.block0", cfg, train=False, rng=named_stream(0, "x")
         )
         np.testing.assert_array_equal(out.data, h_in.data)
 
@@ -179,7 +181,7 @@ class TestChebconvBlock:
         )
         h_in = Tensor(np.random.default_rng(7).normal(size=(level.features.shape[0], 4)))
         theta0 = params["hgnn.wan.block0.theta0"]
-        out = cheb_apply(level.lap, h_in, [theta0.value])
+        out = cheb_apply(Tensor(level.lap.rescaled), h_in, [theta0.value])
         np.testing.assert_allclose(out.data, h_in.data @ theta0.data, atol=1e-12)
 
     @pytest.mark.parametrize("encoder", ["res-cheb", "cheb", "gcn"])
@@ -194,8 +196,9 @@ class TestChebconvBlock:
             level = sub.levels[level_name]
             blocks = level.norm_blocks
             base = level_encoder(
-                params, f"hgnn.{level_name}", level, cfg, train=False, rng=named_stream(0, "x")
-            ).data
+                params, f"hgnn.{level_name}", LevelBatch.stack([level]), cfg, train=False,
+                rng=named_stream(0, "x"),
+            ).data[0]
             perturbed_feats = level.features.copy()
             perturbed_feats[blocks[0][0], blocks[0][0]] += 3.21
             bumped = LevelInput(
@@ -206,8 +209,9 @@ class TestChebconvBlock:
                 propagation=level.propagation,
             )
             out = level_encoder(
-                params, f"hgnn.{level_name}", bumped, cfg, train=False, rng=named_stream(0, "x")
-            ).data
+                params, f"hgnn.{level_name}", LevelBatch.stack([bumped]), cfg, train=False,
+                rng=named_stream(0, "x"),
+            ).data[0]
             others = np.concatenate([b for b in blocks[1:]])
             assert np.array_equal(out[others], base[others]), level_name
 
@@ -285,7 +289,8 @@ class TestGraphBranchGradients:
         def f():
             from hobnet import autodiff as ad
 
-            return ad.matmul(fused_features(params, cfg, sub, train=False), Tensor(w))
+            features = fused_features(params, cfg, SubjectBatch.stack([sub]), train=False)
+            return ad.matmul(ad.reshape(features, (-1,)), Tensor(w))
 
         report = finite_difference_check(
             f, params.parameters(), h=1e-5, tolerance=1e-4, max_entries=60, seed=0

@@ -16,6 +16,7 @@ from hobnet.population import (
     embed_subjects,
     gcn_classify,
     head_forward,
+    linear_quantile,
     phenotype_similarity_m2,
     population_adjacency,
     similarity_m1,
@@ -184,6 +185,16 @@ class TestWeightMatrix:
             weight_matrix(records, encoder)
 
 
+class TestLinearQuantile:
+    def test_bit_identical_to_numpy_quantile(self):
+        rng = np.random.default_rng(31)
+        for trial in range(2000):
+            n = int(rng.integers(1, 50))
+            values = rng.random(n) if trial % 2 else np.round(rng.random(n), 1)  # with ties
+            q = float(rng.choice([0.0, 0.9, 1.0, rng.random()]))
+            assert linear_quantile(values, q) == np.quantile(values, q), (n, q)
+
+
 class TestPopulationAdjacency:
     def combined_inputs(self, n=4, seed=7):
         rng = np.random.default_rng(seed)
@@ -347,12 +358,15 @@ class TestEmbedAndTrain:
         np.testing.assert_array_equal(y, embed_subjects(result.params, cfg, subs))
 
     def test_embeddings_match_forward_oracle(self):
-        from hobnet.ffc import fused_features
+        from hobnet.ffc import SCORE_BATCH, SubjectBatch, fused_features
 
         cohort, cfg, result, subs = self.setup_model()
         y = embed_subjects(result.params, cfg, subs)
-        direct = fused_features(result.params, cfg, subs[3], train=False).data
-        np.testing.assert_array_equal(y[3], direct)
+        stacks = [subs[i : i + SCORE_BATCH] for i in range(0, len(subs), SCORE_BATCH)]
+        direct = [fused_features(result.params, cfg, SubjectBatch.stack(s)).data for s in stacks]
+        np.testing.assert_array_equal(y, np.vstack(direct))
+        alone = fused_features(result.params, cfg, SubjectBatch.stack([subs[3]])).data[0]
+        np.testing.assert_allclose(y[3], alone, rtol=1e-12, atol=1e-12)
 
     def test_empty_params_is_an_error(self):
         cohort, cfg, result, subs = self.setup_model()

@@ -79,25 +79,25 @@ class TestChebApply:
         rng = np.random.default_rng(1)
         h = Tensor(rng.normal(size=(5, 3)))
         theta = Tensor(rng.normal(size=(3, 2)))
-        out = cheb_apply(lap, h, [theta])
+        out = cheb_apply(Tensor(lap.rescaled), h, [theta])
         np.testing.assert_allclose(out.data, h.data @ theta.data, atol=1e-14)
 
     def test_two_node_path_hand_computation(self):
         lap = normalized_laplacian(np.array([[0.0, 1.0], [1.0, 0.0]]))
         h = Tensor(np.array([[1.0], [1.0]]))
         thetas = [Tensor([[1.0]]), Tensor([[1.0]])]
-        out = cheb_apply(lap, h, thetas)
+        out = cheb_apply(Tensor(lap.rescaled), h, thetas)
         np.testing.assert_allclose(out.data, [[0.0], [0.0]], atol=1e-9)
 
     def test_k_zero_is_an_error(self):
         lap = normalized_laplacian(random_graph(3, 2))
         with pytest.raises(SpectralError, match="K >= 1"):
-            cheb_apply(lap, Tensor(np.zeros((3, 2))), [])
+            cheb_apply(Tensor(lap.rescaled), Tensor(np.zeros((3, 2))), [])
 
     def test_shape_mismatch_is_an_error(self):
         lap = normalized_laplacian(random_graph(3, 3))
         with pytest.raises(SpectralError, match="filter 0"):
-            cheb_apply(lap, Tensor(np.zeros((3, 2))), [Tensor(np.zeros((5, 4)))])
+            cheb_apply(Tensor(lap.rescaled), Tensor(np.zeros((3, 2))), [Tensor(np.zeros((5, 4)))])
 
     def test_linearity_in_features(self):
         lap = normalized_laplacian(random_graph(6, 4))
@@ -106,9 +106,9 @@ class TestChebApply:
         h2 = rng.normal(size=(6, 3))
         thetas = [Tensor(rng.normal(size=(3, 2))) for _ in range(3)]
         a, b = 1.3, -0.7
-        combined = cheb_apply(lap, Tensor(a * h1 + b * h2), thetas).data
-        separate = a * cheb_apply(lap, Tensor(h1), thetas).data + b * cheb_apply(
-            lap, Tensor(h2), thetas
+        combined = cheb_apply(Tensor(lap.rescaled), Tensor(a * h1 + b * h2), thetas).data
+        separate = a * cheb_apply(Tensor(lap.rescaled), Tensor(h1), thetas).data + b * cheb_apply(
+            Tensor(lap.rescaled), Tensor(h2), thetas
         ).data
         np.testing.assert_allclose(combined, separate, atol=1e-10)
 
@@ -118,7 +118,7 @@ class TestChebApply:
         h = Parameter("h", rng.normal(size=(4, 3)))
         thetas = [Parameter(f"t{k}", rng.normal(size=(3, 2))) for k in range(3)]
         with Tape() as tape:
-            loss = total(cheb_apply(lap, h.value, [t.value for t in thetas]))
+            loss = total(cheb_apply(Tensor(lap.rescaled), h.value, [t.value for t in thetas]))
         backward(tape, loss)
         assert np.any(h.grad != 0.0)
         for t in thetas:
@@ -132,7 +132,7 @@ class TestExactOracleAgreement:
         h = Tensor(rng.normal(size=(5, 2)))
         thetas = [Tensor(rng.normal(size=(2, 2)))]
         np.testing.assert_allclose(
-            spectral_filter_exact(lap, h, thetas), cheb_apply(lap, h, thetas).data, atol=1e-12
+            spectral_filter_exact(lap, h, thetas), cheb_apply(Tensor(lap.rescaled), h, thetas).data, atol=1e-12
         )
 
     def test_diagonal_rescaled_laplacian_acts_entrywise(self):
@@ -158,7 +158,7 @@ class TestExactOracleAgreement:
             h = Tensor(rng.normal(size=(m, 3)))
             thetas = [Tensor(rng.normal(size=(3, 2))) for _ in range(k)]
             exact = spectral_filter_exact(lap, h, thetas)
-            recurrence = cheb_apply(lap, h, thetas).data
+            recurrence = cheb_apply(Tensor(lap.rescaled), h, thetas).data
             worst = max(worst, float(np.max(np.abs(exact - recurrence))))
         assert worst <= 1e-8, f"max |exact - recurrence| = {worst}"
 
@@ -177,9 +177,9 @@ class TestPermutationEquivariance:
             h = rng.normal(size=(m, 3))
             thetas = [Tensor(rng.normal(size=(3, 2))) for _ in range(3)]
             perm = rng.permutation(m)
-            base = cheb_apply(normalized_laplacian(a), Tensor(h), thetas).data
+            base = cheb_apply(Tensor(normalized_laplacian(a).rescaled), Tensor(h), thetas).data
             permuted = cheb_apply(
-                normalized_laplacian(a[np.ix_(perm, perm)]), Tensor(h[perm]), thetas
+                Tensor(normalized_laplacian(a[np.ix_(perm, perm)]).rescaled), Tensor(h[perm]), thetas
             ).data
             restored = np.empty_like(permuted)
             restored[perm] = permuted
