@@ -22,12 +22,12 @@ from .connectivity import (
     LEVELS,
     ConnectivityError,
     build_graph_set,
-    composite_connectivity,
     gamma_for_retained_fraction,
     graph_set_to_json,
     read_hierarchy_json,
     read_timeseries_csv,
     retained_edge_curve,
+    subject_connectivity,
 )
 from .ffc import (
     ModelConfig,
@@ -105,16 +105,15 @@ def cmd_synth(args) -> int:
 def cmd_graphgen(args) -> int:
     ts = read_timeseries_csv(args.timeseries)
     hierarchy = read_hierarchy_json(args.hierarchy)
+    levels = subject_connectivity(ts, hierarchy)
     if args.gamma is not None:
         gammas = float(args.gamma)
     else:
         gammas = {
-            level: gamma_for_retained_fraction(
-                composite_connectivity(ts, hierarchy, level), args.retained_pct / 100.0
-            )
+            level: gamma_for_retained_fraction(levels[level], args.retained_pct / 100.0)
             for level in LEVELS
         }
-    graphs = build_graph_set(ts, hierarchy, gammas=gammas, mode=args.mode)
+    graphs = build_graph_set(levels, gammas=gammas, mode=args.mode)
     with Path(args.out).open("w") as fh:
         json.dump(graph_set_to_json(graphs), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -125,7 +124,7 @@ def cmd_graphgen(args) -> int:
 def cmd_threshold_curve(args) -> int:
     ts = read_timeseries_csv(args.timeseries)
     hierarchy = read_hierarchy_json(args.hierarchy)
-    cm = composite_connectivity(ts, hierarchy, "lan")
+    cm = subject_connectivity(ts, hierarchy)["lan"]
     curve = retained_edge_curve(cm, np.linspace(0.0, 1.0, args.grid))
     with Path(args.out).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -5,14 +5,21 @@ and the three nested trace-correlation (RV coefficient) graphs for the graph
 branch: a whole-brain network over functional systems, a mid-level graph
 over sub-network groups, and a region-level graph. The two lower levels are
 assembled block-diagonally so each subgraph stays topologically isolated.
+
+Subjects are prepared as stacks: each subject's ROI columns give one Gram
+matrix, and every level's matrices for a stack of subjects derive from the
+``[N, R, R]`` stack of those. Matrix functions take one subject's ``[m, m]``
+matrix or a stack ``[N, m, m]``; a single subject is a stack of one.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -23,6 +30,11 @@ LEVELS = (WAN, MAN, LAN)
 
 # the threshold grid that gamma selection and retained-fraction lookup scan
 GAMMA_GRID = np.linspace(0.0, 1.0, 101)
+
+# bytes of one [n, R, R] float64 stack of a preparation chunk: 1 MiB holds a
+# 200-subject cohort at 16 ROIs in one chunk, and 3 subjects at 196 ROIs,
+# where larger chunks only add to the peak memory (4 MiB: about 2 MiB more)
+STACK_BYTES = 1 << 20
 
 
 class ConnectivityError(ValueError):
@@ -105,31 +117,25 @@ class AtlasHierarchy:
             return self.ordered_rois
         raise ConnectivityError(f"unknown level {level!r}; expected one of {LEVELS}")
 
-    def group_columns(self, level: str, roi_names: list[str]) -> list[np.ndarray]:
-        """Column indices into ``roi_names`` for each node at ``level``."""
-        pos = {name: i for i, name in enumerate(roi_names)}
+    def ordered_columns(self, ts: RoiTimeSeries) -> np.ndarray:
+        """Column indices of ``ts`` in ``ordered_rois`` order.
+
+        Every level concatenates its nodes' column groups to this order, so
+        one cross-product of these columns holds every level's blocks.
+        """
+        pos = {name: i for i, name in enumerate(ts.roi_names)}
         missing = [r for r in self.rois if r not in pos]
         if missing:
-            raise ConnectivityError(f"time series is missing hierarchy ROI {missing[0]!r}")
-        if level == LAN:
-            return [np.array([pos[r]]) for r in self.ordered_rois]
-        if level == MAN:
-            return [
-                np.array([pos[r] for r in self.ordered_rois if self.man_partition[r] == g])
-                for g in self.groups
-            ]
-        if level == WAN:
-            return [
-                np.array(
-                    [
-                        pos[r]
-                        for r in self.ordered_rois
-                        if self.wan_partition[self.man_partition[r]] == net
-                    ]
-                )
-                for net in self.networks
-            ]
-        raise ConnectivityError(f"unknown level {level!r}; expected one of {LEVELS}")
+            raise ConnectivityError(
+                f"subject {ts.subject_id!r}: time series is missing hierarchy ROI {missing[0]!r}"
+            )
+        return np.array([pos[r] for r in self.ordered_rois])
+
+    def layout(self, level: str) -> LevelLayout:
+        """The level's hierarchy-only constants, built once per hierarchy."""
+        if level not in LEVELS:
+            raise ConnectivityError(f"unknown level {level!r}; expected one of {LEVELS}")
+        return self._layouts[level]
 
     def level_blocks(self, level: str) -> list[np.ndarray]:
         """Row-index blocks of the composite node order at ``level``.
@@ -137,62 +143,135 @@ class AtlasHierarchy:
         The top level forms a single block; lower levels group their nodes
         by parent, which is the block structure of the composite matrices.
         """
-        if level == WAN:
-            return [np.arange(len(self.networks))]
-        if level == MAN:
-            parents = [self.wan_partition[g] for g in self.groups]
-        elif level == LAN:
-            parents = [self.man_partition[r] for r in self.ordered_rois]
-        else:
-            raise ConnectivityError(f"unknown level {level!r}; expected one of {LEVELS}")
-        blocks = []
-        start = 0
-        for i in range(1, len(parents) + 1):
-            if i == len(parents) or parents[i] != parents[start]:
-                blocks.append(np.arange(start, i))
-                start = i
-        return blocks
+        return self.layout(level).blocks
+
+    @cached_property
+    def _layouts(self) -> dict[str, LevelLayout]:
+        group_of = {r: self.groups.index(self.man_partition[r]) for r in self.ordered_rois}
+        network_of = {g: self.networks.index(self.wan_partition[g]) for g in self.groups}
+        nodes = {  # per level: the node each ordered ROI belongs to, and each node's parent
+            WAN: (
+                [network_of[self.man_partition[r]] for r in self.ordered_rois],
+                [0] * len(self.networks),
+            ),
+            MAN: ([group_of[r] for r in self.ordered_rois], [network_of[g] for g in self.groups]),
+            LAN: (list(range(len(self.ordered_rois))), [group_of[r] for r in self.ordered_rois]),
+        }
+        return {level: LevelLayout.build(*nodes[level]) for level in LEVELS}
+
+
+@dataclass(frozen=True)
+class LevelLayout:
+    """What one level's matrices need from the hierarchy alone.
+
+    ``membership`` is the 0/1 ``[R, m]`` map from each ROI in
+    ``ordered_rois`` order to its node, or None when every node is one ROI
+    (always at ``lan``) and the map is the identity; ``blocks`` are the runs
+    of nodes that share a parent, and ``mask`` the ``[m, m]`` within-parent
+    pattern.
+    """
+
+    membership: np.ndarray | None
+    blocks: list[np.ndarray]
+    mask: np.ndarray
+
+    @classmethod
+    def build(cls, node_of: list[int], parent_of: list[int]) -> LevelLayout:
+        parents = np.array(parent_of)
+        starts = np.flatnonzero(np.diff(parents, prepend=-1))
+        membership = (np.array(node_of)[:, None] == np.arange(len(parents))).astype(np.float64)
+        return cls(
+            membership=None if len(node_of) == len(parents) else membership,
+            blocks=np.split(np.arange(len(parents)), starts[1:]),
+            mask=parents[:, None] == parents[None, :],
+        )
 
 
 @dataclass
 class ConnectivityMatrix:
-    """Symmetric association matrix with unit diagonal."""
+    """Symmetric association matrices with unit diagonal.
+
+    ``values`` is one subject's ``[m, m]`` matrix or a stack ``[N, m, m]``;
+    ``subject_ids`` names the subject of each, so that a refused matrix is
+    named by its subject.
+    """
 
     level: str
     values: np.ndarray
     kind: str
+    subject_ids: Sequence[str] = ()
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        if v.ndim < 2 or v.shape[-2] != v.shape[-1]:
             raise ConnectivityError(f"connectivity matrix must be square, got {v.shape}")
-        if np.max(np.abs(v - v.T)) > 1e-12:
-            raise ConnectivityError("connectivity matrix is not symmetric within 1e-12")
-        if np.max(np.abs(np.diag(v) - 1.0)) > 0:
-            raise ConnectivityError("connectivity matrix diagonal must be exactly 1")
-        if self.kind == "rv":
-            if v.min() < 0.0 or v.max() > 1.0:
-                raise ConnectivityError("rv entries must lie in [0, 1]")
-        elif self.kind == "pearson":
-            if v.min() < -1.0 or v.max() > 1.0:
-                raise ConnectivityError("pearson entries must lie in [-1, 1]")
-        else:
+        if self.kind not in ("rv", "pearson"):
             raise ConnectivityError(f"unknown connectivity kind {self.kind!r}")
+        low = 0.0 if self.kind == "rv" else -1.0
+        stack = v.reshape(-1, *v.shape[-2:])
+        flat = stack.reshape(len(stack), -1)
+        smallest, largest = flat.min(axis=1), flat.max(axis=1)  # NaN propagates into both
+        self._refuse(~(np.isfinite(smallest) & np.isfinite(largest)), "has NaN or Inf entries")
+        asymmetry = stack - stack.transpose(0, 2, 1)
+        np.abs(asymmetry, out=asymmetry)
+        asymmetric = asymmetry.reshape(len(stack), -1).max(axis=1) > 1e-12
+        self._refuse(asymmetric, "is not symmetric within 1e-12")
+        diagonal = np.diagonal(stack, axis1=1, axis2=2)
+        self._refuse((diagonal != 1.0).any(axis=1), "diagonal must be exactly 1")
+        outside = (smallest < low) | (largest > 1.0)
+        self._refuse(outside, f"has {self.kind} entries outside [{low:g}, 1]")
         self.values = v
+
+    def _refuse(self, bad: np.ndarray, problem: str) -> None:
+        if bad.any():
+            k = int(np.argmax(bad))
+            who = f"subject {self.subject_ids[k]!r}: " if k < len(self.subject_ids) else ""
+            raise ConnectivityError(f"{who}{self.level} connectivity matrix {problem}")
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
 
-def pearson_fc(ts: RoiTimeSeries) -> ConnectivityMatrix:
-    """Pearson correlation between every pair of ROI columns."""
-    x = ts.samples - ts.samples.mean(axis=0)
-    norms = np.sqrt((x * x).sum(axis=0))
-    corr = (x.T @ x) / np.outer(norms, norms)
-    corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
-    np.fill_diagonal(corr, 1.0)
-    return ConnectivityMatrix(level="fc", values=corr, kind="pearson")
+def _set_diagonal(values: np.ndarray, value: float) -> None:
+    idx = np.arange(values.shape[-1])
+    values[..., idx, idx] = value
+
+
+def subject_chunks(
+    series: Sequence[RoiTimeSeries], hierarchy: AtlasHierarchy
+) -> Iterator[Sequence[RoiTimeSeries]]:
+    """``series`` in order, in chunks whose ``[n, R, R]`` stacks fit in ``STACK_BYTES``."""
+    r = len(hierarchy.ordered_rois)
+    size = max(1, STACK_BYTES // (8 * r * r))
+    for start in range(0, len(series), size):
+        yield series[start : start + size]
+
+
+def pearson_fc(series: Sequence[RoiTimeSeries]) -> ConnectivityMatrix:
+    """Pearson correlation between every pair of ROI columns, per subject.
+
+    Each subject keeps its own column order; the result is ``[N, R, R]``.
+    """
+    r = series[0].samples.shape[1]
+    corr = np.empty((len(series), r, r))
+    with np.errstate(all="ignore"):  # an overflow leaves NaN or Inf, refused below
+        for out, ts in zip(corr, series):
+            if ts.samples.shape[1] != r:
+                raise ConnectivityError(
+                    f"subject {ts.subject_id!r}: {ts.samples.shape[1]} ROI columns, "
+                    f"but subject {series[0].subject_id!r} has {r}"
+                )
+            x = ts.samples - ts.samples.mean(axis=0)
+            norms = np.sqrt((x * x).sum(axis=0))
+            cross = (x.T @ x) / np.outer(norms, norms)
+            np.add(cross, cross.T, out=out)
+        corr /= 2.0
+        np.clip(corr, -1.0, 1.0, out=corr)
+    _set_diagonal(corr, 1.0)
+    return ConnectivityMatrix(
+        level="fc", values=corr, kind="pearson", subject_ids=[ts.subject_id for ts in series]
+    )
 
 
 def rv_coefficient(a: np.ndarray, b: np.ndarray) -> float:
@@ -220,41 +299,90 @@ def rv_coefficient(a: np.ndarray, b: np.ndarray) -> float:
     return min(num / (denom_a * denom_b), 1.0)
 
 
-def level_connectivity(ts: RoiTimeSeries, hierarchy: AtlasHierarchy, level: str) -> ConnectivityMatrix:
+@dataclass
+class GramStack:
+    """Squared entries C*C of the Gram matrices C = x'x of a stack of
+    subjects, ``[N, R, R]``, each over the subject's columns in
+    ``hierarchy.ordered_rois`` order: all that any level reads of C."""
+
+    subject_ids: list[str]
+    squares: np.ndarray
+
+
+def gram_stack(series: Sequence[RoiTimeSeries], hierarchy: AtlasHierarchy) -> GramStack:
+    """One Gram matrix per subject, one BLAS call each.
+
+    The series are never stacked themselves, so subjects may differ in
+    timepoint count and in column order.
+    """
+    r = len(hierarchy.ordered_rois)
+    squares = np.empty((len(series), r, r))
+    with np.errstate(all="ignore"):  # an overflow leaves Inf, refused with its level
+        for out, ts in zip(squares, series):
+            x = ts.samples[:, hierarchy.ordered_columns(ts)]
+            np.matmul(x.T, x, out=out)
+        squares *= squares
+    return GramStack(subject_ids=[ts.subject_id for ts in series], squares=squares)
+
+
+def level_connectivity(grams: GramStack, hierarchy: AtlasHierarchy, level: str) -> ConnectivityMatrix:
     """RV coefficient between every pair of same-level column blocks.
 
-    With X the level's columns in composite order and C = X'X, block (i, j)
-    of C is A_i'A_j, so ||A_i'A_j||_F^2 is the sum of C*C over that block:
-    N = P'(C*C)P for the 0/1 block-membership matrix P, and
-    RV_ij = N_ij / sqrt(N_ii N_jj), the ``rv_coefficient`` of every pair
-    from one cross-product. Blocks with disjoint support have exactly zero
-    entries in C and so an RV of exactly 0.0.
+    With C = X'X the subject's Gram matrix, block (i, j) of C is A_i'A_j,
+    so ||A_i'A_j||_F^2 is the sum of C*C over that block:
+    N = P'(C*C)P for the level's 0/1 block-membership matrix P, and
+    RV_ij = N_ij / sqrt(N_ii N_jj), the ``rv_coefficient`` of every pair.
+    Where P is the identity (one ROI per node), N is C*C itself: the
+    product would only add exact zeros. Blocks with disjoint support have
+    exactly zero entries in C and so an RV of exactly 0.0. The result is
+    ``[N, m, m]``, one matrix per subject.
     """
-    columns = hierarchy.group_columns(level, ts.roi_names)
-    x = ts.samples[:, np.concatenate(columns)]
-    membership = np.repeat(np.eye(len(columns)), [len(cols) for cols in columns], axis=0)
-    cross = x.T @ x
-    sums = membership.T @ (cross * cross) @ membership
-    sums = (sums + sums.T) / 2.0  # the products round asymmetrically
-    norms = np.sqrt(np.diag(sums))
-    if np.any(norms == 0.0):
-        raise ConnectivityError("rv_coefficient: all-zero block, coefficient undefined")
-    values = np.minimum(sums / np.outer(norms, norms), 1.0)
-    np.fill_diagonal(values, 1.0)
-    return ConnectivityMatrix(level=level, values=values, kind="rv")
+    membership = hierarchy.layout(level).membership
+    squares = grams.squares
+    with np.errstate(all="ignore"):  # an overflow leaves NaN or Inf, refused below
+        sums = squares if membership is None else membership.T @ squares @ membership
+        sums = sums + sums.transpose(0, 2, 1)  # the products round asymmetrically
+        sums /= 2.0
+        norms = np.sqrt(np.diagonal(sums, axis1=1, axis2=2))
+        empty = (norms == 0.0).any(axis=1)
+        if empty.any():
+            raise ConnectivityError(
+                f"subject {grams.subject_ids[int(np.argmax(empty))]!r}: {level}: "
+                "rv_coefficient: all-zero block, coefficient undefined"
+            )
+        sums /= norms[:, :, None] * norms[:, None, :]
+        np.minimum(sums, 1.0, out=sums)
+    _set_diagonal(sums, 1.0)
+    return ConnectivityMatrix(level=level, values=sums, kind="rv", subject_ids=grams.subject_ids)
 
 
-def retained_edge_curve(cm: ConnectivityMatrix, gammas) -> list[tuple[float, float]]:
-    """Fraction of off-diagonal entries strictly above each threshold."""
-    gammas = np.asarray(list(gammas), dtype=np.float64)
+def retained_fractions(values: np.ndarray, gammas) -> np.ndarray:
+    """Fraction of each matrix's off-diagonal entries strictly above each
+    threshold: ``[..., m, m]`` matrices give ``[..., len(gammas)]``.
+
+    Each entry is placed on the grid once; the count above threshold j is
+    the number of entries with more than j grid points below them. The
+    counts are integers, so the fractions are exact quotients.
+    """
+    gammas = np.asarray(gammas, dtype=np.float64)
     if gammas.size == 0:
         raise ConnectivityError("retained_edge_curve: threshold grid is empty")
     if np.any(np.diff(gammas) <= 0) or gammas[0] < 0.0 or gammas[-1] > 1.0:
         raise ConnectivityError("threshold grid must be strictly increasing within [0, 1]")
-    m = cm.n
-    off = cm.values[~np.eye(m, dtype=bool)]
+    m, g = values.shape[-1], gammas.size
+    off = values.reshape(-1, m, m)[:, ~np.eye(m, dtype=bool)]
+    below = np.searchsorted(gammas, off, side="left")  # grid points strictly below each entry
+    below += (g + 1) * np.arange(len(off))[:, None]
+    hist = np.bincount(below.ravel(), minlength=len(off) * (g + 1)).reshape(len(off), g + 1)
     total = m * (m - 1)
-    return [(float(g), float(np.count_nonzero(off > g) / total)) for g in gammas]
+    above = total - np.cumsum(hist, axis=1)[:, :g]
+    return (above / total).reshape(*values.shape[:-2], g)
+
+
+def retained_edge_curve(cm: ConnectivityMatrix, gammas) -> list[tuple[float, float]]:
+    """Fraction of one matrix's off-diagonal entries strictly above each threshold."""
+    gammas = np.asarray(list(gammas), dtype=np.float64)
+    return list(zip(gammas.tolist(), retained_fractions(cm.values, gammas).tolist()))
 
 
 def select_cutoff(curve: list[tuple[float, float]]) -> float:
@@ -298,18 +426,22 @@ def build_adjacency(cm: ConnectivityMatrix, gamma: float, mode: str = "binary") 
         adj = keep.astype(np.float64)
     else:
         adj = np.where(keep, cm.values, 0.0)
-    np.fill_diagonal(adj, 1.0)
+    _set_diagonal(adj, 1.0)
     return adj
 
 
 def node_features(cm: ConnectivityMatrix) -> np.ndarray:
-    """Connectivity-profile features: row i is node i's feature vector."""
-    return cm.values.copy()
+    """Connectivity-profile features: row i is node i's feature vector.
+
+    The features are the matrix itself, not a copy of it.
+    """
+    return cm.values
 
 
 @dataclass
 class HierarchicalGraphSet:
-    """Adjacency and node features for the three graph views of one subject."""
+    """Adjacency and node features for the three graph views of one subject
+    (``[m, m]`` per level) or of a stack of subjects (``[N, m, m]``)."""
 
     adjacency: dict[str, np.ndarray]
     features: dict[str, np.ndarray]
@@ -318,20 +450,12 @@ class HierarchicalGraphSet:
 
     def __post_init__(self):
         for level in LEVELS:
-            adj = self.adjacency[level]
-            if np.max(np.abs(np.diag(adj) - 1.0)) > 0:
+            if np.any(np.diagonal(self.adjacency[level], axis1=-2, axis2=-1) != 1.0):
                 raise ConnectivityError(f"{level} adjacency diagonal must be exactly 1")
 
 
-def _block_mask(blocks: list[np.ndarray], m: int) -> np.ndarray:
-    mask = np.zeros((m, m), dtype=bool)
-    for idx in blocks:
-        mask[np.ix_(idx, idx)] = True
-    return mask
-
-
 def composite_connectivity(
-    ts: RoiTimeSeries, hierarchy: AtlasHierarchy, level: str
+    grams: GramStack, hierarchy: AtlasHierarchy, level: str
 ) -> ConnectivityMatrix:
     """Level connectivity with entries outside the parent blocks zeroed.
 
@@ -339,39 +463,44 @@ def composite_connectivity(
     lower levels keep only within-parent associations, matching the
     block-diagonal assembly of their adjacency.
     """
-    cm = level_connectivity(ts, hierarchy, level)
-    if level == WAN:
-        return cm
-    mask = _block_mask(hierarchy.level_blocks(level), cm.n)
-    return ConnectivityMatrix(level=level, values=np.where(mask, cm.values, 0.0), kind="rv")
+    cm = level_connectivity(grams, hierarchy, level)
+    if level != WAN:  # zeroing whole blocks keeps every property the matrix was checked for
+        np.copyto(cm.values, 0.0, where=~hierarchy.layout(level).mask)
+    return cm
+
+
+def subject_connectivity(
+    ts: RoiTimeSeries, hierarchy: AtlasHierarchy
+) -> dict[str, ConnectivityMatrix]:
+    """One subject's composite connectivity per level as ``[m, m]`` matrices:
+    a stack of one, unstacked."""
+    grams = gram_stack([ts], hierarchy)
+    out = {}
+    for level in LEVELS:
+        cm = composite_connectivity(grams, hierarchy, level)
+        out[level] = replace(cm, values=cm.values[0])
+    return out
 
 
 def build_graph_set(
-    ts: RoiTimeSeries,
-    hierarchy: AtlasHierarchy,
+    levels: dict[str, ConnectivityMatrix],
     gammas: dict[str, float] | float,
     mode: str = "binary",
 ) -> HierarchicalGraphSet:
-    """Assemble the three-level graph inputs for one subject.
+    """Threshold each level's composite connectivity into the graph inputs.
 
-    ``gammas`` is a per-level dict or one shared threshold. The two lower
-    levels are masked to their parent blocks before thresholding, which
-    makes both adjacency and features exactly block-diagonal (features are
-    zero-padded to the composite width).
+    ``levels`` holds one subject's matrices or stacks of them; ``gammas`` is
+    a per-level dict or one shared threshold. The two lower levels were
+    masked to their parent blocks, which makes both adjacency and features
+    exactly block-diagonal (features are zero-padded to the composite width).
     """
-    adjacency: dict[str, np.ndarray] = {}
-    features: dict[str, np.ndarray] = {}
-    chosen: dict[str, float] = {}
-    for level in LEVELS:
-        cm = composite_connectivity(ts, hierarchy, level)
-        if isinstance(gammas, dict):
-            gamma = gammas[level]
-        else:
-            gamma = float(gammas)
-        adjacency[level] = build_adjacency(cm, gamma, mode)
-        features[level] = node_features(cm)
-        chosen[level] = gamma
-    return HierarchicalGraphSet(adjacency=adjacency, features=features, gammas=chosen, mode=mode)
+    chosen = {level: gammas[level] if isinstance(gammas, dict) else float(gammas) for level in LEVELS}
+    return HierarchicalGraphSet(
+        adjacency={level: build_adjacency(levels[level], chosen[level], mode) for level in LEVELS},
+        features={level: node_features(levels[level]) for level in LEVELS},
+        gammas=chosen,
+        mode=mode,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,15 @@ from .connectivity import (
     GAMMA_GRID,
     LEVELS,
     AtlasHierarchy,
+    ConnectivityMatrix,
     RoiTimeSeries,
     build_graph_set,
     composite_connectivity,
+    gram_stack,
     pearson_fc,
-    retained_edge_curve,
+    retained_fractions,
     select_cutoff,
+    subject_chunks,
 )
 from .hcnn import HcnnConfig, dr_flatten
 from .hgnn import HgnnConfig, LevelBatch, LevelInput
@@ -277,19 +280,49 @@ def eval_batches(subs: Sequence[SubjectInputs]) -> Iterator[SubjectBatch]:
         yield SubjectBatch.stack(subs[start : start + SCORE_BATCH])
 
 
+@dataclass
+class CohortConnectivity:
+    """The threshold-free half of preparing a stack of subjects.
+
+    Per chunk of ``connectivity.subject_chunks``, the chunk's series and
+    every level's composite connectivity ``[n, m, m]``, derived from one
+    Gram matrix per subject. Gamma selection reads it and preparation
+    thresholds it, so a caller that does both computes it once.
+    """
+
+    chunks: list[tuple[Sequence[RoiTimeSeries], dict[str, ConnectivityMatrix]]]
+
+    @classmethod
+    def build(cls, series: Sequence[RoiTimeSeries], hierarchy: AtlasHierarchy) -> "CohortConnectivity":
+        chunks = []
+        for part in subject_chunks(series, hierarchy):
+            grams = gram_stack(part, hierarchy)
+            chunks.append((part, {lv: composite_connectivity(grams, hierarchy, lv) for lv in LEVELS}))
+        return cls(chunks)
+
+    def __len__(self) -> int:
+        return sum(len(part) for part, _ in self.chunks)
+
+
 def select_cohort_gammas(
-    series: Sequence[RoiTimeSeries],
+    series: Sequence[RoiTimeSeries] | CohortConnectivity,
     hierarchy: AtlasHierarchy,
 ) -> dict[str, float]:
-    """Per-level cutoff from the inflection of the cohort-mean retained curve."""
-    if not series:
+    """Per-level cutoff from the inflection of the cohort-mean retained curve.
+
+    ``series`` is the subjects' time series, or their ``CohortConnectivity``.
+    The curves are added in subject order, as one subject at a time would.
+    """
+    if not isinstance(series, CohortConnectivity):
+        series = CohortConnectivity.build(series, hierarchy)
+    if not len(series):
         raise ModelError("gamma selection needs at least one subject")
     gammas: dict[str, float] = {}
     for level in LEVELS:
         mean_curve = np.zeros(GAMMA_GRID.size)
-        for ts in series:
-            cm = composite_connectivity(ts, hierarchy, level)
-            mean_curve += [f for _, f in retained_edge_curve(cm, GAMMA_GRID)]
+        for _, levels in series.chunks:
+            for curve in retained_fractions(levels[level].values, GAMMA_GRID):
+                mean_curve += curve
         mean_curve /= len(series)
         if np.all(mean_curve == 0.0):
             # edgeless level: every threshold gives the same adjacency
@@ -297,6 +330,53 @@ def select_cohort_gammas(
         else:
             gammas[level] = select_cutoff(list(zip(GAMMA_GRID.tolist(), mean_curve.tolist())))
     return gammas
+
+
+def prepare_stack(
+    connectivity: CohortConnectivity,
+    hierarchy: AtlasHierarchy,
+    gammas: dict[str, float] | float,
+    labels: Sequence[int],
+    encoder: str = "res-cheb",
+    fc_series: Sequence[RoiTimeSeries] | None = None,
+) -> list[SubjectInputs]:
+    """Build the constant model inputs of every subject, chunk by chunk.
+
+    Each chunk is thresholded, and its Laplacians (or GCN propagations)
+    and FC vectors built, as stacks. ``fc_series`` lets the Euclidean
+    branch use a different parcellation of the same recordings than the
+    graph hierarchy; by default both branches share the series.
+    """
+    blocks = {level: hierarchy.level_blocks(level) for level in LEVELS}
+    subs: list[SubjectInputs] = []
+    for part, levels in connectivity.chunks:
+        start = len(subs)
+        fc_part = part if fc_series is None else fc_series[start : start + len(part)]
+        fc = dr_flatten(pearson_fc(fc_part))
+        graphs = build_graph_set(levels, gammas)
+        if encoder == "gcn":
+            ops = {lv: first_order_propagation(graphs.adjacency[lv]) for lv in LEVELS}
+        else:
+            ops = {lv: normalized_laplacian(graphs.adjacency[lv]).unstack() for lv in LEVELS}
+        for i, ts in enumerate(part):
+            subs.append(
+                SubjectInputs(
+                    subject_id=ts.subject_id,
+                    label=int(labels[start + i]),
+                    levels={
+                        lv: LevelInput(
+                            name=lv,
+                            features=graphs.features[lv][i],
+                            norm_blocks=blocks[lv],
+                            lap=None if encoder == "gcn" else ops[lv][i],
+                            propagation=ops[lv][i] if encoder == "gcn" else None,
+                        )
+                        for lv in LEVELS
+                    },
+                    fc_input=Tensor(fc[i : i + 1]),
+                )
+            )
+    return subs
 
 
 def prepare_subject(
@@ -307,31 +387,16 @@ def prepare_subject(
     encoder: str = "res-cheb",
     fc_source: RoiTimeSeries | None = None,
 ) -> SubjectInputs:
-    """Build the constant model inputs for one subject.
-
-    ``fc_source`` lets the Euclidean branch use a different parcellation of
-    the same recording than the graph hierarchy; by default both branches
-    share ``ts``.
-    """
-    graphs = build_graph_set(ts, hierarchy, gammas=gammas)
-    levels: dict[str, LevelInput] = {}
-    for level in LEVELS:
-        adjacency = graphs.adjacency[level]
-        levels[level] = LevelInput(
-            name=level,
-            features=graphs.features[level],
-            norm_blocks=hierarchy.level_blocks(level),
-            lap=None if encoder == "gcn" else normalized_laplacian(adjacency),
-            propagation=first_order_propagation(adjacency) if encoder == "gcn" else None,
-        )
-    fc = pearson_fc(fc_source if fc_source is not None else ts)
-    fc_vec = dr_flatten(fc)
-    return SubjectInputs(
-        subject_id=ts.subject_id,
-        label=int(label),
-        levels=levels,
-        fc_input=Tensor(fc_vec[None, :]),
+    """Build the constant model inputs for one subject: a stack of one."""
+    (sub,) = prepare_stack(
+        CohortConnectivity.build([ts], hierarchy),
+        hierarchy,
+        gammas,
+        [label],
+        encoder=encoder,
+        fc_series=None if fc_source is None else [fc_source],
     )
+    return sub
 
 
 def prepare_cohort(
@@ -342,20 +407,14 @@ def prepare_cohort(
     subject_ids: Iterable[str] | None = None,
 ) -> list[SubjectInputs]:
     wanted = None if subject_ids is None else set(subject_ids)
-    prepared = []
-    for record in cohort.subjects:
-        if wanted is not None and record.subject_id not in wanted:
-            continue
-        prepared.append(
-            prepare_subject(
-                record.timeseries,
-                hierarchy,
-                gammas,
-                label=record.label,
-                encoder=encoder,
-            )
-        )
-    return prepared
+    records = [r for r in cohort.subjects if wanted is None or r.subject_id in wanted]
+    return prepare_stack(
+        CohortConnectivity.build([r.timeseries for r in records], hierarchy),
+        hierarchy,
+        gammas,
+        [r.label for r in records],
+        encoder=encoder,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -585,26 +644,22 @@ def fit(
     )
 
     wanted = None if subject_ids is None else set(subject_ids)
-    series = [
-        r.timeseries for r in cohort.subjects if wanted is None or r.subject_id in wanted
-    ]
-    if not series:
+    records = [r for r in cohort.subjects if wanted is None or r.subject_id in wanted]
+    if not records:
         raise ModelError("no training subjects selected")
-    gammas = select_cohort_gammas(series, hierarchy)
-    subs = prepare_cohort(
-        cohort,
-        hierarchy,
-        gammas,
-        encoder=model_cfg.hgnn.encoder,
-        subject_ids=wanted,
+    connectivity = CohortConnectivity.build([r.timeseries for r in records], hierarchy)
+    gammas = select_cohort_gammas(connectivity, hierarchy)
+    subs = prepare_stack(
+        connectivity, hierarchy, gammas, [r.label for r in records], encoder=model_cfg.hgnn.encoder
     )
     level_widths = {level: subs[0].levels[level].width for level in LEVELS}
     fc_len = subs[0].fc_len
     subject_ids = [sub.subject_id for sub in subs]
     cohort_batch = SubjectBatch.stack(subs)
-    # the stack holds every array training reads; the per-subject copies go
-    # before the parameters, optimizer state and tapes take their memory
-    del subs
+    # the stack holds every array training reads; the per-subject copies and
+    # the connectivity go before the parameters, optimizer state and tapes
+    # take their memory
+    del subs, connectivity
     params = build_model_params(model_cfg, level_widths, fc_len, train_cfg.seed)
 
     state = AdamState.for_params(params.parameters())

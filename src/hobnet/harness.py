@@ -586,6 +586,23 @@ def read_phenotypes_csv(path: str | Path) -> dict[str, PhenotypeRecord]:
     return records
 
 
+def _check_header(
+    path: Path, subject_id: str, names: list[str], first_path: Path, first: list[str]
+) -> None:
+    """Refuse a time-series header that differs from the first subject's, in
+    names or in order: FC vectors pair ROIs by column position."""
+    if names == first:
+        return
+    k = next((i for i, (a, b) in enumerate(zip(names, first)) if a != b), min(len(names), len(first)))
+    got = repr(names[k]) if k < len(names) else "missing"
+    want = repr(first[k]) if k < len(first) else "no column"
+    raise HarnessError(
+        f"{path}: subject {subject_id!r}: header column {k + 1} is {got}, "
+        f"where {first_path.name} has {want}; "
+        "every subject needs the same ROI columns in the same order"
+    )
+
+
 def read_cohort(directory: str | Path) -> Cohort:
     directory = Path(directory)
     labels_path = directory / "labels.csv"
@@ -606,6 +623,7 @@ def read_cohort(directory: str | Path) -> Cohort:
     phenotypes_path = directory / "phenotypes.csv"
     phenotypes = read_phenotypes_csv(phenotypes_path)
     subjects = []
+    first = None  # the first subject's time-series file, whose header every other must repeat
     for sid in sorted(labels):
         label, line = labels[sid], lines[sid]
         if sid not in phenotypes:
@@ -616,6 +634,10 @@ def read_cohort(directory: str | Path) -> Cohort:
         if not ts_path.is_file():
             raise HarnessError(f"{labels_path}: row {line}: subject {sid!r}: no file {ts_path}")
         ts = read_timeseries_csv(ts_path, subject_id=sid)
+        if first is None:
+            first = (ts_path, ts.roi_names)
+        else:
+            _check_header(ts_path, sid, ts.roi_names, *first)
         subjects.append(SubjectRecord(timeseries=ts, label=label, phenotype=phenotypes[sid]))
     return Cohort(subjects=subjects)
 

@@ -59,15 +59,16 @@ class HcnnConfig:
 
 
 def dr_flatten(fc) -> np.ndarray:
-    """Strict upper triangle of a symmetric matrix, row-major order."""
+    """Strict upper triangle of a symmetric matrix, row-major order; a stack
+    ``[N, n, n]`` gives one row per matrix."""
     values = fc.values if isinstance(fc, ConnectivityMatrix) else np.asarray(fc, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+    if values.ndim not in (2, 3) or values.shape[-2] != values.shape[-1]:
         raise HcnnError(f"FC matrix must be square, got shape {values.shape}")
-    n = values.shape[0]
+    n = values.shape[-1]
     if n < 2:
         raise HcnnError("FC matrix needs at least 2 regions to flatten")
     rows, cols = np.triu_indices(n, k=1)
-    return values[rows, cols].copy()
+    return values[..., rows, cols]
 
 
 def hcnn_first_order(

@@ -23,47 +23,64 @@ class SpectralError(ValueError):
 
 @dataclass
 class GraphLaplacian:
-    """Normalized Laplacian with its dominant eigenvalue."""
+    """Normalized Laplacian with its dominant eigenvalue: one graph's
+    ``[m, m]`` matrix and float, or a stack ``[N, m, m]`` and ``[N]``."""
 
     laplacian: np.ndarray
-    lambda_max: float
+    lambda_max: float | np.ndarray
 
     @property
     def rescaled(self) -> np.ndarray:
         """``(2 / lambda_max) L - I``, spectrum in [-1, 1]; built on each read,
         so a prepared subject holds one matrix per level, not two."""
-        return (2.0 / self.lambda_max) * self.laplacian - np.eye(self.laplacian.shape[0])
+        scale = 2.0 / np.asarray(self.lambda_max)[..., None, None]
+        return scale * self.laplacian - np.eye(self.laplacian.shape[-1])
+
+    def unstack(self) -> list[GraphLaplacian]:
+        """One ``GraphLaplacian`` per graph of a stack."""
+        return [GraphLaplacian(lap, float(lam)) for lap, lam in zip(self.laplacian, self.lambda_max)]
 
 
 def _checked_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    """``adjacency`` as float64, refused unless square, symmetric and non-negative."""
+    """``adjacency`` (``[m, m]`` or ``[N, m, m]``) as float64, refused unless
+    square, symmetric and non-negative; a refused graph of a stack is named
+    by its index."""
     a = np.asarray(adjacency, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise SpectralError(f"adjacency must be square, got shape {a.shape}")
-    if np.max(np.abs(a - a.T)) > 1e-12:
-        raise SpectralError("adjacency is asymmetric beyond 1e-12")
-    if a.min() < 0.0:
-        raise SpectralError("adjacency entries must be non-negative")
+    stack = a.reshape(-1, *a.shape[-2:])
+    asymmetry = stack - stack.transpose(0, 2, 1)
+    np.abs(asymmetry, out=asymmetry)
+    for bad, problem in (
+        (asymmetry.reshape(len(stack), -1).max(axis=1) > 1e-12, "is asymmetric beyond 1e-12"),
+        (stack.reshape(len(stack), -1).min(axis=1) < 0.0, "entries must be non-negative"),
+    ):
+        if bad.any():
+            which = f"graph {int(np.argmax(bad))}: " if a.ndim == 3 else ""
+            raise SpectralError(f"{which}adjacency {problem}")
     return a
 
 
 def normalized_laplacian(adjacency: np.ndarray) -> GraphLaplacian:
     """I - D^{-1/2} A D^{-1/2} with isolated-node rows left as identity.
 
-    The dominant eigenvalue is the last of ``np.linalg.eigvalsh``, exact to
-    rounding and independent of node order; a Laplacian without a positive
-    eigenvalue (self-loops only) takes the spectral upper bound 2 instead, so
-    the rescaled spectrum never exceeds [-1, 1].
+    Takes one adjacency ``[m, m]`` or a stack ``[N, m, m]``. The dominant
+    eigenvalue is the last of ``np.linalg.eigvalsh``, exact to rounding and
+    independent of node order; a Laplacian without a positive eigenvalue
+    (self-loops only) takes the spectral upper bound 2 instead, so the
+    rescaled spectrum never exceeds [-1, 1].
     """
     a = _checked_adjacency(adjacency)
-    degrees = a.sum(axis=1)
+    degrees = a.sum(axis=-1)
     inv_sqrt = np.where(degrees > 0.0, 1.0 / np.sqrt(np.where(degrees > 0.0, degrees, 1.0)), 0.0)
-    lap = np.eye(a.shape[0]) - inv_sqrt[:, None] * a * inv_sqrt[None, :]
-    lap = (lap + lap.T) / 2.0
-    lam = np.linalg.eigvalsh(lap)[-1]
-    if lam <= _LAMBDA_TOL:
-        lam = 2.0
-    return GraphLaplacian(laplacian=lap, lambda_max=float(lam))
+    lap = inv_sqrt[..., :, None] * a
+    lap *= inv_sqrt[..., None, :]
+    np.subtract(np.eye(a.shape[-1]), lap, out=lap)
+    lap = lap + np.swapaxes(lap, -1, -2)
+    lap /= 2.0
+    lam = np.linalg.eigvalsh(lap)[..., -1]
+    lam = np.where(lam <= _LAMBDA_TOL, 2.0, lam)
+    return GraphLaplacian(laplacian=lap, lambda_max=float(lam) if lam.ndim == 0 else lam)
 
 
 def cheb_apply(rescaled: Tensor, features: Tensor, thetas: list[Tensor]) -> Tensor:
@@ -101,8 +118,11 @@ def cheb_apply(rescaled: Tensor, features: Tensor, thetas: list[Tensor]) -> Tens
 
 
 def first_order_propagation(adjacency: np.ndarray) -> np.ndarray:
-    """Renormalized propagation D^{-1/2} (A + I) D^{-1/2} for plain GCN layers."""
+    """Renormalized propagation D^{-1/2} (A + I) D^{-1/2} for plain GCN layers,
+    of one adjacency ``[m, m]`` or a stack ``[N, m, m]``."""
     a = _checked_adjacency(adjacency)
-    a_hat = a + np.eye(a.shape[0])
-    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
+    a_hat = a + np.eye(a.shape[-1])
+    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=-1))
+    a_hat *= inv_sqrt[..., :, None]
+    a_hat *= inv_sqrt[..., None, :]
+    return a_hat

@@ -9,7 +9,18 @@ import numpy as np
 
 from hobnet import autodiff as ad
 from hobnet.autodiff import Tensor
-from hobnet.connectivity import ConnectivityError
+from hobnet.connectivity import (
+    GAMMA_GRID,
+    LAN,
+    LEVELS,
+    MAN,
+    WAN,
+    ConnectivityError,
+    ConnectivityMatrix,
+    select_cutoff,
+)
+from hobnet.ffc import SubjectInputs
+from hobnet.hgnn import LevelInput
 from hobnet.layers import mlp_forward
 from hobnet.rng import named_stream
 from hobnet.spectral import GraphLaplacian, SpectralError, cheb_apply
@@ -161,3 +172,138 @@ def adam_step(params, state, lr: float) -> None:
         m_hat = m / (1.0 - beta1**t)
         v_hat = v / (1.0 - beta2**t)
         p.value.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+# ---------------------------------------------------------------------------
+# the per-subject preparation that ffc.prepare_stack runs on stacks
+# ---------------------------------------------------------------------------
+
+
+def group_columns(hierarchy, level, roi_names) -> list[np.ndarray]:
+    """Column indices into ``roi_names`` for each node at ``level``."""
+    pos = {name: i for i, name in enumerate(roi_names)}
+    missing = [r for r in hierarchy.rois if r not in pos]
+    if missing:
+        raise ConnectivityError(f"time series is missing hierarchy ROI {missing[0]!r}")
+    if level == LAN:
+        return [np.array([pos[r]]) for r in hierarchy.ordered_rois]
+    if level == MAN:
+        return [
+            np.array([pos[r] for r in hierarchy.ordered_rois if hierarchy.man_partition[r] == g])
+            for g in hierarchy.groups
+        ]
+    return [
+        np.array(
+            [
+                pos[r]
+                for r in hierarchy.ordered_rois
+                if hierarchy.wan_partition[hierarchy.man_partition[r]] == net
+            ]
+        )
+        for net in hierarchy.networks
+    ]
+
+
+def level_connectivity(ts, hierarchy, level) -> ConnectivityMatrix:
+    """One subject's RV matrix at ``level`` from its own cross-product of the level's columns."""
+    columns = group_columns(hierarchy, level, ts.roi_names)
+    x = ts.samples[:, np.concatenate(columns)]
+    membership = np.repeat(np.eye(len(columns)), [len(cols) for cols in columns], axis=0)
+    cross = x.T @ x
+    sums = membership.T @ (cross * cross) @ membership
+    sums = (sums + sums.T) / 2.0
+    norms = np.sqrt(np.diag(sums))
+    if np.any(norms == 0.0):
+        raise ConnectivityError("rv_coefficient: all-zero block, coefficient undefined")
+    values = np.minimum(sums / np.outer(norms, norms), 1.0)
+    np.fill_diagonal(values, 1.0)
+    return ConnectivityMatrix(level=level, values=values, kind="rv")
+
+
+def composite_connectivity(ts, hierarchy, level) -> ConnectivityMatrix:
+    """``level_connectivity`` with entries outside the parent blocks zeroed."""
+    cm = level_connectivity(ts, hierarchy, level)
+    if level == WAN:
+        return cm
+    m = cm.n
+    mask = np.zeros((m, m), dtype=bool)
+    for idx in hierarchy.level_blocks(level):
+        mask[np.ix_(idx, idx)] = True
+    return ConnectivityMatrix(level=level, values=np.where(mask, cm.values, 0.0), kind="rv")
+
+
+def retained_edge_curve(cm, gammas) -> list[tuple[float, float]]:
+    """One count per threshold."""
+    m = cm.n
+    off = cm.values[~np.eye(m, dtype=bool)]
+    total = m * (m - 1)
+    return [(float(g), float(np.count_nonzero(off > g) / total)) for g in gammas]
+
+
+def select_cohort_gammas(series, hierarchy) -> dict[str, float]:
+    """Per-level cutoff of the mean curve, one subject and one level at a time."""
+    gammas = {}
+    for level in LEVELS:
+        mean_curve = np.zeros(GAMMA_GRID.size)
+        for ts in series:
+            cm = composite_connectivity(ts, hierarchy, level)
+            mean_curve += [f for _, f in retained_edge_curve(cm, GAMMA_GRID)]
+        mean_curve /= len(series)
+        if np.all(mean_curve == 0.0):
+            gammas[level] = 1.0
+        else:
+            gammas[level] = select_cutoff(list(zip(GAMMA_GRID.tolist(), mean_curve.tolist())))
+    return gammas
+
+
+def normalized_laplacian(adjacency) -> GraphLaplacian:
+    """One graph's I - D^{-1/2} A D^{-1/2} and its dominant eigenvalue."""
+    a = np.asarray(adjacency, dtype=np.float64)
+    degrees = a.sum(axis=1)
+    inv_sqrt = np.where(degrees > 0.0, 1.0 / np.sqrt(np.where(degrees > 0.0, degrees, 1.0)), 0.0)
+    lap = np.eye(a.shape[0]) - inv_sqrt[:, None] * a * inv_sqrt[None, :]
+    lap = (lap + lap.T) / 2.0
+    lam = np.linalg.eigvalsh(lap)[-1]
+    return GraphLaplacian(laplacian=lap, lambda_max=2.0 if lam <= 1e-9 else float(lam))
+
+
+def first_order_propagation(adjacency) -> np.ndarray:
+    """One graph's D^{-1/2} (A + I) D^{-1/2}."""
+    a_hat = np.asarray(adjacency, dtype=np.float64) + np.eye(len(adjacency))
+    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
+    return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
+def pearson_fc(ts) -> np.ndarray:
+    """One subject's Pearson matrix in its own column order."""
+    x = ts.samples - ts.samples.mean(axis=0)
+    norms = np.sqrt((x * x).sum(axis=0))
+    corr = (x.T @ x) / np.outer(norms, norms)
+    corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
+def prepare_subject(ts, hierarchy, gammas, label=0, encoder="res-cheb", fc_source=None):
+    """One subject's model inputs, each level built from its own cross-product."""
+    levels = {}
+    for level in LEVELS:
+        cm = composite_connectivity(ts, hierarchy, level)
+        gamma = gammas[level] if isinstance(gammas, dict) else float(gammas)
+        adjacency = (cm.values > gamma).astype(np.float64)
+        np.fill_diagonal(adjacency, 1.0)
+        levels[level] = LevelInput(
+            name=level,
+            features=cm.values.copy(),
+            norm_blocks=hierarchy.level_blocks(level),
+            lap=None if encoder == "gcn" else normalized_laplacian(adjacency),
+            propagation=first_order_propagation(adjacency) if encoder == "gcn" else None,
+        )
+    fc = pearson_fc(fc_source if fc_source is not None else ts)
+    rows, cols = np.triu_indices(fc.shape[0], k=1)
+    return SubjectInputs(
+        subject_id=ts.subject_id,
+        label=int(label),
+        levels=levels,
+        fc_input=Tensor(fc[rows, cols][None, :]),
+    )

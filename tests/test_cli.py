@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from hobnet.cli import main
-from hobnet.connectivity import RoiTimeSeries, write_hierarchy_json, write_timeseries_csv
+from hobnet.connectivity import (
+    RoiTimeSeries,
+    read_timeseries_csv,
+    write_hierarchy_json,
+    write_timeseries_csv,
+)
 from hobnet.ffc import (
     ModelConfig,
     TrainConfig,
@@ -489,6 +494,66 @@ class TestCliErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+
+    @pytest.mark.parametrize("edit", ["extra column", "reversed header"])
+    def test_train_on_a_subject_with_another_header_gives_one_line_and_exit_2(
+        self, workspace, tmp_path, capsys, edit
+    ):
+        shutil.copytree(workspace / "cohort", tmp_path / "cohort")
+        path = tmp_path / "cohort" / "timeseries" / "s0003.csv"
+        ts = read_timeseries_csv(path)
+        if edit == "extra column":
+            extra = np.random.default_rng(0).normal(size=(len(ts.samples), 1))
+            edited = RoiTimeSeries("s0003", np.hstack([ts.samples, extra]), [*ts.roi_names, "extra"])
+            message = f"header column {len(ts.roi_names) + 1} is 'extra', where s0000.csv has no column"
+        else:
+            edited = RoiTimeSeries("s0003", ts.samples[:, ::-1], ts.roi_names[::-1])
+            message = f"header column 1 is {ts.roi_names[-1]!r}, where s0000.csv has {ts.roi_names[0]!r}"
+        write_timeseries_csv(path, edited)
+        code = run(
+            "train", "--cohort", tmp_path / "cohort", "--hierarchy", workspace / "hierarchy.json",
+            "--out", tmp_path / "model.ckpt",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hobnet: error: ") and f"s0003.csv: subject 's0003': {message}" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "model.ckpt").exists()
+
+    def test_train_on_a_cohort_missing_a_hierarchy_roi_names_the_subject(
+        self, workspace, tmp_path, capsys
+    ):
+        shutil.copytree(workspace / "cohort", tmp_path / "cohort")
+        for path in sorted((tmp_path / "cohort" / "timeseries").glob("*.csv")):
+            ts = read_timeseries_csv(path)
+            write_timeseries_csv(path, RoiTimeSeries(ts.subject_id, ts.samples[:, :-1], ts.roi_names[:-1]))
+        code = run(
+            "train", "--cohort", tmp_path / "cohort", "--hierarchy", workspace / "hierarchy.json",
+            "--out", tmp_path / "model.ckpt",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hobnet: error: ")
+        assert f"subject 's0000': time series is missing hierarchy ROI {ts.roi_names[-1]!r}" in err
+        assert err.count("\n") == 1
+
+
+class TestUnequalTimepoints:
+    def test_train_runs_when_one_subject_has_90_timepoints(self, workspace, tmp_path):
+        shutil.copytree(workspace / "cohort", tmp_path / "cohort")
+        sid = read_split_plan(tmp_path / "cohort" / "split_plan.json").subjects_in("train")[0]
+        path = tmp_path / "cohort" / "timeseries" / f"{sid}.csv"
+        ts = read_timeseries_csv(path)
+        assert len(ts.samples) > 90
+        write_timeseries_csv(path, RoiTimeSeries(sid, ts.samples[:90], ts.roi_names))
+        lengths = {r.subject_id: len(r.timeseries.samples) for r in read_cohort(tmp_path / "cohort").subjects}
+        assert lengths[sid] == 90 and len(set(lengths.values())) == 2
+        code = run(
+            "train", "--cohort", tmp_path / "cohort", "--hierarchy", workspace / "hierarchy.json",
+            "--out", tmp_path / "model.ckpt",
+        )
+        assert code == 0
+        assert load_fit(tmp_path / "model.ckpt").loss_trace
 
 class TestAblateSmoke:
     def test_tiny_ablation_runs(self, tmp_path):

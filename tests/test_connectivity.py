@@ -3,6 +3,7 @@
 import csv
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from hobnet.connectivity import (
     build_adjacency,
     build_graph_set,
     gamma_for_retained_fraction,
+    gram_stack,
     graph_set_to_json,
     level_connectivity,
     node_features,
@@ -30,12 +32,13 @@ from hobnet.connectivity import (
     retained_edge_curve,
     rv_coefficient,
     select_cutoff,
+    subject_connectivity,
     write_hierarchy_json,
     write_timeseries_csv,
 )
 
 from conftest import make_nested_hierarchy, random_timeseries, toy_hierarchy_4_6_10
-from oracles import block_diagonal
+from oracles import block_diagonal, group_columns
 
 
 def rv_trace_oracle(a, b):
@@ -45,9 +48,15 @@ def rv_trace_oracle(a, b):
     return np.trace(aa @ bb) / np.sqrt(np.trace(aa @ aa) * np.trace(bb @ bb))
 
 
+def subject_level(ts, hierarchy, level):
+    """One subject's level connectivity: the stack of one, unstacked."""
+    cm = level_connectivity(gram_stack([ts], hierarchy), hierarchy, level)
+    return replace(cm, values=cm.values[0])
+
+
 def rv_pair_loop(ts, hierarchy, level):
     """One rv_coefficient call per block pair: the oracle for level_connectivity."""
-    blocks = [ts.samples[:, cols] for cols in hierarchy.group_columns(level, ts.roi_names)]
+    blocks = [ts.samples[:, cols] for cols in group_columns(hierarchy, level, ts.roi_names)]
     m = len(blocks)
     values = np.ones((m, m))
     for i in range(m):
@@ -60,7 +69,7 @@ def assert_matches_pair_loop(ts, hierarchy):
     for level in (WAN, MAN, LAN):
         expected = rv_pair_loop(ts, hierarchy, level)
         np.testing.assert_allclose(
-            level_connectivity(ts, hierarchy, level).values, expected, rtol=0, atol=1e-12
+            subject_level(ts, hierarchy, level).values, expected, rtol=0, atol=1e-12
         )
 
 
@@ -78,18 +87,18 @@ class TestPearsonFc:
         rng = np.random.default_rng(0)
         col = rng.normal(size=30)
         ts = RoiTimeSeries("s", np.column_stack([col, col, rng.normal(size=30)]), ["a", "b", "c"])
-        fc = pearson_fc(ts)
-        assert fc.values[0, 1] == pytest.approx(1.0, abs=1e-12)
+        fc = pearson_fc([ts]).values[0]
+        assert fc[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_negated_column_gives_minus_one(self):
         rng = np.random.default_rng(1)
         col = rng.normal(size=25)
         ts = RoiTimeSeries("s", np.column_stack([col, -col]), ["a", "b"])
-        assert pearson_fc(ts).values[0, 1] == pytest.approx(-1.0, abs=1e-12)
+        assert pearson_fc([ts]).values[0, 0, 1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_matches_covariance_ratio_oracle(self):
         ts = random_timeseries(4, n_timepoints=50, seed=2)
-        fc = pearson_fc(ts).values
+        fc = pearson_fc([ts]).values[0]
         x = ts.samples
         for i in range(4):
             for j in range(4):
@@ -99,8 +108,8 @@ class TestPearsonFc:
                 assert fc[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_diagonal_exactly_one(self):
-        fc = pearson_fc(random_timeseries(5, seed=3))
-        assert np.all(np.diag(fc.values) == 1.0)
+        fc = pearson_fc([random_timeseries(5, seed=3)]).values[0]
+        assert np.all(np.diag(fc) == 1.0)
 
     def test_zero_variance_column_names_roi(self):
         samples = np.random.default_rng(0).normal(size=(10, 3))
@@ -163,7 +172,7 @@ class TestLevelConnectivity:
     def test_wan_shape_symmetry_unit_diagonal(self):
         h = make_nested_hierarchy(n_networks=7, groups_per_network=1, rois_per_group=2)
         ts = random_timeseries(14, seed=5, names=h.rois)
-        cm = level_connectivity(ts, h, WAN)
+        cm = subject_level(ts, h, WAN)
         assert cm.values.shape == (7, 7)
         assert np.all(np.diag(cm.values) == 1.0)
         np.testing.assert_allclose(cm.values, cm.values.T, atol=1e-15)
@@ -171,17 +180,17 @@ class TestLevelConnectivity:
     def test_one_roi_per_group_levels_coincide(self):
         h = make_nested_hierarchy(n_networks=3, groups_per_network=1, rois_per_group=1)
         ts = random_timeseries(3, seed=6, names=h.rois)
-        wan = level_connectivity(ts, h, WAN).values
-        man = level_connectivity(ts, h, MAN).values
-        lan = level_connectivity(ts, h, LAN).values
+        wan = subject_level(ts, h, WAN).values
+        man = subject_level(ts, h, MAN).values
+        lan = subject_level(ts, h, LAN).values
         np.testing.assert_allclose(wan, man, atol=0)
         np.testing.assert_allclose(man, lan, atol=0)
 
     def test_matches_trace_oracle_on_toy_hierarchy(self):
         h = make_nested_hierarchy(n_networks=3, groups_per_network=1, rois_per_group=2)
         ts = random_timeseries(6, n_timepoints=30, seed=7, names=h.rois)
-        cm = level_connectivity(ts, h, WAN).values
-        cols = h.group_columns(WAN, ts.roi_names)
+        cm = subject_level(ts, h, WAN).values
+        cols = group_columns(h, WAN, ts.roi_names)
         for i in range(3):
             for j in range(3):
                 if i == j:
@@ -192,7 +201,7 @@ class TestLevelConnectivity:
     def test_lan_uses_single_columns(self):
         h = make_nested_hierarchy(n_networks=2, groups_per_network=1, rois_per_group=2)
         ts = random_timeseries(4, seed=8, names=h.rois)
-        cm = level_connectivity(ts, h, LAN).values
+        cm = subject_level(ts, h, LAN).values
         a = ts.samples[:, [0]]
         b = ts.samples[:, [1]]
         assert cm[0, 1] == pytest.approx(rv_trace_oracle(a, b), abs=1e-12)
@@ -207,7 +216,7 @@ class TestLevelConnectivityMatchesPairLoop:
 
     def test_uneven_groups(self):
         h = uneven_hierarchy()
-        assert [len(c) for c in h.group_columns(MAN, h.rois)] == [1, 5, 2]
+        assert [len(c) for c in group_columns(h, MAN, h.rois)] == [1, 5, 2]
         ts = random_timeseries(8, n_timepoints=30, seed=11, names=h.rois)
         assert_matches_pair_loop(ts, h)
 
@@ -227,7 +236,7 @@ class TestLevelConnectivityMatchesPairLoop:
         samples[10:, :4] = 0.0
         ts = RoiTimeSeries("s", samples, h.rois)
         for level in (WAN, MAN, LAN):
-            values = level_connectivity(ts, h, level).values
+            values = subject_level(ts, h, level).values
             half = values.shape[0] // 2
             assert np.all(values[:half, half:] == 0.0) and np.all(values[half:, :half] == 0.0)
             assert np.all(values[:half, :half] > 0.0)
@@ -260,7 +269,7 @@ class TestRetainedEdgeCurve:
     def test_monotone_non_increasing(self):
         h = make_nested_hierarchy(2, 2, 2)
         ts = random_timeseries(8, seed=9, names=h.rois)
-        curve = retained_edge_curve(level_connectivity(ts, h, LAN), np.linspace(0, 1, 101))
+        curve = retained_edge_curve(subject_level(ts, h, LAN), np.linspace(0, 1, 101))
         fracs = [f for _, f in curve]
         assert all(a >= b for a, b in zip(fracs, fracs[1:]))
 
@@ -367,7 +376,7 @@ class TestNodeFeatures:
     def test_features_are_matrix_rows(self):
         h = make_nested_hierarchy(n_networks=7, groups_per_network=1, rois_per_group=1)
         ts = random_timeseries(7, seed=10, names=h.rois)
-        cm = level_connectivity(ts, h, WAN)
+        cm = subject_level(ts, h, WAN)
         np.testing.assert_array_equal(node_features(cm), cm.values)
 
     def test_identity_connectivity_gives_one_hot(self):
@@ -379,7 +388,7 @@ class TestGraphSet:
     def test_lower_levels_exactly_block_diagonal(self):
         h = toy_hierarchy_4_6_10()
         ts = random_timeseries(10, seed=11, names=h.rois)
-        graphs = build_graph_set(ts, h, gammas=0.0, mode="weighted")
+        graphs = build_graph_set(subject_connectivity(ts, h), gammas=0.0, mode="weighted")
         for level in (MAN, LAN):
             blocks = h.level_blocks(level)
             m = graphs.adjacency[level].shape[0]
@@ -392,14 +401,14 @@ class TestGraphSet:
     def test_unit_diagonals(self):
         h = toy_hierarchy_4_6_10()
         ts = random_timeseries(10, seed=12, names=h.rois)
-        graphs = build_graph_set(ts, h, gammas=0.5)
+        graphs = build_graph_set(subject_connectivity(ts, h), gammas=0.5)
         for level in (WAN, MAN, LAN):
             assert np.all(np.diag(graphs.adjacency[level]) == 1.0)
 
     def test_retained_fraction_gamma_helper(self):
         h = make_nested_hierarchy(2, 2, 2)
         ts = random_timeseries(8, seed=14, names=h.rois)
-        cm = level_connectivity(ts, h, LAN)
+        cm = subject_level(ts, h, LAN)
         g = gamma_for_retained_fraction(cm, 0.25)
         curve = dict(retained_edge_curve(cm, [g]))
         assert curve[g] <= 0.25
@@ -436,8 +445,8 @@ class TestHierarchyValidation:
     def test_timeseries_missing_hierarchy_roi(self):
         h = toy_hierarchy_4_6_10()
         ts = random_timeseries(9, seed=20, names=[f"r{i}" for i in range(9)])
-        with pytest.raises(ConnectivityError, match="'r9'"):
-            level_connectivity(ts, h, WAN)
+        with pytest.raises(ConnectivityError, match="subject 'seed20': .*'r9'"):
+            gram_stack([ts], h)
 
 
 class TestFileFormats:
@@ -503,7 +512,7 @@ class TestFileFormats:
     def test_graph_json_schema(self):
         h = make_nested_hierarchy(2, 1, 2)
         ts = random_timeseries(4, seed=16, names=h.rois)
-        records = graph_set_to_json(build_graph_set(ts, h, gammas=0.3))
+        records = graph_set_to_json(build_graph_set(subject_connectivity(ts, h), gammas=0.3))
         assert [r["level"] for r in records] == [WAN, MAN, LAN]
         for r in records:
             assert len(r["adjacency"]) == r["shape"][0] * r["shape"][1]

@@ -76,7 +76,7 @@ class TestSynthGenerate:
         rois_b = [i for i, n in enumerate(net_of) if n == h.networks[1]]
         means = {0: [], 1: []}
         for record in cohort.subjects:
-            fc = pearson_fc(record.timeseries).values
+            fc = pearson_fc([record.timeseries]).values[0]
             means[record.label].append(np.mean(fc[np.ix_(rois_a, rois_b)]))
         difference = np.mean(means[1]) - np.mean(means[0])
         assert difference > 0.2
@@ -111,7 +111,7 @@ class TestSynthGenerate:
 def class_mean_fc_difference(cohort, planted_rois):
     means = {0: [], 1: []}
     for record in cohort.subjects:
-        fc = pearson_fc(record.timeseries).values
+        fc = pearson_fc([record.timeseries]).values[0]
         means[record.label].append(fc[np.ix_(planted_rois, planted_rois)])
     return np.mean(means[1], axis=0) - np.mean(means[0], axis=0)
 

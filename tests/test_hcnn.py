@@ -33,7 +33,7 @@ class TestDrFlatten:
         assert dr_flatten(m).shape == (6,)
 
     def test_roundtrip_through_unflatten(self):
-        fc = pearson_fc(random_timeseries(5, seed=0)).values
+        fc = pearson_fc([random_timeseries(5, seed=0)]).values[0]
         flat = dr_flatten(fc)
         back = dr_unflatten(flat, 5)
         off = ~np.eye(5, dtype=bool)
@@ -196,7 +196,7 @@ class TestHopConcat:
 class TestCnnBranchGradients:
     def test_branch_gradients_match_finite_differences(self):
         ts = random_timeseries(10, n_timepoints=40, seed=6)
-        fc_vec = dr_flatten(pearson_fc(ts).values)
+        fc_vec = dr_flatten(pearson_fc([ts]).values[0])
         cfg_hcnn = HcnnConfig(kernel_sizes=(7, 5), channels=(3, 4), strides=(2, 2), mlp_hidden=(12,), out_dim=6)
         cfg, params = branch_params(cfg_hcnn, fc_len=fc_vec.size, seed=7)
         x = Tensor(fc_vec[None, :])

@@ -1,0 +1,213 @@
+"""Stacked subject preparation against the per-subject oracle, bit for bit.
+
+``ffc.prepare_stack`` builds one Gram matrix per subject and derives every
+level, retained-edge curve, Laplacian, GCN propagation and FC vector of a
+chunk of subjects as stacks. ``tests/oracles.py`` keeps the per-subject
+code, which builds each level from its own cross-product. Every comparison
+here is of raw bytes.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from hobnet import connectivity, ffc
+from hobnet.connectivity import LEVELS, ConnectivityError, RoiTimeSeries, pearson_fc
+from hobnet.ffc import (
+    CohortConnectivity,
+    ModelConfig,
+    TrainConfig,
+    fit,
+    parse_toggles,
+    prepare_cohort,
+    prepare_stack,
+    prepare_subject,
+    select_cohort_gammas,
+)
+from hobnet.harness import nested_hierarchy, synth_generate
+from hobnet.hcnn import HcnnConfig
+from hobnet.hgnn import ENCODERS, HgnnConfig
+
+import oracles
+from conftest import random_timeseries
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_inputs(got, want, encoder):
+    assert (got.subject_id, got.label) == (want.subject_id, want.label)
+    assert same_bits(got.fc_input.data, want.fc_input.data), got.subject_id
+    for level in LEVELS:
+        a, b = got.levels[level], want.levels[level]
+        where = f"{got.subject_id} {level}"
+        assert same_bits(a.features, b.features), where
+        assert [blk.tolist() for blk in a.norm_blocks] == [blk.tolist() for blk in b.norm_blocks]
+        if encoder == "gcn":
+            assert a.lap is None and same_bits(a.propagation, b.propagation), where
+        else:
+            assert a.propagation is None
+            assert same_bits(a.lap.laplacian, b.lap.laplacian), where
+            assert type(a.lap.lambda_max) is float and a.lap.lambda_max == b.lap.lambda_max, where
+            assert same_bits(a.lap.rescaled, b.lap.rescaled), where
+
+
+def assert_matches_oracle(series, hierarchy, encoder, labels=None):
+    """Gamma selection and preparation of ``series`` as stacks, against the oracle."""
+    labels = [i % 2 for i in range(len(series))] if labels is None else labels
+    gammas = select_cohort_gammas(series, hierarchy)
+    assert gammas == oracles.select_cohort_gammas(series, hierarchy)
+    subs = prepare_stack(CohortConnectivity.build(series, hierarchy), hierarchy, gammas, labels, encoder)
+    assert len(subs) == len(series)
+    for sub, ts, label in zip(subs, series, labels):
+        assert_same_inputs(sub, oracles.prepare_subject(ts, hierarchy, gammas, label, encoder), encoder)
+
+
+def chunk_size(hierarchy) -> int:
+    return len(next(connectivity.subject_chunks([None] * 10_000, hierarchy)))
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Chunks of 3 subjects at 16 ROIs, where the module constant holds 512."""
+    monkeypatch.setattr(connectivity, "STACK_BYTES", 3 * 16 * 16 * 8)
+
+
+class TestStackedPreparationMatchesOracle:
+    @pytest.mark.parametrize("encoder", ENCODERS)
+    @pytest.mark.parametrize("count", ["one", "chunk", "chunk+1"])
+    def test_acceptance_scale_in_chunks_of_3(self, small_chunks, encoder, count):
+        h = nested_hierarchy(4, 2, 2)
+        assert chunk_size(h) == 3
+        n = {"one": 1, "chunk": 3, "chunk+1": 4}[count]
+        cohort = synth_generate(8, h, signal=0.6, noise=0.5, seed=5, n_timepoints=120)
+        series = [r.timeseries for r in cohort.subjects[:n]]
+        assert_matches_oracle(series, h, encoder, labels=[r.label for r in cohort.subjects[:n]])
+
+    @pytest.mark.parametrize("count", ["one", "chunk", "chunk+1"])
+    def test_atlas_scale_in_chunks_of_the_module_constant(self, count):
+        h = nested_hierarchy(7, 4, 7)
+        chunk = chunk_size(h)
+        assert chunk >= 2
+        n = {"one": 1, "chunk": chunk, "chunk+1": chunk + 1}[count]
+        cohort = synth_generate(n + n % 2 + 2, h, signal=0.6, noise=0.5, seed=6, n_timepoints=120)
+        assert_matches_oracle([r.timeseries for r in cohort.subjects[:n]], h, "res-cheb")
+
+    @pytest.mark.parametrize("encoder", ENCODERS)
+    def test_unequal_timepoint_counts(self, small_chunks, encoder):
+        h = nested_hierarchy(4, 2, 2)
+        series = [
+            random_timeseries(16, n_timepoints=t, seed=20 + i, names=h.rois)
+            for i, t in enumerate((120, 90, 60, 200, 31))
+        ]
+        assert_matches_oracle(series, h, encoder)
+
+    @pytest.mark.parametrize("encoder", ENCODERS)
+    def test_a_subject_with_shuffled_columns(self, encoder):
+        h = nested_hierarchy(4, 2, 2)
+        cohort = synth_generate(6, h, signal=0.6, noise=0.5, seed=7, n_timepoints=80)
+        series = [r.timeseries for r in cohort.subjects]
+        order = np.random.default_rng(8).permutation(16)
+        ts = series[2]
+        series[2] = RoiTimeSeries(ts.subject_id, ts.samples[:, order], [ts.roi_names[i] for i in order])
+        assert series[2].roi_names != h.ordered_rois
+        assert_matches_oracle(series, h, encoder)
+
+    def test_cohort_fit_and_fc_source_paths(self):
+        h = nested_hierarchy(4, 2, 2)
+        cohort = synth_generate(10, h, signal=0.6, noise=0.5, seed=9, n_timepoints=60)
+        ids = cohort.ids()[2:8]
+        records = [r for r in cohort.subjects if r.subject_id in ids]
+        gammas = oracles.select_cohort_gammas([r.timeseries for r in records], h)
+        for sub, r in zip(prepare_cohort(cohort, h, gammas, subject_ids=ids), records):
+            assert_same_inputs(sub, oracles.prepare_subject(r.timeseries, h, gammas, r.label), "res-cheb")
+        cfg = ModelConfig(toggles=parse_toggles("GNN"), hgnn=HgnnConfig(hidden_dim=4))
+        assert fit(cohort, h, cfg, TrainConfig(epochs=1), subject_ids=ids).gammas == gammas
+        fc_ts = random_timeseries(12, n_timepoints=60, seed=10)
+        ts = records[0].timeseries
+        assert_same_inputs(
+            prepare_subject(ts, h, gammas, label=1, fc_source=fc_ts),
+            oracles.prepare_subject(ts, h, gammas, label=1, fc_source=fc_ts),
+            "res-cheb",
+        )
+
+
+class TestRefusals:
+    def test_overflowing_connectivity_is_refused_with_subject_and_level(self):
+        h = nested_hierarchy(4, 2, 2)
+        ts = random_timeseries(16, n_timepoints=60, seed=3, names=h.rois)
+        big = RoiTimeSeries("s0007", ts.samples * 1e160, ts.roi_names)
+        with pytest.raises(ConnectivityError, match="subject 's0007': wan connectivity matrix has NaN or Inf"):
+            prepare_subject(big, h, 0.3)
+        with pytest.raises(ConnectivityError, match="subject 's0007': fc connectivity matrix has NaN or Inf"):
+            pearson_fc([big])
+
+    def test_a_missing_hierarchy_roi_names_the_subject(self):
+        h = nested_hierarchy(4, 2, 2)
+        ts = random_timeseries(16, seed=4, names=h.rois)
+        short = RoiTimeSeries("s0042", ts.samples[:, :-1], ts.roi_names[:-1])
+        missing = ts.roi_names[-1]
+        with pytest.raises(ConnectivityError, match=f"subject 's0042': .* ROI '{missing}'"):
+            prepare_subject(short, h, 0.3)
+
+    def test_fc_stack_refuses_a_subject_with_another_column_count(self):
+        series = [random_timeseries(5, seed=1), random_timeseries(6, seed=2)]
+        with pytest.raises(ConnectivityError, match="subject 'seed2': 6 ROI columns, but subject 'seed1' has 5"):
+            pearson_fc(series)
+
+
+class TestStackedCallCounts:
+    """Call counts are deterministic where wall time on a shared host is not."""
+
+    def counted(self, monkeypatch):
+        counts = Counter()
+        gram_stack = ffc.gram_stack
+
+        def counting_gram_stack(series, hierarchy):
+            counts["grams"] += len(series)
+            return gram_stack(series, hierarchy)
+
+        monkeypatch.setattr(ffc, "gram_stack", counting_gram_stack)
+        targets = [(ffc, n) for n in ("composite_connectivity", "build_graph_set", "normalized_laplacian", "pearson_fc")]
+        for module, name in [*targets, (connectivity, "level_connectivity")]:
+            monkeypatch.setattr(module, name, self.counting(counts, name, getattr(module, name)))
+        return counts
+
+    @staticmethod
+    def counting(counts, name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def test_fit_builds_one_gram_per_subject_and_stacked_calls_do_not_grow(self, monkeypatch):
+        counts = self.counted(monkeypatch)
+        h = nested_hierarchy(4, 2, 2)
+        cohort = synth_generate(24, h, signal=0.6, noise=0.5, seed=11, n_timepoints=60)
+        cfg = ModelConfig(
+            toggles=parse_toggles("HGNN+HCNN"), hgnn=HgnnConfig(hidden_dim=4), hcnn=HcnnConfig(out_dim=4)
+        )
+        calls = {}
+        for n in (6, 12, 24):
+            counts.clear()
+            fit(cohort, h, cfg, TrainConfig(epochs=1, seed=0), subject_ids=cohort.ids()[:n])
+            assert counts.pop("grams") == n
+            calls[n] = dict(counts)
+        assert calls[6] == calls[12] == calls[24]
+        assert calls[6]["composite_connectivity"] == len(LEVELS)
+
+    def test_prepare_cohort_calls_do_not_grow_within_a_chunk(self, monkeypatch):
+        counts = self.counted(monkeypatch)
+        h = nested_hierarchy(4, 2, 2)
+        cohort = synth_generate(24, h, signal=0.6, noise=0.5, seed=12, n_timepoints=60)
+        calls = {}
+        for n in (4, 24):
+            counts.clear()
+            prepare_cohort(cohort, h, 0.3, subject_ids=cohort.ids()[:n])
+            assert counts.pop("grams") == n
+            calls[n] = dict(counts)
+        assert calls[4] == calls[24]
