@@ -36,7 +36,6 @@ from .ffc import (
     fit,
     load_fit,
     parse_toggles,
-    prepare_cohort,
     preset_train_config,
     save_checkpoint,
 )
@@ -124,6 +123,8 @@ def cmd_graphgen(args) -> int:
 def cmd_threshold_curve(args) -> int:
     ts = read_timeseries_csv(args.timeseries)
     hierarchy = read_hierarchy_json(args.hierarchy)
+    if args.grid < 1:
+        raise ConnectivityError(f"--grid must be at least 1, got {args.grid}")
     cm = subject_connectivity(ts, hierarchy)["lan"]
     curve = retained_edge_curve(cm, np.linspace(0.0, 1.0, args.grid))
     with Path(args.out).open("w", newline="") as fh:
@@ -201,14 +202,9 @@ def cmd_popgraph(args) -> int:
     plan = cohort_split_plan(args.cohort, cohort, seed)
     require_parts(plan, ("train", "test"), Path(args.cohort) / "split_plan.json")
     check_unseen(result, plan.subjects_in("test"))
-    subs = prepare_cohort(
-        cohort,
-        hierarchy,
-        result.gammas,
-        encoder=result.config.hgnn.encoder,
-    )
-    records = [phenotypes[s.subject_id] for s in subs]
-    embeddings = embed_subjects(result.params, result.config, subs)
+    batch = result.prepare(cohort, hierarchy)
+    records = [phenotypes[sid] for sid in batch.subject_ids]
+    embeddings = embed_subjects(result.params, result.config, batch)
     encoder = build_phenotype_encoder(standardize_phenotypes(records).shape[1], seed=seed)
     _, adjacency = population_adjacency(
         similarity_m1(embeddings),
@@ -216,13 +212,12 @@ def cmd_popgraph(args) -> int:
         weight_matrix(records, encoder),
         retain_fraction=args.retain_pct / 100.0,
     )
-    order = {sid: i for i, sid in enumerate(s.subject_id for s in subs)}
+    order = {sid: i for i, sid in enumerate(batch.subject_ids)}
     train_idx = np.array([order[sid] for sid in plan.subjects_in("train")])
     test_idx = np.array([order[sid] for sid in plan.subjects_in("test")])
-    labels = np.array([s.label for s in subs])
-    pop = train_population_head(embeddings, adjacency, labels, train_idx, seed=seed)
+    pop = train_population_head(embeddings, adjacency, batch.labels, train_idx, seed=seed)
     probs = gcn_classify(embeddings, adjacency, pop.head).data
-    metrics = compute_metrics(probs[test_idx, 1], labels[test_idx])
+    metrics = compute_metrics(probs[test_idx, 1], batch.labels[test_idx])
     rows = [ExperimentRow(run_id="popgraph", seed=seed, fold=0, metrics=metrics)]
     write_metrics_csv(args.out, rows)
     print(

@@ -35,10 +35,10 @@ from .connectivity import (
     subject_chunks,
 )
 from .hcnn import HcnnConfig, dr_flatten
-from .hgnn import HgnnConfig, LevelBatch, LevelInput
+from .hgnn import HgnnConfig, LevelBatch
 from .layers import init_mlp, init_param, mlp_forward
 from .rng import named_stream
-from .spectral import first_order_propagation, normalized_laplacian
+from .spectral import GraphLaplacian, first_order_propagation, normalized_laplacian
 
 
 class ModelError(ValueError):
@@ -222,51 +222,78 @@ class ModelParams(Mapping):
 
 
 # ---------------------------------------------------------------------------
-# per-subject constant inputs
+# prepared subjects
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class SubjectInputs:
-    """Graph views and the flattened FC vector for one subject."""
+class SubjectBatch:
+    """The constant model inputs of a stack of subjects, as preparation
+    makes them and training and scoring read them: the subject ids, ``[N]``
+    labels, a ``LevelBatch`` per level and ``[N, 1, fc_len]`` FC vectors.
+    ``batch[i]`` is subject ``i``'s view into these arrays, no copy."""
 
-    subject_id: str
-    label: int
-    levels: dict[str, LevelInput]
-    fc_input: Tensor
+    subject_ids: list[str]
+    labels: np.ndarray
+    levels: dict[str, LevelBatch]
+    fc_input: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.subject_ids)
+
+    def __iter__(self) -> Iterator[SubjectInputs]:
+        return (SubjectInputs(self, i) for i in range(len(self)))
+
+    def __getitem__(self, index: int) -> SubjectInputs:
+        return SubjectInputs(self, range(len(self))[index])
+
+    @property
+    def level_widths(self) -> dict[str, int]:
+        return {lv: level.width for lv, level in self.levels.items()}
 
     @property
     def fc_len(self) -> int:
-        return self.fc_input.shape[1]
+        return self.fc_input.shape[-1]
 
-
-@dataclass
-class SubjectBatch:
-    """The constant inputs of a stack of subjects, each with a leading batch
-    axis: ``[B, m, w]`` features and ``[B, m, m]`` graph operators per
-    level, ``[B, 1, fc_len]`` FC vectors and ``[B]`` labels."""
-
-    levels: dict[str, LevelBatch]
-    fc_input: Tensor
-    labels: np.ndarray
-
-    @classmethod
-    def stack(cls, subs: Sequence[SubjectInputs]) -> "SubjectBatch":
-        if not subs:
-            raise ModelError("no subjects to stack")
-        return cls(
-            levels={lv: LevelBatch.stack([s.levels[lv] for s in subs]) for lv in subs[0].levels},
-            fc_input=Tensor(np.stack([s.fc_input.data for s in subs])),
-            labels=np.array([s.label for s in subs]),
-        )
-
-    def take(self, index: np.ndarray) -> "SubjectBatch":
-        """The subjects at ``index``, in that order."""
+    def take(self, index: slice | np.ndarray) -> "SubjectBatch":
+        """The subjects at ``index``, in that order; a slice gives views, no copy."""
         return SubjectBatch(
-            levels={lv: batch.take(index) for lv, batch in self.levels.items()},
-            fc_input=Tensor(self.fc_input.data[index]),
+            subject_ids=[self.subject_ids[i] for i in np.arange(len(self))[index]],
             labels=self.labels[index],
+            levels={lv: level.take(index) for lv, level in self.levels.items()},
+            fc_input=self.fc_input[index],
         )
+
+
+@dataclass(frozen=True)
+class SubjectInputs:
+    """Subject ``index`` of a ``SubjectBatch``, for reading one subject's
+    inputs: views of its rows, no copy, each level's built when ``levels``
+    is read. Training and scoring read the batch, never these."""
+
+    batch: SubjectBatch
+    index: int
+
+    @property
+    def subject_id(self) -> str:
+        return self.batch.subject_ids[self.index]
+
+    @property
+    def label(self) -> int:
+        return int(self.batch.labels[self.index])
+
+    @property
+    def levels(self) -> dict[str, LevelBatch]:
+        return {lv: level.take(self.index) for lv, level in self.batch.levels.items()}
+
+    @property
+    def fc_input(self) -> Tensor:
+        """The FC vector as ``[1, fc_len]``."""
+        return Tensor(self.batch.fc_input[self.index])
+
+    @property
+    def fc_len(self) -> int:
+        return self.batch.fc_len
 
 
 # subjects per eval-mode forward; at 196 ROIs each adds about 4 MiB of
@@ -274,10 +301,10 @@ class SubjectBatch:
 SCORE_BATCH = 8
 
 
-def eval_batches(subs: Sequence[SubjectInputs]) -> Iterator[SubjectBatch]:
-    """``subs`` in order, in stacks of at most ``SCORE_BATCH`` subjects."""
-    for start in range(0, len(subs), SCORE_BATCH):
-        yield SubjectBatch.stack(subs[start : start + SCORE_BATCH])
+def eval_batches(batch: SubjectBatch) -> Iterator[SubjectBatch]:
+    """``batch`` in order, in slices of at most ``SCORE_BATCH`` subjects."""
+    for start in range(0, len(batch), SCORE_BATCH):
+        yield batch.take(slice(start, start + SCORE_BATCH))
 
 
 @dataclass
@@ -339,44 +366,48 @@ def prepare_stack(
     labels: Sequence[int],
     encoder: str = "res-cheb",
     fc_series: Sequence[RoiTimeSeries] | None = None,
-) -> list[SubjectInputs]:
+) -> SubjectBatch:
     """Build the constant model inputs of every subject, chunk by chunk.
 
     Each chunk is thresholded, and its Laplacians (or GCN propagations)
-    and FC vectors built, as stacks. ``fc_series`` lets the Euclidean
-    branch use a different parcellation of the same recordings than the
-    graph hierarchy; by default both branches share the series.
+    and FC vectors built, as stacks. A single chunk's stacks are the
+    batch's; with several, each chunk is written into the batch's stacks as
+    it is made. ``fc_series`` lets the Euclidean branch use a different
+    parcellation of the same recordings than the graph hierarchy; by
+    default both branches share the series.
     """
-    blocks = {level: hierarchy.level_blocks(level) for level in LEVELS}
-    subs: list[SubjectInputs] = []
+    n = len(connectivity)
+    if not n:
+        raise ModelError("no subjects to prepare")
+    stacks: dict[tuple[str, str], np.ndarray] = {}
+    ids: list[str] = []
     for part, levels in connectivity.chunks:
-        start = len(subs)
-        fc_part = part if fc_series is None else fc_series[start : start + len(part)]
-        fc = dr_flatten(pearson_fc(fc_part))
+        start = len(ids)
+        ids += [ts.subject_id for ts in part]
+        fc = dr_flatten(pearson_fc(part if fc_series is None else fc_series[start : len(ids)]))
+        chunk = {("fc", "vectors"): fc[:, None, :]}
         graphs = build_graph_set(levels, gammas)
-        if encoder == "gcn":
-            ops = {lv: first_order_propagation(graphs.adjacency[lv]) for lv in LEVELS}
+        for lv in LEVELS:
+            chunk[lv, "features"] = graphs.features[lv]
+            if encoder == "gcn":
+                chunk[lv, "propagation"] = first_order_propagation(graphs.adjacency[lv])
+            else:
+                lap = normalized_laplacian(graphs.adjacency[lv])
+                chunk[lv, "laplacian"], chunk[lv, "lambda_max"] = lap.laplacian, lap.lambda_max
+        if len(part) == n:
+            stacks = chunk
         else:
-            ops = {lv: normalized_laplacian(graphs.adjacency[lv]).unstack() for lv in LEVELS}
-        for i, ts in enumerate(part):
-            subs.append(
-                SubjectInputs(
-                    subject_id=ts.subject_id,
-                    label=int(labels[start + i]),
-                    levels={
-                        lv: LevelInput(
-                            name=lv,
-                            features=graphs.features[lv][i],
-                            norm_blocks=blocks[lv],
-                            lap=None if encoder == "gcn" else ops[lv][i],
-                            propagation=ops[lv][i] if encoder == "gcn" else None,
-                        )
-                        for lv in LEVELS
-                    },
-                    fc_input=Tensor(fc[i : i + 1]),
-                )
-            )
-    return subs
+            for key, stack in chunk.items():
+                if key not in stacks:
+                    stacks[key] = np.empty((n, *stack.shape[1:]))
+                stacks[key][start : len(ids)] = stack
+    level_batches = {}
+    for lv in LEVELS:
+        lap = None if encoder == "gcn" else GraphLaplacian(stacks[lv, "laplacian"], stacks[lv, "lambda_max"])
+        blocks = hierarchy.level_blocks(lv)
+        level_batches[lv] = LevelBatch(stacks[lv, "features"], blocks, lap, stacks.get((lv, "propagation")))
+    labels = np.array([int(label) for label in labels])
+    return SubjectBatch(ids, labels, level_batches, stacks["fc", "vectors"])
 
 
 def prepare_subject(
@@ -386,17 +417,11 @@ def prepare_subject(
     label: int = 0,
     encoder: str = "res-cheb",
     fc_source: RoiTimeSeries | None = None,
-) -> SubjectInputs:
+) -> SubjectBatch:
     """Build the constant model inputs for one subject: a stack of one."""
-    (sub,) = prepare_stack(
-        CohortConnectivity.build([ts], hierarchy),
-        hierarchy,
-        gammas,
-        [label],
-        encoder=encoder,
-        fc_series=None if fc_source is None else [fc_source],
-    )
-    return sub
+    connectivity = CohortConnectivity.build([ts], hierarchy)
+    fc_series = None if fc_source is None else [fc_source]
+    return prepare_stack(connectivity, hierarchy, gammas, [label], encoder, fc_series)
 
 
 def prepare_cohort(
@@ -405,16 +430,12 @@ def prepare_cohort(
     gammas: dict[str, float] | float,
     encoder: str = "res-cheb",
     subject_ids: Iterable[str] | None = None,
-) -> list[SubjectInputs]:
-    wanted = None if subject_ids is None else set(subject_ids)
-    records = [r for r in cohort.subjects if wanted is None or r.subject_id in wanted]
-    return prepare_stack(
-        CohortConnectivity.build([r.timeseries for r in records], hierarchy),
-        hierarchy,
-        gammas,
-        [r.label for r in records],
-        encoder=encoder,
-    )
+) -> SubjectBatch:
+    """The cohort's subjects (those of ``subject_ids``, in cohort order)
+    prepared as one stack; an id the cohort lacks is refused."""
+    records = cohort.select(subject_ids, "scored")
+    connectivity = CohortConnectivity.build([r.timeseries for r in records], hierarchy)
+    return prepare_stack(connectivity, hierarchy, gammas, [r.label for r in records], encoder)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +522,7 @@ def fused_features(
         graph_feat = hgnn_mod.multiview_fuse(*per_level) if len(per_level) == 3 else per_level[0]
     cnn_feat = None
     if cfg.toggles.cnn:
-        z_fc = hcnn_mod.hcnn_first_order(params, "hcnn", batch.fc_input, cfg.hcnn, train, rng)
+        z_fc = hcnn_mod.hcnn_first_order(params, "hcnn", Tensor(batch.fc_input), cfg.hcnn, train, rng)
         cnn_feat = (
             hcnn_mod.hop_concat(z_fc, params, "hcnn.hop") if cfg.toggles.cnn_high_order else z_fc
         )
@@ -531,11 +552,9 @@ def model_forward(
     return predict(fused_features(params, cfg, batch, train, rng), params)
 
 
-def score_subjects(
-    params: ModelParams, cfg: ModelConfig, subs: Sequence[SubjectInputs]
-) -> np.ndarray:
-    """Positive-class probability per subject, eval mode."""
-    scores = [model_forward(params, cfg, batch).data[:, 1] for batch in eval_batches(subs)]
+def score_subjects(params: ModelParams, cfg: ModelConfig, batch: SubjectBatch) -> np.ndarray:
+    """Positive-class probability per subject, eval mode; none for no subjects."""
+    scores = [model_forward(params, cfg, part).data[:, 1] for part in eval_batches(batch)]
     return np.concatenate(scores) if scores else np.zeros(0)
 
 
@@ -617,6 +636,22 @@ class FitResult:
     level_widths: dict[str, int]
     fc_len: int
     subject_ids: list[str]
+    source: str = "the fit"  # what refusals name; load_fit sets the checkpoint's path
+
+    def prepare(
+        self, cohort, hierarchy: AtlasHierarchy, subject_ids: Iterable[str] | None = None
+    ) -> SubjectBatch:
+        """``prepare_cohort`` with this fit's thresholds and encoder, refused
+        unless the subjects have the level widths and FC length it trained on."""
+        batch = prepare_cohort(cohort, hierarchy, self.gammas, self.config.hgnn.encoder, subject_ids)
+        got, trained = {**batch.level_widths, "FC": batch.fc_len}, {**self.level_widths, "FC": self.fc_len}
+        for key in got:  # LEVELS order; a loaded fit's widths come back key-sorted
+            if got[key] != trained[key]:
+                raise ModelError(
+                    f"{self.source}: trained on {key} width {trained[key]}, but the cohort gives "
+                    f"{got[key]}; score it with a model trained on the same atlas"
+                )
+        return batch
 
 
 def fit(
@@ -630,10 +665,11 @@ def fit(
 
     Thresholds are the inflection of the cohort-mean retained-edge curve
     per level, computed on the training subjects only. Training is
-    full-batch unless ``train_cfg.batch_size`` says otherwise; the inputs
-    are stacked once, and each mini-batch runs as one stacked forward pass
-    on one tape. Every random choice is drawn from streams named by the
-    seed, so equal seeds give bitwise-equal traces.
+    full-batch unless ``train_cfg.batch_size`` says otherwise. The subjects
+    are prepared as one stack; each mini-batch is taken from it by index
+    and runs as one stacked forward pass on one tape. Every random choice
+    is drawn from streams named by the seed, so equal seeds give
+    bitwise-equal traces.
     """
     if not (model_cfg.toggles.graph or model_cfg.toggles.cnn):
         raise ModelError("all branches disabled; nothing to train")
@@ -643,29 +679,21 @@ def fit(
         hcnn=replace(model_cfg.hcnn, dropout=train_cfg.dropout),
     )
 
-    wanted = None if subject_ids is None else set(subject_ids)
-    records = [r for r in cohort.subjects if wanted is None or r.subject_id in wanted]
+    records = cohort.select(subject_ids, "training")
     if not records:
         raise ModelError("no training subjects selected")
     connectivity = CohortConnectivity.build([r.timeseries for r in records], hierarchy)
     gammas = select_cohort_gammas(connectivity, hierarchy)
-    subs = prepare_stack(
+    cohort_batch = prepare_stack(
         connectivity, hierarchy, gammas, [r.label for r in records], encoder=model_cfg.hgnn.encoder
     )
-    level_widths = {level: subs[0].levels[level].width for level in LEVELS}
-    fc_len = subs[0].fc_len
-    subject_ids = [sub.subject_id for sub in subs]
-    cohort_batch = SubjectBatch.stack(subs)
-    # the stack holds every array training reads; the per-subject copies and
-    # the connectivity go before the parameters, optimizer state and tapes
-    # take their memory
-    del subs, connectivity
-    params = build_model_params(model_cfg, level_widths, fc_len, train_cfg.seed)
+    del connectivity  # from several chunks, the batch's features are copies of its own
+    params = build_model_params(model_cfg, cohort_batch.level_widths, cohort_batch.fc_len, train_cfg.seed)
 
     state = AdamState.for_params(params.parameters())
     drop_rng = named_stream(train_cfg.seed, "dropout")
     shuffle_rng = named_stream(train_cfg.seed, "batch-shuffle")
-    n = len(subject_ids)
+    n = len(cohort_batch)
     batch = n if train_cfg.batch_size is None else min(train_cfg.batch_size, n)
 
     trace: list[float] = []
@@ -689,9 +717,9 @@ def fit(
         train_config=train_cfg,
         gammas=gammas,
         loss_trace=trace,
-        level_widths=level_widths,
-        fc_len=fc_len,
-        subject_ids=subject_ids,
+        level_widths=cohort_batch.level_widths,
+        fc_len=cohort_batch.fc_len,
+        subject_ids=cohort_batch.subject_ids,
     )
 
 
@@ -771,6 +799,7 @@ def load_fit(path: str | Path) -> FitResult:
             level_widths=meta["level_widths"],
             fc_len=meta["fc_len"],
             subject_ids=meta["subject_ids"],
+            source=str(path),
         )
     except KeyError as exc:
         raise ModelError(f"{path}: checkpoint has no {exc} record; retrain it") from None

@@ -32,7 +32,6 @@ from .ffc import (
     TrainConfig,
     fit,
     parse_toggles,
-    prepare_cohort,
     score_subjects,
 )
 from .population import PhenotypeRecord
@@ -81,6 +80,21 @@ class Cohort:
 
     def labels(self) -> dict[str, int]:
         return {s.subject_id: s.label for s in self.subjects}
+
+    def select(self, subject_ids: Iterable[str] | None, role: str) -> list[SubjectRecord]:
+        """The records of ``subject_ids`` in cohort order, or every record for
+        None; ids the cohort lacks are refused, the first one named."""
+        if subject_ids is None:
+            return list(self.subjects)
+        wanted = list(subject_ids)
+        known = set(self.ids())
+        unknown = [sid for sid in wanted if sid not in known]
+        if unknown:
+            raise HarnessError(
+                f"{len(unknown)} {role} subjects are not in the cohort (first {unknown[0]!r})"
+            )
+        wanted = set(wanted)
+        return [r for r in self.subjects if r.subject_id in wanted]
 
 
 def nested_hierarchy(
@@ -418,26 +432,13 @@ def check_unseen(result: FitResult, subject_ids: Iterable[str]) -> None:
 def evaluate_fit(result: FitResult, cohort: Cohort, hierarchy: AtlasHierarchy, subject_ids) -> Metrics:
     """Score held-out subjects with the fit's thresholds and encoder.
 
-    Refuses subjects the fit was trained on and subjects not in the cohort.
+    Refuses subjects the fit was trained on, subjects not in the cohort and
+    a cohort whose shapes differ from the fit's (``FitResult.prepare``).
     """
     subject_ids = list(subject_ids)
     check_unseen(result, subject_ids)
-    known = set(cohort.ids())
-    unknown = [sid for sid in subject_ids if sid not in known]
-    if unknown:
-        raise HarnessError(
-            f"{len(unknown)} scored subjects are not in the cohort (first {unknown[0]!r})"
-        )
-    subs = prepare_cohort(
-        cohort,
-        hierarchy,
-        result.gammas,
-        encoder=result.config.hgnn.encoder,
-        subject_ids=subject_ids,
-    )
-    scores = score_subjects(result.params, result.config, subs)
-    labels = np.array([s.label for s in subs])
-    return compute_metrics(scores, labels)
+    batch = result.prepare(cohort, hierarchy, subject_ids)
+    return compute_metrics(score_subjects(result.params, result.config, batch), batch.labels)
 
 
 def run_experiment(
@@ -458,6 +459,8 @@ def run_experiment(
     folds in numeric order (fold0, fold1, ..., fold10), each with a model
     trained on all the other folds.
     """
+    if repeats < 1:
+        raise HarnessError(f"repeats must be >= 1, got {repeats}")
     if mode == "holdout":
         plans = [
             make_splits(cohort, holdout_plan(train_cfg.seed + r)) for r in range(repeats)
@@ -503,6 +506,8 @@ def run_ablation(
     seeds: int = 5,
 ) -> ExperimentResult:
     """One holdout run per (branch configuration, seed)."""
+    if seeds < 1:
+        raise HarnessError(f"seeds must be >= 1, got {seeds}")
     rows = []
     for name in toggles:
         cfg = replace(model_cfg, toggles=parse_toggles(name))
@@ -678,12 +683,10 @@ def cohort_split_plan(directory: str | Path, cohort: Cohort, seed: int) -> Split
     plan = read_split_plan(path) if path.exists() else make_splits(cohort, holdout_plan(seed))
     if plan.mode != "holdout":
         raise HarnessError(f"{path}: train and popgraph need a holdout plan, got {plan.mode!r}")
-    known = set(cohort.ids())
-    unknown = [sid for sid in plan.assignments if sid not in known]
-    if unknown:
-        raise HarnessError(
-            f"{path}: {len(unknown)} split-plan subjects are not in the cohort (first {unknown[0]!r})"
-        )
+    try:
+        cohort.select(plan.assignments, "split-plan")
+    except HarnessError as exc:
+        raise HarnessError(f"{path}: {exc}") from None
     return plan
 
 

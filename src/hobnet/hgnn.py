@@ -12,7 +12,6 @@ takes one subject's tensors or a stack of subjects with a leading batch axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -53,52 +52,38 @@ class HgnnConfig:
 
 
 @dataclass
-class LevelInput:
-    """Constant per-subject inputs for one graph view."""
+class LevelBatch:
+    """One graph view of a stack of subjects, as preparation makes it: node
+    features ``[N, m, w]`` and either the normalized Laplacians
+    (``[N, m, m]`` with ``[N]`` dominant eigenvalues) or, for the ``gcn``
+    encoder, the renormalized propagations ``[N, m, m]``. Every subject has
+    the same ``m`` nodes, split into the same normalization blocks."""
 
-    name: str
     features: np.ndarray
     norm_blocks: list[np.ndarray]
     lap: GraphLaplacian | None = None
     propagation: np.ndarray | None = None
 
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-
     @property
     def width(self) -> int:
-        return self.features.shape[1]
+        return self.features.shape[-1]
 
     @property
     def operator(self) -> np.ndarray:
-        """The matrix the encoder filters with: the rescaled Laplacian, or
-        the renormalized propagation of the ``gcn`` encoder."""
+        """The matrices the encoder filters with: the rescaled Laplacians,
+        built on each read, or the propagations."""
         return self.propagation if self.lap is None else self.lap.rescaled
 
-
-@dataclass
-class LevelBatch:
-    """One graph view of a stack of subjects: node features ``[B, m, w]`` and
-    graph operators ``[B, m, m]``. Every subject has the same ``m`` nodes,
-    split into the same normalization blocks."""
-
-    features: Tensor
-    operator: Tensor
-    norm_blocks: list[np.ndarray]
-
-    @classmethod
-    def stack(cls, levels: Sequence[LevelInput]) -> "LevelBatch":
-        return cls(
-            features=Tensor(np.stack([lv.features for lv in levels])),
-            operator=Tensor(np.stack([lv.operator for lv in levels])),
-            norm_blocks=levels[0].norm_blocks,
-        )
-
-    def take(self, index: np.ndarray) -> "LevelBatch":
-        """The subjects at ``index``, in that order."""
-        return LevelBatch(
-            Tensor(self.features.data[index]), Tensor(self.operator.data[index]), self.norm_blocks
-        )
+    def take(self, index: int | slice | np.ndarray) -> "LevelBatch":
+        """The subjects at ``index``, in that order; an int gives one
+        subject's view, without the batch axis. Ints and slices give views
+        of these arrays, no copy."""
+        lap = self.lap
+        if lap is not None:
+            lam = lap.lambda_max[index]
+            lap = GraphLaplacian(lap.laplacian[index], float(lam) if np.ndim(lam) == 0 else lam)
+        propagation = None if self.propagation is None else self.propagation[index]
+        return LevelBatch(self.features[index], self.norm_blocks, lap, propagation)
 
 
 def afm_weights(r: Tensor) -> Tensor:
@@ -127,25 +112,27 @@ def ghop(z: Tensor) -> Tensor:
 
 def chebconv_block(
     h_in: Tensor,
-    level: LevelBatch,
+    operator: Tensor,
+    norm_blocks: list[np.ndarray],
     params,
     prefix: str,
     cfg: HgnnConfig,
     train: bool,
     rng: np.random.Generator,
 ) -> Tensor:
-    """One convolution block: filter, per-block norm, ReLU, dropout and,
-    for ``res-cheb``, the identity skip."""
+    """One convolution block: filter with ``operator`` (a level's
+    ``LevelBatch.operator``), per-block norm, ReLU, dropout and, for
+    ``res-cheb``, the identity skip."""
     if cfg.encoder == "gcn":
-        conv = ad.matmul(ad.matmul(level.operator, h_in), params[f"{prefix}.w"].value)
+        conv = ad.matmul(ad.matmul(operator, h_in), params[f"{prefix}.w"].value)
     else:
         thetas = [params[f"{prefix}.theta{k}"].value for k in range(cfg.k)]
-        conv = cheb_apply(level.operator, h_in, thetas)
+        conv = cheb_apply(operator, h_in, thetas)
     normed = ad.per_block_norm(
         conv,
         params[f"{prefix}.norm.gain"].value,
         params[f"{prefix}.norm.shift"].value,
-        blocks=level.norm_blocks,
+        blocks=norm_blocks,
     )
     out = ad.dropout(ad.relu(normed), cfg.dropout, rng, train)
     if cfg.encoder == "res-cheb":
@@ -162,14 +149,16 @@ def level_encoder(
     rng: np.random.Generator,
 ) -> Tensor:
     """Project raw node features to the hidden width, run the block stack,
-    and mix the per-block embeddings with adaptive feature maps."""
+    and mix the per-block embeddings with adaptive feature maps. The level's
+    operator is derived once, for every block."""
+    operator = Tensor(level.operator)
     h = ad.add(
-        ad.matmul(level.features, params[f"{prefix}.proj.w"].value),
+        ad.matmul(Tensor(level.features), params[f"{prefix}.proj.w"].value),
         params[f"{prefix}.proj.b"].value,
     )
     outputs = []
     for i in range(cfg.blocks):
-        h = chebconv_block(h, level, params, f"{prefix}.block{i}", cfg, train, rng)
+        h = chebconv_block(h, operator, level.norm_blocks, params, f"{prefix}.block{i}", cfg, train, rng)
         outputs.append(h)
     return afm_combine(outputs, params[f"{prefix}.afm.r"].value)
 

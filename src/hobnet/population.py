@@ -21,7 +21,7 @@ from .ffc import (
     AdamState,
     ModelConfig,
     ModelParams,
-    SubjectInputs,
+    SubjectBatch,
     adam_step,
     eval_batches,
     fused_features,
@@ -57,13 +57,11 @@ GCN_DIM = 32
 HEAD_HIDDEN = 16
 
 
-def embed_subjects(
-    params: ModelParams, cfg: ModelConfig, subs: Sequence[SubjectInputs]
-) -> np.ndarray:
-    """Fused feature vector per subject, eval mode; rows follow ``subs``."""
+def embed_subjects(params: ModelParams, cfg: ModelConfig, batch: SubjectBatch) -> np.ndarray:
+    """Fused feature vector per subject, eval mode; rows follow ``batch``."""
     if not params:
         raise PopulationError("embed_subjects needs trained model parameters")
-    return np.vstack([fused_features(params, cfg, batch).data for batch in eval_batches(subs)])
+    return np.vstack([fused_features(params, cfg, part).data for part in eval_batches(batch)])
 
 
 def _pearson_rows(y: np.ndarray) -> np.ndarray:

@@ -32,13 +32,9 @@ class GraphLaplacian:
     @property
     def rescaled(self) -> np.ndarray:
         """``(2 / lambda_max) L - I``, spectrum in [-1, 1]; built on each read,
-        so a prepared subject holds one matrix per level, not two."""
+        so a prepared stack holds one matrix per graph, not two."""
         scale = 2.0 / np.asarray(self.lambda_max)[..., None, None]
         return scale * self.laplacian - np.eye(self.laplacian.shape[-1])
-
-    def unstack(self) -> list[GraphLaplacian]:
-        """One ``GraphLaplacian`` per graph of a stack."""
-        return [GraphLaplacian(lap, float(lam)) for lap, lam in zip(self.laplacian, self.lambda_max)]
 
 
 def _checked_adjacency(adjacency: np.ndarray) -> np.ndarray:

@@ -5,6 +5,8 @@ something the package computes another way, or a helper that builds test
 inputs and losses.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from hobnet import autodiff as ad
@@ -19,8 +21,7 @@ from hobnet.connectivity import (
     ConnectivityMatrix,
     select_cutoff,
 )
-from hobnet.ffc import SubjectInputs
-from hobnet.hgnn import LevelInput
+from hobnet.hgnn import LevelBatch
 from hobnet.layers import mlp_forward
 from hobnet.rng import named_stream
 from hobnet.spectral import GraphLaplacian, SpectralError, cheb_apply
@@ -285,15 +286,15 @@ def pearson_fc(ts) -> np.ndarray:
 
 
 def prepare_subject(ts, hierarchy, gammas, label=0, encoder="res-cheb", fc_source=None):
-    """One subject's model inputs, each level built from its own cross-product."""
+    """One subject's model inputs, each level built from its own cross-product,
+    with the fields of a prepared subject's view."""
     levels = {}
     for level in LEVELS:
         cm = composite_connectivity(ts, hierarchy, level)
         gamma = gammas[level] if isinstance(gammas, dict) else float(gammas)
         adjacency = (cm.values > gamma).astype(np.float64)
         np.fill_diagonal(adjacency, 1.0)
-        levels[level] = LevelInput(
-            name=level,
+        levels[level] = LevelBatch(
             features=cm.values.copy(),
             norm_blocks=hierarchy.level_blocks(level),
             lap=None if encoder == "gcn" else normalized_laplacian(adjacency),
@@ -301,7 +302,7 @@ def prepare_subject(ts, hierarchy, gammas, label=0, encoder="res-cheb", fc_sourc
         )
     fc = pearson_fc(fc_source if fc_source is not None else ts)
     rows, cols = np.triu_indices(fc.shape[0], k=1)
-    return SubjectInputs(
+    return SimpleNamespace(
         subject_id=ts.subject_id,
         label=int(label),
         levels=levels,

@@ -6,6 +6,7 @@ need a trained model.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from hobnet.ffc import (
     HcnnConfig,
     HgnnConfig,
     ModelConfig,
-    SubjectBatch,
     TrainConfig,
     build_model_params,
     checkpoint_meta,
@@ -47,7 +47,7 @@ from hobnet.harness import (
     synth_generate,
     write_metrics_csv,
 )
-from hobnet.hgnn import LevelBatch, LevelInput, afm_weights, level_encoder
+from hobnet.hgnn import afm_weights, level_encoder
 from hobnet.population import (
     build_phenotype_encoder,
     embed_subjects,
@@ -110,7 +110,8 @@ class TestCriterion1GradientCorrectness:
         hierarchy = toy_hierarchy_4_6_10()
         ts = random_timeseries(10, n_timepoints=80, seed=41, names=hierarchy.rois)
         fc_ts = random_timeseries(12, n_timepoints=80, seed=42)
-        sub = prepare_subject(ts, hierarchy, gammas=0.3, label=1, fc_source=fc_ts)
+        batch = prepare_subject(ts, hierarchy, gammas=0.3, label=1, fc_source=fc_ts)
+        sub = batch[0]
         cfg = ModelConfig(
             toggles=parse_toggles("HGNN+HCNN"),
             hgnn=HgnnConfig(k=3, blocks=3, hidden_dim=8),
@@ -121,7 +122,7 @@ class TestCriterion1GradientCorrectness:
         params = build_model_params(cfg, widths, sub.fc_len, seed=13)
 
         def f():
-            return loss(model_forward(params, cfg, SubjectBatch.stack([sub]), train=False), [sub.label])
+            return loss(model_forward(params, cfg, batch, train=False), [sub.label])
 
         fd = finite_difference_check(
             f, params.parameters(), h=1e-5, tolerance=1e-4, max_entries=120, seed=3
@@ -161,31 +162,25 @@ class TestCriterion3BlockDiagonalLocality:
     def test_feature_perturbations_stay_inside_their_block(self):
         hierarchy = toy_hierarchy_4_6_10()
         ts = random_timeseries(10, n_timepoints=60, seed=51, names=hierarchy.rois)
-        sub = prepare_subject(ts, hierarchy, gammas=0.25)
+        batch = prepare_subject(ts, hierarchy, gammas=0.25)
         cfg = HgnnConfig(k=3, blocks=3, hidden_dim=8)
         model_cfg = ModelConfig(toggles=parse_toggles("GNN"), hgnn=cfg)
-        widths = {lvl: sub.levels[lvl].width for lvl in LEVELS}
+        widths = {lvl: batch.levels[lvl].width for lvl in LEVELS}
         params = build_model_params(model_cfg, widths, fc_len=45, seed=5)
         checks = 0
         for level_name in ("man", "lan"):
-            level = sub.levels[level_name]
+            level = batch.levels[level_name]
             blocks = level.norm_blocks
             base = level_encoder(
-                params, f"hgnn.{level_name}", LevelBatch.stack([level]), cfg, train=False,
+                params, f"hgnn.{level_name}", level, cfg, train=False,
                 rng=named_stream(0, "na"),
             ).data[0]
             for b, block in enumerate(blocks):
                 bumped_feats = level.features.copy()
-                bumped_feats[block[0], block[0]] += 2.5
-                bumped = LevelInput(
-                    name=level.name,
-                    features=bumped_feats,
-                    norm_blocks=blocks,
-                    lap=level.lap,
-                    propagation=level.propagation,
-                )
+                bumped_feats[0, block[0], block[0]] += 2.5
+                bumped = replace(level, features=bumped_feats)
                 out = level_encoder(
-                    params, f"hgnn.{level_name}", LevelBatch.stack([bumped]), cfg, train=False,
+                    params, f"hgnn.{level_name}", bumped, cfg, train=False,
                     rng=named_stream(0, "na"),
                 ).data[0]
                 others = np.concatenate([blk for j, blk in enumerate(blocks) if j != b])
@@ -353,14 +348,13 @@ class TestCriterion11CheckpointRoundTrip:
         loaded, meta = load_checkpoint(path)
         for name in result.params:
             assert result.params[name].data.tobytes() == loaded[name].data.tobytes(), name
-        subs = prepare_cohort(
+        batch = prepare_cohort(
             full_run["cohort"],
             full_run["hierarchy"],
             result.gammas,
             encoder=cfg.hgnn.encoder,
             subject_ids=full_run["plan"].subjects_in("test")[:5],
         )
-        batch = SubjectBatch.stack(subs)
         np.testing.assert_array_equal(
             model_forward(result.params, cfg, batch).data, model_forward(loaded, cfg, batch).data
         )

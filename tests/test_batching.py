@@ -16,7 +16,6 @@ from hobnet.ffc import (
     HcnnConfig,
     HgnnConfig,
     ModelConfig,
-    SubjectBatch,
     build_model_params,
     fused_features,
     loss,
@@ -75,11 +74,10 @@ def test_batched_path_matches_the_per_subject_oracle(prepared, toggles, encoder)
     subs = prepared[encoder]
     cfg = small_config(toggles, encoder)
     params = model_params(cfg, subs)
-    cohort_batch = SubjectBatch.stack(subs)
     order = named_stream(11, "batch-order").permutation(len(subs))
     for size in SIZES:
         chosen = order[:size]
-        batch = cohort_batch.take(chosen)
+        batch = subs.take(chosen)
         features = fused_features(params, cfg, batch).data
         probs = model_forward(params, cfg, batch).data
         for row, i in enumerate(chosen):
@@ -125,11 +123,10 @@ def test_the_training_tape_of_a_batch_of_8_is_as_long_as_a_batch_of_1(prepared):
     subs = prepared["res-cheb"]
     cfg = small_config("hgnn+hcnn")
     params = model_params(cfg, subs)
-    cohort_batch = SubjectBatch.stack(subs)
     rng = named_stream(0, "dropout")
 
     def train_loss(size):
-        batch = cohort_batch.take(np.arange(size))
+        batch = subs.take(np.arange(size))
         return lambda: loss(model_forward(params, cfg, batch, True, rng), batch.labels)
 
     assert tape_nodes(train_loss(8)) == tape_nodes(train_loss(1)) > 100
@@ -146,8 +143,8 @@ def test_scoring_a_full_stack_records_no_more_than_scoring_one_subject(prepared,
     counts = []
     for n in (1, SCORE_BATCH):
         calls.clear()
-        nodes = tape_nodes(lambda: score_subjects(params, cfg, subs[:n]))
-        embed_nodes = tape_nodes(lambda: embed_subjects(params, cfg, subs[:n]))
+        nodes = tape_nodes(lambda: score_subjects(params, cfg, subs.take(slice(n))))
+        embed_nodes = tape_nodes(lambda: embed_subjects(params, cfg, subs.take(slice(n))))
         counts.append((nodes, embed_nodes, len(calls)))
     assert counts[1] == counts[0]
     assert counts[0][2] == 1

@@ -16,8 +16,10 @@ from hobnet.connectivity import (
     write_timeseries_csv,
 )
 from hobnet.ffc import (
+    FitResult,
     ModelConfig,
     TrainConfig,
+    build_model_params,
     checkpoint_meta,
     load_checkpoint,
     load_fit,
@@ -536,6 +538,56 @@ class TestCliErrors:
         assert err.startswith("hobnet: error: ")
         assert f"subject 's0000': time series is missing hierarchy ROI {ts.roi_names[-1]!r}" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["eval", "popgraph"])
+    def test_scoring_a_cohort_of_another_atlas_names_the_checkpoint_and_exits_2(
+        self, workspace, tmp_path, capsys, command
+    ):
+        # an untrained 16-ROI checkpoint; the workspace cohort has 8 ROIs
+        cfg = ModelConfig(hgnn=HgnnConfig(k=2, blocks=2, hidden_dim=4))
+        widths, fc_len = {"wan": 4, "man": 8, "lan": 16}, 16 * 15 // 2
+        ckpt = tmp_path / "atlas16.ckpt"
+        result = FitResult(
+            params=build_model_params(cfg, widths, fc_len, seed=0),
+            config=cfg,
+            train_config=TrainConfig(seed=0),
+            gammas={"wan": 0.3, "man": 0.3, "lan": 0.3},
+            loss_trace=[],
+            level_widths=widths,
+            fc_len=fc_len,
+            subject_ids=[],
+        )
+        save_checkpoint(ckpt, result.params, checkpoint_meta(result))
+        cohort = workspace / "cohort"
+        extra = (
+            ["--split-plan", cohort / "split_plan.json"] if command == "eval"
+            else ["--phenotypes", cohort / "phenotypes.csv"]
+        )
+        code = run(command, "--ckpt", ckpt, "--cohort", cohort, *extra, "--out", tmp_path / "x.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"hobnet: error: {ckpt}: trained on wan width 4, but the cohort gives 2;")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("grid", [-1, 0])
+    def test_threshold_curve_with_a_grid_below_1_gives_one_line_and_exit_2(
+        self, workspace, tmp_path, capsys, grid
+    ):
+        code = run(
+            "threshold-curve", "--timeseries", workspace / "ts.csv",
+            "--hierarchy", workspace / "hierarchy.json", "--grid", grid, "--out", tmp_path / "c.csv",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"hobnet: error: --grid must be at least 1, got {grid}\n"
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_ablate_with_no_seeds_gives_one_line_and_exit_2(self, workspace, tmp_path, capsys):
+        code = run("ablate", "--cohort", workspace / "cohort", "--seeds", 0, "--out", tmp_path / "a.csv")
+        assert code == 2
+        assert capsys.readouterr().err == "hobnet: error: seeds must be >= 1, got 0\n"
+        assert not (tmp_path / "a.csv").exists()
 
 
 class TestUnequalTimepoints:

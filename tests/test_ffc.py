@@ -12,7 +12,6 @@ from hobnet.ffc import (
     ModelConfig,
     ModelError,
     ModelParams,
-    SubjectBatch,
     TrainConfig,
     adam_step,
     build_model_params,
@@ -48,9 +47,9 @@ def small_config(toggles="HGNN+HCNN"):
     return ModelConfig(toggles=parse_toggles(toggles), **SMALL_MODEL)
 
 
-def predict_proba(params, cfg, sub):
-    """Eval-mode class probabilities of one subject, a stack of one."""
-    return model_forward(params, cfg, SubjectBatch.stack([sub])).data[0]
+def predict_proba(params, cfg, batch):
+    """Eval-mode class probabilities of a stack's first subject, as a stack of one."""
+    return model_forward(params, cfg, batch.take(slice(1))).data[0]
 
 
 def tiny_cohort(n=12, seed=0, signal=0.8, noise=0.3):
@@ -237,7 +236,7 @@ class TestAdam:
         subs = prepare_cohort(cohort, hierarchy, result.gammas)
         built = build_model_params(small_config(), result.level_widths, result.fc_len, seed=0)
         for params in (built, result.params):
-            predict_proba(params, small_config(), subs[0])
+            predict_proba(params, small_config(), subs)
             assert all(p.value.grad is None for p in params.parameters())
             assert not params["head.l0.w"].grad.any()  # read as zeros, made on first use
 
@@ -331,12 +330,12 @@ class TestBranchIndependence:
         tc = TrainConfig(epochs=2, seed=6)
         result = fit(cohort, hierarchy, cfg, tc)
         subs = prepare_cohort(cohort, hierarchy, result.gammas, encoder=cfg.hgnn.encoder)
-        base = predict_proba(result.params, cfg, subs[0])
-        subs[0].levels["lan"].features[0, 0] += 100.0
+        base = predict_proba(result.params, cfg, subs)
+        subs.levels["lan"].features[0, 0, 0] += 100.0
         bumped = prepare_subject(
             cohort.subjects[0].timeseries, hierarchy, result.gammas, encoder=cfg.hgnn.encoder
         )
-        bumped.levels["lan"] = subs[0].levels["lan"]
+        bumped.levels["lan"] = subs.levels["lan"].take(slice(1))
         np.testing.assert_array_equal(predict_proba(result.params, cfg, bumped), base)
 
     def test_graph_only_model_ignores_fc_input(self):
@@ -345,9 +344,9 @@ class TestBranchIndependence:
         tc = TrainConfig(epochs=2, seed=7)
         result = fit(cohort, hierarchy, cfg, tc)
         subs = prepare_cohort(cohort, hierarchy, result.gammas, encoder=cfg.hgnn.encoder)
-        base = predict_proba(result.params, cfg, subs[0])
+        base = predict_proba(result.params, cfg, subs)
         subs[0].fc_input.data[:] += 50.0
-        np.testing.assert_array_equal(predict_proba(result.params, cfg, subs[0]), base)
+        np.testing.assert_array_equal(predict_proba(result.params, cfg, subs), base)
 
 
 class TestCheckpoint:
@@ -366,7 +365,7 @@ class TestCheckpoint:
         subs = prepare_cohort(cohort, hierarchy, result.gammas, encoder=cfg.hgnn.encoder)
         cfg_back = ModelConfig.from_dict(meta["model_config"])
         np.testing.assert_array_equal(
-            predict_proba(result.params, cfg, subs[0]), predict_proba(loaded, cfg_back, subs[0])
+            predict_proba(result.params, cfg, subs), predict_proba(loaded, cfg_back, subs)
         )
 
     def test_load_fit_inverts_checkpoint_meta(self, tmp_path):
@@ -476,11 +475,11 @@ class TestMixedAtlasSizes:
         hierarchy = toy_hierarchy_4_6_10()
         ts = random_timeseries(10, n_timepoints=50, seed=9, names=hierarchy.rois)
         fc_ts = random_timeseries(12, n_timepoints=50, seed=10)
-        sub = prepare_subject(ts, hierarchy, gammas=0.3, fc_source=fc_ts)
-        assert sub.fc_len == 12 * 11 // 2
+        batch = prepare_subject(ts, hierarchy, gammas=0.3, fc_source=fc_ts)
+        assert batch[0].fc_len == 12 * 11 // 2
         cfg = small_config()
         params = build_model_params(
-            cfg, {lvl: sub.levels[lvl].width for lvl in ("wan", "man", "lan")}, sub.fc_len, seed=0
+            cfg, {lvl: batch.levels[lvl].width for lvl in ("wan", "man", "lan")}, batch.fc_len, seed=0
         )
-        probs = predict_proba(params, cfg, sub)
+        probs = predict_proba(params, cfg, batch)
         assert abs(probs.sum() - 1.0) <= 1e-12

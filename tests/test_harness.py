@@ -403,6 +403,14 @@ class TestDrivers:
         assert len(result.rows) == 4
         assert {r.run_id for r in result.rows} == {"HGNN", "HCNN"}
 
+    def test_drivers_refuse_zero_repeats_and_zero_seeds(self):
+        h = nested_hierarchy(2, 2, 2)
+        cohort = synth_generate(8, h, signal=0.8, noise=0.3, seed=15, n_timepoints=40)
+        with pytest.raises(HarnessError, match="repeats must be >= 1, got 0"):
+            run_experiment(cohort, h, small_config(), TrainConfig(epochs=1), repeats=0)
+        with pytest.raises(HarnessError, match="seeds must be >= 1, got -1"):
+            run_ablation(cohort, h, small_config(), TrainConfig(epochs=1), seeds=-1)
+
     def test_evaluate_fit_refuses_training_subjects(self):
         h = nested_hierarchy(2, 2, 2)
         cohort = synth_generate(8, h, signal=0.8, noise=0.3, seed=15, n_timepoints=40)

@@ -1,5 +1,7 @@
 """Graph-branch behavior: blocks, adaptive mixing, high-order pooling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from hobnet.autodiff import Parameter, Tape, Tensor, backward, finite_difference
 from hobnet.connectivity import LAN, MAN, WAN
 from hobnet.ffc import (
     ModelConfig,
-    SubjectBatch,
     build_model_params,
     fused_features,
     parse_toggles,
@@ -17,8 +18,6 @@ from hobnet.ffc import (
 from hobnet.hgnn import (
     HgnnConfig,
     HgnnError,
-    LevelBatch,
-    LevelInput,
     afm_combine,
     afm_weights,
     branch_high_order,
@@ -34,10 +33,10 @@ from conftest import random_timeseries, toy_hierarchy_4_6_10
 
 
 def toy_inputs(encoder="res-cheb", seed=0, gamma=0.3):
+    """One prepared subject: a stack of one."""
     hierarchy = toy_hierarchy_4_6_10()
     ts = random_timeseries(10, n_timepoints=60, seed=seed, names=hierarchy.rois)
-    sub = prepare_subject(ts, hierarchy, gammas=gamma, encoder=encoder)
-    return hierarchy, sub
+    return hierarchy, prepare_subject(ts, hierarchy, gammas=gamma, encoder=encoder)
 
 
 def afm_combine_by_selectors(block_outputs, r):
@@ -150,12 +149,12 @@ class TestGhop:
 
 class TestChebconvBlock:
     def test_zero_filters_res_cheb_is_identity(self):
-        hierarchy, sub = toy_inputs()
+        hierarchy, batch = toy_inputs()
         cfg = HgnnConfig(k=2, blocks=1, hidden_dim=5)
-        level = sub.levels[MAN]
+        level = batch.levels[MAN]
         params = build_model_params(
             ModelConfig(toggles=parse_toggles("GNN"), hgnn=cfg),
-            {lvl: sub.levels[lvl].width for lvl in (WAN, MAN, LAN)},
+            {lvl: batch.levels[lvl].width for lvl in (WAN, MAN, LAN)},
             fc_len=45,
             seed=0,
         )
@@ -163,19 +162,20 @@ class TestChebconvBlock:
             params[f"hgnn.man.block0.theta{k}"].value.data[:] = 0.0
         params["hgnn.man.block0.norm.gain"].value.data[:] = 1.0
         params["hgnn.man.block0.norm.shift"].value.data[:] = 0.0
-        h_in = Tensor(np.random.default_rng(6).normal(size=(1, level.features.shape[0], 5)))
+        h_in = Tensor(np.random.default_rng(6).normal(size=(1, level.features.shape[1], 5)))
         out = chebconv_block(
-            h_in, LevelBatch.stack([level]), params, "hgnn.man.block0", cfg, train=False, rng=named_stream(0, "x")
+            h_in, Tensor(level.operator), level.norm_blocks, params, "hgnn.man.block0", cfg,
+            train=False, rng=named_stream(0, "x"),
         )
         np.testing.assert_array_equal(out.data, h_in.data)
 
     def test_cheb_k1_bare_mode_reduces_to_projection(self):
-        hierarchy, sub = toy_inputs(encoder="cheb")
+        hierarchy, batch = toy_inputs(encoder="cheb")
         cfg = HgnnConfig(k=1, blocks=1, hidden_dim=4, encoder="cheb")
-        level = sub.levels[WAN]
+        level = batch[0].levels[WAN]
         params = build_model_params(
             ModelConfig(toggles=parse_toggles("GNN"), hgnn=cfg),
-            {lvl: sub.levels[lvl].width for lvl in (WAN, MAN, LAN)},
+            {lvl: batch.levels[lvl].width for lvl in (WAN, MAN, LAN)},
             fc_len=45,
             seed=1,
         )
@@ -186,30 +186,24 @@ class TestChebconvBlock:
 
     @pytest.mark.parametrize("encoder", ["res-cheb", "cheb", "gcn"])
     def test_block_diagonal_locality_feature_perturbation(self, encoder):
-        hierarchy, sub = toy_inputs(encoder=encoder, seed=8)
+        hierarchy, batch = toy_inputs(encoder=encoder, seed=8)
         cfg = HgnnConfig(k=3, blocks=3, hidden_dim=6, encoder=encoder)
-        widths = {lvl: sub.levels[lvl].width for lvl in (WAN, MAN, LAN)}
+        widths = {lvl: batch.levels[lvl].width for lvl in (WAN, MAN, LAN)}
         params = build_model_params(
             ModelConfig(toggles=parse_toggles("GNN"), hgnn=cfg), widths, fc_len=45, seed=2
         )
         for level_name in (MAN, LAN):
-            level = sub.levels[level_name]
+            level = batch.levels[level_name]
             blocks = level.norm_blocks
             base = level_encoder(
-                params, f"hgnn.{level_name}", LevelBatch.stack([level]), cfg, train=False,
+                params, f"hgnn.{level_name}", level, cfg, train=False,
                 rng=named_stream(0, "x"),
             ).data[0]
             perturbed_feats = level.features.copy()
-            perturbed_feats[blocks[0][0], blocks[0][0]] += 3.21
-            bumped = LevelInput(
-                name=level.name,
-                features=perturbed_feats,
-                norm_blocks=blocks,
-                lap=level.lap,
-                propagation=level.propagation,
-            )
+            perturbed_feats[0, blocks[0][0], blocks[0][0]] += 3.21
+            bumped = replace(level, features=perturbed_feats)
             out = level_encoder(
-                params, f"hgnn.{level_name}", LevelBatch.stack([bumped]), cfg, train=False,
+                params, f"hgnn.{level_name}", bumped, cfg, train=False,
                 rng=named_stream(0, "x"),
             ).data[0]
             others = np.concatenate([b for b in blocks[1:]])
@@ -218,11 +212,11 @@ class TestChebconvBlock:
 
 class TestBranchHighOrder:
     def test_zero_embeddings_zero_bias_mlp_gives_zeros(self):
-        hierarchy, sub = toy_inputs()
+        hierarchy, batch = toy_inputs()
         cfg = HgnnConfig(hidden_dim=4)
         params = build_model_params(
             ModelConfig(toggles=parse_toggles("HGNN"), hgnn=cfg),
-            {lvl: sub.levels[lvl].width for lvl in (WAN, MAN, LAN)},
+            {lvl: batch.levels[lvl].width for lvl in (WAN, MAN, LAN)},
             fc_len=45,
             seed=3,
         )
@@ -235,11 +229,11 @@ class TestBranchHighOrder:
         np.testing.assert_array_equal(out.data, z[0])
 
     def test_matches_stepwise_composition(self):
-        hierarchy, sub = toy_inputs()
+        hierarchy, batch = toy_inputs()
         cfg = HgnnConfig(hidden_dim=4)
         params = build_model_params(
             ModelConfig(toggles=parse_toggles("HGNN"), hgnn=cfg),
-            {lvl: sub.levels[lvl].width for lvl in (WAN, MAN, LAN)},
+            {lvl: batch.levels[lvl].width for lvl in (WAN, MAN, LAN)},
             fc_len=45,
             seed=4,
         )
@@ -279,9 +273,9 @@ class TestMultiviewFuse:
 
 class TestGraphBranchGradients:
     def test_branch_gradients_match_finite_differences(self):
-        hierarchy, sub = toy_inputs(seed=11)
+        hierarchy, batch = toy_inputs(seed=11)
         cfg = ModelConfig(toggles=parse_toggles("HGNN"), hgnn=HgnnConfig(k=2, blocks=2, hidden_dim=4))
-        widths = {lvl: sub.levels[lvl].width for lvl in (WAN, MAN, LAN)}
+        widths = {lvl: batch.levels[lvl].width for lvl in (WAN, MAN, LAN)}
         params = build_model_params(cfg, widths, fc_len=45, seed=5)
         rng = np.random.default_rng(12)
         w = rng.normal(size=cfg.fused_width())
@@ -289,7 +283,7 @@ class TestGraphBranchGradients:
         def f():
             from hobnet import autodiff as ad
 
-            features = fused_features(params, cfg, SubjectBatch.stack([sub]), train=False)
+            features = fused_features(params, cfg, batch, train=False)
             return ad.matmul(ad.reshape(features, (-1,)), Tensor(w))
 
         report = finite_difference_check(

@@ -358,14 +358,14 @@ class TestEmbedAndTrain:
         np.testing.assert_array_equal(y, embed_subjects(result.params, cfg, subs))
 
     def test_embeddings_match_forward_oracle(self):
-        from hobnet.ffc import SCORE_BATCH, SubjectBatch, fused_features
+        from hobnet.ffc import SCORE_BATCH, fused_features
 
         cohort, cfg, result, subs = self.setup_model()
         y = embed_subjects(result.params, cfg, subs)
-        stacks = [subs[i : i + SCORE_BATCH] for i in range(0, len(subs), SCORE_BATCH)]
-        direct = [fused_features(result.params, cfg, SubjectBatch.stack(s)).data for s in stacks]
+        stacks = [subs.take(slice(i, i + SCORE_BATCH)) for i in range(0, len(subs), SCORE_BATCH)]
+        direct = [fused_features(result.params, cfg, s).data for s in stacks]
         np.testing.assert_array_equal(y, np.vstack(direct))
-        alone = fused_features(result.params, cfg, SubjectBatch.stack([subs[3]])).data[0]
+        alone = fused_features(result.params, cfg, subs.take(slice(3, 4))).data[0]
         np.testing.assert_allclose(y[3], alone, rtol=1e-12, atol=1e-12)
 
     def test_empty_params_is_an_error(self):

@@ -2,9 +2,10 @@
 
 ``ffc.prepare_stack`` builds one Gram matrix per subject and derives every
 level, retained-edge curve, Laplacian, GCN propagation and FC vector of a
-chunk of subjects as stacks. ``tests/oracles.py`` keeps the per-subject
-code, which builds each level from its own cross-product. Every comparison
-here is of raw bytes.
+chunk of subjects as stacks, and returns them as one ``SubjectBatch``.
+``tests/oracles.py`` keeps the per-subject code, which builds each level
+from its own cross-product. Every comparison here is of raw bytes, made on
+the batch's per-subject views.
 """
 
 from collections import Counter
@@ -12,22 +13,28 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hobnet import connectivity, ffc
+from hobnet import connectivity, ffc, population
 from hobnet.connectivity import LEVELS, ConnectivityError, RoiTimeSeries, pearson_fc
 from hobnet.ffc import (
+    SCORE_BATCH,
     CohortConnectivity,
     ModelConfig,
+    ModelError,
+    SubjectBatch,
     TrainConfig,
+    build_model_params,
     fit,
     parse_toggles,
     prepare_cohort,
     prepare_stack,
     prepare_subject,
+    score_subjects,
     select_cohort_gammas,
 )
-from hobnet.harness import nested_hierarchy, synth_generate
+from hobnet.harness import HarnessError, nested_hierarchy, synth_generate
 from hobnet.hcnn import HcnnConfig
 from hobnet.hgnn import ENCODERS, HgnnConfig
+from hobnet.population import embed_subjects
 
 import oracles
 from conftest import random_timeseries
@@ -129,7 +136,7 @@ class TestStackedPreparationMatchesOracle:
         fc_ts = random_timeseries(12, n_timepoints=60, seed=10)
         ts = records[0].timeseries
         assert_same_inputs(
-            prepare_subject(ts, h, gammas, label=1, fc_source=fc_ts),
+            prepare_subject(ts, h, gammas, label=1, fc_source=fc_ts)[0],
             oracles.prepare_subject(ts, h, gammas, label=1, fc_source=fc_ts),
             "res-cheb",
         )
@@ -157,6 +164,123 @@ class TestRefusals:
         series = [random_timeseries(5, seed=1), random_timeseries(6, seed=2)]
         with pytest.raises(ConnectivityError, match="subject 'seed2': 6 ROI columns, but subject 'seed1' has 5"):
             pearson_fc(series)
+
+    def test_prepare_cohort_refuses_an_unknown_subject_id(self):
+        h = nested_hierarchy(4, 2, 2)
+        cohort = synth_generate(6, h, signal=0.6, noise=0.5, seed=13, n_timepoints=60)
+        with pytest.raises(HarnessError, match=r"1 scored subjects are not in the cohort \(first 'zzz'\)"):
+            prepare_cohort(cohort, h, 0.3, subject_ids=["s0000", "zzz"])
+
+    def test_fit_refuses_an_unknown_subject_id(self):
+        h = nested_hierarchy(4, 2, 2)
+        cohort = synth_generate(6, h, signal=0.6, noise=0.5, seed=13, n_timepoints=60)
+        cfg = ModelConfig(toggles=parse_toggles("GNN"), hgnn=HgnnConfig(hidden_dim=4))
+        ids = [*cohort.ids(), "nope", "gone"]
+        with pytest.raises(HarnessError, match=r"2 training subjects are not in the cohort \(first 'nope'\)"):
+            fit(cohort, h, cfg, TrainConfig(epochs=1), subject_ids=ids)
+
+
+def small_model(encoder: str = "res-cheb") -> ModelConfig:
+    return ModelConfig(
+        toggles=parse_toggles("HGNN+HCNN"),
+        hgnn=HgnnConfig(k=2, blocks=2, hidden_dim=4, encoder=encoder),
+        hcnn=HcnnConfig(out_dim=4),
+        head_hidden=(8,),
+    )
+
+
+def stacks(batch: SubjectBatch) -> dict[str, np.ndarray]:
+    """Every array of a batch's levels and its FC vectors, by name."""
+    out = {"fc": batch.fc_input}
+    for lv, level in batch.levels.items():
+        out[f"{lv} features"] = level.features
+        if level.lap is None:
+            out[f"{lv} propagation"] = level.propagation
+        else:
+            out[f"{lv} laplacian"] = level.lap.laplacian
+    return out
+
+
+class TestOneStack:
+    """Preparation returns one stack; views, eval slices and fit read it, not copies of it."""
+
+    @pytest.mark.parametrize("encoder", ENCODERS)
+    @pytest.mark.parametrize("chunks", ["one chunk", "chunks of 3"])
+    def test_views_and_eval_slices_share_memory_with_the_prepared_stack(self, monkeypatch, encoder, chunks):
+        if chunks == "chunks of 3":
+            monkeypatch.setattr(connectivity, "STACK_BYTES", 3 * 16 * 16 * 8)
+        h = nested_hierarchy(4, 2, 2)
+        cohort = synth_generate(SCORE_BATCH + 3, h, signal=0.6, noise=0.5, seed=14, n_timepoints=60)
+        batch = prepare_cohort(cohort, h, 0.3, encoder=encoder)
+        prepared = stacks(batch)
+        graph = "propagation" if encoder == "gcn" else "laplacian"
+        assert (len(batch), batch.subject_ids, list(batch.labels)) == (
+            len(cohort.subjects), cohort.ids(), [r.label for r in cohort.subjects]
+        )
+        for i, sub in enumerate(batch):
+            assert (sub.subject_id, sub.label) == (batch.subject_ids[i], batch.labels[i])
+            assert sub.fc_input.shape == (1, batch.fc_len)
+            assert np.shares_memory(sub.fc_input.data, prepared["fc"])
+            for lv in LEVELS:
+                level = sub.levels[lv]
+                assert np.shares_memory(level.features, prepared[f"{lv} features"])
+                matrix = level.propagation if encoder == "gcn" else level.lap.laplacian
+                assert matrix.shape == level.features.shape == (level.width,) * 2
+                assert np.shares_memory(matrix, prepared[f"{lv} {graph}"])
+
+        seen = []
+
+        def recording(fn):
+            def wrapper(params, cfg, part, *args, **kwargs):
+                seen.append(part)
+                return fn(params, cfg, part, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(ffc, "model_forward", recording(ffc.model_forward))
+        monkeypatch.setattr(population, "fused_features", recording(population.fused_features))
+        cfg = small_model(encoder)
+        params = build_model_params(cfg, batch.level_widths, batch.fc_len, seed=3)
+        assert score_subjects(params, cfg, batch).shape == (len(batch),)
+        assert embed_subjects(params, cfg, batch).shape == (len(batch), cfg.fused_width())
+        assert [len(part) for part in seen] == [SCORE_BATCH, 3] * 2
+        for part in seen:
+            for name, array in stacks(part).items():
+                assert np.shares_memory(array, prepared[name]), name
+
+    def test_fit_takes_its_mini_batches_from_the_prepared_stack(self, monkeypatch):
+        h = nested_hierarchy(4, 2, 2)
+        cohort = synth_generate(12, h, signal=0.6, noise=0.5, seed=15, n_timepoints=60)
+        made, taken_from = [], []
+        prepare, take = ffc.prepare_stack, SubjectBatch.take
+
+        def recording_prepare(*args, **kwargs):
+            batch = prepare(*args, **kwargs)
+            made.append(stacks(batch))
+            return batch
+
+        def recording_take(self, index):
+            taken_from.append(stacks(self))
+            return take(self, index)
+
+        monkeypatch.setattr(ffc, "prepare_stack", recording_prepare)
+        monkeypatch.setattr(SubjectBatch, "take", recording_take)
+        fit(cohort, h, small_model(), TrainConfig(epochs=2, batch_size=5, seed=1))
+        assert len(made) == 1 and len(taken_from) == 2 * 3
+        for arrays in taken_from:  # the very arrays preparation made, not copies of them
+            assert all(arrays[name] is made[0][name] for name in made[0])
+
+    def test_zero_subjects_are_refused_and_an_empty_slice_scores_to_nothing(self):
+        h = nested_hierarchy(4, 2, 2)
+        cohort = synth_generate(6, h, signal=0.6, noise=0.5, seed=16, n_timepoints=60)
+        with pytest.raises(ModelError, match="no subjects to prepare"):
+            prepare_cohort(cohort, h, 0.3, subject_ids=[])
+        empty = prepare_cohort(cohort, h, 0.3).take(slice(0))
+        assert len(empty) == 0 and list(empty) == []
+        cfg = small_model()
+        params = build_model_params(cfg, empty.level_widths, empty.fc_len, seed=3)
+        scores = score_subjects(params, cfg, empty)
+        assert scores.shape == (0,) and scores.dtype == np.float64
 
 
 class TestStackedCallCounts:
