@@ -9,8 +9,8 @@ checker verifies analytic gradients against numeric ones.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteValue("tensor construction received NaN or Inf values")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -141,7 +141,7 @@ def _active_tape() -> Tape | None:
 
 
 def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, backward) -> Tensor:
-    if not np.all(np.isfinite(out_data)):
+    if not np.isfinite(out_data).all():
         raise NonFiniteValue(f"{op} produced NaN or Inf values")
     tape = _active_tape()
     needs_grad = tape is not None and any(t.requires_grad for t in inputs)
@@ -384,15 +384,74 @@ def outer(a: Tensor, b: Tensor) -> Tensor:
     return _record("outer-product", (a, b), out, backward)
 
 
+class RowBlocks(Sequence):
+    """A partition of ``m`` node rows into normalization blocks, and the
+    padded layout ``per_block_norm`` takes their statistics in.
+
+    The layout is ``[..., blocks, size, features]``: a reshape when the
+    blocks are equal-sized runs in row order (every level of a nested
+    hierarchy), else a gather into zero-padded rows of the longest block's
+    size. Built once per partition; a list of index arrays passed to
+    ``per_block_norm`` is made into one on each call.
+    """
+
+    def __init__(self, blocks: Sequence, m: int):
+        self.blocks = [np.asarray(b, dtype=np.intp).reshape(-1) for b in blocks]
+        self.m = m
+        sizes = np.array([b.size for b in self.blocks], dtype=np.intp)
+        if not sizes.size or not sizes.all():
+            raise ShapeMismatch("per-block-norm: needs at least one block, and no empty ones")
+        rows = np.concatenate(self.blocks)
+        outside = rows[(rows < 0) | (rows >= m)]
+        if outside.size:
+            raise ShapeMismatch(f"per-block-norm: block row {outside[0]} is outside the {m} node rows")
+        seen = np.bincount(rows, minlength=m)
+        if (seen != 1).any():
+            row = int(np.flatnonzero(seen != 1)[0])
+            what = f"is listed {seen[row]} times" if seen[row] else "is in no block"
+            raise ShapeMismatch(f"per-block-norm: blocks must partition the node rows; row {row} {what}")
+        self.shape = (sizes.size, int(sizes.max()))
+        self.counts = sizes.astype(np.float64)[:, None, None]
+        # each row's place in the padded layout, and the places that hold a row
+        self.rows = self.mask = None
+        if (sizes != self.shape[1]).any() or (rows != np.arange(m)).any():
+            starts = np.cumsum(sizes) - sizes
+            self.rows = np.empty(m, dtype=np.intp)
+            self.rows[rows] = np.arange(m) + np.repeat(np.arange(sizes.size) * self.shape[1] - starts, sizes)
+            self.mask = np.isin(np.arange(sizes.size * self.shape[1]), self.rows).reshape(self.shape + (1,))
+
+    def __getitem__(self, index):
+        return self.blocks[index]
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+    def pad(self, a: np.ndarray) -> np.ndarray:
+        """``[..., m, d]`` rows in the ``[..., blocks, size, d]`` layout, zeros in the padding."""
+        padded = a.shape[:-2] + self.shape + a.shape[-1:]
+        if self.rows is None:
+            return a.reshape(padded)
+        out = np.zeros(a.shape[:-2] + (self.shape[0] * self.shape[1],) + a.shape[-1:])
+        out[..., self.rows, :] = a
+        return out.reshape(padded)
+
+    def unpad(self, a: np.ndarray) -> np.ndarray:
+        """Inverse of ``pad``: the ``[..., m, d]`` rows of a padded layout."""
+        flat = a.reshape(a.shape[:-3] + (-1,) + a.shape[-1:])
+        return flat if self.rows is None else flat[..., self.rows, :]
+
+
 def per_block_norm(x: Tensor, gain: Tensor, shift: Tensor, blocks: Sequence[np.ndarray]) -> Tensor:
     """Normalize features over the node rows of each block independently.
 
-    ``x`` is ``[nodes, features]`` or a batch ``[batch, nodes, features]``.
-    Statistics (mean, biased variance) are taken per matrix, per block and
-    per feature column, then a learnable per-feature affine
+    ``x`` is ``[nodes, features]`` or a batch ``[batch, nodes, features]``;
+    ``blocks`` partitions the node rows, as a ``RowBlocks`` or a list of
+    index arrays. Statistics (mean, biased variance) are taken per matrix,
+    per block and per feature column, then a learnable per-feature affine
     ``gain * xhat + shift`` is applied. Cross-block statistics are never
     mixed, which preserves the block-diagonal locality of the composite
-    graphs.
+    graphs. Every block's statistics come from one sum over the padded
+    layout, row by row in block order as a per-block ``mean``/``var`` sums.
     """
     if x.ndim not in (2, 3):
         raise ShapeMismatch(f"per-block-norm expects [..., nodes, features], got {x.shape}")
@@ -401,32 +460,26 @@ def per_block_norm(x: Tensor, gain: Tensor, shift: Tensor, blocks: Sequence[np.n
         raise ShapeMismatch(
             f"per-block-norm: gain/shift must have shape ({d},), got {gain.shape} and {shift.shape}"
         )
-    blocks = [np.asarray(b, dtype=np.intp) for b in blocks]
-    if sum(len(b) for b in blocks) != m:
-        raise ShapeMismatch("per-block-norm: blocks must partition the node rows")
+    plan = blocks if isinstance(blocks, RowBlocks) else RowBlocks(blocks, m)
+    if plan.m != m:
+        raise ShapeMismatch(f"per-block-norm: blocks partition {plan.m} node rows, got {m}")
 
-    xhat = np.empty_like(x.data)
-    inv_std = []
-    for idx in blocks:
-        xb = x.data[..., idx, :]
-        mu = xb.mean(axis=-2, keepdims=True)
-        var = xb.var(axis=-2, keepdims=True)
-        istd = 1.0 / np.sqrt(var + 1e-5)
-        xhat[..., idx, :] = (xb - mu) * istd
-        inv_std.append(istd)
+    dev = plan.pad(x.data)
+    dev = dev - dev.sum(axis=-2, keepdims=True) / plan.counts
+    if plan.mask is not None:
+        dev *= plan.mask
+    inv_std = 1.0 / np.sqrt((dev * dev).sum(axis=-2, keepdims=True) / plan.counts + 1e-5)
+    xhat_p = dev * inv_std
+    xhat = plan.unpad(xhat_p)
     out = xhat * gain.data + shift.data
 
     def backward(g: np.ndarray):
         dgain = (g * xhat).reshape(-1, d).sum(axis=0)
         dshift = g.reshape(-1, d).sum(axis=0)
-        dx = np.empty_like(x.data)
-        for idx, istd in zip(blocks, inv_std):
-            gb = g[..., idx, :] * gain.data
-            xh = xhat[..., idx, :]
-            mean_gb = gb.mean(axis=-2, keepdims=True)
-            mean_gbxh = (gb * xh).mean(axis=-2, keepdims=True)
-            dx[..., idx, :] = istd * (gb - mean_gb - xh * mean_gbxh)
-        return dx, dgain, dshift
+        gb = plan.pad(g) * gain.data
+        mean_gb = gb.sum(axis=-2, keepdims=True) / plan.counts
+        mean_gbxh = (gb * xhat_p).sum(axis=-2, keepdims=True) / plan.counts
+        return plan.unpad(inv_std * (gb - mean_gb - xhat_p * mean_gbxh)), dgain, dshift
 
     return _record("per-block-norm", (x, gain, shift), out, backward)
 

@@ -201,6 +201,7 @@ def cmd_popgraph(args) -> int:
         raise HarnessError(f"{args.phenotypes}: no row for cohort subject {missing[0]!r}")
     plan = cohort_split_plan(args.cohort, cohort, seed)
     require_parts(plan, ("train", "test"), Path(args.cohort) / "split_plan.json")
+    result.check_atlas(cohort, hierarchy)
     check_unseen(result, plan.subjects_in("test"))
     batch = result.prepare(cohort, hierarchy)
     records = [phenotypes[sid] for sid in batch.subject_ids]

@@ -23,6 +23,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .autodiff import RowBlocks
+
 WAN = "wan"
 MAN = "man"
 LAN = "lan"
@@ -137,7 +139,7 @@ class AtlasHierarchy:
             raise ConnectivityError(f"unknown level {level!r}; expected one of {LEVELS}")
         return self._layouts[level]
 
-    def level_blocks(self, level: str) -> list[np.ndarray]:
+    def level_blocks(self, level: str) -> RowBlocks:
         """Row-index blocks of the composite node order at ``level``.
 
         The top level forms a single block; lower levels group their nodes
@@ -172,7 +174,7 @@ class LevelLayout:
     """
 
     membership: np.ndarray | None
-    blocks: list[np.ndarray]
+    blocks: RowBlocks
     mask: np.ndarray
 
     @classmethod
@@ -182,7 +184,7 @@ class LevelLayout:
         membership = (np.array(node_of)[:, None] == np.arange(len(parents))).astype(np.float64)
         return cls(
             membership=None if len(node_of) == len(parents) else membership,
-            blocks=np.split(np.arange(len(parents)), starts[1:]),
+            blocks=RowBlocks(np.split(np.arange(len(parents)), starts[1:]), len(parents)),
             mask=parents[:, None] == parents[None, :],
         )
 

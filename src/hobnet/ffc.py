@@ -12,6 +12,7 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import zip_longest
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -185,6 +186,7 @@ class ModelParams(Mapping):
 
     def __init__(self):
         self._params: dict[str, Parameter] = {}
+        self._adam: AdamState | None = None  # set by AdamState.for_params
 
     def create(self, name: str, values) -> Parameter:
         if name in self._params:
@@ -209,11 +211,16 @@ class ModelParams(Mapping):
         return list(self._params.values())
 
     def zero_grad(self) -> None:
-        for p in self._params.values():
-            p.zero_grad()
+        if self._adam is None:
+            for p in self._params.values():
+                p.zero_grad()
+        else:
+            self._adam.attach()
+            self._adam.grad.fill(0.0)
 
     def release_grads(self) -> None:
         """Drop every gradient buffer; the next use of one makes it again, zeroed."""
+        self._adam = None
         for p in self._params.values():
             p.value.grad = None
 
@@ -563,23 +570,64 @@ def score_subjects(params: ModelParams, cfg: ModelConfig, batch: SubjectBatch) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    t: int = 0
+    """Adam's step count and moments, over parameters it packs.
+
+    The parameters' values, their gradients and the two moments each live
+    in one contiguous float64 buffer (``data``, ``grad``, ``flat_m``,
+    ``flat_v``), in parameter order; every parameter's ``data`` and
+    ``grad``, and ``m[name]`` and ``v[name]``, are reshaped views of its
+    slice. An array bound in place of a parameter's view
+    (``p.value.grad = ...``) is not lost: ``attach`` copies it into the
+    buffer and binds the view again, a gradient set to None reading as
+    zeros. ``m`` and ``v`` are read-only mappings.
+    """
+
+    def __init__(self, params: list[Parameter]):
+        self.params, self.t = params, 0
+        self.names = [p.name for p in params]
+        self.bounds = np.cumsum([0] + [p.value.size for p in params])
+        (self.data, self._data_views), (self.grad, self._grad_views) = self._zeros(), self._zeros()
+        (self.flat_m, m), (self.flat_v, v) = self._zeros(), self._zeros()
+        self.m, self.v = (MappingProxyType(dict(zip(self.names, views))) for views in (m, v))
+        self.attach()
 
     @classmethod
-    def for_params(cls, params: Iterable[Parameter]) -> "AdamState":
-        params = list(params)
-        return cls(
-            m={p.name: np.zeros_like(p.data) for p in params},
-            v={p.name: np.zeros_like(p.data) for p in params},
-        )
+    def for_params(cls, params: ModelParams | Iterable[Parameter]) -> "AdamState":
+        """Zeroed moments for ``params``, which it packs; a packed
+        ``ModelParams`` then zeroes its gradients with one fill."""
+        if not isinstance(params, ModelParams):
+            return cls(list(params))
+        params._adam = cls(params.parameters())
+        return params._adam
+
+    def _zeros(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        flat = np.zeros(self.bounds[-1])
+        slices = zip(self.bounds, self.bounds[1:], self.params)
+        return flat, [flat[lo:hi].reshape(p.value.shape) for lo, hi, p in slices]
+
+    def attach(self) -> None:
+        for p, data, grad in zip(self.params, self._data_views, self._grad_views):
+            value = p.value
+            if value.data is not data:
+                value.data = _bind(data, value.data, p.name, "values")
+            if value.grad is not grad:
+                value.grad = _bind(grad, value.grad, p.name, "gradient")
+
+
+def _bind(view: np.ndarray, bound: np.ndarray | None, name: str, what: str) -> np.ndarray:
+    """``view``, holding what ``bound``, the array bound in its place, holds."""
+    if bound is None:
+        view.fill(0.0)
+    elif np.shape(bound) != view.shape:
+        raise ModelError(f"parameter {name!r}: {what} bound with shape {np.shape(bound)}, not {view.shape}")
+    else:
+        view[...] = bound
+    return view
 
 
 # entries per slice of an Adam update, so its two scratch arrays stay small
-# however large the parameter (hcnn.mlp.l0.w has 9.8M entries at 196 ROIs)
+# however large the model (hcnn.mlp.l0.w has 9.8M entries at 196 ROIs)
 ADAM_SLICE = 8192
 
 
@@ -590,35 +638,40 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update from the parameters' current gradients.
 
-    The moments and the parameter update in place, in slices of at most
-    ``ADAM_SLICE`` entries along the first axis, in the operation order of
+    ``params`` are those ``state`` was made for, in order. The moments and
+    the parameters update in place over the flat buffers, in slices of at
+    most ``ADAM_SLICE`` entries, in the operation order of
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
     ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)``.
     """
+    if list(params) != state.params:
+        raise ModelError("adam_step: the parameters are not those its AdamState was made for")
+    state.attach()
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.t += 1
     c1, c2 = 1.0 - beta1**state.t, 1.0 - beta2**state.t
-    for p in params:
-        x, g, m, v = p.value.data, p.grad, state.m[p.name], state.v[p.name]
-        rows = max(1, ADAM_SLICE // x[0].size)
-        for r in range(0, len(x), rows):
-            xs, gs, ms, vs = x[r : r + rows], g[r : r + rows], m[r : r + rows], v[r : r + rows]
-            step = np.multiply(gs, 1.0 - beta1)
-            ms *= beta1
-            ms += step
-            np.multiply(gs, 1.0 - beta2, out=step)
-            step *= gs
-            vs *= beta2
-            vs += step
-            np.divide(ms, c1, out=step)
-            step *= lr
-            denom = np.divide(vs, c2)
-            np.sqrt(denom, out=denom)
-            denom += eps
-            step /= denom
-            xs -= step
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteValue(f"parameter {p.name!r} became non-finite after the update")
+    x, g, m, v = state.data, state.grad, state.flat_m, state.flat_v
+    for r in range(0, x.size, ADAM_SLICE):
+        part = slice(r, r + ADAM_SLICE)
+        xs, gs, ms, vs = x[part], g[part], m[part], v[part]
+        step = np.multiply(gs, 1.0 - beta1)
+        ms *= beta1
+        ms += step
+        np.multiply(gs, 1.0 - beta2, out=step)
+        step *= gs
+        vs *= beta2
+        vs += step
+        np.divide(ms, c1, out=step)
+        step *= lr
+        denom = np.divide(vs, c2)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        xs -= step
+    if not np.isfinite(x).all():
+        first = np.flatnonzero(~np.isfinite(x))[0]
+        name = state.names[np.searchsorted(state.bounds, first, side="right") - 1]
+        raise NonFiniteValue(f"parameter {name!r} became non-finite after the update")
 
 
 # ---------------------------------------------------------------------------
@@ -638,20 +691,28 @@ class FitResult:
     subject_ids: list[str]
     source: str = "the fit"  # what refusals name; load_fit sets the checkpoint's path
 
-    def prepare(
-        self, cohort, hierarchy: AtlasHierarchy, subject_ids: Iterable[str] | None = None
-    ) -> SubjectBatch:
-        """``prepare_cohort`` with this fit's thresholds and encoder, refused
-        unless the subjects have the level widths and FC length it trained on."""
-        batch = prepare_cohort(cohort, hierarchy, self.gammas, self.config.hgnn.encoder, subject_ids)
-        got, trained = {**batch.level_widths, "FC": batch.fc_len}, {**self.level_widths, "FC": self.fc_len}
+    def check_atlas(self, cohort, hierarchy: AtlasHierarchy) -> None:
+        """Refuse a cohort whose level widths or FC length differ from those
+        this fit trained on; the hierarchy gives the widths and the first
+        subject's columns the FC length, so nothing is prepared."""
+        got = {lv: len(hierarchy.level_nodes(lv)) for lv in LEVELS}
+        if cohort.subjects:
+            r = cohort.subjects[0].timeseries.samples.shape[1]
+            got["FC"] = r * (r - 1) // 2
+        trained = {**self.level_widths, "FC": self.fc_len}
         for key in got:  # LEVELS order; a loaded fit's widths come back key-sorted
             if got[key] != trained[key]:
                 raise ModelError(
                     f"{self.source}: trained on {key} width {trained[key]}, but the cohort gives "
                     f"{got[key]}; score it with a model trained on the same atlas"
                 )
-        return batch
+
+    def prepare(
+        self, cohort, hierarchy: AtlasHierarchy, subject_ids: Iterable[str] | None = None
+    ) -> SubjectBatch:
+        """``prepare_cohort`` with this fit's thresholds and encoder, after ``check_atlas``."""
+        self.check_atlas(cohort, hierarchy)
+        return prepare_cohort(cohort, hierarchy, self.gammas, self.config.hgnn.encoder, subject_ids)
 
 
 def fit(
@@ -690,7 +751,7 @@ def fit(
     del connectivity  # from several chunks, the batch's features are copies of its own
     params = build_model_params(model_cfg, cohort_batch.level_widths, cohort_batch.fc_len, train_cfg.seed)
 
-    state = AdamState.for_params(params.parameters())
+    state = AdamState.for_params(params)
     drop_rng = named_stream(train_cfg.seed, "dropout")
     shuffle_rng = named_stream(train_cfg.seed, "batch-shuffle")
     n = len(cohort_batch)

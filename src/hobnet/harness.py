@@ -432,10 +432,12 @@ def check_unseen(result: FitResult, subject_ids: Iterable[str]) -> None:
 def evaluate_fit(result: FitResult, cohort: Cohort, hierarchy: AtlasHierarchy, subject_ids) -> Metrics:
     """Score held-out subjects with the fit's thresholds and encoder.
 
-    Refuses subjects the fit was trained on, subjects not in the cohort and
-    a cohort whose shapes differ from the fit's (``FitResult.prepare``).
+    Refuses a cohort whose shapes differ from the fit's
+    (``FitResult.check_atlas``), subjects the fit was trained on and
+    subjects not in the cohort, in that order.
     """
     subject_ids = list(subject_ids)
+    result.check_atlas(cohort, hierarchy)
     check_unseen(result, subject_ids)
     batch = result.prepare(cohort, hierarchy, subject_ids)
     return compute_metrics(score_subjects(result.params, result.config, batch), batch.labels)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import RowBlocks, Tensor
 from .layers import mlp_forward
 from .spectral import GraphLaplacian, cheb_apply
 
@@ -60,7 +60,7 @@ class LevelBatch:
     the same ``m`` nodes, split into the same normalization blocks."""
 
     features: np.ndarray
-    norm_blocks: list[np.ndarray]
+    norm_blocks: RowBlocks
     lap: GraphLaplacian | None = None
     propagation: np.ndarray | None = None
 
@@ -113,7 +113,7 @@ def ghop(z: Tensor) -> Tensor:
 def chebconv_block(
     h_in: Tensor,
     operator: Tensor,
-    norm_blocks: list[np.ndarray],
+    norm_blocks: RowBlocks,
     params,
     prefix: str,
     cfg: HgnnConfig,

@@ -249,7 +249,7 @@ def train_population_head(
     if train_index.size == 0:
         raise PopulationError("no labeled subjects to train on")
     head = build_population_head(y.shape[1], seed)
-    state = AdamState.for_params(head.parameters())
+    state = AdamState.for_params(head)
     # the propagation has no parameter and the head works row by row
     mixed_train = (first_order_propagation(adjacency) @ y)[train_index]
     trace = []

@@ -21,6 +21,7 @@ from hobnet.connectivity import (
     ConnectivityMatrix,
     select_cutoff,
 )
+from hobnet.ffc import ADAM_SLICE
 from hobnet.hgnn import LevelBatch
 from hobnet.layers import mlp_forward
 from hobnet.rng import named_stream
@@ -173,6 +174,70 @@ def adam_step(params, state, lr: float) -> None:
         m_hat = m / (1.0 - beta1**t)
         v_hat = v / (1.0 - beta2**t)
         p.value.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def per_parameter_adam_state(params) -> SimpleNamespace:
+    """``AdamState.for_params`` without packing: zeroed moments of each
+    parameter's own shape, and the parameters left as they are."""
+    params = params.parameters() if hasattr(params, "parameters") else list(params)
+    return SimpleNamespace(
+        t=0,
+        m={p.name: np.zeros_like(p.data) for p in params},
+        v={p.name: np.zeros_like(p.data) for p in params},
+    )
+
+
+def adam_step_per_parameter(params, state, lr: float) -> None:
+    """The in-place Adam update run parameter by parameter, in slices of
+    ``ADAM_SLICE`` entries along each parameter's first axis."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    state.t += 1
+    c1, c2 = 1.0 - beta1**state.t, 1.0 - beta2**state.t
+    for p in params:
+        x, g, m, v = p.value.data, p.grad, state.m[p.name], state.v[p.name]
+        rows = max(1, ADAM_SLICE // x[0].size)
+        for r in range(0, len(x), rows):
+            xs, gs, ms, vs = x[r : r + rows], g[r : r + rows], m[r : r + rows], v[r : r + rows]
+            step = np.multiply(gs, 1.0 - beta1)
+            ms *= beta1
+            ms += step
+            np.multiply(gs, 1.0 - beta2, out=step)
+            step *= gs
+            vs *= beta2
+            vs += step
+            np.divide(ms, c1, out=step)
+            step *= lr
+            denom = np.divide(vs, c2)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            step /= denom
+            xs -= step
+
+
+def per_block_norm_loop(x, gain, shift, blocks, g):
+    """``per_block_norm`` block by block: the output for ``x`` and the
+    gradients of ``x``, ``gain`` and ``shift`` for the output gradient ``g``."""
+    d = x.shape[-1]
+    xhat = np.empty_like(x)
+    inv_std = []
+    for idx in blocks:
+        xb = x[..., idx, :]
+        mu = xb.mean(axis=-2, keepdims=True)
+        var = xb.var(axis=-2, keepdims=True)
+        istd = 1.0 / np.sqrt(var + 1e-5)
+        xhat[..., idx, :] = (xb - mu) * istd
+        inv_std.append(istd)
+    out = xhat * gain + shift
+    dgain = (g * xhat).reshape(-1, d).sum(axis=0)
+    dshift = g.reshape(-1, d).sum(axis=0)
+    dx = np.empty_like(x)
+    for idx, istd in zip(blocks, inv_std):
+        gb = g[..., idx, :] * gain
+        xh = xhat[..., idx, :]
+        mean_gb = gb.mean(axis=-2, keepdims=True)
+        mean_gbxh = (gb * xh).mean(axis=-2, keepdims=True)
+        dx[..., idx, :] = istd * (gb - mean_gb - xh * mean_gbxh)
+    return out, dx, dgain, dshift
 
 
 # ---------------------------------------------------------------------------

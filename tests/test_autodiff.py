@@ -16,7 +16,7 @@ from hobnet.autodiff import (
 )
 from hobnet.rng import named_stream
 
-from oracles import total
+from oracles import per_block_norm_loop, total
 
 
 def scalar_loss(out: Tensor, weight: np.ndarray) -> Tensor:
@@ -144,6 +144,72 @@ class TestPrimitiveExamples:
         x = Tensor(np.zeros((4, 3)))
         out = ad.per_block_norm(x, Tensor(np.ones(3)), Tensor([1.0, 2.0, 3.0]), [np.arange(4)])
         np.testing.assert_array_equal(out.data, np.tile([1.0, 2.0, 3.0], (4, 1)))
+
+
+class TestPerBlockNorm:
+    """The padded-layout norm against the per-block loop, and its refusals."""
+
+    # equal runs (a reshape), unequal runs, a single row and shuffled rows (gathers)
+    PARTITIONS = {
+        "2x8": [np.arange(8), np.arange(8, 16)],
+        "4": [np.arange(4)],
+        "3,4": [np.arange(3), np.arange(3, 7)],
+        "3,5,1": [np.arange(3), np.arange(3, 8), np.array([8])],
+        "7x28": list(np.arange(196).reshape(7, 28)),
+        "shuffled": [np.array([4, 0, 2]), np.array([1, 3])],
+    }
+
+    @pytest.mark.parametrize("lead", [(), (1,), (5,)])
+    @pytest.mark.parametrize("name", PARTITIONS)
+    def test_matches_the_per_block_loop_byte_for_byte(self, name, lead):
+        blocks = self.PARTITIONS[name]
+        m = sum(len(b) for b in blocks)
+        rng = np.random.default_rng(m)
+        x = rng.normal(size=lead + (m, 16)) * 3.0 + 1.5
+        gain, shift = 1.0 + 0.1 * rng.normal(size=16), rng.normal(size=16)
+        g = rng.normal(size=x.shape)
+        want = per_block_norm_loop(x, gain, shift, blocks, g)
+        for plan in (blocks, ad.RowBlocks(blocks, m)):
+            params = [Parameter(n, v) for n, v in (("x", x), ("gain", gain), ("shift", shift))]
+            with Tape() as tape:
+                out = ad.per_block_norm(*(p.value for p in params), blocks=plan)
+                loss = scalar_loss(out, g)
+            backward(tape, loss)
+            got = [out.data] + [p.grad for p in params]
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_finite_differences_on_a_batch_of_unequal_blocks(self):
+        rng = np.random.default_rng(3)
+        x = Parameter("x", rng.normal(size=(2, 9, 3)))
+        g = Parameter("g", 1.0 + 0.1 * rng.normal(size=3))
+        s = Parameter("s", 0.1 * rng.normal(size=3))
+        blocks = ad.RowBlocks(self.PARTITIONS["3,5,1"][::-1], 9)
+        w = rng.normal(size=(2, 9, 3))
+        fd_over_all_entries(
+            lambda: scalar_loss(ad.per_block_norm(x.value, g.value, s.value, blocks=blocks), w),
+            [x, g, s],
+        )
+
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            ([np.array([0, 0, 2])], "row 0 is listed 2 times"),
+            ([[0, 1], [1, 2]], "row 1 is listed 2 times"),
+            ([[0, 1], [2, 3]], "block row 3 is outside the 3 node rows"),
+            ([[0, 2]], "row 1 is in no block"),
+        ],
+        ids=["repeated row", "overlapping blocks", "out of range", "missing row"],
+    )
+    def test_blocks_that_do_not_partition_the_rows_are_refused(self, blocks, message):
+        x, ones = Tensor(np.arange(6.0).reshape(3, 2)), Tensor(np.ones(2))
+        with pytest.raises(ShapeMismatch, match=message):
+            ad.per_block_norm(x, ones, ones, blocks)
+
+    def test_a_partition_of_other_rows_is_refused(self):
+        x, ones = Tensor(np.zeros((2, 4, 2))), Tensor(np.ones(2))
+        with pytest.raises(ShapeMismatch, match="partition 3 node rows, got 4"):
+            ad.per_block_norm(x, ones, ones, ad.RowBlocks([[0, 1], [2]], 3))
 
 
 class TestBackwardSemantics:

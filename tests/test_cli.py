@@ -570,6 +570,41 @@ class TestCliErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "popgraph"])
+    def test_another_atlas_is_named_before_subjects_it_trained_on(
+        self, workspace, tmp_path, capsys, command
+    ):
+        # an 8-ROI checkpoint "trained on" every subject of a 16-ROI synth
+        # cohort: both cohorts name their subjects s0000, s0001, ...
+        write_hierarchy_json(tmp_path / "h16.json", nested_hierarchy(4, 2, 2))
+        cohort = tmp_path / "cohort16"
+        assert run(
+            "synth", "--subjects", 12, "--seed", 5, "--hierarchy", tmp_path / "h16.json", "--out", cohort
+        ) == 0
+        cfg = ModelConfig(hgnn=HgnnConfig(k=2, blocks=2, hidden_dim=4))
+        widths = {"wan": 2, "man": 4, "lan": 8}
+        result = FitResult(
+            params=build_model_params(cfg, widths, 28, seed=0),
+            config=cfg,
+            train_config=TrainConfig(seed=0),
+            gammas={"wan": 0.3, "man": 0.3, "lan": 0.3},
+            loss_trace=[],
+            level_widths=widths,
+            fc_len=28,
+            subject_ids=read_cohort(cohort).ids(),
+        )
+        ckpt = tmp_path / "atlas8.ckpt"
+        save_checkpoint(ckpt, result.params, checkpoint_meta(result))
+        extra = (
+            ["--split-plan", cohort / "split_plan.json"] if command == "eval"
+            else ["--phenotypes", cohort / "phenotypes.csv"]
+        )
+        code = run(command, "--ckpt", ckpt, "--cohort", cohort, *extra, "--out", tmp_path / "x.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"hobnet: error: {ckpt}: trained on wan width 2, but the cohort gives 4;")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("grid", [-1, 0])
     def test_threshold_curve_with_a_grid_below_1_gives_one_line_and_exit_2(
         self, workspace, tmp_path, capsys, grid

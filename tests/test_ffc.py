@@ -1,11 +1,14 @@
 """Fusion head, optimizer, training loop, and checkpoint round trips."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from hobnet import autodiff as ad
 from hobnet.autodiff import Parameter, Tape, Tensor, backward
 from hobnet.ffc import (
+    ADAM_SLICE,
     AdamState,
     HcnnConfig,
     HgnnConfig,
@@ -213,14 +216,18 @@ class TestAdam:
     def test_in_place_update_is_byte_identical_to_the_reference_order(self):
         import oracles
 
-        # "d" and "e" span several ADAM_SLICE slices
+        # "d" and "e" span several ADAM_SLICE slices; packed, slices cross parameter boundaries
         shapes = {"a": (5, 3), "b": (4,), "c": (2, 3, 2), "d": (3000, 7), "e": (20000,)}
         runs = []
-        for step in (adam_step, oracles.adam_step):
+        for make_state, step in (
+            (AdamState.for_params, adam_step),
+            (oracles.per_parameter_adam_state, oracles.adam_step_per_parameter),
+            (oracles.per_parameter_adam_state, oracles.adam_step),
+        ):
             rng = np.random.default_rng(17)
             params = [Parameter(name, np.random.default_rng(1).normal(size=shape))
                       for name, shape in shapes.items()]
-            state = AdamState.for_params(params)
+            state = make_state(params)
             grads = np.random.default_rng(2)
             for _ in range(5):
                 for p in params:
@@ -228,7 +235,71 @@ class TestAdam:
                 step(params, state, lr=1e-2)
             runs.append([(p.data.tobytes(), state.m[p.name].tobytes(), state.v[p.name].tobytes())
                          for p in params])
-        assert runs[0] == runs[1]
+        assert sum(np.prod(shape) for shape in shapes.values()) > 5 * ADAM_SLICE
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_packing_makes_every_array_a_view_of_one_buffer(self):
+        params = build_model_params(small_config(), {"wan": 2, "man": 4, "lan": 8}, 28, seed=0)
+        before = {name: params[name].data.copy() for name in params}
+        state = AdamState.for_params(params)
+        assert state.data.size == state.grad.size == params.total_size()
+        for name in params:
+            p = params[name]
+            np.testing.assert_array_equal(p.data, before[name])
+            for array, flat in ((p.data, state.data), (p.grad, state.grad),
+                                (state.m[name], state.flat_m), (state.v[name], state.flat_v)):
+                assert array.base is flat and array.shape == p.value.shape
+        with pytest.raises(TypeError):
+            state.m[name] = np.zeros(p.value.shape)
+        state.grad[:] = 1.0
+        params.zero_grad()
+        assert not state.grad.any()
+
+    def test_rebound_values_and_gradients_are_taken_into_the_buffers(self):
+        params = ModelParams()
+        a, b = params.create("a", [1.0, 2.0]), params.create("b", [[3.0]])
+        state = AdamState.for_params(params)
+        a.value.data = np.array([5.0, 6.0])
+        b.value.grad = np.array([[1.0]])
+        adam_step(params.parameters(), state, lr=0.5)
+        assert a.value.data.base is state.data and b.value.grad.base is state.grad
+        np.testing.assert_allclose(state.data, [5.0, 6.0, 2.5], rtol=1e-8)
+        b.value.grad = np.ones(3)
+        with pytest.raises(ModelError, match=r"parameter 'b': gradient bound with shape \(3,\), not \(1, 1\)"):
+            adam_step(params.parameters(), state, lr=0.5)
+        b.value.grad = np.array([[4.0]])
+        params.zero_grad()
+        assert b.value.grad.base is state.grad and not state.grad.any()
+
+    @pytest.mark.parametrize("bad", ["a", "b", "c"])
+    def test_a_non_finite_update_names_its_parameter_after_packing(self, bad):
+        params = [Parameter(name, np.ones(shape)) for name, shape in (("a", (3, 4)), ("b", (5,)), ("c", (2,)))]
+        state = AdamState.for_params(params)
+        for p in params:  # the first and the last entry of each parameter
+            p.grad.reshape(-1)[[0, -1]] = np.inf if p.name == bad else 1.0
+        with np.errstate(invalid="ignore"), pytest.raises(ad.NonFiniteValue, match=f"parameter '{bad}'"):
+            adam_step(params, state, lr=0.1)
+
+    def test_a_step_over_other_parameters_is_refused(self):
+        params = [Parameter("a", [1.0]), Parameter("b", [2.0])]
+        state = AdamState.for_params(params)
+        with pytest.raises(ModelError, match="not those its AdamState was made for"):
+            adam_step(params[::-1], state, lr=0.1)
+
+    def test_fit_matches_the_per_parameter_update(self, monkeypatch):
+        import oracles
+        from hobnet import ffc
+
+        hierarchy = toy_hierarchy_4_6_10()  # unequal norm blocks: the padded layout
+        cohort = synth_generate(12, hierarchy, signal=0.8, noise=0.3, seed=4, n_timepoints=60)
+        tc = TrainConfig(epochs=3, seed=2, batch_size=5, learning_rate=1e-2)
+        flat = fit(cohort, hierarchy, small_config(), tc)
+        monkeypatch.setattr(ffc, "AdamState", SimpleNamespace(for_params=oracles.per_parameter_adam_state))
+        monkeypatch.setattr(ffc, "adam_step", oracles.adam_step_per_parameter)
+        reference = fit(cohort, hierarchy, small_config(), tc)
+        assert flat.loss_trace == reference.loss_trace
+        for name in flat.params:
+            assert flat.params[name].data.tobytes() == reference.params[name].data.tobytes()
 
     def test_scoring_and_fitting_leave_no_gradient_buffers(self):
         hierarchy, cohort = tiny_cohort()

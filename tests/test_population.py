@@ -1,5 +1,7 @@
 """Population graph construction and the transductive node classifier."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -340,6 +342,24 @@ class TestTrainMatchesSelectorOracle:
             rtol=0,
             atol=1e-12,
         )
+
+
+def test_population_head_training_matches_the_per_parameter_update(monkeypatch):
+    import oracles
+    from hobnet import population
+
+    rng = np.random.default_rng(9)
+    y, labels = rng.normal(size=(20, 6)), rng.integers(0, 2, size=20)
+    adjacency = (rng.random((20, 20)) < 0.3).astype(float)
+    adjacency = np.maximum(adjacency, adjacency.T)
+    args = (y, adjacency, labels, np.arange(14))
+    flat = train_population_head(*args, seed=3, epochs=30, lr=1e-2)
+    monkeypatch.setattr(population, "AdamState", SimpleNamespace(for_params=oracles.per_parameter_adam_state))
+    monkeypatch.setattr(population, "adam_step", oracles.adam_step_per_parameter)
+    reference = train_population_head(*args, seed=3, epochs=30, lr=1e-2)
+    assert flat.loss_trace == reference.loss_trace
+    for name in flat.head:
+        assert flat.head[name].data.tobytes() == reference.head[name].data.tobytes()
 
 
 class TestEmbedAndTrain:
