@@ -36,6 +36,7 @@ from .ffc import (
     fit,
     load_fit,
     parse_toggles,
+    prepare_cohort,
     preset_train_config,
     save_checkpoint,
 )
@@ -112,7 +113,7 @@ def cmd_graphgen(args) -> int:
             level: gamma_for_retained_fraction(levels[level], args.retained_pct / 100.0)
             for level in LEVELS
         }
-    graphs = build_graph_set(levels, gammas=gammas, mode=args.mode)
+    graphs = build_graph_set({lv: cm.values for lv, cm in levels.items()}, gammas=gammas, mode=args.mode)
     with Path(args.out).open("w") as fh:
         json.dump(graph_set_to_json(graphs), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -203,7 +204,7 @@ def cmd_popgraph(args) -> int:
     require_parts(plan, ("train", "test"), Path(args.cohort) / "split_plan.json")
     result.check_atlas(cohort, hierarchy)
     check_unseen(result, plan.subjects_in("test"))
-    batch = result.prepare(cohort, hierarchy)
+    batch = prepare_cohort(cohort, hierarchy, result.gammas, result.config.hgnn.encoder)
     records = [phenotypes[sid] for sid in batch.subject_ids]
     embeddings = embed_subjects(result.params, result.config, batch)
     encoder = build_phenotype_encoder(standardize_phenotypes(records).shape[1], seed=seed)

@@ -240,14 +240,26 @@ def _set_diagonal(values: np.ndarray, value: float) -> None:
     values[..., idx, idx] = value
 
 
-def subject_chunks(
-    series: Sequence[RoiTimeSeries], hierarchy: AtlasHierarchy
-) -> Iterator[Sequence[RoiTimeSeries]]:
-    """``series`` in order, in chunks whose ``[n, R, R]`` stacks fit in ``STACK_BYTES``."""
+def subject_chunks(n: int, hierarchy: AtlasHierarchy) -> Iterator[slice]:
+    """Row slices of ``n`` subjects in order, each chunk's ``[n, R, R]``
+    stack fitting in ``STACK_BYTES``."""
     r = len(hierarchy.ordered_rois)
     size = max(1, STACK_BYTES // (8 * r * r))
-    for start in range(0, len(series), size):
-        yield series[start : start + size]
+    for start in range(0, n, size):
+        yield slice(start, min(start + size, n))
+
+
+def fc_columns(series: Sequence[RoiTimeSeries]) -> int:
+    """The ROI column count of every subject of ``series``; a subject with
+    another count than the first is refused."""
+    r = series[0].samples.shape[1]
+    for ts in series:
+        if ts.samples.shape[1] != r:
+            raise ConnectivityError(
+                f"subject {ts.subject_id!r}: {ts.samples.shape[1]} ROI columns, "
+                f"but subject {series[0].subject_id!r} has {r}"
+            )
+    return r
 
 
 def pearson_fc(series: Sequence[RoiTimeSeries]) -> ConnectivityMatrix:
@@ -255,15 +267,10 @@ def pearson_fc(series: Sequence[RoiTimeSeries]) -> ConnectivityMatrix:
 
     Each subject keeps its own column order; the result is ``[N, R, R]``.
     """
-    r = series[0].samples.shape[1]
+    r = fc_columns(series)
     corr = np.empty((len(series), r, r))
     with np.errstate(all="ignore"):  # an overflow leaves NaN or Inf, refused below
         for out, ts in zip(corr, series):
-            if ts.samples.shape[1] != r:
-                raise ConnectivityError(
-                    f"subject {ts.subject_id!r}: {ts.samples.shape[1]} ROI columns, "
-                    f"but subject {series[0].subject_id!r} has {r}"
-                )
             x = ts.samples - ts.samples.mean(axis=0)
             norms = np.sqrt((x * x).sum(axis=0))
             cross = (x.T @ x) / np.outer(norms, norms)
@@ -417,27 +424,21 @@ def gamma_for_retained_fraction(cm: ConnectivityMatrix, fraction: float) -> floa
     return curve[-1][0]
 
 
-def build_adjacency(cm: ConnectivityMatrix, gamma: float, mode: str = "binary") -> np.ndarray:
-    """Sparsify by threshold: keep entries strictly above gamma, unit diagonal."""
+def build_adjacency(values: np.ndarray, gamma: float, mode: str = "binary") -> np.ndarray:
+    """Sparsify checked connectivity values (``ConnectivityMatrix.values``,
+    or rows of them) by threshold: keep entries strictly above gamma, unit
+    diagonal."""
     if not 0.0 <= gamma <= 1.0:
         raise ConnectivityError(f"gamma must be in [0, 1], got {gamma}")
     if mode not in ("binary", "weighted"):
         raise ConnectivityError(f"adjacency mode must be 'binary' or 'weighted', got {mode!r}")
-    keep = cm.values > gamma
+    keep = values > gamma
     if mode == "binary":
         adj = keep.astype(np.float64)
     else:
-        adj = np.where(keep, cm.values, 0.0)
+        adj = np.where(keep, values, 0.0)
     _set_diagonal(adj, 1.0)
     return adj
-
-
-def node_features(cm: ConnectivityMatrix) -> np.ndarray:
-    """Connectivity-profile features: row i is node i's feature vector.
-
-    The features are the matrix itself, not a copy of it.
-    """
-    return cm.values
 
 
 @dataclass
@@ -485,21 +486,23 @@ def subject_connectivity(
 
 
 def build_graph_set(
-    levels: dict[str, ConnectivityMatrix],
+    levels: dict[str, np.ndarray],
     gammas: dict[str, float] | float,
     mode: str = "binary",
 ) -> HierarchicalGraphSet:
     """Threshold each level's composite connectivity into the graph inputs.
 
-    ``levels`` holds one subject's matrices or stacks of them; ``gammas`` is
-    a per-level dict or one shared threshold. The two lower levels were
+    ``levels`` holds each level's checked values (``ConnectivityMatrix.values``)
+    of one subject, or a stack of them; ``gammas`` is a per-level dict or
+    one shared threshold. The features are the values themselves, not a
+    copy: row i is node i's connectivity profile. The two lower levels were
     masked to their parent blocks, which makes both adjacency and features
     exactly block-diagonal (features are zero-padded to the composite width).
     """
     chosen = {level: gammas[level] if isinstance(gammas, dict) else float(gammas) for level in LEVELS}
     return HierarchicalGraphSet(
         adjacency={level: build_adjacency(levels[level], chosen[level], mode) for level in LEVELS},
-        features={level: node_features(levels[level]) for level in LEVELS},
+        features={level: levels[level] for level in LEVELS},
         gammas=chosen,
         mode=mode,
     )

@@ -25,10 +25,10 @@ from .connectivity import (
     GAMMA_GRID,
     LEVELS,
     AtlasHierarchy,
-    ConnectivityMatrix,
     RoiTimeSeries,
     build_graph_set,
     composite_connectivity,
+    fc_columns,
     gram_stack,
     pearson_fc,
     retained_fractions,
@@ -163,6 +163,8 @@ class TrainConfig:
             raise ModelError(f"learning rate must be positive, got {self.learning_rate}")
         if self.epochs < 1:
             raise ModelError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ModelError(f"batch size must be >= 1 (or None for full batch), got {self.batch_size}")
 
 
 def preset_train_config(name: str, seed: int = 0, **overrides) -> TrainConfig:
@@ -316,26 +318,30 @@ def eval_batches(batch: SubjectBatch) -> Iterator[SubjectBatch]:
 
 @dataclass
 class CohortConnectivity:
-    """The threshold-free half of preparing a stack of subjects.
-
-    Per chunk of ``connectivity.subject_chunks``, the chunk's series and
-    every level's composite connectivity ``[n, m, m]``, derived from one
-    Gram matrix per subject. Gamma selection reads it and preparation
-    thresholds it, so a caller that does both computes it once.
+    """The threshold-free half of preparing a stack of subjects: their
+    series and every level's composite connectivity as one checked
+    ``[N, m, m]`` stack. Gamma selection reads the stacks, and preparation
+    thresholds them and keeps them as the node features, so a caller that
+    does both computes them once.
     """
 
-    chunks: list[tuple[Sequence[RoiTimeSeries], dict[str, ConnectivityMatrix]]]
+    series: Sequence[RoiTimeSeries]
+    levels: dict[str, np.ndarray]
 
     @classmethod
     def build(cls, series: Sequence[RoiTimeSeries], hierarchy: AtlasHierarchy) -> "CohortConnectivity":
-        chunks = []
-        for part in subject_chunks(series, hierarchy):
-            grams = gram_stack(part, hierarchy)
-            chunks.append((part, {lv: composite_connectivity(grams, hierarchy, lv) for lv in LEVELS}))
-        return cls(chunks)
+        """Each chunk's rows (``connectivity.subject_chunks``) from one Gram
+        matrix per subject, written into stacks allocated once."""
+        widths = {lv: len(hierarchy.level_nodes(lv)) for lv in LEVELS}
+        levels = {lv: np.empty((len(series), m, m)) for lv, m in widths.items()}
+        for rows in subject_chunks(len(series), hierarchy):
+            grams = gram_stack(series[rows], hierarchy)
+            for lv, stack in levels.items():
+                stack[rows] = composite_connectivity(grams, hierarchy, lv).values
+        return cls(series, levels)
 
     def __len__(self) -> int:
-        return sum(len(part) for part, _ in self.chunks)
+        return len(self.series)
 
 
 def select_cohort_gammas(
@@ -354,8 +360,8 @@ def select_cohort_gammas(
     gammas: dict[str, float] = {}
     for level in LEVELS:
         mean_curve = np.zeros(GAMMA_GRID.size)
-        for _, levels in series.chunks:
-            for curve in retained_fractions(levels[level].values, GAMMA_GRID):
+        for rows in subject_chunks(len(series), hierarchy):
+            for curve in retained_fractions(series.levels[level][rows], GAMMA_GRID):
                 mean_curve += curve
         mean_curve /= len(series)
         if np.all(mean_curve == 0.0):
@@ -374,47 +380,41 @@ def prepare_stack(
     encoder: str = "res-cheb",
     fc_series: Sequence[RoiTimeSeries] | None = None,
 ) -> SubjectBatch:
-    """Build the constant model inputs of every subject, chunk by chunk.
+    """Build the constant model inputs of every subject.
 
-    Each chunk is thresholded, and its Laplacians (or GCN propagations)
-    and FC vectors built, as stacks. A single chunk's stacks are the
-    batch's; with several, each chunk is written into the batch's stacks as
-    it is made. ``fc_series`` lets the Euclidean branch use a different
-    parcellation of the same recordings than the graph hierarchy; by
-    default both branches share the series.
+    The node features are the connectivity's stacks, not copies of them.
+    The Laplacians (or GCN propagations) and FC vectors are allocated at
+    the cohort's size and filled chunk by chunk: each chunk's rows are
+    thresholded, and their graph matrices and FC vectors built, as stacks.
+    ``fc_series`` lets the Euclidean branch use a different parcellation of
+    the same recordings than the graph hierarchy; by default both branches
+    share the series. Every FC series must have the first one's column
+    count.
     """
     n = len(connectivity)
     if not n:
         raise ModelError("no subjects to prepare")
-    stacks: dict[tuple[str, str], np.ndarray] = {}
-    ids: list[str] = []
-    for part, levels in connectivity.chunks:
-        start = len(ids)
-        ids += [ts.subject_id for ts in part]
-        fc = dr_flatten(pearson_fc(part if fc_series is None else fc_series[start : len(ids)]))
-        chunk = {("fc", "vectors"): fc[:, None, :]}
-        graphs = build_graph_set(levels, gammas)
+    fc_series = connectivity.series if fc_series is None else fc_series
+    r = fc_columns(fc_series)
+    fc = np.empty((n, 1, r * (r - 1) // 2))
+    graph = {lv: np.empty_like(stack) for lv, stack in connectivity.levels.items()}
+    lambda_max = {lv: np.empty(n) for lv in LEVELS}
+    for rows in subject_chunks(n, hierarchy):
+        fc[rows, 0] = dr_flatten(pearson_fc(fc_series[rows]))
+        graphs = build_graph_set({lv: stack[rows] for lv, stack in connectivity.levels.items()}, gammas)
         for lv in LEVELS:
-            chunk[lv, "features"] = graphs.features[lv]
             if encoder == "gcn":
-                chunk[lv, "propagation"] = first_order_propagation(graphs.adjacency[lv])
+                graph[lv][rows] = first_order_propagation(graphs.adjacency[lv])
             else:
                 lap = normalized_laplacian(graphs.adjacency[lv])
-                chunk[lv, "laplacian"], chunk[lv, "lambda_max"] = lap.laplacian, lap.lambda_max
-        if len(part) == n:
-            stacks = chunk
-        else:
-            for key, stack in chunk.items():
-                if key not in stacks:
-                    stacks[key] = np.empty((n, *stack.shape[1:]))
-                stacks[key][start : len(ids)] = stack
+                graph[lv][rows], lambda_max[lv][rows] = lap.laplacian, lap.lambda_max
     level_batches = {}
     for lv in LEVELS:
-        lap = None if encoder == "gcn" else GraphLaplacian(stacks[lv, "laplacian"], stacks[lv, "lambda_max"])
-        blocks = hierarchy.level_blocks(lv)
-        level_batches[lv] = LevelBatch(stacks[lv, "features"], blocks, lap, stacks.get((lv, "propagation")))
-    labels = np.array([int(label) for label in labels])
-    return SubjectBatch(ids, labels, level_batches, stacks["fc", "vectors"])
+        lap = None if encoder == "gcn" else GraphLaplacian(graph[lv], lambda_max[lv])
+        propagation = graph[lv] if encoder == "gcn" else None
+        level_batches[lv] = LevelBatch(connectivity.levels[lv], hierarchy.level_blocks(lv), lap, propagation)
+    ids = [ts.subject_id for ts in connectivity.series]
+    return SubjectBatch(ids, np.array([int(label) for label in labels]), level_batches, fc)
 
 
 def prepare_subject(
@@ -707,13 +707,6 @@ class FitResult:
                     f"{got[key]}; score it with a model trained on the same atlas"
                 )
 
-    def prepare(
-        self, cohort, hierarchy: AtlasHierarchy, subject_ids: Iterable[str] | None = None
-    ) -> SubjectBatch:
-        """``prepare_cohort`` with this fit's thresholds and encoder, after ``check_atlas``."""
-        self.check_atlas(cohort, hierarchy)
-        return prepare_cohort(cohort, hierarchy, self.gammas, self.config.hgnn.encoder, subject_ids)
-
 
 def fit(
     cohort,
@@ -748,7 +741,6 @@ def fit(
     cohort_batch = prepare_stack(
         connectivity, hierarchy, gammas, [r.label for r in records], encoder=model_cfg.hgnn.encoder
     )
-    del connectivity  # from several chunks, the batch's features are copies of its own
     params = build_model_params(model_cfg, cohort_batch.level_widths, cohort_batch.fc_len, train_cfg.seed)
 
     state = AdamState.for_params(params)

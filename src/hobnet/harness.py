@@ -32,6 +32,7 @@ from .ffc import (
     TrainConfig,
     fit,
     parse_toggles,
+    prepare_cohort,
     score_subjects,
 )
 from .population import PhenotypeRecord
@@ -145,10 +146,10 @@ def synth_generate(
     if signal > 0 and len(hierarchy.networks) < 2:
         raise HarnessError("planting a signal needs at least 2 networks in the hierarchy")
     rois = hierarchy.ordered_rois
-    net_of_roi = [hierarchy.wan_partition[hierarchy.man_partition[r]] for r in rois]
-    group_index = {g: i for i, g in enumerate(hierarchy.groups)}
-    net_index = {n: i for i, n in enumerate(hierarchy.networks)}
-    planted = set(hierarchy.networks[:2])
+    groups = [hierarchy.man_partition[r] for r in rois]
+    group_of = np.array([hierarchy.groups.index(g) for g in groups])
+    network_of = np.array([hierarchy.networks.index(hierarchy.wan_partition[g]) for g in groups])
+    planted = network_of < 2  # the columns of hierarchy.networks[:2]
     scale = math.sqrt(1.0 + _GROUP_FACTOR_WEIGHT**2 + noise**2)
 
     subjects = []
@@ -159,18 +160,11 @@ def synth_generate(
         group_factors = stream.normal(size=(n_timepoints, len(hierarchy.groups)))
         private = stream.normal(size=(n_timepoints, len(rois)))
         shared = stream.normal(size=n_timepoints)
-        samples = np.empty((n_timepoints, len(rois)))
-        for j, roi in enumerate(rois):
-            g = group_index[hierarchy.man_partition[roi]]
-            n = net_index[net_of_roi[j]]
-            x = (
-                net_factors[:, n]
-                + _GROUP_FACTOR_WEIGHT * group_factors[:, g]
-                + noise * private[:, j]
-            ) / scale
-            if label == 1 and net_of_roi[j] in planted:
-                x = math.sqrt(1.0 - signal**2) * x + signal * shared
-            samples[:, j] = x
+        samples = (
+            net_factors[:, network_of] + _GROUP_FACTOR_WEIGHT * group_factors[:, group_of] + noise * private
+        ) / scale
+        if label == 1:
+            samples[:, planted] = math.sqrt(1.0 - signal**2) * samples[:, planted] + signal * shared[:, None]
         phenotype = PhenotypeRecord(
             subject_id=f"s{i:04d}",
             gender=GENDERS[int(stream.integers(len(GENDERS)))],
@@ -439,7 +433,7 @@ def evaluate_fit(result: FitResult, cohort: Cohort, hierarchy: AtlasHierarchy, s
     subject_ids = list(subject_ids)
     result.check_atlas(cohort, hierarchy)
     check_unseen(result, subject_ids)
-    batch = result.prepare(cohort, hierarchy, subject_ids)
+    batch = prepare_cohort(cohort, hierarchy, result.gammas, result.config.hgnn.encoder, subject_ids)
     return compute_metrics(score_subjects(result.params, result.config, batch), batch.labels)
 
 

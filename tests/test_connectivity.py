@@ -25,7 +25,6 @@ from hobnet.connectivity import (
     gram_stack,
     graph_set_to_json,
     level_connectivity,
-    node_features,
     pearson_fc,
     read_hierarchy_json,
     read_timeseries_csv,
@@ -52,6 +51,11 @@ def subject_level(ts, hierarchy, level):
     """One subject's level connectivity: the stack of one, unstacked."""
     cm = level_connectivity(gram_stack([ts], hierarchy), hierarchy, level)
     return replace(cm, values=cm.values[0])
+
+
+def subject_values(ts, hierarchy):
+    """One subject's composite connectivity values per level, as ``build_graph_set`` takes them."""
+    return {level: cm.values for level, cm in subject_connectivity(ts, hierarchy).items()}
 
 
 def rv_pair_loop(ts, hierarchy, level):
@@ -325,22 +329,22 @@ class TestSelectCutoff:
 class TestBuildAdjacency:
     def setup_method(self):
         vals = np.array([[1.0, 0.6, 0.2], [0.6, 1.0, 0.9], [0.2, 0.9, 1.0]])
-        self.cm = ConnectivityMatrix(level=WAN, values=vals, kind="rv")
+        self.values = ConnectivityMatrix(level=WAN, values=vals, kind="rv").values
 
     def test_gamma_one_gives_identity(self):
-        np.testing.assert_array_equal(build_adjacency(self.cm, 1.0, "binary"), np.eye(3))
-        np.testing.assert_array_equal(build_adjacency(self.cm, 1.0, "weighted"), np.eye(3))
+        np.testing.assert_array_equal(build_adjacency(self.values, 1.0, "binary"), np.eye(3))
+        np.testing.assert_array_equal(build_adjacency(self.values, 1.0, "weighted"), np.eye(3))
 
     def test_gamma_zero_binary_all_positive_gives_ones(self):
-        np.testing.assert_array_equal(build_adjacency(self.cm, 0.0, "binary"), np.ones((3, 3)))
+        np.testing.assert_array_equal(build_adjacency(self.values, 0.0, "binary"), np.ones((3, 3)))
 
     def test_weighted_matches_elementwise_rule(self):
-        adj = build_adjacency(self.cm, 0.5, "weighted")
+        adj = build_adjacency(self.values, 0.5, "weighted")
         expected = np.array([[1.0, 0.6, 0.0], [0.6, 1.0, 0.9], [0.0, 0.9, 1.0]])
         np.testing.assert_array_equal(adj, expected)
 
     def test_strict_inequality_at_threshold(self):
-        adj = build_adjacency(self.cm, 0.6, "binary")
+        adj = build_adjacency(self.values, 0.6, "binary")
         assert adj[0, 1] == 0.0 and adj[1, 2] == 1.0
 
 
@@ -373,22 +377,25 @@ class TestBlockDiagonal:
 
 
 class TestNodeFeatures:
-    def test_features_are_matrix_rows(self):
+    def test_features_are_the_connectivity_values_themselves(self):
         h = make_nested_hierarchy(n_networks=7, groups_per_network=1, rois_per_group=1)
         ts = random_timeseries(7, seed=10, names=h.rois)
-        cm = subject_level(ts, h, WAN)
-        np.testing.assert_array_equal(node_features(cm), cm.values)
+        levels = subject_values(ts, h)
+        graphs = build_graph_set(levels, gammas=0.3)
+        for level in (WAN, MAN, LAN):
+            assert graphs.features[level] is levels[level]
 
     def test_identity_connectivity_gives_one_hot(self):
-        cm = ConnectivityMatrix(level=WAN, values=np.eye(4), kind="rv")
-        np.testing.assert_array_equal(node_features(cm), np.eye(4))
+        eye = ConnectivityMatrix(level=WAN, values=np.eye(4), kind="rv").values
+        levels = {WAN: eye, MAN: eye, LAN: eye}
+        np.testing.assert_array_equal(build_graph_set(levels, gammas=0.5).features[WAN], np.eye(4))
 
 
 class TestGraphSet:
     def test_lower_levels_exactly_block_diagonal(self):
         h = toy_hierarchy_4_6_10()
         ts = random_timeseries(10, seed=11, names=h.rois)
-        graphs = build_graph_set(subject_connectivity(ts, h), gammas=0.0, mode="weighted")
+        graphs = build_graph_set(subject_values(ts, h), gammas=0.0, mode="weighted")
         for level in (MAN, LAN):
             blocks = h.level_blocks(level)
             m = graphs.adjacency[level].shape[0]
@@ -401,7 +408,7 @@ class TestGraphSet:
     def test_unit_diagonals(self):
         h = toy_hierarchy_4_6_10()
         ts = random_timeseries(10, seed=12, names=h.rois)
-        graphs = build_graph_set(subject_connectivity(ts, h), gammas=0.5)
+        graphs = build_graph_set(subject_values(ts, h), gammas=0.5)
         for level in (WAN, MAN, LAN):
             assert np.all(np.diag(graphs.adjacency[level]) == 1.0)
 
@@ -512,7 +519,7 @@ class TestFileFormats:
     def test_graph_json_schema(self):
         h = make_nested_hierarchy(2, 1, 2)
         ts = random_timeseries(4, seed=16, names=h.rois)
-        records = graph_set_to_json(build_graph_set(subject_connectivity(ts, h), gammas=0.3))
+        records = graph_set_to_json(build_graph_set(subject_values(ts, h), gammas=0.3))
         assert [r["level"] for r in records] == [WAN, MAN, LAN]
         for r in records:
             assert len(r["adjacency"]) == r["shape"][0] * r["shape"][1]

@@ -339,6 +339,12 @@ class TestPresets:
         with pytest.raises(ModelError, match="learning rate"):
             TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("size", [-1, 0])
+    def test_batch_size_below_one_is_refused(self, size):
+        with pytest.raises(ModelError, match=rf"batch size must be >= 1 \(or None for full batch\), got {size}"):
+            TrainConfig(batch_size=size)
+        assert TrainConfig(batch_size=None).batch_size is None and TrainConfig(batch_size=1).batch_size == 1
+
 
 class TestGammaSelection:
     def test_per_level_gammas_in_range(self):

@@ -8,7 +8,9 @@ from its own cross-product. Every comparison here is of raw bytes, made on
 the batch's per-subject views.
 """
 
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from hobnet.ffc import (
     score_subjects,
     select_cohort_gammas,
 )
-from hobnet.harness import HarnessError, nested_hierarchy, synth_generate
+from hobnet.harness import Cohort, HarnessError, nested_hierarchy, synth_generate
 from hobnet.hcnn import HcnnConfig
 from hobnet.hgnn import ENCODERS, HgnnConfig
 from hobnet.population import embed_subjects
@@ -74,7 +76,8 @@ def assert_matches_oracle(series, hierarchy, encoder, labels=None):
 
 
 def chunk_size(hierarchy) -> int:
-    return len(next(connectivity.subject_chunks([None] * 10_000, hierarchy)))
+    rows = next(connectivity.subject_chunks(10_000, hierarchy))
+    return rows.stop - rows.start
 
 
 @pytest.fixture
@@ -165,6 +168,24 @@ class TestRefusals:
         with pytest.raises(ConnectivityError, match="subject 'seed2': 6 ROI columns, but subject 'seed1' has 5"):
             pearson_fc(series)
 
+    def test_another_column_count_past_a_chunk_boundary_names_the_subject(self):
+        h = nested_hierarchy(7, 4, 7)
+        assert chunk_size(h) == 3
+        cohort = synth_generate(6, h, signal=0.6, noise=0.5, seed=18, n_timepoints=60)
+        extra = np.random.default_rng(19).normal(size=(60, 1))
+        records = list(cohort.subjects)
+        for i in range(3, 6):  # the second chunk, s0003-s0005, gets one more column
+            ts = records[i].timeseries
+            wide = RoiTimeSeries(ts.subject_id, np.hstack([ts.samples, extra]), [*ts.roi_names, "extra"])
+            records[i] = replace(records[i], timeseries=wide)
+        wider = Cohort(subjects=records)
+        message = "subject 's0003': 197 ROI columns, but subject 's0000' has 196"
+        with pytest.raises(ConnectivityError, match=message):
+            prepare_cohort(wider, h, 0.3)
+        cfg = ModelConfig(toggles=parse_toggles("GNN"), hgnn=HgnnConfig(hidden_dim=4))
+        with pytest.raises(ConnectivityError, match=message):
+            fit(wider, h, cfg, TrainConfig(epochs=1))
+
     def test_prepare_cohort_refuses_an_unknown_subject_id(self):
         h = nested_hierarchy(4, 2, 2)
         cohort = synth_generate(6, h, signal=0.6, noise=0.5, seed=13, n_timepoints=60)
@@ -247,6 +268,35 @@ class TestOneStack:
         for part in seen:
             for name, array in stacks(part).items():
                 assert np.shares_memory(array, prepared[name]), name
+
+    @pytest.mark.parametrize("encoder", ENCODERS)
+    def test_the_features_are_the_connectivity_stacks_across_chunks(self, small_chunks, encoder):
+        h = nested_hierarchy(4, 2, 2)
+        cohort = synth_generate(8, h, signal=0.6, noise=0.5, seed=17, n_timepoints=60)
+        series = [r.timeseries for r in cohort.subjects]
+        assert len(list(connectivity.subject_chunks(len(series), h))) == 3
+        built = CohortConnectivity.build(series, h)
+        batch = prepare_stack(built, h, 0.3, [r.label for r in cohort.subjects], encoder)
+        for lv in LEVELS:
+            assert batch.levels[lv].features is built.levels[lv]
+            assert np.shares_memory(batch.levels[lv].features, built.levels[lv])
+
+    def test_preparation_peak_memory_does_not_grow_with_the_cohort(self):
+        h = nested_hierarchy(7, 4, 7)
+        assert chunk_size(h) == 3
+        cohort = synth_generate(24, h, signal=0.6, noise=0.5, seed=17, n_timepoints=120)
+        prepare_cohort(cohort, h, 0.3, subject_ids=cohort.ids()[:1])  # the hierarchy's cached layouts
+        above_retained = {}
+        for n in (12, 24):
+            tracemalloc.start()
+            try:
+                batch = prepare_cohort(cohort, h, 0.3, subject_ids=cohort.ids()[:n])
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(batch) == n
+            above_retained[n] = (peak - retained) / 2**20
+        assert abs(above_retained[24] - above_retained[12]) <= 0.5, above_retained
 
     def test_fit_takes_its_mini_batches_from_the_prepared_stack(self, monkeypatch):
         h = nested_hierarchy(4, 2, 2)
