@@ -565,6 +565,10 @@ def read_hierarchy_json(path: str | Path) -> AtlasHierarchy:
             raise ConnectivityError(f"{path}: hierarchy file is missing key {key!r}")
         if not isinstance(payload[key], kind):
             raise ConnectivityError(f"{path}: hierarchy key {key!r} must be a JSON {name}")
+        names = payload[key] if kind is list else payload[key].values()
+        unnamed = [v for v in names if not isinstance(v, str)]
+        if unnamed:
+            raise ConnectivityError(f"{path}: hierarchy key {key!r} holds {unnamed[0]!r}, not a string name")
     return AtlasHierarchy(
         rois=list(payload["lan"]),
         man_partition=dict(payload["man"]),

@@ -62,6 +62,10 @@ class BranchToggles:
     cnn_high_order: bool
     lan_only: bool = False
 
+    def __post_init__(self):
+        if not (self.graph or self.cnn):
+            raise ModelError(f"toggles {self.name!r}: all branches disabled; enable the graph or CNN branch")
+
 
 TOGGLES: dict[str, BranchToggles] = {
     t.name.lower(): t
@@ -95,17 +99,11 @@ class ModelConfig:
     def graph_levels(self) -> list[str]:
         return ["lan"] if self.toggles.lan_only else list(LEVELS)
 
-    def graph_width(self) -> int:
-        per_level = self.hgnn.hidden_dim * (2 if self.toggles.graph_high_order else 1)
-        return per_level * len(self.graph_levels()) if self.toggles.graph else 0
-
-    def cnn_width(self) -> int:
-        if not self.toggles.cnn:
-            return 0
-        return self.hcnn.out_dim * (2 if self.toggles.cnn_high_order else 1)
-
     def fused_width(self) -> int:
-        return self.graph_width() + self.cnn_width()
+        """Width of the fused row: each graph level's part, then the CNN part."""
+        t = self.toggles
+        graph = self.hgnn.hidden_dim * (1 + t.graph_high_order) * len(self.graph_levels()) if t.graph else 0
+        return graph + (self.hcnn.out_dim * (1 + t.cnn_high_order) if t.cnn else 0)
 
     def to_dict(self) -> dict:
         return {
@@ -118,28 +116,21 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelConfig":
         payload = _config_kwargs(cls, payload, "model_config")
-        hgnn_kwargs = _config_kwargs(HgnnConfig, payload["hgnn"], "model_config.hgnn")
-        if hgnn_kwargs.get("ghop_mlp_hidden") is not None:
-            hgnn_kwargs["ghop_mlp_hidden"] = tuple(hgnn_kwargs["ghop_mlp_hidden"])
-        hcnn_kwargs = _config_kwargs(HcnnConfig, payload["hcnn"], "model_config.hcnn")
-        for key in ("kernel_sizes", "channels", "strides", "mlp_hidden"):
-            hcnn_kwargs[key] = tuple(hcnn_kwargs[key])
-        if hcnn_kwargs.get("hop_mlp_hidden") is not None:
-            hcnn_kwargs["hop_mlp_hidden"] = tuple(hcnn_kwargs["hop_mlp_hidden"])
         return cls(
             toggles=parse_toggles(payload["toggles"]),
-            hgnn=HgnnConfig(**hgnn_kwargs),
-            hcnn=HcnnConfig(**hcnn_kwargs),
-            head_hidden=tuple(payload["head_hidden"]),
+            hgnn=HgnnConfig(**_config_kwargs(HgnnConfig, payload["hgnn"], "model_config.hgnn")),
+            hcnn=HcnnConfig(**_config_kwargs(HcnnConfig, payload["hcnn"], "model_config.hcnn")),
+            head_hidden=payload["head_hidden"],
         )
 
 
 def _config_kwargs(cls, payload: dict, where: str) -> dict:
-    """``payload`` as keyword arguments of ``cls``; a key it has no field for is an error."""
+    """``payload`` as keyword arguments of ``cls``, JSON arrays as tuples; a
+    key it has no field for is an error."""
     unknown = sorted(set(payload) - {f.name for f in fields(cls)})
     if unknown:
         raise ModelError(f"{where} has unknown key {unknown[0]!r}")
-    return dict(payload)
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
 
 
 PRESETS: dict[str, dict] = {
@@ -395,6 +386,9 @@ def prepare_stack(
     if not n:
         raise ModelError("no subjects to prepare")
     fc_series = connectivity.series if fc_series is None else fc_series
+    for what, count in (("labels", len(labels)), ("FC series", len(fc_series))):
+        if count != n:
+            raise ModelError(f"{count} {what} for {n} subjects; give one per subject")
     r = fc_columns(fc_series)
     fc = np.empty((n, 1, r * (r - 1) // 2))
     graph = {lv: np.empty_like(stack) for lv, stack in connectivity.levels.items()}
@@ -492,18 +486,6 @@ def build_model_params(
     return store
 
 
-def fuse(z_graph: Tensor, z_fc: Tensor, expected: tuple[int, int] | None = None) -> Tensor:
-    """Concatenate branch features, graph features first: vectors, or rows of a batch."""
-    if z_graph.ndim not in (1, 2) or z_graph.shape[:-1] != z_fc.shape[:-1]:
-        raise ModelError(
-            f"fuse expects 1-D features or rows of them, got {z_graph.shape}, {z_fc.shape}"
-        )
-    widths = (z_graph.shape[-1], z_fc.shape[-1])
-    if expected is not None and widths != expected:
-        raise ModelError(f"fuse width mismatch: got {widths}, expected {expected}")
-    return ad.concat(z_graph, z_fc, axis=-1)
-
-
 def fused_features(
     params: ModelParams,
     cfg: ModelConfig,
@@ -511,31 +493,20 @@ def fused_features(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Fused feature rows ``[B, fused_width]`` from the enabled branches."""
-    if not (cfg.toggles.graph or cfg.toggles.cnn):
-        raise ModelError("all branches disabled; enable the graph branch, the CNN branch, or both")
+    """Fused feature rows ``[B, fused_width]``: one concat of the enabled
+    parts, each graph level's in ``graph_levels()`` order, then the CNN's;
+    a single part is returned as is."""
     if rng is None:
         rng = named_stream(0, "eval-unused")
-    graph_feat = None
-    if cfg.toggles.graph:
-        per_level = []
+    t, parts = cfg.toggles, []
+    if t.graph:
         for level in cfg.graph_levels():
             z = hgnn_mod.level_encoder(params, f"hgnn.{level}", batch.levels[level], cfg.hgnn, train, rng)
-            per_level.append(
-                hgnn_mod.branch_high_order(
-                    z, params, f"hgnn.{level}.ghop", high_order=cfg.toggles.graph_high_order
-                )
-            )
-        graph_feat = hgnn_mod.multiview_fuse(*per_level) if len(per_level) == 3 else per_level[0]
-    cnn_feat = None
-    if cfg.toggles.cnn:
+            parts.append(hgnn_mod.branch_high_order(z, params, f"hgnn.{level}.ghop", t.graph_high_order))
+    if t.cnn:
         z_fc = hcnn_mod.hcnn_first_order(params, "hcnn", Tensor(batch.fc_input), cfg.hcnn, train, rng)
-        cnn_feat = (
-            hcnn_mod.hop_concat(z_fc, params, "hcnn.hop") if cfg.toggles.cnn_high_order else z_fc
-        )
-    if graph_feat is not None and cnn_feat is not None:
-        return fuse(graph_feat, cnn_feat, expected=(cfg.graph_width(), cfg.cnn_width()))
-    return graph_feat if graph_feat is not None else cnn_feat
+        parts.append(hcnn_mod.hop_concat(z_fc, params, "hcnn.hop") if t.cnn_high_order else z_fc)
+    return parts[0] if len(parts) == 1 else ad.concat(*parts, axis=-1)
 
 
 def predict(z: Tensor, params: ModelParams) -> Tensor:
@@ -725,8 +696,6 @@ def fit(
     is drawn from streams named by the seed, so equal seeds give
     bitwise-equal traces.
     """
-    if not (model_cfg.toggles.graph or model_cfg.toggles.cnn):
-        raise ModelError("all branches disabled; nothing to train")
     model_cfg = replace(
         model_cfg,
         hgnn=replace(model_cfg.hgnn, dropout=train_cfg.dropout),
@@ -804,11 +773,22 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ModelError(f"{path}: not a checkpoint file ({exc})") from None
+        if not isinstance(header, dict):
+            raise ModelError(f"{path}: checkpoint header must be a JSON object")
         if header.get("format") != _CHECKPOINT_FORMAT:
             raise ModelError(f"{path}: unsupported checkpoint format {header.get('format')!r}")
+        if not isinstance(header.get("meta"), dict):
+            raise ModelError(f"{path}: checkpoint header key 'meta' must be a JSON object")
+        if not isinstance(header.get("params"), list):
+            raise ModelError(f"{path}: checkpoint header key 'params' must be a JSON array")
         params = ModelParams()
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
+        for i, entry in enumerate(header["params"]):
+            shape = entry.get("shape") if isinstance(entry, dict) else None
+            if not isinstance(shape, list) or not isinstance(entry.get("name"), str) or not all(
+                type(n) is int and n >= 0 for n in shape
+            ):
+                raise ModelError(f"{path}: checkpoint params[{i}] needs a string name and shape of ints >= 0")
+            shape = tuple(shape)
             count = int(np.prod(shape)) if shape else 1
             payload = fh.read(count * 8)
             if len(payload) != count * 8:

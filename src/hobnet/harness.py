@@ -27,6 +27,7 @@ from .connectivity import (
     write_timeseries_csv,
 )
 from .ffc import (
+    TOGGLES,
     FitResult,
     ModelConfig,
     TrainConfig,
@@ -481,24 +482,12 @@ def run_experiment(
     return ExperimentResult(rows=rows)
 
 
-TABLE4_TOGGLES = [
-    "GNN-lan-only",
-    "GNN",
-    "CNN",
-    "HGNN",
-    "HCNN",
-    "HCNN+GNN",
-    "HGNN+CNN",
-    "HGNN+HCNN",
-]
-
-
 def run_ablation(
     cohort: Cohort,
     hierarchy: AtlasHierarchy,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
-    toggles: Sequence[str] = tuple(TABLE4_TOGGLES),
+    toggles: Sequence[str] = tuple(t.name for t in TOGGLES.values()),
     seeds: int = 5,
 ) -> ExperimentResult:
     """One holdout run per (branch configuration, seed)."""
@@ -652,8 +641,16 @@ def read_split_plan(path: str | Path) -> SplitPlan:
             raise HarnessError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise HarnessError(f"{path}: split plan file must hold a JSON object")
-    if not isinstance(payload.get("assignments", {}), dict):
+    assignments, fractions = payload.get("assignments", {}), payload.get("fractions")
+    if not isinstance(assignments, dict):
         raise HarnessError(f"{path}: split plan key 'assignments' must be a JSON object")
+    unnamed = [sid for sid, part in assignments.items() if not isinstance(part, str)]
+    if unnamed:
+        raise HarnessError(f"{path}: split plan key 'assignments' gives {unnamed[0]!r} a non-string part")
+    if fractions is not None and not (
+        isinstance(fractions, list) and all(type(f) in (int, float) for f in fractions)
+    ):
+        raise HarnessError(f"{path}: split plan key 'fractions' must be null or a JSON array of numbers")
     try:
         plan = SplitPlan.from_json(payload)
     except KeyError as exc:
@@ -661,10 +658,8 @@ def read_split_plan(path: str | Path) -> SplitPlan:
     if plan.mode not in ("holdout", "kfold"):
         raise HarnessError(f"{path}: split mode must be 'holdout' or 'kfold', got {plan.mode!r}")
     parts = set(plan.assignments.values())
-    if plan.mode == "kfold" and not (
-        parts and all(isinstance(p, str) and p[:4] == "fold" and p[4:].isdigit() for p in parts)
-    ):
-        raise HarnessError(f"{path}: k-fold parts must be fold0, fold1, ..., got {sorted(map(str, parts))}")
+    if plan.mode == "kfold" and not (parts and all(p[:4] == "fold" and p[4:].isdigit() for p in parts)):
+        raise HarnessError(f"{path}: k-fold parts must be fold0, fold1, ..., got {sorted(parts)}")
     return plan
 
 

@@ -5,8 +5,8 @@ own stack of spectral convolution blocks. A block is convolution, per-block
 feature normalization, ReLU, and dropout, with an identity skip connection
 in the residual variant. The per-block outputs are mixed by softmax-weighted
 adaptive feature maps, pooled into a first-order readout plus a Gram-matrix
-high-order readout, and the three views are concatenated. Each function
-takes one subject's tensors or a stack of subjects with a leading batch axis.
+high-order readout, and ``ffc.fused_features`` concatenates the views. Each
+function takes one subject's tensors or a stack of subjects with a batch axis.
 """
 
 from __future__ import annotations
@@ -183,12 +183,3 @@ def branch_high_order(
     gram_flat = ad.upper_triangle_flatten(ghop(z))
     high = mlp_forward(gram_flat, params, prefix)
     return ad.concat(first, high, axis=-1)
-
-
-def multiview_fuse(z_wan: Tensor, z_man: Tensor, z_lan: Tensor) -> Tensor:
-    """Concatenate the three view vectors (or rows of them) in top-down order."""
-    if not (z_wan.shape == z_man.shape == z_lan.shape):
-        raise HgnnError(
-            f"view features must share one length, got {z_wan.shape}, {z_man.shape}, {z_lan.shape}"
-        )
-    return ad.concat(z_wan, z_man, z_lan, axis=-1)

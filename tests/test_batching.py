@@ -4,6 +4,8 @@ The per-subject forward lives in ``oracles``; every comparison allows
 1e-12, and the tape-size tests count instead of timing.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,28 @@ def test_the_training_tape_of_a_batch_of_8_is_as_long_as_a_batch_of_1(prepared):
         return lambda: loss(model_forward(params, cfg, batch, True, rng), batch.labels)
 
     assert tape_nodes(train_loss(8)) == tape_nodes(train_loss(1)) > 100
+
+
+def test_a_training_mini_batch_of_the_criterion_5_model_records_a_fixed_tape(prepared):
+    # HGNN+HCNN with k 3 and 3 blocks, at small widths: the node count and the
+    # per-op histogram depend on the layout, not on the widths or batch size
+    cfg = ModelConfig(
+        toggles=TOGGLES["hgnn+hcnn"],
+        hgnn=HgnnConfig(k=3, blocks=3, hidden_dim=4),
+        hcnn=HcnnConfig(kernel_sizes=(5, 3), channels=(2, 3), strides=(2, 2), mlp_hidden=(8,), out_dim=4),
+        head_hidden=(8,),
+    )
+    subs = prepared["res-cheb"]
+    params = model_params(cfg, subs)
+    batch = subs.take(np.arange(8))
+    with Tape() as tape:
+        loss(model_forward(params, cfg, batch, True, named_stream(0, "dropout")), batch.labels)
+    assert Counter(node.op for node in tape.nodes) == {
+        "add": 51, "concat": 8, "conv1d": 2, "cross-entropy": 1, "matmul": 66, "mean-over-axis": 3,
+        "outer-product": 1, "per-block-norm": 9, "relu": 17, "reshape": 13, "scalar-scale": 18,
+        "softmax": 4, "transpose": 3, "upper-triangle-flatten": 4,
+    }
+    assert len(tape.nodes) == 200
 
 
 def test_scoring_a_full_stack_records_no_more_than_scoring_one_subject(prepared, monkeypatch):

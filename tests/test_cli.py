@@ -307,6 +307,52 @@ class TestCliErrors:
         assert "nan.ckpt" in err and repr(first) in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "header not an object",
+            "no meta",
+            "meta not an object",
+            "no params",
+            "params not a list",
+            "param name not a string",
+            "negative shape",
+            "shape not a list",
+            "entry not an object",
+        ],
+    )
+    def test_malformed_checkpoint_header_gives_one_line_and_exit_2(
+        self, workspace, trained, tmp_path, capsys, damage
+    ):
+        line, payload = trained.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        first, rest = header["params"][0], header["params"][1:]
+        meta_message = "checkpoint header key 'meta' must be a JSON object"
+        params_message = "checkpoint header key 'params' must be a JSON array"
+        entry_message = "checkpoint params[0] needs a string name and shape of ints >= 0"
+        header, message = {
+            "header not an object": ([], "checkpoint header must be a JSON object"),
+            "no meta": ({k: v for k, v in header.items() if k != "meta"}, meta_message),
+            "meta not an object": ({**header, "meta": []}, meta_message),
+            "no params": ({k: v for k, v in header.items() if k != "params"}, params_message),
+            "params not a list": ({**header, "params": {}}, params_message),
+            "param name not a string": ({**header, "params": [{**first, "name": 3}, *rest]}, entry_message),
+            "negative shape": ({**header, "params": [{**first, "shape": [-1]}, *rest]}, entry_message),
+            "shape not a list": ({**header, "params": [{**first, "shape": 4}, *rest]}, entry_message),
+            "entry not an object": ({**header, "params": [[first["name"]], *rest]}, entry_message),
+        }[damage]
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        code = run(
+            "eval", "--ckpt", bad, "--cohort", workspace / "cohort",
+            "--split-plan", workspace / "cohort" / "split_plan.json", "--out", tmp_path / "m.csv",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"hobnet: error: {bad}: {message}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "m.csv").exists()
+
     def test_checkpoint_with_an_unknown_config_key_gives_one_line_and_exit_2(
         self, workspace, trained, tmp_path, capsys
     ):
@@ -442,11 +488,17 @@ class TestCliErrors:
             ("split plan", "unknown mode"),
             ("split plan", "assignments not an object"),
             ("split plan", "k-fold part not a fold"),
+            ("split plan", "fractions not a list"),
+            ("split plan", "fraction not a number"),
+            ("split plan", "part not a string"),
             ("hierarchy", "truncated"),
             ("hierarchy", "missing key"),
             ("hierarchy", "not an object"),
             ("hierarchy", "lan not a list"),
             ("hierarchy", "man not an object"),
+            ("hierarchy", "ROI not a string"),
+            ("hierarchy", "group not a string"),
+            ("hierarchy", "network not a string"),
         ],
     )
     def test_malformed_json_input_gives_one_line_and_exit_2(
@@ -477,7 +529,31 @@ class TestCliErrors:
                 json.dumps({**payload, "mode": "kfold"}),
                 "k-fold parts must be fold0, fold1, ..., got ['test', 'train', 'val']",
             ),
+            "fractions not a list": (
+                json.dumps({**payload, "fractions": 5}),
+                "split plan key 'fractions' must be null or a JSON array of numbers",
+            ),
+            "fraction not a number": (
+                json.dumps({**payload, "fractions": [0.7, "0.1", 0.2]}),
+                "split plan key 'fractions' must be null or a JSON array of numbers",
+            ),
+            "part not a string": (
+                json.dumps({**payload, "assignments": {"s0000": "train", "s0001": ["train"]}}),
+                "split plan key 'assignments' gives 's0001' a non-string part",
+            ),
             "lan not a list": (json.dumps({**payload, "lan": 5}), "hierarchy key 'lan' must be a JSON array"),
+            "ROI not a string": (
+                json.dumps({**payload, "lan": [["a"], "b"]}),
+                "hierarchy key 'lan' holds ['a'], not a string name",
+            ),
+            "group not a string": (
+                json.dumps({**payload, "man": {"a": ["x"], "b": "y"}}),
+                "hierarchy key 'man' holds ['x'], not a string name",
+            ),
+            "network not a string": (
+                json.dumps({**payload, "wan": {"x": 7}}),
+                "hierarchy key 'wan' holds 7, not a string name",
+            ),
             "man not an object": (
                 json.dumps({**payload, "man": "ab"}),
                 "hierarchy key 'man' must be a JSON object",

@@ -10,6 +10,7 @@ from hobnet.autodiff import Parameter, Tape, Tensor, backward
 from hobnet.ffc import (
     ADAM_SLICE,
     AdamState,
+    BranchToggles,
     HcnnConfig,
     HgnnConfig,
     ModelConfig,
@@ -20,7 +21,6 @@ from hobnet.ffc import (
     build_model_params,
     checkpoint_meta,
     fit,
-    fuse,
     load_checkpoint,
     load_fit,
     loss,
@@ -81,27 +81,6 @@ class TestToggles:
         assert small_config("GNN-lan-only").fused_width() == 4
         assert small_config("HCNN+GNN").fused_width() == 12 + 8
         assert small_config("HGNN+CNN").fused_width() == 24 + 4
-
-
-class TestFuse:
-    def test_unit_vectors_stack_graph_first(self):
-        out = fuse(Tensor([1.0, 0.0]), Tensor([0.0, 2.0]))
-        np.testing.assert_array_equal(out.data, [1.0, 0.0, 0.0, 2.0])
-
-    def test_width_contract(self):
-        z = fuse(Tensor(np.zeros(48)), Tensor(np.zeros(16)))
-        assert z.shape == (64,)
-
-    def test_slices_recover_inputs(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.normal(size=6), rng.normal(size=2)
-        out = fuse(Tensor(a), Tensor(b)).data
-        np.testing.assert_array_equal(out[:6], a)
-        np.testing.assert_array_equal(out[6:], b)
-
-    def test_width_mismatch_is_an_error(self):
-        with pytest.raises(ModelError, match="width mismatch"):
-            fuse(Tensor(np.zeros(5)), Tensor(np.zeros(3)), expected=(6, 3))
 
 
 class TestPredict:
@@ -389,15 +368,8 @@ class TestFit:
         assert r1.loss_trace == r2.loss_trace
 
     def test_all_branches_disabled_is_an_error(self):
-        hierarchy, cohort = tiny_cohort()
-        broken = ModelConfig(
-            toggles=parse_toggles("HGNN+HCNN").__class__(
-                name="none", graph=False, graph_high_order=False, cnn=False, cnn_high_order=False
-            ),
-            **SMALL_MODEL,
-        )
-        with pytest.raises(ModelError, match="disabled"):
-            fit(cohort, hierarchy, broken, TrainConfig(epochs=1))
+        with pytest.raises(ModelError, match="'none': all branches disabled"):
+            BranchToggles(name="none", graph=False, graph_high_order=False, cnn=False, cnn_high_order=False)
 
 
 class TestBranchIndependence:

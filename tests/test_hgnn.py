@@ -24,7 +24,6 @@ from hobnet.hgnn import (
     chebconv_block,
     ghop,
     level_encoder,
-    multiview_fuse,
 )
 from hobnet.rng import named_stream
 from hobnet.spectral import cheb_apply
@@ -246,29 +245,6 @@ class TestBranchHighOrder:
         w1, b1 = params["hgnn.man.ghop.l1.w"].data, params["hgnn.man.ghop.l1.b"].data
         high = np.maximum(flat @ w0 + b0, 0.0) @ w1 + b1
         np.testing.assert_allclose(out, np.concatenate([z.mean(axis=0), high]), atol=1e-12)
-
-
-class TestMultiviewFuse:
-    def test_unit_vectors_stack(self):
-        out = multiview_fuse(
-            Tensor([1.0, 0.0]), Tensor([0.0, 1.0]), Tensor([1.0, 1.0])
-        )
-        np.testing.assert_array_equal(out.data, [1.0, 0.0, 0.0, 1.0, 1.0, 1.0])
-
-    def test_length_is_six_d(self):
-        d2 = np.zeros(8)
-        assert multiview_fuse(Tensor(d2), Tensor(d2), Tensor(d2)).shape == (24,)
-
-    def test_slices_recover_inputs(self):
-        rng = np.random.default_rng(10)
-        parts = [rng.normal(size=6) for _ in range(3)]
-        out = multiview_fuse(*[Tensor(p) for p in parts]).data
-        for i, part in enumerate(parts):
-            np.testing.assert_array_equal(out[6 * i : 6 * (i + 1)], part)
-
-    def test_length_mismatch_is_an_error(self):
-        with pytest.raises(HgnnError, match="length"):
-            multiview_fuse(Tensor(np.zeros(2)), Tensor(np.zeros(3)), Tensor(np.zeros(2)))
 
 
 class TestGraphBranchGradients:

@@ -186,6 +186,22 @@ class TestRefusals:
         with pytest.raises(ConnectivityError, match=message):
             fit(wider, h, cfg, TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize(
+        ("labels", "fc_count", "message"),
+        [([0, 1, 0], 6, "3 labels for 6 subjects"), ([0, 1] * 3, 4, "4 FC series for 6 subjects")],
+    )
+    def test_labels_or_fc_series_not_one_per_subject_are_refused_with_both_counts(
+        self, monkeypatch, labels, fc_count, message
+    ):
+        h = nested_hierarchy(4, 2, 2)
+        cohort = synth_generate(6, h, signal=0.6, noise=0.5, seed=13, n_timepoints=60)
+        series = [r.timeseries for r in cohort.subjects]
+        connectivity = CohortConnectivity.build(series, h)
+        # refused before the FC series are read or any stack is allocated
+        monkeypatch.setattr(ffc, "fc_columns", lambda *a: pytest.fail("read the FC series"))
+        with pytest.raises(ModelError, match=message):
+            prepare_stack(connectivity, h, 0.3, labels, fc_series=series[:fc_count])
+
     def test_prepare_cohort_refuses_an_unknown_subject_id(self):
         h = nested_hierarchy(4, 2, 2)
         cohort = synth_generate(6, h, signal=0.6, noise=0.5, seed=13, n_timepoints=60)
