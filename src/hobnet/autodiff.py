@@ -484,11 +484,16 @@ def per_block_norm(x: Tensor, gain: Tensor, shift: Tensor, blocks: Sequence[np.n
     return _record("per-block-norm", (x, gain, shift), out, backward)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout: scales kept units by 1/(1-rate) so eval is identity."""
+# a training forward's dropout: the rate and the stream its masks are drawn from
+Dropout = tuple[float, np.random.Generator]
+
+
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout: scales kept units by 1/(1-rate), so a forward that
+    skips it (scoring) needs no rescale; rate 0 draws no mask."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
 

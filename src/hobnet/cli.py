@@ -30,6 +30,7 @@ from .connectivity import (
     subject_connectivity,
 )
 from .ffc import (
+    PRESETS,
     ModelConfig,
     ModelError,
     checkpoint_meta,
@@ -60,7 +61,7 @@ from .harness import (
     write_metrics_csv,
 )
 from .hcnn import HcnnError
-from .hgnn import HgnnConfig, HgnnError
+from .hgnn import ENCODERS, HgnnConfig, HgnnError
 from .population import (
     PopulationError,
     build_phenotype_encoder,
@@ -139,7 +140,7 @@ def cmd_threshold_curve(args) -> int:
 
 def cmd_train(args) -> int:
     cohort = read_cohort(args.cohort)
-    hierarchy = read_hierarchy_json(args.hierarchy)
+    hierarchy = read_cohort_hierarchy(args.cohort)
     model_cfg = ModelConfig(
         toggles=parse_toggles(args.toggles),
         hgnn=HgnnConfig(k=args.k, blocks=args.blocks, encoder=args.encoder),
@@ -269,12 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit on a cohort directory and write a checkpoint")
     p.add_argument("--cohort", required=True)
-    p.add_argument("--hierarchy", required=True)
-    p.add_argument("--preset", choices=["abide1", "abide2", "adhd200", "custom"], default="custom")
-    p.add_argument("--toggles", default="HGNN+HCNN")
-    p.add_argument("--encoder", choices=["gcn", "cheb", "res-cheb"], default="res-cheb")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--blocks", type=int, default=3)
+    p.add_argument("--preset", choices=[*PRESETS, "custom"], default="custom")
+    p.add_argument("--toggles", default=ModelConfig().toggles.name)
+    p.add_argument("--encoder", choices=ENCODERS, default=HgnnConfig.encoder)
+    p.add_argument("--k", type=int, default=HgnnConfig.k)
+    p.add_argument("--blocks", type=int, default=HgnnConfig.blocks)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import zip_longest
 from pathlib import Path
 from types import MappingProxyType
@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import hcnn as hcnn_mod
 from . import hgnn as hgnn_mod
-from .autodiff import NonFiniteValue, Parameter, Tape, Tensor, backward
+from .autodiff import Dropout, NonFiniteValue, Parameter, Tape, Tensor, backward
 from .connectivity import (
     GAMMA_GRID,
     LEVELS,
@@ -116,6 +116,7 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelConfig":
         payload = _config_kwargs(cls, payload, "model_config")
+        _check_kind(payload["toggles"], _FIELD_KINDS[str], "model_config.toggles")
         return cls(
             toggles=parse_toggles(payload["toggles"]),
             hgnn=HgnnConfig(**_config_kwargs(HgnnConfig, payload["hgnn"], "model_config.hgnn")),
@@ -124,12 +125,32 @@ class ModelConfig:
         )
 
 
+# the JSON kind a config field holds, by the type of its default; a null
+# default (``batch_size``) holds an integer or null
+_FIELD_KINDS = {int: ("integer", int), float: ("number", (int, float)), str: ("string", str),
+                tuple: ("array", (list, tuple)), type(None): ("integer or null", (int, type(None)))}
+
+
+def _check_kind(value, kind: tuple[str, type | tuple[type, ...]], where: str) -> None:
+    """Refuse ``value`` unless it is of ``kind``: a JSON kind's name and its
+    Python types. A boolean is of no kind."""
+    name, types = kind
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ModelError(f"{where} must be a JSON {name}")
+
+
 def _config_kwargs(cls, payload: dict, where: str) -> dict:
-    """``payload`` as keyword arguments of ``cls``, JSON arrays as tuples; a
-    key it has no field for is an error."""
-    unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+    """``payload`` as keyword arguments of ``cls``, JSON arrays as tuples. A
+    payload that is not an object, a key it has no field for, and a value of
+    another JSON kind than the field's default are errors."""
+    _check_kind(payload, ("object", dict), where)
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(set(payload) - set(defaults))
     if unknown:
         raise ModelError(f"{where} has unknown key {unknown[0]!r}")
+    for key, value in payload.items():
+        if defaults[key] is not MISSING:
+            _check_kind(value, _FIELD_KINDS[type(defaults[key])], f"{where}.{key}")
     return {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
 
 
@@ -154,6 +175,8 @@ class TrainConfig:
             raise ModelError(f"learning rate must be positive, got {self.learning_rate}")
         if self.epochs < 1:
             raise ModelError(f"epochs must be >= 1, got {self.epochs}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ModelError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ModelError(f"batch size must be >= 1 (or None for full batch), got {self.batch_size}")
 
@@ -163,7 +186,7 @@ def preset_train_config(name: str, seed: int = 0, **overrides) -> TrainConfig:
     if key == "custom":
         return TrainConfig(seed=seed, **overrides)
     if key not in PRESETS:
-        raise ModelError(f"unknown preset {name!r}; choose abide1, abide2, adhd200, or custom")
+        raise ModelError(f"unknown preset {name!r}; choose from {[*PRESETS, 'custom']}")
     kwargs = dict(PRESETS[key])
     kwargs.update(overrides)
     return TrainConfig(seed=seed, preset=key, **kwargs)
@@ -471,7 +494,7 @@ def build_model_params(
             init_param(store, f"{prefix}.afm.r", (cfg.hgnn.blocks,), seed, kind="small-normal")
             if cfg.toggles.graph_high_order:
                 tri = d * (d + 1) // 2
-                init_mlp(store, f"{prefix}.ghop", [tri, *cfg.hgnn.ghop_hidden, d], seed)
+                init_mlp(store, f"{prefix}.ghop", [tri, d, d], seed)
     if cfg.toggles.cnn:
         c = cfg.hcnn
         init_param(store, "hcnn.conv0.w", (c.channels[0], 1, c.kernel_sizes[0]), seed)
@@ -481,7 +504,7 @@ def build_model_params(
         init_mlp(store, "hcnn.mlp", [c.conv_output_length(fc_len), *c.mlp_hidden, c.out_dim], seed)
         if cfg.toggles.cnn_high_order:
             tri = c.out_dim * (c.out_dim + 1) // 2
-            init_mlp(store, "hcnn.hop", [tri, *c.hop_hidden, c.out_dim], seed)
+            init_mlp(store, "hcnn.hop", [tri, c.out_dim, c.out_dim], seed)
     init_mlp(store, "head", [cfg.fused_width(), *cfg.head_hidden, 2], seed)
     return store
 
@@ -490,21 +513,19 @@ def fused_features(
     params: ModelParams,
     cfg: ModelConfig,
     batch: SubjectBatch,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
+    train: Dropout | None = None,
 ) -> Tensor:
     """Fused feature rows ``[B, fused_width]``: one concat of the enabled
     parts, each graph level's in ``graph_levels()`` order, then the CNN's;
-    a single part is returned as is."""
-    if rng is None:
-        rng = named_stream(0, "eval-unused")
+    a single part is returned as is. ``train`` is None to score, or the
+    dropout rate and stream of a training forward."""
     t, parts = cfg.toggles, []
     if t.graph:
         for level in cfg.graph_levels():
-            z = hgnn_mod.level_encoder(params, f"hgnn.{level}", batch.levels[level], cfg.hgnn, train, rng)
+            z = hgnn_mod.level_encoder(params, f"hgnn.{level}", batch.levels[level], cfg.hgnn, train)
             parts.append(hgnn_mod.branch_high_order(z, params, f"hgnn.{level}.ghop", t.graph_high_order))
     if t.cnn:
-        z_fc = hcnn_mod.hcnn_first_order(params, "hcnn", Tensor(batch.fc_input), cfg.hcnn, train, rng)
+        z_fc = hcnn_mod.hcnn_first_order(params, "hcnn", Tensor(batch.fc_input), cfg.hcnn, train)
         parts.append(hcnn_mod.hop_concat(z_fc, params, "hcnn.hop") if t.cnn_high_order else z_fc)
     return parts[0] if len(parts) == 1 else ad.concat(*parts, axis=-1)
 
@@ -523,11 +544,11 @@ def model_forward(
     params: ModelParams,
     cfg: ModelConfig,
     batch: SubjectBatch,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
+    train: Dropout | None = None,
 ) -> Tensor:
-    """Class probabilities ``[B, 2]`` of a stack of subjects."""
-    return predict(fused_features(params, cfg, batch, train, rng), params)
+    """Class probabilities ``[B, 2]`` of a stack of subjects; ``train`` as
+    for ``fused_features``."""
+    return predict(fused_features(params, cfg, batch, train), params)
 
 
 def score_subjects(params: ModelParams, cfg: ModelConfig, batch: SubjectBatch) -> np.ndarray:
@@ -696,12 +717,6 @@ def fit(
     is drawn from streams named by the seed, so equal seeds give
     bitwise-equal traces.
     """
-    model_cfg = replace(
-        model_cfg,
-        hgnn=replace(model_cfg.hgnn, dropout=train_cfg.dropout),
-        hcnn=replace(model_cfg.hcnn, dropout=train_cfg.dropout),
-    )
-
     records = cohort.select(subject_ids, "training")
     if not records:
         raise ModelError("no training subjects selected")
@@ -713,7 +728,7 @@ def fit(
     params = build_model_params(model_cfg, cohort_batch.level_widths, cohort_batch.fc_len, train_cfg.seed)
 
     state = AdamState.for_params(params)
-    drop_rng = named_stream(train_cfg.seed, "dropout")
+    train = (train_cfg.dropout, named_stream(train_cfg.seed, "dropout"))
     shuffle_rng = named_stream(train_cfg.seed, "batch-shuffle")
     n = len(cohort_batch)
     batch = n if train_cfg.batch_size is None else min(train_cfg.batch_size, n)
@@ -726,7 +741,7 @@ def fit(
             mini = cohort_batch.take(order[start : start + batch])
             params.zero_grad()
             with Tape() as tape:
-                probs = model_forward(params, model_cfg, mini, train=True, rng=drop_rng)
+                probs = model_forward(params, model_cfg, mini, train=train)
                 batch_loss = loss(probs, mini.labels)
             backward(tape, batch_loss)
             adam_step(params.parameters(), state, train_cfg.learning_rate)
@@ -749,7 +764,11 @@ def fit(
 # checkpoints
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT_FORMAT = "hobnet-checkpoint-v1"
+_CHECKPOINT_FORMAT = "hobnet-checkpoint-v2"
+
+# the JSON kind of each meta record besides the two configs
+_META_KINDS = {"gammas": ("object", dict), "loss_trace": ("array", list), "level_widths": ("object", dict),
+               "fc_len": ("integer", int), "subject_ids": ("array", list)}
 
 
 def save_checkpoint(path: str | Path, params: ModelParams, meta: dict) -> None:
@@ -776,7 +795,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
         if not isinstance(header, dict):
             raise ModelError(f"{path}: checkpoint header must be a JSON object")
         if header.get("format") != _CHECKPOINT_FORMAT:
-            raise ModelError(f"{path}: unsupported checkpoint format {header.get('format')!r}")
+            fmt = header.get("format")
+            raise ModelError(f"{path}: checkpoint format {fmt!r} is not {_CHECKPOINT_FORMAT!r}; retrain it")
         if not isinstance(header.get("meta"), dict):
             raise ModelError(f"{path}: checkpoint header key 'meta' must be a JSON object")
         if not isinstance(header.get("params"), list):
@@ -804,7 +824,6 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
 
 def checkpoint_meta(result: FitResult) -> dict:
     return {
-        "seed": result.train_config.seed,
         "model_config": result.config.to_dict(),
         "train_config": asdict(result.train_config),
         "gammas": result.gammas,
@@ -818,15 +837,13 @@ def checkpoint_meta(result: FitResult) -> dict:
 def load_fit(path: str | Path) -> FitResult:
     """Inverse of ``save_checkpoint(path, result.params, checkpoint_meta(result))``."""
     params, meta = load_checkpoint(path)
-    if meta.get("adjacency_mode", "binary") != "binary":
-        raise ModelError(f"{path}: checkpoint uses weighted graphs, which are no longer built; retrain it")
     try:
+        for key, kind in _META_KINDS.items():
+            _check_kind(meta[key], kind, key)
         result = FitResult(
             params=params,
             config=ModelConfig.from_dict(meta["model_config"]),
-            train_config=TrainConfig(
-                **_config_kwargs(TrainConfig, meta["train_config"], "train_config")
-            ),
+            train_config=TrainConfig(**_config_kwargs(TrainConfig, meta["train_config"], "train_config")),
             gammas=meta["gammas"],
             loss_trace=meta["loss_trace"],
             level_widths=meta["level_widths"],
@@ -836,11 +853,9 @@ def load_fit(path: str | Path) -> FitResult:
         )
     except KeyError as exc:
         raise ModelError(f"{path}: checkpoint has no {exc} record; retrain it") from None
-    except ModelError as exc:
+    except (ModelError, hgnn_mod.HgnnError, hcnn_mod.HcnnError) as exc:
         raise ModelError(f"{path}: {exc}") from None
-    built = build_model_params(
-        result.config, result.level_widths, result.fc_len, result.train_config.seed
-    )
+    built = build_model_params(result.config, result.level_widths, result.fc_len, result.train_config.seed)
     for got, want in zip_longest(_param_shapes(params), _param_shapes(built)):
         if got != want:
             raise ModelError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Dropout, Tensor
 from .connectivity import ConnectivityMatrix
 from .layers import mlp_forward
 
@@ -32,21 +32,13 @@ class HcnnConfig:
     channels: tuple[int, int] = (8, 16)
     strides: tuple[int, int] = (2, 2)
     mlp_hidden: tuple[int, ...] = (128,)
-    hop_mlp_hidden: tuple[int, ...] | None = None
     out_dim: int = 64
-    dropout: float = 0.0
 
     def __post_init__(self):
         if len(self.kernel_sizes) != 2 or len(self.channels) != 2 or len(self.strides) != 2:
             raise HcnnError("exactly two convolution layers are configured")
         if any(k < 1 for k in self.kernel_sizes) or any(s < 1 for s in self.strides):
             raise HcnnError("kernel sizes and strides must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise HcnnError(f"dropout must be in [0, 1), got {self.dropout}")
-
-    @property
-    def hop_hidden(self) -> tuple[int, ...]:
-        return (self.out_dim,) if self.hop_mlp_hidden is None else tuple(self.hop_mlp_hidden)
 
     def conv_output_length(self, input_length: int) -> int:
         """Flattened width after both conv layers; validates kernel spans."""
@@ -76,27 +68,19 @@ def hcnn_first_order(
     prefix: str,
     x: Tensor,
     cfg: HcnnConfig,
-    train: bool,
-    rng: np.random.Generator,
+    train: Dropout | None = None,
 ) -> Tensor:
-    """conv -> ReLU -> conv -> ReLU -> flatten -> MLP, to the branch width.
+    """conv -> ReLU -> conv -> ReLU -> flatten -> MLP, to the branch width,
+    with dropout after each ReLU when ``train`` gives its rate and stream.
 
     ``x`` is one FC vector ``[1, L]`` or a batch of them ``[B, 1, L]``.
     """
-    h = ad.conv1d(
-        x,
-        params[f"{prefix}.conv0.w"].value,
-        params[f"{prefix}.conv0.b"].value,
-        stride=cfg.strides[0],
-    )
-    h = ad.dropout(ad.relu(h), cfg.dropout, rng, train)
-    h = ad.conv1d(
-        h,
-        params[f"{prefix}.conv1.w"].value,
-        params[f"{prefix}.conv1.b"].value,
-        stride=cfg.strides[1],
-    )
-    h = ad.dropout(ad.relu(h), cfg.dropout, rng, train)
+    h = x
+    for i, stride in enumerate(cfg.strides):
+        w, b = params[f"{prefix}.conv{i}.w"].value, params[f"{prefix}.conv{i}.b"].value
+        h = ad.relu(ad.conv1d(h, w, b, stride=stride))
+        if train is not None:
+            h = ad.dropout(h, *train)
     return mlp_forward(ad.reshape(h, h.shape[:-2] + (-1,)), params, f"{prefix}.mlp")
 
 

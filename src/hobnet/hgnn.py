@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import RowBlocks, Tensor
+from .autodiff import Dropout, RowBlocks, Tensor
 from .layers import mlp_forward
 from .spectral import GraphLaplacian, cheb_apply
 
@@ -34,21 +34,13 @@ class HgnnConfig:
     k: int = 3
     blocks: int = 3
     hidden_dim: int = 64
-    dropout: float = 0.0
     encoder: str = "res-cheb"
-    ghop_mlp_hidden: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.k < 1 or self.blocks < 1 or self.hidden_dim < 1:
             raise HgnnError("k, blocks, and hidden_dim must all be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise HgnnError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.encoder not in ENCODERS:
             raise HgnnError(f"encoder must be one of {ENCODERS}, got {self.encoder!r}")
-
-    @property
-    def ghop_hidden(self) -> tuple[int, ...]:
-        return (self.hidden_dim,) if self.ghop_mlp_hidden is None else tuple(self.ghop_mlp_hidden)
 
 
 @dataclass
@@ -117,12 +109,11 @@ def chebconv_block(
     params,
     prefix: str,
     cfg: HgnnConfig,
-    train: bool,
-    rng: np.random.Generator,
+    train: Dropout | None,
 ) -> Tensor:
     """One convolution block: filter with ``operator`` (a level's
-    ``LevelBatch.operator``), per-block norm, ReLU, dropout and, for
-    ``res-cheb``, the identity skip."""
+    ``LevelBatch.operator``), per-block norm, ReLU, dropout when ``train``
+    gives its rate and stream and, for ``res-cheb``, the identity skip."""
     if cfg.encoder == "gcn":
         conv = ad.matmul(ad.matmul(operator, h_in), params[f"{prefix}.w"].value)
     else:
@@ -134,7 +125,9 @@ def chebconv_block(
         params[f"{prefix}.norm.shift"].value,
         blocks=norm_blocks,
     )
-    out = ad.dropout(ad.relu(normed), cfg.dropout, rng, train)
+    out = ad.relu(normed)
+    if train is not None:
+        out = ad.dropout(out, *train)
     if cfg.encoder == "res-cheb":
         out = ad.add(out, h_in)
     return out
@@ -145,8 +138,7 @@ def level_encoder(
     prefix: str,
     level: LevelBatch,
     cfg: HgnnConfig,
-    train: bool,
-    rng: np.random.Generator,
+    train: Dropout | None = None,
 ) -> Tensor:
     """Project raw node features to the hidden width, run the block stack,
     and mix the per-block embeddings with adaptive feature maps. The level's
@@ -158,7 +150,7 @@ def level_encoder(
     )
     outputs = []
     for i in range(cfg.blocks):
-        h = chebconv_block(h, operator, level.norm_blocks, params, f"{prefix}.block{i}", cfg, train, rng)
+        h = chebconv_block(h, operator, level.norm_blocks, params, f"{prefix}.block{i}", cfg, train)
         outputs.append(h)
     return afm_combine(outputs, params[f"{prefix}.afm.r"].value)
 

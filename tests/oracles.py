@@ -5,6 +5,7 @@ something the package computes another way, or a helper that builds test
 inputs and losses.
 """
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,6 @@ from hobnet.connectivity import (
 from hobnet.ffc import ADAM_SLICE
 from hobnet.hgnn import LevelBatch
 from hobnet.layers import mlp_forward
-from hobnet.rng import named_stream
 from hobnet.spectral import GraphLaplacian, SpectralError, cheb_apply
 
 _EXACT_MAX_NODES = 64
@@ -91,7 +91,7 @@ def dr_unflatten(flat: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def subject_level_encoder(params, prefix, level, cfg, train, rng) -> Tensor:
+def subject_level_encoder(params, prefix, level, cfg, train) -> Tensor:
     """One subject's view through projection, block stack and AFM mix, on 2-D tensors."""
     h = ad.add(
         ad.matmul(Tensor(level.features), params[f"{prefix}.proj.w"].value),
@@ -109,7 +109,7 @@ def subject_level_encoder(params, prefix, level, cfg, train, rng) -> Tensor:
             conv, params[f"{block}.norm.gain"].value, params[f"{block}.norm.shift"].value,
             blocks=level.norm_blocks,
         )
-        out = ad.dropout(ad.relu(normed), cfg.dropout, rng, train)
+        out = ad.relu(normed) if train is None else ad.dropout(ad.relu(normed), *train)
         h = ad.add(out, h) if cfg.encoder == "res-cheb" else out
         outputs.append(h)
     columns = ad.concat(*(ad.reshape(out, (-1, 1)) for out in outputs), axis=1)
@@ -117,15 +117,13 @@ def subject_level_encoder(params, prefix, level, cfg, train, rng) -> Tensor:
     return ad.reshape(mixed, outputs[0].shape)
 
 
-def subject_features(params, cfg, sub, train=False, rng=None) -> Tensor:
-    """One subject's fused feature vector ``[fused_width]``."""
-    rng = named_stream(0, "eval-unused") if rng is None else rng
+def subject_features(params, cfg, sub, train=None) -> Tensor:
+    """One subject's fused feature vector ``[fused_width]``; ``train`` is
+    None or the dropout rate and stream."""
     parts = []
     if cfg.toggles.graph:
         for level in cfg.graph_levels():
-            z = subject_level_encoder(
-                params, f"hgnn.{level}", sub.levels[level], cfg.hgnn, train, rng
-            )
+            z = subject_level_encoder(params, f"hgnn.{level}", sub.levels[level], cfg.hgnn, train)
             first = ad.mean_over_axis(z)
             if cfg.toggles.graph_high_order:
                 gram = ad.upper_triangle_flatten(ad.matmul(ad.transpose(z), z))
@@ -139,7 +137,7 @@ def subject_features(params, cfg, sub, train=False, rng=None) -> Tensor:
                 h, params[f"hcnn.conv{i}.w"].value, params[f"hcnn.conv{i}.b"].value,
                 stride=c.strides[i],
             )
-            h = ad.dropout(ad.relu(h), c.dropout, rng, train)
+            h = ad.relu(h) if train is None else ad.dropout(ad.relu(h), *train)
         z = mlp_forward(ad.reshape(h, (-1,)), params, "hcnn.mlp")
         if cfg.toggles.cnn_high_order:
             flat = ad.upper_triangle_flatten(ad.outer(z, z))
@@ -148,16 +146,16 @@ def subject_features(params, cfg, sub, train=False, rng=None) -> Tensor:
     return ad.concat(*parts)
 
 
-def subject_forward(params, cfg, sub, train=False, rng=None) -> Tensor:
+def subject_forward(params, cfg, sub, train=None) -> Tensor:
     """One subject's class probabilities ``[2]``."""
-    return ad.softmax(mlp_forward(subject_features(params, cfg, sub, train, rng), params, "head"))
+    return ad.softmax(mlp_forward(subject_features(params, cfg, sub, train), params, "head"))
 
 
-def subject_batch_loss(params, cfg, subs, train=False, rng=None) -> Tensor:
+def subject_batch_loss(params, cfg, subs, train=None) -> Tensor:
     """Mean cross-entropy of a mini-batch as a running sum of per-subject losses."""
     total_loss = None
     for sub in subs:
-        ce = ad.cross_entropy(subject_forward(params, cfg, sub, train, rng), [sub.label])
+        ce = ad.cross_entropy(subject_forward(params, cfg, sub, train), [sub.label])
         total_loss = ce if total_loss is None else ad.add(total_loss, ce)
     return ad.scale(total_loss, 1.0 / len(subs))
 
@@ -373,3 +371,17 @@ def prepare_subject(ts, hierarchy, gammas, label=0, encoder="res-cheb", fc_sourc
         levels=levels,
         fc_input=Tensor(fc[rows, cols][None, :]),
     )
+
+
+def as_v1_checkpoint(path, out) -> None:
+    """Write ``path``'s checkpoint to ``out`` as the v1 format stored it: its
+    own format tag, a copy of the seed, and each branch config's dropout
+    rate and high-order MLP widths. The parameter payload is unchanged."""
+    line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    meta = header["meta"]
+    meta["seed"] = meta["train_config"]["seed"]
+    meta["model_config"]["hgnn"].update(dropout=0.0, ghop_mlp_hidden=None)
+    meta["model_config"]["hcnn"].update(dropout=0.0, hop_mlp_hidden=None)
+    header["format"] = "hobnet-checkpoint-v1"
+    out.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)

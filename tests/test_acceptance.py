@@ -60,7 +60,6 @@ from hobnet.population import (
     train_population_head,
     weight_matrix,
 )
-from hobnet.rng import named_stream
 from hobnet.spectral import cheb_apply, normalized_laplacian
 
 from conftest import random_timeseries, toy_hierarchy_4_6_10
@@ -122,7 +121,7 @@ class TestCriterion1GradientCorrectness:
         params = build_model_params(cfg, widths, sub.fc_len, seed=13)
 
         def f():
-            return loss(model_forward(params, cfg, batch, train=False), [sub.label])
+            return loss(model_forward(params, cfg, batch), [sub.label])
 
         fd = finite_difference_check(
             f, params.parameters(), h=1e-5, tolerance=1e-4, max_entries=120, seed=3
@@ -171,18 +170,12 @@ class TestCriterion3BlockDiagonalLocality:
         for level_name in ("man", "lan"):
             level = batch.levels[level_name]
             blocks = level.norm_blocks
-            base = level_encoder(
-                params, f"hgnn.{level_name}", level, cfg, train=False,
-                rng=named_stream(0, "na"),
-            ).data[0]
+            base = level_encoder(params, f"hgnn.{level_name}", level, cfg).data[0]
             for b, block in enumerate(blocks):
                 bumped_feats = level.features.copy()
                 bumped_feats[0, block[0], block[0]] += 2.5
                 bumped = replace(level, features=bumped_feats)
-                out = level_encoder(
-                    params, f"hgnn.{level_name}", bumped, cfg, train=False,
-                    rng=named_stream(0, "na"),
-                ).data[0]
+                out = level_encoder(params, f"hgnn.{level_name}", bumped, cfg).data[0]
                 others = np.concatenate([blk for j, blk in enumerate(blocks) if j != b])
                 deviation = np.max(np.abs(out[others] - base[others]))
                 assert deviation == 0.0, f"{level_name} block {b}: deviation {deviation}"

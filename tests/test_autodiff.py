@@ -100,21 +100,22 @@ class TestPrimitiveExamples:
         for got, want in zip(pieces, parts):
             np.testing.assert_array_equal(got, want)
 
-    def test_dropout_eval_is_bitwise_identity(self):
+    def test_dropout_at_rate_zero_is_bitwise_identity_and_draws_nothing(self):
         x = Tensor(np.random.default_rng(0).normal(size=(4, 4)))
-        out = ad.dropout(x, 0.5, named_stream(0, "d"), training=False)
-        assert out is x
+        rng = named_stream(0, "d")
+        assert ad.dropout(x, 0.0, rng) is x
+        assert rng.random() == named_stream(0, "d").random()
 
     def test_dropout_rate_validation(self):
         x = Tensor(np.zeros(3))
         with pytest.raises(ValueError):
-            ad.dropout(x, 1.0, named_stream(0, "d"), training=True)
+            ad.dropout(x, 1.0, named_stream(0, "d"))
         with pytest.raises(ValueError):
-            ad.dropout(x, -0.1, named_stream(0, "d"), training=True)
+            ad.dropout(x, -0.1, named_stream(0, "d"))
 
     def test_dropout_train_scaling_preserves_mean(self):
         x = Tensor(np.ones((200, 50)))
-        out = ad.dropout(x, 0.3, named_stream(1, "d"), training=True)
+        out = ad.dropout(x, 0.3, named_stream(1, "d"))
         kept = out.data[out.data != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.7, atol=1e-12)
         assert abs(out.data.mean() - 1.0) < 0.02
@@ -393,7 +394,7 @@ class TestPrimitiveGradients:
 
         def f():
             # fresh generator per call keeps the mask, and hence f, deterministic
-            return scalar_loss(ad.dropout(p.value, 0.4, named_stream(9, "mask"), True), w)
+            return scalar_loss(ad.dropout(p.value, 0.4, named_stream(9, "mask")), w)
 
         fd_over_all_entries(f, [p])
 

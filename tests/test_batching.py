@@ -85,12 +85,12 @@ def test_batched_path_matches_the_per_subject_oracle(prepared, toggles, encoder)
         for row, i in enumerate(chosen):
             assert_close(features[row], subject_features(params, cfg, subs[i]).data, f"features B={size}")
             assert_close(probs[row], subject_forward(params, cfg, subs[i]).data, f"probs B={size}")
-        rng = named_stream(0, "dropout")  # rate 0: training mode draws no mask
+        train = (0.0, named_stream(0, "dropout"))  # rate 0: a training forward draws no mask
         batched = gradients(
-            params, lambda: loss(model_forward(params, cfg, batch, True, rng), batch.labels)
+            params, lambda: loss(model_forward(params, cfg, batch, train), batch.labels)
         )
         per_subject = gradients(
-            params, lambda: subject_batch_loss(params, cfg, [subs[i] for i in chosen], True, rng)
+            params, lambda: subject_batch_loss(params, cfg, [subs[i] for i in chosen], train)
         )
         for name in params:
             assert_close(batched[name], per_subject[name], f"d/d {name}, B={size}")
@@ -125,11 +125,11 @@ def test_the_training_tape_of_a_batch_of_8_is_as_long_as_a_batch_of_1(prepared):
     subs = prepared["res-cheb"]
     cfg = small_config("hgnn+hcnn")
     params = model_params(cfg, subs)
-    rng = named_stream(0, "dropout")
+    train = (0.0, named_stream(0, "dropout"))
 
     def train_loss(size):
         batch = subs.take(np.arange(size))
-        return lambda: loss(model_forward(params, cfg, batch, True, rng), batch.labels)
+        return lambda: loss(model_forward(params, cfg, batch, train), batch.labels)
 
     assert tape_nodes(train_loss(8)) == tape_nodes(train_loss(1)) > 100
 
@@ -147,7 +147,7 @@ def test_a_training_mini_batch_of_the_criterion_5_model_records_a_fixed_tape(pre
     params = model_params(cfg, subs)
     batch = subs.take(np.arange(8))
     with Tape() as tape:
-        loss(model_forward(params, cfg, batch, True, named_stream(0, "dropout")), batch.labels)
+        loss(model_forward(params, cfg, batch, (0.0, named_stream(0, "dropout"))), batch.labels)
     assert Counter(node.op for node in tape.nodes) == {
         "add": 51, "concat": 8, "conv1d": 2, "cross-entropy": 1, "matmul": 66, "mean-over-axis": 3,
         "outer-product": 1, "per-block-norm": 9, "relu": 17, "reshape": 13, "scalar-scale": 18,

@@ -42,6 +42,7 @@ from hobnet.harness import (
 from hobnet.hgnn import HgnnConfig
 
 from conftest import random_timeseries
+from oracles import as_v1_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +124,6 @@ def trained(workspace):
     ckpt = workspace / "model.ckpt"
     code = run(
         "train", "--cohort", workspace / "cohort",
-        "--hierarchy", workspace / "hierarchy.json",
         "--preset", "custom", "--toggles", "HGNN+HCNN",
         "--encoder", "res-cheb", "--k", 2, "--blocks", 2,
         "--seed", 3, "--out", ckpt,
@@ -255,10 +255,7 @@ class TestCliErrors:
         ],
     )
     def test_bad_train_flags_give_one_line_and_exit_2(self, workspace, capsys, flags, message):
-        code = run(
-            "train", "--cohort", workspace / "cohort", "--hierarchy", workspace / "hierarchy.json",
-            *flags, "--out", workspace / "bad.ckpt",
-        )
+        code = run("train", "--cohort", workspace / "cohort", *flags, "--out", workspace / "bad.ckpt")
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("hobnet: error: ") and message in err
@@ -353,6 +350,51 @@ class TestCliErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "m.csv").exists()
 
+    @pytest.mark.parametrize(
+        "record, value, message",
+        [
+            (("model_config", "hgnn"), [2], "model_config.hgnn must be a JSON object"),
+            (("train_config",), [], "train_config must be a JSON object"),
+            (("model_config",), 3, "model_config must be a JSON object"),
+            (("model_config", "toggles"), 5, "model_config.toggles must be a JSON string"),
+            (("model_config", "hgnn", "k"), "2", "model_config.hgnn.k must be a JSON integer"),
+            (("gammas",), [0.5], "gammas must be a JSON object"),
+            (("level_widths",), [2, 4, 8], "level_widths must be a JSON object"),
+            (("subject_ids",), 7, "subject_ids must be a JSON array"),
+            (("model_config", "hgnn", "k"), 0, "k, blocks, and hidden_dim must all be >= 1"),
+            (("train_config", "dropout"), 1.0, "dropout must be in [0, 1), got 1.0"),
+        ],
+    )
+    def test_malformed_checkpoint_meta_gives_one_line_and_exit_2(
+        self, workspace, trained, tmp_path, capsys, record, value, message
+    ):
+        params, meta = load_checkpoint(trained)
+        target = meta
+        for key in record[:-1]:
+            target = target[key]
+        target[record[-1]] = value
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, params, meta)
+        code = run(
+            "eval", "--ckpt", bad, "--cohort", workspace / "cohort",
+            "--split-plan", workspace / "cohort" / "split_plan.json", "--out", tmp_path / "m.csv",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"hobnet: error: {bad}: {message}\n"
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_eval_of_a_v1_checkpoint_gives_one_line_and_exit_2(self, workspace, trained, tmp_path, capsys):
+        as_v1_checkpoint(trained, tmp_path / "v1.ckpt")
+        code = run(
+            "eval", "--ckpt", tmp_path / "v1.ckpt", "--cohort", workspace / "cohort",
+            "--split-plan", workspace / "cohort" / "split_plan.json", "--out", tmp_path / "m.csv",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"hobnet: error: {tmp_path / 'v1.ckpt'}: ") and err.endswith("; retrain it\n")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "m.csv").exists()
+
     def test_checkpoint_with_an_unknown_config_key_gives_one_line_and_exit_2(
         self, workspace, trained, tmp_path, capsys
     ):
@@ -388,6 +430,19 @@ class TestCliErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "pop.csv").exists()
 
+    def test_train_reads_the_hierarchy_of_the_cohort_directory(self, workspace, tmp_path, capsys):
+        shutil.copytree(workspace / "cohort", tmp_path / "cohort")
+        (tmp_path / "cohort" / "hierarchy.json").unlink()
+        code = run("train", "--cohort", tmp_path / "cohort", "--out", tmp_path / "model.ckpt")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"hobnet: error: {tmp_path / 'cohort'}: no hierarchy.json in cohort directory\n"
+        with pytest.raises(SystemExit) as exc:
+            run("train", "--cohort", workspace / "cohort", "--hierarchy", workspace / "hierarchy.json",
+                "--out", tmp_path / "model.ckpt")
+        assert exc.value.code == 2 and "unrecognized arguments: --hierarchy" in capsys.readouterr().err
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_train_on_a_plan_naming_unknown_subjects_gives_one_line_and_exit_2(
         self, workspace, tmp_path, capsys
     ):
@@ -395,10 +450,7 @@ class TestCliErrors:
         plan = read_split_plan(workspace / "cohort" / "split_plan.json")
         stale = replace(plan, assignments={**plan.assignments, "s9999": "train"})
         (tmp_path / "cohort" / "split_plan.json").write_text(json.dumps(stale.to_json()))
-        code = run(
-            "train", "--cohort", tmp_path / "cohort", "--hierarchy", workspace / "hierarchy.json",
-            "--out", tmp_path / "model.ckpt",
-        )
+        code = run("train", "--cohort", tmp_path / "cohort", "--out", tmp_path / "model.ckpt")
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("hobnet: error: ")
@@ -415,10 +467,7 @@ class TestCliErrors:
         (tmp_path / "cohort" / "split_plan.json").write_text(
             json.dumps(replace(plan, assignments=no_train).to_json())
         )
-        code = run(
-            "train", "--cohort", tmp_path / "cohort", "--hierarchy", workspace / "hierarchy.json",
-            "--out", tmp_path / "model.ckpt",
-        )
+        code = run("train", "--cohort", tmp_path / "cohort", "--out", tmp_path / "model.ckpt")
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("hobnet: error: ")
@@ -588,10 +637,7 @@ class TestCliErrors:
             edited = RoiTimeSeries("s0003", ts.samples[:, ::-1], ts.roi_names[::-1])
             message = f"header column 1 is {ts.roi_names[-1]!r}, where s0000.csv has {ts.roi_names[0]!r}"
         write_timeseries_csv(path, edited)
-        code = run(
-            "train", "--cohort", tmp_path / "cohort", "--hierarchy", workspace / "hierarchy.json",
-            "--out", tmp_path / "model.ckpt",
-        )
+        code = run("train", "--cohort", tmp_path / "cohort", "--out", tmp_path / "model.ckpt")
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("hobnet: error: ") and f"s0003.csv: subject 's0003': {message}" in err
@@ -605,10 +651,7 @@ class TestCliErrors:
         for path in sorted((tmp_path / "cohort" / "timeseries").glob("*.csv")):
             ts = read_timeseries_csv(path)
             write_timeseries_csv(path, RoiTimeSeries(ts.subject_id, ts.samples[:, :-1], ts.roi_names[:-1]))
-        code = run(
-            "train", "--cohort", tmp_path / "cohort", "--hierarchy", workspace / "hierarchy.json",
-            "--out", tmp_path / "model.ckpt",
-        )
+        code = run("train", "--cohort", tmp_path / "cohort", "--out", tmp_path / "model.ckpt")
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("hobnet: error: ")
@@ -711,10 +754,7 @@ class TestUnequalTimepoints:
         write_timeseries_csv(path, RoiTimeSeries(sid, ts.samples[:90], ts.roi_names))
         lengths = {r.subject_id: len(r.timeseries.samples) for r in read_cohort(tmp_path / "cohort").subjects}
         assert lengths[sid] == 90 and len(set(lengths.values())) == 2
-        code = run(
-            "train", "--cohort", tmp_path / "cohort", "--hierarchy", workspace / "hierarchy.json",
-            "--out", tmp_path / "model.ckpt",
-        )
+        code = run("train", "--cohort", tmp_path / "cohort", "--out", tmp_path / "model.ckpt")
         assert code == 0
         assert load_fit(tmp_path / "model.ckpt").loss_trace
 

@@ -37,7 +37,7 @@ from hobnet.harness import nested_hierarchy, synth_generate
 from hobnet.layers import init_mlp
 
 from conftest import random_timeseries, toy_hierarchy_4_6_10
-from oracles import total
+from oracles import as_v1_checkpoint, total
 
 SMALL_MODEL = dict(
     hgnn=HgnnConfig(k=2, blocks=2, hidden_dim=4),
@@ -318,6 +318,11 @@ class TestPresets:
         with pytest.raises(ModelError, match="learning rate"):
             TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("rate", [-0.1, 1.0])
+    def test_dropout_outside_zero_to_one_is_refused(self, rate):
+        with pytest.raises(ModelError, match=rf"dropout must be in \[0, 1\), got {rate}"):
+            TrainConfig(dropout=rate)
+
     @pytest.mark.parametrize("size", [-1, 0])
     def test_batch_size_below_one_is_refused(self, size):
         with pytest.raises(ModelError, match=rf"batch size must be >= 1 \(or None for full batch\), got {size}"):
@@ -366,6 +371,14 @@ class TestFit:
         r1 = fit(cohort, hierarchy, cfg, tc)
         r2 = fit(cohort, hierarchy, cfg, tc)
         assert r1.loss_trace == r2.loss_trace
+
+    def test_dropout_rate_reaches_the_forward(self):
+        hierarchy, cohort = tiny_cohort()
+        cfg = small_config()
+        plain = fit(cohort, hierarchy, cfg, TrainConfig(epochs=2, seed=4))
+        dropped = fit(cohort, hierarchy, cfg, TrainConfig(epochs=2, seed=4, dropout=0.3))
+        assert dropped.loss_trace != plain.loss_trace
+        assert dropped.config == plain.config == cfg
 
     def test_all_branches_disabled_is_an_error(self):
         with pytest.raises(ModelError, match="'none': all branches disabled"):
@@ -442,24 +455,24 @@ class TestCheckpoint:
         with pytest.raises(ModelError, match="old.ckpt: checkpoint has no 'subject_ids' record"):
             load_fit(path)
 
-    def test_load_fit_reads_a_checkpoint_recording_binary_adjacency(self, tmp_path):
-        # checkpoints written before the adjacency mode became a constant carry this key
+    def test_load_fit_refuses_a_v1_checkpoint(self, tmp_path):
         hierarchy, cohort = tiny_cohort()
         result = fit(cohort, hierarchy, small_config(), TrainConfig(epochs=1, seed=8))
-        path = tmp_path / "binary.ckpt"
-        save_checkpoint(path, result.params, {**checkpoint_meta(result), "adjacency_mode": "binary"})
-        back = load_fit(path)
-        assert back.gammas == result.gammas and back.subject_ids == result.subject_ids
-        for name in result.params:
-            assert back.params[name].data.tobytes() == result.params[name].data.tobytes()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, result.params, checkpoint_meta(result))
+        as_v1_checkpoint(path, tmp_path / "v1.ckpt")
+        message = r"v1\.ckpt: checkpoint format 'hobnet-checkpoint-v1' is not 'hobnet-checkpoint-v2'; retrain"
+        with pytest.raises(ModelError, match=message):
+            load_fit(tmp_path / "v1.ckpt")
 
-    def test_load_fit_refuses_a_checkpoint_recording_weighted_adjacency(self, tmp_path):
+    def test_checkpoint_meta_holds_each_setting_once(self, tmp_path):
         hierarchy, cohort = tiny_cohort()
-        result = fit(cohort, hierarchy, small_config(), TrainConfig(epochs=1, seed=8))
-        path = tmp_path / "weighted.ckpt"
-        save_checkpoint(path, result.params, {**checkpoint_meta(result), "adjacency_mode": "weighted"})
-        with pytest.raises(ModelError, match="weighted.ckpt: checkpoint uses weighted graphs"):
-            load_fit(path)
+        result = fit(cohort, hierarchy, small_config(), TrainConfig(epochs=1, seed=8, dropout=0.2))
+        meta = checkpoint_meta(result)
+        assert "seed" not in meta and meta["train_config"]["seed"] == 8
+        assert meta["train_config"]["dropout"] == 0.2
+        assert set(meta["model_config"]["hgnn"]) == {"k", "blocks", "hidden_dim", "encoder"}
+        assert "dropout" not in meta["model_config"]["hcnn"]
 
     def test_load_fit_refuses_parameters_that_do_not_match_the_config(self, tmp_path):
         hierarchy, cohort = tiny_cohort()

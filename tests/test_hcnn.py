@@ -17,7 +17,6 @@ from hobnet.hcnn import (
 )
 from hobnet.layers import init_mlp
 from hobnet.ffc import ModelParams
-from hobnet.rng import named_stream
 
 from conftest import random_timeseries
 from oracles import dr_unflatten
@@ -54,7 +53,7 @@ class TestFirstOrder:
         cfg_hcnn = HcnnConfig(kernel_sizes=(3, 3), channels=(2, 3), strides=(1, 1), mlp_hidden=(8,), out_dim=4)
         cfg, params = branch_params(cfg_hcnn, fc_len=20)
         x = Tensor(np.zeros((1, 20)))
-        out = hcnn_first_order(params, "hcnn", x, cfg_hcnn, train=False, rng=named_stream(0, "x"))
+        out = hcnn_first_order(params, "hcnn", x, cfg_hcnn)
         np.testing.assert_array_equal(out.data, np.zeros(4))
 
     def test_pointwise_kernel_identity_mlp_passes_input(self):
@@ -68,14 +67,14 @@ class TestFirstOrder:
         store.create("hcnn.mlp.l0.w", np.eye(k))
         store.create("hcnn.mlp.l0.b", np.zeros(k))
         x = np.abs(np.random.default_rng(1).normal(size=(1, k))) + 0.1
-        out = hcnn_first_order(store, "hcnn", Tensor(x), cfg_hcnn, train=False, rng=named_stream(0, "x"))
+        out = hcnn_first_order(store, "hcnn", Tensor(x), cfg_hcnn)
         np.testing.assert_allclose(out.data, x[0], atol=1e-12)
 
     def test_matches_layer_by_layer_oracle(self):
         cfg_hcnn = HcnnConfig(kernel_sizes=(5, 3), channels=(3, 4), strides=(2, 1), mlp_hidden=(7,), out_dim=5)
         cfg, params = branch_params(cfg_hcnn, fc_len=24, seed=3)
         x = np.random.default_rng(2).normal(size=(1, 24))
-        out = hcnn_first_order(params, "hcnn", Tensor(x), cfg_hcnn, train=False, rng=named_stream(0, "x")).data
+        out = hcnn_first_order(params, "hcnn", Tensor(x), cfg_hcnn).data
 
         def conv(inp, w, b, stride):
             c_out, c_in, k = w.shape
@@ -206,7 +205,7 @@ class TestCnnBranchGradients:
         from hobnet.hcnn import hop_concat as hc
 
         def f():
-            z = hcnn_first_order(params, "hcnn", x, cfg_hcnn, train=False, rng=named_stream(0, "x"))
+            z = hcnn_first_order(params, "hcnn", x, cfg_hcnn)
             return ad.matmul(hc(z, params, "hcnn.hop"), Tensor(w))
 
         report = finite_difference_check(

@@ -25,7 +25,6 @@ from hobnet.hgnn import (
     ghop,
     level_encoder,
 )
-from hobnet.rng import named_stream
 from hobnet.spectral import cheb_apply
 
 from conftest import random_timeseries, toy_hierarchy_4_6_10
@@ -163,8 +162,7 @@ class TestChebconvBlock:
         params["hgnn.man.block0.norm.shift"].value.data[:] = 0.0
         h_in = Tensor(np.random.default_rng(6).normal(size=(1, level.features.shape[1], 5)))
         out = chebconv_block(
-            h_in, Tensor(level.operator), level.norm_blocks, params, "hgnn.man.block0", cfg,
-            train=False, rng=named_stream(0, "x"),
+            h_in, Tensor(level.operator), level.norm_blocks, params, "hgnn.man.block0", cfg, None
         )
         np.testing.assert_array_equal(out.data, h_in.data)
 
@@ -194,17 +192,11 @@ class TestChebconvBlock:
         for level_name in (MAN, LAN):
             level = batch.levels[level_name]
             blocks = level.norm_blocks
-            base = level_encoder(
-                params, f"hgnn.{level_name}", level, cfg, train=False,
-                rng=named_stream(0, "x"),
-            ).data[0]
+            base = level_encoder(params, f"hgnn.{level_name}", level, cfg).data[0]
             perturbed_feats = level.features.copy()
             perturbed_feats[0, blocks[0][0], blocks[0][0]] += 3.21
             bumped = replace(level, features=perturbed_feats)
-            out = level_encoder(
-                params, f"hgnn.{level_name}", bumped, cfg, train=False,
-                rng=named_stream(0, "x"),
-            ).data[0]
+            out = level_encoder(params, f"hgnn.{level_name}", bumped, cfg).data[0]
             others = np.concatenate([b for b in blocks[1:]])
             assert np.array_equal(out[others], base[others]), level_name
 
@@ -259,7 +251,7 @@ class TestGraphBranchGradients:
         def f():
             from hobnet import autodiff as ad
 
-            features = fused_features(params, cfg, batch, train=False)
+            features = fused_features(params, cfg, batch)
             return ad.matmul(ad.reshape(features, (-1,)), Tensor(w))
 
         report = finite_difference_check(
