@@ -19,18 +19,17 @@ import numpy as np
 
 from .autodiff import NonFiniteValue, ShapeMismatch, TapeError
 from .connectivity import (
+    GAMMA_GRID,
     LEVELS,
     ConnectivityError,
     build_graph_set,
-    gamma_for_retained_fraction,
-    graph_set_to_json,
     read_hierarchy_json,
     read_timeseries_csv,
-    retained_edge_curve,
-    subject_connectivity,
+    retained_fractions,
 )
 from .ffc import (
     PRESETS,
+    CohortConnectivity,
     ModelConfig,
     ModelError,
     checkpoint_meta,
@@ -103,36 +102,48 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_graphgen(args) -> int:
+def subject_levels(args) -> tuple[str, dict[str, np.ndarray]]:
+    """The subject id of ``--timeseries`` and each level's ``[m, m]``
+    composite connectivity over ``--hierarchy``, as preparation builds it."""
     ts = read_timeseries_csv(args.timeseries)
-    hierarchy = read_hierarchy_json(args.hierarchy)
-    levels = subject_connectivity(ts, hierarchy)
+    connectivity = CohortConnectivity.build([ts], read_hierarchy_json(args.hierarchy))
+    return ts.subject_id, {lv: stack[0] for lv, stack in connectivity.levels.items()}
+
+
+def cmd_graphgen(args) -> int:
+    if args.retained_pct is not None and not 0.0 <= args.retained_pct <= 100.0:
+        raise ConnectivityError(f"--retained-pct must be in [0, 100], got {args.retained_pct}")
+    subject_id, levels = subject_levels(args)
     if args.gamma is not None:
-        gammas = float(args.gamma)
-    else:
-        gammas = {
-            level: gamma_for_retained_fraction(levels[level], args.retained_pct / 100.0)
-            for level in LEVELS
-        }
-    graphs = build_graph_set({lv: cm.values for lv, cm in levels.items()}, gammas=gammas, mode=args.mode)
+        gammas = dict.fromkeys(LEVELS, float(args.gamma))
+    else:  # per level, the smallest grid threshold at which at most that share of edges survives
+        gammas = {}
+        for lv in LEVELS:
+            kept = retained_fractions(levels[lv], GAMMA_GRID) <= args.retained_pct / 100.0
+            gammas[lv] = float(GAMMA_GRID[np.argmax(kept)])
+    adjacency = build_graph_set(levels, gammas, args.mode)
+    records = [  # dense row-major; a level's features are its connectivity values
+        {"level": lv, "gamma": gammas[lv], "mode": args.mode,
+         "shape": list(adjacency[lv].shape), "adjacency": adjacency[lv].reshape(-1).tolist(),
+         "features_shape": list(levels[lv].shape), "features": levels[lv].reshape(-1).tolist()}
+        for lv in LEVELS
+    ]
     with Path(args.out).open("w") as fh:
-        json.dump(graph_set_to_json(graphs), fh, indent=2, sort_keys=True)
+        json.dump(records, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote graph views for subject {ts.subject_id} to {args.out}")
+    print(f"wrote graph views for subject {subject_id} to {args.out}")
     return 0
 
 
 def cmd_threshold_curve(args) -> int:
-    ts = read_timeseries_csv(args.timeseries)
-    hierarchy = read_hierarchy_json(args.hierarchy)
     if args.grid < 1:
         raise ConnectivityError(f"--grid must be at least 1, got {args.grid}")
-    cm = subject_connectivity(ts, hierarchy)["lan"]
-    curve = retained_edge_curve(cm, np.linspace(0.0, 1.0, args.grid))
+    _, levels = subject_levels(args)
+    grid = np.linspace(0.0, 1.0, args.grid)
     with Path(args.out).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["gamma", "retained_fraction"])
-        for gamma, fraction in curve:
+        for gamma, fraction in zip(grid.tolist(), retained_fractions(levels["lan"], grid).tolist()):
             writer.writerow([repr(gamma), repr(fraction)])
     print(f"wrote {args.grid}-point retained-edge curve to {args.out}")
     return 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -230,10 +230,6 @@ class ConnectivityMatrix:
             who = f"subject {self.subject_ids[k]!r}: " if k < len(self.subject_ids) else ""
             raise ConnectivityError(f"{who}{self.level} connectivity matrix {problem}")
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[-1]
-
 
 def _set_diagonal(values: np.ndarray, value: float) -> None:
     idx = np.arange(values.shape[-1])
@@ -375,7 +371,7 @@ def retained_fractions(values: np.ndarray, gammas) -> np.ndarray:
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     if gammas.size == 0:
-        raise ConnectivityError("retained_edge_curve: threshold grid is empty")
+        raise ConnectivityError("retained_fractions: threshold grid is empty")
     if np.any(np.diff(gammas) <= 0) or gammas[0] < 0.0 or gammas[-1] > 1.0:
         raise ConnectivityError("threshold grid must be strictly increasing within [0, 1]")
     m, g = values.shape[-1], gammas.size
@@ -386,12 +382,6 @@ def retained_fractions(values: np.ndarray, gammas) -> np.ndarray:
     total = m * (m - 1)
     above = total - np.cumsum(hist, axis=1)[:, :g]
     return (above / total).reshape(*values.shape[:-2], g)
-
-
-def retained_edge_curve(cm: ConnectivityMatrix, gammas) -> list[tuple[float, float]]:
-    """Fraction of one matrix's off-diagonal entries strictly above each threshold."""
-    gammas = np.asarray(list(gammas), dtype=np.float64)
-    return list(zip(gammas.tolist(), retained_fractions(cm.values, gammas).tolist()))
 
 
 def select_cutoff(curve: list[tuple[float, float]]) -> float:
@@ -413,17 +403,6 @@ def select_cutoff(curve: list[tuple[float, float]]) -> float:
     return float(g[1 + int(np.argmax(curvature))])
 
 
-def gamma_for_retained_fraction(cm: ConnectivityMatrix, fraction: float) -> float:
-    """Smallest grid threshold whose retained fraction drops to ``fraction``."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ConnectivityError(f"retained fraction must be in [0, 1], got {fraction}")
-    curve = retained_edge_curve(cm, GAMMA_GRID)
-    for g, kept in curve:
-        if kept <= fraction:
-            return g
-    return curve[-1][0]
-
-
 def build_adjacency(values: np.ndarray, gamma: float, mode: str = "binary") -> np.ndarray:
     """Sparsify checked connectivity values (``ConnectivityMatrix.values``,
     or rows of them) by threshold: keep entries strictly above gamma, unit
@@ -441,22 +420,6 @@ def build_adjacency(values: np.ndarray, gamma: float, mode: str = "binary") -> n
     return adj
 
 
-@dataclass
-class HierarchicalGraphSet:
-    """Adjacency and node features for the three graph views of one subject
-    (``[m, m]`` per level) or of a stack of subjects (``[N, m, m]``)."""
-
-    adjacency: dict[str, np.ndarray]
-    features: dict[str, np.ndarray]
-    gammas: dict[str, float]
-    mode: str
-
-    def __post_init__(self):
-        for level in LEVELS:
-            if np.any(np.diagonal(self.adjacency[level], axis1=-2, axis2=-1) != 1.0):
-                raise ConnectivityError(f"{level} adjacency diagonal must be exactly 1")
-
-
 def composite_connectivity(
     grams: GramStack, hierarchy: AtlasHierarchy, level: str
 ) -> ConnectivityMatrix:
@@ -472,40 +435,22 @@ def composite_connectivity(
     return cm
 
 
-def subject_connectivity(
-    ts: RoiTimeSeries, hierarchy: AtlasHierarchy
-) -> dict[str, ConnectivityMatrix]:
-    """One subject's composite connectivity per level as ``[m, m]`` matrices:
-    a stack of one, unstacked."""
-    grams = gram_stack([ts], hierarchy)
-    out = {}
-    for level in LEVELS:
-        cm = composite_connectivity(grams, hierarchy, level)
-        out[level] = replace(cm, values=cm.values[0])
-    return out
-
-
 def build_graph_set(
     levels: dict[str, np.ndarray],
     gammas: dict[str, float] | float,
     mode: str = "binary",
-) -> HierarchicalGraphSet:
-    """Threshold each level's composite connectivity into the graph inputs.
+) -> dict[str, np.ndarray]:
+    """Threshold each level's composite connectivity into its adjacency.
 
     ``levels`` holds each level's checked values (``ConnectivityMatrix.values``)
     of one subject, or a stack of them; ``gammas`` is a per-level dict or
-    one shared threshold. The features are the values themselves, not a
-    copy: row i is node i's connectivity profile. The two lower levels were
-    masked to their parent blocks, which makes both adjacency and features
-    exactly block-diagonal (features are zero-padded to the composite width).
+    one shared threshold. The values themselves are the node features: row
+    i is node i's connectivity profile. The two lower levels were masked to
+    their parent blocks, which makes both adjacency and features exactly
+    block-diagonal (features are zero-padded to the composite width).
     """
-    chosen = {level: gammas[level] if isinstance(gammas, dict) else float(gammas) for level in LEVELS}
-    return HierarchicalGraphSet(
-        adjacency={level: build_adjacency(levels[level], chosen[level], mode) for level in LEVELS},
-        features={level: levels[level] for level in LEVELS},
-        gammas=chosen,
-        mode=mode,
-    )
+    chosen = gammas if isinstance(gammas, dict) else dict.fromkeys(LEVELS, float(gammas))
+    return {level: build_adjacency(levels[level], chosen[level], mode) for level in LEVELS}
 
 
 # ---------------------------------------------------------------------------
@@ -585,23 +530,3 @@ def write_hierarchy_json(path: str | Path, hierarchy: AtlasHierarchy) -> None:
     with Path(path).open("w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def graph_set_to_json(graphs: HierarchicalGraphSet) -> list[dict]:
-    """Dense row-major export of each level's adjacency and features."""
-    records = []
-    for level in LEVELS:
-        adj = graphs.adjacency[level]
-        feats = graphs.features[level]
-        records.append(
-            {
-                "level": level,
-                "gamma": graphs.gammas[level],
-                "mode": graphs.mode,
-                "shape": list(adj.shape),
-                "adjacency": adj.reshape(-1).tolist(),
-                "features_shape": list(feats.shape),
-                "features": feats.reshape(-1).tolist(),
-            }
-        )
-    return records

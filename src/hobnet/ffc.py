@@ -96,6 +96,10 @@ class ModelConfig:
     hcnn: HcnnConfig = field(default_factory=HcnnConfig)
     head_hidden: tuple[int, ...] = (64,)
 
+    def __post_init__(self):
+        if any(w < 1 for w in self.head_hidden):
+            raise ModelError(f"head widths must all be >= 1, got {list(self.head_hidden)}")
+
     def graph_levels(self) -> list[str]:
         return ["lan"] if self.toggles.lan_only else list(LEVELS)
 
@@ -116,7 +120,7 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelConfig":
         payload = _config_kwargs(cls, payload, "model_config")
-        _check_kind(payload["toggles"], _FIELD_KINDS[str], "model_config.toggles")
+        _check_kind(payload["toggles"], _JSON_KINDS[str], "model_config.toggles")
         return cls(
             toggles=parse_toggles(payload["toggles"]),
             hgnn=HgnnConfig(**_config_kwargs(HgnnConfig, payload["hgnn"], "model_config.hgnn")),
@@ -125,10 +129,11 @@ class ModelConfig:
         )
 
 
-# the JSON kind a config field holds, by the type of its default; a null
-# default (``batch_size``) holds an integer or null
-_FIELD_KINDS = {int: ("integer", int), float: ("number", (int, float)), str: ("string", str),
-                tuple: ("array", (list, tuple)), type(None): ("integer or null", (int, type(None)))}
+# the JSON kind of a value, by Python type: a config field holds that of
+# its default's type, and a null default (``batch_size``) an integer or null
+_JSON_KINDS = {int: ("integer", int), float: ("number", (int, float)), str: ("string", str),
+               tuple: ("array", (list, tuple)), type(None): ("integer or null", (int, type(None))),
+               dict: ("object", dict), list: ("array", list)}
 
 
 def _check_kind(value, kind: tuple[str, type | tuple[type, ...]], where: str) -> None:
@@ -139,18 +144,27 @@ def _check_kind(value, kind: tuple[str, type | tuple[type, ...]], where: str) ->
         raise ModelError(f"{where} must be a JSON {name}")
 
 
+def _check_entries(record: dict | list, kind: tuple[str, type | tuple[type, ...]], where: str) -> None:
+    """``_check_kind`` on each entry of an object or array ``record``."""
+    for key, value in record.items() if isinstance(record, dict) else enumerate(record):
+        _check_kind(value, kind, f"{where}[{key!r}]")
+
+
 def _config_kwargs(cls, payload: dict, where: str) -> dict:
     """``payload`` as keyword arguments of ``cls``, JSON arrays as tuples. A
-    payload that is not an object, a key it has no field for, and a value of
-    another JSON kind than the field's default are errors."""
-    _check_kind(payload, ("object", dict), where)
+    payload that is not an object, a key it has no field for, a value of
+    another JSON kind than the field's default, and a tuple field's entry
+    that is not an integer are errors."""
+    _check_kind(payload, _JSON_KINDS[dict], where)
     defaults = {f.name: f.default for f in fields(cls)}
     unknown = sorted(set(payload) - set(defaults))
     if unknown:
         raise ModelError(f"{where} has unknown key {unknown[0]!r}")
     for key, value in payload.items():
         if defaults[key] is not MISSING:
-            _check_kind(value, _FIELD_KINDS[type(defaults[key])], f"{where}.{key}")
+            _check_kind(value, _JSON_KINDS[type(defaults[key])], f"{where}.{key}")
+        if isinstance(defaults[key], tuple):  # every tuple field holds integers
+            _check_entries(value, _JSON_KINDS[int], f"{where}.{key}")
     return {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
 
 
@@ -417,13 +431,13 @@ def prepare_stack(
     graph = {lv: np.empty_like(stack) for lv, stack in connectivity.levels.items()}
     lambda_max = {lv: np.empty(n) for lv in LEVELS}
     for rows in subject_chunks(n, hierarchy):
-        fc[rows, 0] = dr_flatten(pearson_fc(fc_series[rows]))
+        fc[rows, 0] = dr_flatten(pearson_fc(fc_series[rows]).values)
         graphs = build_graph_set({lv: stack[rows] for lv, stack in connectivity.levels.items()}, gammas)
         for lv in LEVELS:
             if encoder == "gcn":
-                graph[lv][rows] = first_order_propagation(graphs.adjacency[lv])
+                graph[lv][rows] = first_order_propagation(graphs[lv])
             else:
-                lap = normalized_laplacian(graphs.adjacency[lv])
+                lap = normalized_laplacian(graphs[lv])
                 graph[lv][rows], lambda_max[lv][rows] = lap.laplacian, lap.lambda_max
     level_batches = {}
     for lv in LEVELS:
@@ -766,9 +780,10 @@ def fit(
 
 _CHECKPOINT_FORMAT = "hobnet-checkpoint-v2"
 
-# the JSON kind of each meta record besides the two configs
-_META_KINDS = {"gammas": ("object", dict), "loss_trace": ("array", list), "level_widths": ("object", dict),
-               "fc_len": ("integer", int), "subject_ids": ("array", list)}
+# the type of each meta record besides the two configs, and of its entries
+# if it is an object or an array
+_META_RECORDS = {"gammas": (dict, float), "loss_trace": (list, float), "level_widths": (dict, int),
+                 "fc_len": (int, None), "subject_ids": (list, str)}
 
 
 def save_checkpoint(path: str | Path, params: ModelParams, meta: dict) -> None:
@@ -813,6 +828,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
             payload = fh.read(count * 8)
             if len(payload) != count * 8:
                 raise ModelError(f"{path}: truncated payload for parameter {entry['name']!r}")
+            if entry["name"] in params:
+                raise ModelError(f"{path}: duplicate parameter name {entry['name']!r}")
             values = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
             if not np.all(np.isfinite(values)):
                 raise ModelError(f"{path}: parameter {entry['name']!r} holds NaN or Inf values")
@@ -838,8 +855,18 @@ def load_fit(path: str | Path) -> FitResult:
     """Inverse of ``save_checkpoint(path, result.params, checkpoint_meta(result))``."""
     params, meta = load_checkpoint(path)
     try:
-        for key, kind in _META_KINDS.items():
-            _check_kind(meta[key], kind, key)
+        for key, (kind, entry) in _META_RECORDS.items():
+            _check_kind(meta[key], _JSON_KINDS[kind], key)
+            if entry is not None:
+                _check_entries(meta[key], _JSON_KINDS[entry], key)
+        for key in ("gammas", "level_widths"):
+            if sorted(meta[key]) != sorted(LEVELS):
+                raise ModelError(f"{key} must have exactly the keys {list(LEVELS)}, got {list(meta[key])}")
+        for level in LEVELS:
+            if not 0.0 <= meta["gammas"][level] <= 1.0:
+                raise ModelError(f"gammas[{level!r}] must be in [0, 1], got {meta['gammas'][level]}")
+            if meta["level_widths"][level] < 1:
+                raise ModelError(f"level_widths[{level!r}] must be >= 1, got {meta['level_widths'][level]}")
         result = FitResult(
             params=params,
             config=ModelConfig.from_dict(meta["model_config"]),
@@ -851,11 +878,11 @@ def load_fit(path: str | Path) -> FitResult:
             subject_ids=meta["subject_ids"],
             source=str(path),
         )
+        built = build_model_params(result.config, result.level_widths, result.fc_len, result.train_config.seed)
     except KeyError as exc:
         raise ModelError(f"{path}: checkpoint has no {exc} record; retrain it") from None
     except (ModelError, hgnn_mod.HgnnError, hcnn_mod.HcnnError) as exc:
         raise ModelError(f"{path}: {exc}") from None
-    built = build_model_params(result.config, result.level_widths, result.fc_len, result.train_config.seed)
     for got, want in zip_longest(_param_shapes(params), _param_shapes(built)):
         if got != want:
             raise ModelError(

@@ -138,12 +138,10 @@ def synth_generate(
     inter-network correlation by ``signal**2`` while leaving class 0
     untouched; ``signal=0`` makes the classes distributionally identical.
     """
-    if signal < 0:
-        raise HarnessError(f"signal strength must be >= 0, got {signal}")
-    if signal > 1:
-        raise HarnessError(f"signal strength must be <= 1 (it is a mixing weight), got {signal}")
-    if noise < 0:
-        raise HarnessError(f"noise level must be >= 0, got {noise}")
+    if not 0.0 <= signal <= 1.0:
+        raise HarnessError(f"signal strength must be a mixing weight, 0 <= signal <= 1, got {signal}")
+    if not (math.isfinite(noise) and noise >= 0.0):
+        raise HarnessError(f"noise level must be finite and >= 0, got {noise}")
     if signal > 0 and len(hierarchy.networks) < 2:
         raise HarnessError("planting a signal needs at least 2 networks in the hierarchy")
     rois = hierarchy.ordered_rois

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Dropout, Tensor
-from .connectivity import ConnectivityMatrix
 from .layers import mlp_forward
 
 
@@ -39,6 +38,8 @@ class HcnnConfig:
             raise HcnnError("exactly two convolution layers are configured")
         if any(k < 1 for k in self.kernel_sizes) or any(s < 1 for s in self.strides):
             raise HcnnError("kernel sizes and strides must be >= 1")
+        if min(self.channels + self.mlp_hidden + (self.out_dim,)) < 1:
+            raise HcnnError("channels, MLP widths and out_dim must all be >= 1")
 
     def conv_output_length(self, input_length: int) -> int:
         """Flattened width after both conv layers; validates kernel spans."""
@@ -50,10 +51,10 @@ class HcnnConfig:
         return self.channels[1] * length
 
 
-def dr_flatten(fc) -> np.ndarray:
+def dr_flatten(fc: np.ndarray) -> np.ndarray:
     """Strict upper triangle of a symmetric matrix, row-major order; a stack
     ``[N, n, n]`` gives one row per matrix."""
-    values = fc.values if isinstance(fc, ConnectivityMatrix) else np.asarray(fc, dtype=np.float64)
+    values = np.asarray(fc, dtype=np.float64)
     if values.ndim not in (2, 3) or values.shape[-2] != values.shape[-1]:
         raise HcnnError(f"FC matrix must be square, got shape {values.shape}")
     n = values.shape[-1]

@@ -289,7 +289,7 @@ def composite_connectivity(ts, hierarchy, level) -> ConnectivityMatrix:
     cm = level_connectivity(ts, hierarchy, level)
     if level == WAN:
         return cm
-    m = cm.n
+    m = cm.values.shape[-1]
     mask = np.zeros((m, m), dtype=bool)
     for idx in hierarchy.level_blocks(level):
         mask[np.ix_(idx, idx)] = True
@@ -298,7 +298,7 @@ def composite_connectivity(ts, hierarchy, level) -> ConnectivityMatrix:
 
 def retained_edge_curve(cm, gammas) -> list[tuple[float, float]]:
     """One count per threshold."""
-    m = cm.n
+    m = cm.values.shape[-1]
     off = cm.values[~np.eye(m, dtype=bool)]
     total = m * (m - 1)
     return [(float(g), float(np.count_nonzero(off > g) / total)) for g in gammas]

@@ -10,12 +10,18 @@ import pytest
 
 from hobnet.cli import main
 from hobnet.connectivity import (
+    GAMMA_GRID,
+    LEVELS,
+    ConnectivityMatrix,
     RoiTimeSeries,
+    build_graph_set,
+    read_hierarchy_json,
     read_timeseries_csv,
     write_hierarchy_json,
     write_timeseries_csv,
 )
 from hobnet.ffc import (
+    CohortConnectivity,
     FitResult,
     ModelConfig,
     TrainConfig,
@@ -42,7 +48,7 @@ from hobnet.harness import (
 from hobnet.hgnn import HgnnConfig
 
 from conftest import random_timeseries
-from oracles import as_v1_checkpoint
+from oracles import as_v1_checkpoint, retained_edge_curve
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +69,13 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def subject_levels(workspace) -> dict[str, np.ndarray]:
+    """Each level's connectivity of the workspace subject, as preparation builds it."""
+    ts = read_timeseries_csv(workspace / "ts.csv")
+    connectivity = CohortConnectivity.build([ts], read_hierarchy_json(workspace / "hierarchy.json"))
+    return {lv: stack[0] for lv, stack in connectivity.levels.items()}
+
+
 class TestSynthAndGraphgen:
     def test_synth_wrote_cohort_directory(self, workspace):
         out = workspace / "cohort"
@@ -71,28 +84,41 @@ class TestSynthAndGraphgen:
         assert (out / "split_plan.json").exists()
         assert len(list((out / "timeseries").glob("*.csv"))) == 12
 
-    def test_graphgen_with_fixed_gamma(self, workspace):
-        out = workspace / "graphs.json"
+    @pytest.mark.parametrize("mode", ["binary", "weighted"])
+    def test_graphgen_exports_the_graphs_preparation_builds(self, workspace, tmp_path, mode):
+        out = tmp_path / "graphs.json"
         code = run(
             "graphgen", "--timeseries", workspace / "ts.csv",
             "--hierarchy", workspace / "hierarchy.json",
-            "--gamma", 0.4, "--mode", "binary", "--out", out,
+            "--gamma", 0.3, "--mode", mode, "--out", out,
         )
         assert code == 0
+        levels = subject_levels(workspace)
+        adjacency = build_graph_set(levels, 0.3, mode)
         records = json.loads(out.read_text())
-        assert [r["level"] for r in records] == ["wan", "man", "lan"]
-        assert all(r["gamma"] == 0.4 for r in records)
+        assert [r["level"] for r in records] == list(LEVELS)
+        for r in records:
+            lv = r["level"]
+            assert (r["gamma"], r["mode"]) == (0.3, mode)
+            assert r["shape"] == r["features_shape"] == list(levels[lv].shape)
+            assert np.array(r["features"]).reshape(r["features_shape"]).tobytes() == levels[lv].tobytes()
+            assert np.array(r["adjacency"]).reshape(r["shape"]).tobytes() == adjacency[lv].tobytes()
 
-    def test_graphgen_with_retained_percentage(self, workspace):
-        out = workspace / "graphs_pct.json"
+    @pytest.mark.parametrize("pct", [0, 7.5, 25, 30, 100])
+    def test_graphgen_retained_pct_takes_the_smallest_grid_gamma_keeping_at_most_that_share(
+        self, workspace, tmp_path, pct
+    ):
+        out = tmp_path / "graphs.json"
         code = run(
             "graphgen", "--timeseries", workspace / "ts.csv",
-            "--hierarchy", workspace / "hierarchy.json",
-            "--retained-pct", 25, "--mode", "weighted", "--out", out,
+            "--hierarchy", workspace / "hierarchy.json", "--retained-pct", pct, "--out", out,
         )
         assert code == 0
-        records = json.loads(out.read_text())
-        assert all(0.0 <= r["gamma"] <= 1.0 for r in records)
+        levels = subject_levels(workspace)
+        for r in json.loads(out.read_text()):
+            curve = retained_edge_curve(ConnectivityMatrix(r["level"], levels[r["level"]], "rv"), GAMMA_GRID)
+            expected = min(g for g, kept in curve if kept <= pct / 100)
+            assert r["gamma"] == expected
 
     def test_graphgen_requires_exactly_one_threshold_flag(self, workspace):
         with pytest.raises(SystemExit):
@@ -116,6 +142,18 @@ class TestThresholdCurve:
         assert len(rows) == 31
         fractions = [float(r["retained_fraction"]) for r in rows]
         assert all(a >= b for a, b in zip(fractions, fractions[1:]))
+
+    def test_the_curve_is_that_of_the_region_level_connectivity(self, workspace, tmp_path):
+        out = tmp_path / "curve.csv"
+        code = run(
+            "threshold-curve", "--timeseries", workspace / "ts.csv",
+            "--hierarchy", workspace / "hierarchy.json", "--grid", 11, "--out", out,
+        )
+        assert code == 0
+        with out.open() as fh:
+            rows = [(float(r["gamma"]), float(r["retained_fraction"])) for r in csv.DictReader(fh)]
+        lan = ConnectivityMatrix("lan", subject_levels(workspace)["lan"], "rv")
+        assert rows == retained_edge_curve(lan, np.linspace(0.0, 1.0, 11))
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +354,7 @@ class TestCliErrors:
             "negative shape",
             "shape not a list",
             "entry not an object",
+            "duplicate name",
         ],
     )
     def test_malformed_checkpoint_header_gives_one_line_and_exit_2(
@@ -337,6 +376,10 @@ class TestCliErrors:
             "negative shape": ({**header, "params": [{**first, "shape": [-1]}, *rest]}, entry_message),
             "shape not a list": ({**header, "params": [{**first, "shape": 4}, *rest]}, entry_message),
             "entry not an object": ({**header, "params": [[first["name"]], *rest]}, entry_message),
+            "duplicate name": (
+                {**header, "params": [first, {**rest[0], "name": first["name"]}, *rest[1:]]},
+                f"duplicate parameter name {first['name']!r}",
+            ),
         }[damage]
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(json.dumps(header).encode() + b"\n" + payload)
@@ -363,6 +406,23 @@ class TestCliErrors:
             (("subject_ids",), 7, "subject_ids must be a JSON array"),
             (("model_config", "hgnn", "k"), 0, "k, blocks, and hidden_dim must all be >= 1"),
             (("train_config", "dropout"), 1.0, "dropout must be in [0, 1), got 1.0"),
+            (("gammas", "wan"), "x", "gammas['wan'] must be a JSON number"),
+            (("gammas",), {}, "gammas must have exactly the keys ['wan', 'man', 'lan'], got []"),
+            (
+                ("gammas", "extra"), 0.5,
+                "gammas must have exactly the keys ['wan', 'man', 'lan'], got ['extra', 'lan', 'man', 'wan']",
+            ),
+            (("gammas", "wan"), 2.0, "gammas['wan'] must be in [0, 1], got 2.0"),
+            (("level_widths",), {}, "level_widths must have exactly the keys ['wan', 'man', 'lan'], got []"),
+            (("level_widths", "wan"), "2", "level_widths['wan'] must be a JSON integer"),
+            (("level_widths", "wan"), -1, "level_widths['wan'] must be >= 1, got -1"),
+            (("model_config", "head_hidden"), ["8"], "model_config.head_hidden[0] must be a JSON integer"),
+            (("model_config", "head_hidden"), [-2], "head widths must all be >= 1, got [-2]"),
+            (("model_config", "hcnn", "channels"), [8, 1.5], "model_config.hcnn.channels[1] must be a JSON integer"),
+            (("model_config", "hcnn", "out_dim"), -1, "channels, MLP widths and out_dim must all be >= 1"),
+            (("loss_trace",), ["a"], "loss_trace[0] must be a JSON number"),
+            (("subject_ids",), [1, 2], "subject_ids[0] must be a JSON string"),
+            (("fc_len",), -3, "kernel size 7 exceeds input length -3"),
         ],
     )
     def test_malformed_checkpoint_meta_gives_one_line_and_exit_2(
@@ -723,6 +783,33 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"hobnet: error: {ckpt}: trained on wan width 2, but the cohort gives 4;")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("pct", ["150", "-5", "nan"])
+    def test_graphgen_with_a_retained_pct_outside_0_100_gives_one_line_and_exit_2(
+        self, workspace, tmp_path, capsys, pct
+    ):
+        code = run(
+            "graphgen", "--timeseries", workspace / "ts.csv", "--hierarchy", workspace / "hierarchy.json",
+            "--retained-pct", pct, "--out", tmp_path / "g.json",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"hobnet: error: --retained-pct must be in [0, 100], got {float(pct)}\n"
+        assert not (tmp_path / "g.json").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--signal", "nan"), ("--signal", "inf"), ("--noise", "inf")])
+    def test_synth_with_a_non_finite_flag_gives_one_line_naming_it_and_exit_2(
+        self, workspace, tmp_path, capsys, flag, value
+    ):
+        code = run(
+            "synth", "--subjects", 4, "--hierarchy", workspace / "hierarchy.json",
+            flag, value, "--out", tmp_path / "cohort",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hobnet: error: ") and f"got {value}\n" in err
+        assert "non-finite sample values" not in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "cohort").exists()
 
     @pytest.mark.parametrize("grid", [-1, 0])
     def test_threshold_curve_with_a_grid_below_1_gives_one_line_and_exit_2(

@@ -19,19 +19,18 @@ from hobnet.connectivity import (
     ConnectivityError,
     ConnectivityMatrix,
     RoiTimeSeries,
+    LEVELS,
     build_adjacency,
     build_graph_set,
-    gamma_for_retained_fraction,
+    composite_connectivity,
     gram_stack,
-    graph_set_to_json,
     level_connectivity,
     pearson_fc,
     read_hierarchy_json,
     read_timeseries_csv,
-    retained_edge_curve,
+    retained_fractions,
     rv_coefficient,
     select_cutoff,
-    subject_connectivity,
     write_hierarchy_json,
     write_timeseries_csv,
 )
@@ -55,7 +54,8 @@ def subject_level(ts, hierarchy, level):
 
 def subject_values(ts, hierarchy):
     """One subject's composite connectivity values per level, as ``build_graph_set`` takes them."""
-    return {level: cm.values for level, cm in subject_connectivity(ts, hierarchy).items()}
+    grams = gram_stack([ts], hierarchy)
+    return {level: composite_connectivity(grams, hierarchy, level).values[0] for level in LEVELS}
 
 
 def rv_pair_loop(ts, hierarchy, level):
@@ -258,29 +258,27 @@ class TestRetainedEdgeCurve:
 
     def test_gamma_zero_counts_strictly_positive(self):
         cm = self.matrix_from_offdiag([0.0, 0.4, 0.8])
-        curve = retained_edge_curve(cm, [0.0, 1.0])
-        assert curve[0][1] == pytest.approx(4 / 6)
+        assert retained_fractions(cm.values, [0.0, 1.0])[0] == pytest.approx(4 / 6)
 
     def test_gamma_one_retains_nothing(self):
         cm = self.matrix_from_offdiag([0.3, 0.9, 1.0])
-        assert retained_edge_curve(cm, [0.0, 1.0])[-1][1] == 0.0
+        assert retained_fractions(cm.values, [0.0, 1.0])[-1] == 0.0
 
     def test_counts_match_brute_force(self):
         cm = self.matrix_from_offdiag([0.1, 0.5, 0.9])
-        curve = dict(retained_edge_curve(cm, [0.0, 0.5, 0.95]))
-        assert curve[0.5] == pytest.approx(1 / 3)
+        fractions = retained_fractions(cm.values, [0.0, 0.5, 0.95])
+        assert fractions[1] == pytest.approx(1 / 3)
 
     def test_monotone_non_increasing(self):
         h = make_nested_hierarchy(2, 2, 2)
         ts = random_timeseries(8, seed=9, names=h.rois)
-        curve = retained_edge_curve(subject_level(ts, h, LAN), np.linspace(0, 1, 101))
-        fracs = [f for _, f in curve]
+        fracs = retained_fractions(subject_level(ts, h, LAN).values, np.linspace(0, 1, 101))
         assert all(a >= b for a, b in zip(fracs, fracs[1:]))
 
     def test_empty_grid_is_an_error(self):
         cm = self.matrix_from_offdiag([0.1, 0.5, 0.9])
         with pytest.raises(ConnectivityError, match="empty"):
-            retained_edge_curve(cm, [])
+            retained_fractions(cm.values, [])
 
 
 class TestSelectCutoff:
@@ -376,49 +374,27 @@ class TestBlockDiagonal:
             block_diagonal([np.ones((2, 3))])
 
 
-class TestNodeFeatures:
-    def test_features_are_the_connectivity_values_themselves(self):
-        h = make_nested_hierarchy(n_networks=7, groups_per_network=1, rois_per_group=1)
-        ts = random_timeseries(7, seed=10, names=h.rois)
-        levels = subject_values(ts, h)
-        graphs = build_graph_set(levels, gammas=0.3)
-        for level in (WAN, MAN, LAN):
-            assert graphs.features[level] is levels[level]
-
-    def test_identity_connectivity_gives_one_hot(self):
-        eye = ConnectivityMatrix(level=WAN, values=np.eye(4), kind="rv").values
-        levels = {WAN: eye, MAN: eye, LAN: eye}
-        np.testing.assert_array_equal(build_graph_set(levels, gammas=0.5).features[WAN], np.eye(4))
-
-
 class TestGraphSet:
     def test_lower_levels_exactly_block_diagonal(self):
         h = toy_hierarchy_4_6_10()
         ts = random_timeseries(10, seed=11, names=h.rois)
-        graphs = build_graph_set(subject_values(ts, h), gammas=0.0, mode="weighted")
+        levels = subject_values(ts, h)
+        graphs = build_graph_set(levels, gammas=0.0, mode="weighted")
         for level in (MAN, LAN):
             blocks = h.level_blocks(level)
-            m = graphs.adjacency[level].shape[0]
+            m = graphs[level].shape[0]
             mask = np.ones((m, m), dtype=bool)
             for idx in blocks:
                 mask[np.ix_(idx, idx)] = False
-            assert np.all(graphs.adjacency[level][mask] == 0.0)
-            assert np.all(graphs.features[level][mask] == 0.0)
+            assert np.all(graphs[level][mask] == 0.0)
+            assert np.all(levels[level][mask] == 0.0)
 
     def test_unit_diagonals(self):
         h = toy_hierarchy_4_6_10()
         ts = random_timeseries(10, seed=12, names=h.rois)
         graphs = build_graph_set(subject_values(ts, h), gammas=0.5)
         for level in (WAN, MAN, LAN):
-            assert np.all(np.diag(graphs.adjacency[level]) == 1.0)
-
-    def test_retained_fraction_gamma_helper(self):
-        h = make_nested_hierarchy(2, 2, 2)
-        ts = random_timeseries(8, seed=14, names=h.rois)
-        cm = subject_level(ts, h, LAN)
-        g = gamma_for_retained_fraction(cm, 0.25)
-        curve = dict(retained_edge_curve(cm, [g]))
-        assert curve[g] <= 0.25
+            assert np.all(np.diag(graphs[level]) == 1.0)
 
 
 class TestHierarchyValidation:
@@ -515,12 +491,3 @@ class TestFileFormats:
         path.write_text(json.dumps({"lan": ["a"], "man": {"a": "g"}}))
         with pytest.raises(ConnectivityError, match="'wan'"):
             read_hierarchy_json(path)
-
-    def test_graph_json_schema(self):
-        h = make_nested_hierarchy(2, 1, 2)
-        ts = random_timeseries(4, seed=16, names=h.rois)
-        records = graph_set_to_json(build_graph_set(subject_values(ts, h), gammas=0.3))
-        assert [r["level"] for r in records] == [WAN, MAN, LAN]
-        for r in records:
-            assert len(r["adjacency"]) == r["shape"][0] * r["shape"][1]
-            assert len(r["features"]) == r["features_shape"][0] * r["features_shape"][1]

@@ -81,9 +81,21 @@ class TestSynthGenerate:
         difference = np.mean(means[1]) - np.mean(means[0])
         assert difference > 0.2
 
-    def test_signal_above_one_is_an_error(self):
-        with pytest.raises(HarnessError, match="<= 1"):
-            synth_generate(4, nested_hierarchy(2, 1, 2), signal=1.5)
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ({"signal": 1.5}, "signal strength must be a mixing weight, 0 <= signal <= 1, got 1.5"),
+            ({"signal": float("nan")}, "signal strength must be a mixing weight, 0 <= signal <= 1, got nan"),
+            ({"signal": -0.1}, "signal strength must be a mixing weight, 0 <= signal <= 1, got -0.1"),
+            ({"noise": float("inf")}, "noise level must be finite and >= 0, got inf"),
+            ({"noise": float("nan")}, "noise level must be finite and >= 0, got nan"),
+            ({"noise": -1.0}, "noise level must be finite and >= 0, got -1.0"),
+        ],
+    )
+    def test_a_flag_out_of_range_or_not_finite_is_refused_with_its_value(self, flags, message):
+        with pytest.raises(HarnessError) as exc:
+            synth_generate(4, nested_hierarchy(2, 1, 2), **flags)
+        assert str(exc.value) == message
 
     def test_no_signal_classifier_stays_at_chance(self):
         # sanity band: with nothing planted, held-out AUC sits near 0.5
