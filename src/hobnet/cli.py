@@ -102,6 +102,12 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def check_flag(flag: str, value: float | None, high: float) -> None:
+    """Refuse a flag's value outside [0, high], or NaN, naming the flag."""
+    if value is not None and not 0.0 <= value <= high:
+        raise HarnessError(f"{flag} must be in [0, {high:g}], got {value}")
+
+
 def subject_levels(args) -> tuple[str, dict[str, np.ndarray]]:
     """The subject id of ``--timeseries`` and each level's ``[m, m]``
     composite connectivity over ``--hierarchy``, as preparation builds it."""
@@ -111,8 +117,8 @@ def subject_levels(args) -> tuple[str, dict[str, np.ndarray]]:
 
 
 def cmd_graphgen(args) -> int:
-    if args.retained_pct is not None and not 0.0 <= args.retained_pct <= 100.0:
-        raise ConnectivityError(f"--retained-pct must be in [0, 100], got {args.retained_pct}")
+    check_flag("--gamma", args.gamma, 1.0)
+    check_flag("--retained-pct", args.retained_pct, 100.0)
     subject_id, levels = subject_levels(args)
     if args.gamma is not None:
         gammas = dict.fromkeys(LEVELS, float(args.gamma))
@@ -204,6 +210,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_popgraph(args) -> int:
+    check_flag("--retain-pct", args.retain_pct, 100.0)
     result = load_fit(args.ckpt)
     seed = result.train_config.seed
     cohort = read_cohort(args.cohort)
@@ -241,8 +248,15 @@ def cmd_popgraph(args) -> int:
     return 0
 
 
+class Parser(argparse.ArgumentParser):
+    """Reports a misuse of any subcommand as one ``hobnet: error:`` line, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"hobnet: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="hobnet",
         description="hierarchical brain-graph classifier with high-order features",
     )

@@ -89,6 +89,8 @@ class AtlasHierarchy:
     ordered_rois: list[str] = field(init=False)
 
     def __post_init__(self):
+        if not self.rois:
+            raise ConnectivityError("hierarchy has no ROIs")
         if len(set(self.rois)) != len(self.rois):
             raise ConnectivityError("hierarchy ROI ids must be unique")
         for roi in self.rois:
@@ -367,7 +369,8 @@ def retained_fractions(values: np.ndarray, gammas) -> np.ndarray:
 
     Each entry is placed on the grid once; the count above threshold j is
     the number of entries with more than j grid points below them. The
-    counts are integers, so the fractions are exact quotients.
+    counts are integers, so the fractions are exact quotients; a one-node
+    matrix has no off-diagonal entries and retains none.
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     if gammas.size == 0:
@@ -381,7 +384,7 @@ def retained_fractions(values: np.ndarray, gammas) -> np.ndarray:
     hist = np.bincount(below.ravel(), minlength=len(off) * (g + 1)).reshape(len(off), g + 1)
     total = m * (m - 1)
     above = total - np.cumsum(hist, axis=1)[:, :g]
-    return (above / total).reshape(*values.shape[:-2], g)
+    return (above / max(total, 1)).reshape(*values.shape[:-2], g)
 
 
 def select_cutoff(curve: list[tuple[float, float]]) -> float:
@@ -457,6 +460,36 @@ def build_graph_set(
 # file formats
 # ---------------------------------------------------------------------------
 
+# the JSON kind a value must be, by Python type, as its name and the Python
+# types it may hold: a config field holds that of its default's type, and a
+# null default (``batch_size``) an integer or null
+_KINDS = {int: ("integer", int), float: ("number", (int, float)), str: ("string", str),
+          tuple: ("array", (list, tuple)), type(None): ("integer or null", (int, type(None))),
+          dict: ("object", dict), list: ("array", list)}
+
+
+def check_json(value, kind: type, where: str, error: type[ValueError], entry: type | None = None) -> None:
+    """Refuse ``value`` with ``error`` unless it is of the JSON kind of
+    ``kind``, and, given ``entry``, each entry of that object or array of
+    that of ``entry``; ``where`` is its key path. A boolean is of no kind."""
+    name, types = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise error(f"{where} must be a JSON {name}")
+    if entry is not None:
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            check_json(item, entry, f"{where}[{key!r}]", error)
+
+
+def read_json_object(path: str | Path, what: str, error: type[ValueError]) -> dict:
+    """The JSON object in the file at ``path``; ``what`` names the file in a refusal."""
+    with Path(path).open() as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # JSON or UTF-8 decoding
+            raise error(f"{path}: not valid JSON ({exc})") from None
+    check_json(payload, dict, f"{path}: {what}", error)
+    return payload
+
 
 def read_timeseries_csv(path: str | Path, subject_id: str | None = None) -> RoiTimeSeries:
     """CSV with a header row of ROI names and one row per timepoint."""
@@ -498,27 +531,15 @@ def write_timeseries_csv(path: str | Path, ts: RoiTimeSeries) -> None:
 
 def read_hierarchy_json(path: str | Path) -> AtlasHierarchy:
     """JSON with keys ``lan`` (ROI list), ``man`` (ROI->group), ``wan`` (group->network)."""
-    with Path(path).open() as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConnectivityError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(payload, dict):
-        raise ConnectivityError(f"{path}: hierarchy file must hold a JSON object")
-    for key, kind, name in (("lan", list, "array"), ("man", dict, "object"), ("wan", dict, "object")):
+    payload = read_json_object(path, "hierarchy file", ConnectivityError)
+    for key, kind in (("lan", list), ("man", dict), ("wan", dict)):
         if key not in payload:
             raise ConnectivityError(f"{path}: hierarchy file is missing key {key!r}")
-        if not isinstance(payload[key], kind):
-            raise ConnectivityError(f"{path}: hierarchy key {key!r} must be a JSON {name}")
-        names = payload[key] if kind is list else payload[key].values()
-        unnamed = [v for v in names if not isinstance(v, str)]
-        if unnamed:
-            raise ConnectivityError(f"{path}: hierarchy key {key!r} holds {unnamed[0]!r}, not a string name")
-    return AtlasHierarchy(
-        rois=list(payload["lan"]),
-        man_partition=dict(payload["man"]),
-        wan_partition=dict(payload["wan"]),
-    )
+        check_json(payload[key], kind, f"{path}: {key}", ConnectivityError, entry=str)
+    try:
+        return AtlasHierarchy(rois=payload["lan"], man_partition=payload["man"], wan_partition=payload["wan"])
+    except ConnectivityError as exc:
+        raise ConnectivityError(f"{path}: {exc}") from None
 
 
 def write_hierarchy_json(path: str | Path, hierarchy: AtlasHierarchy) -> None:

@@ -8,6 +8,7 @@ with Adam on cross-entropy, and round-trips checkpoints bit for bit.
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import zip_longest
@@ -27,6 +28,7 @@ from .connectivity import (
     AtlasHierarchy,
     RoiTimeSeries,
     build_graph_set,
+    check_json,
     composite_connectivity,
     fc_columns,
     gram_stack,
@@ -120,7 +122,7 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelConfig":
         payload = _config_kwargs(cls, payload, "model_config")
-        _check_kind(payload["toggles"], _JSON_KINDS[str], "model_config.toggles")
+        check_json(payload["toggles"], str, "model_config.toggles", ModelError)
         return cls(
             toggles=parse_toggles(payload["toggles"]),
             hgnn=HgnnConfig(**_config_kwargs(HgnnConfig, payload["hgnn"], "model_config.hgnn")),
@@ -129,42 +131,20 @@ class ModelConfig:
         )
 
 
-# the JSON kind of a value, by Python type: a config field holds that of
-# its default's type, and a null default (``batch_size``) an integer or null
-_JSON_KINDS = {int: ("integer", int), float: ("number", (int, float)), str: ("string", str),
-               tuple: ("array", (list, tuple)), type(None): ("integer or null", (int, type(None))),
-               dict: ("object", dict), list: ("array", list)}
-
-
-def _check_kind(value, kind: tuple[str, type | tuple[type, ...]], where: str) -> None:
-    """Refuse ``value`` unless it is of ``kind``: a JSON kind's name and its
-    Python types. A boolean is of no kind."""
-    name, types = kind
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ModelError(f"{where} must be a JSON {name}")
-
-
-def _check_entries(record: dict | list, kind: tuple[str, type | tuple[type, ...]], where: str) -> None:
-    """``_check_kind`` on each entry of an object or array ``record``."""
-    for key, value in record.items() if isinstance(record, dict) else enumerate(record):
-        _check_kind(value, kind, f"{where}[{key!r}]")
-
-
 def _config_kwargs(cls, payload: dict, where: str) -> dict:
     """``payload`` as keyword arguments of ``cls``, JSON arrays as tuples. A
     payload that is not an object, a key it has no field for, a value of
     another JSON kind than the field's default, and a tuple field's entry
     that is not an integer are errors."""
-    _check_kind(payload, _JSON_KINDS[dict], where)
+    check_json(payload, dict, where, ModelError)
     defaults = {f.name: f.default for f in fields(cls)}
     unknown = sorted(set(payload) - set(defaults))
     if unknown:
         raise ModelError(f"{where} has unknown key {unknown[0]!r}")
     for key, value in payload.items():
         if defaults[key] is not MISSING:
-            _check_kind(value, _JSON_KINDS[type(defaults[key])], f"{where}.{key}")
-        if isinstance(defaults[key], tuple):  # every tuple field holds integers
-            _check_entries(value, _JSON_KINDS[int], f"{where}.{key}")
+            kind = type(defaults[key])
+            check_json(value, kind, f"{where}.{key}", ModelError, int if kind is tuple else None)
     return {k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()}
 
 
@@ -800,96 +780,90 @@ def save_checkpoint(path: str | Path, params: ModelParams, meta: dict) -> None:
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
+def _read_header(fh, path: str | Path) -> tuple[dict, list[tuple[str, tuple[int, ...]]]]:
+    """The meta and the ``(name, shape)`` of each parameter, in order, from
+    the header line of the checkpoint ``fh`` reads."""
+    try:
+        header = json.loads(fh.readline().decode("utf-8"))
+    except ValueError as exc:  # JSON or UTF-8 decoding
+        raise ModelError(f"{path}: not a checkpoint file ({exc})") from None
+    check_json(header, dict, f"{path}: checkpoint header", ModelError)
+    if (fmt := header.get("format")) != _CHECKPOINT_FORMAT:
+        raise ModelError(f"{path}: checkpoint format {fmt!r} is not {_CHECKPOINT_FORMAT!r}; retrain it")
+    check_json(header.get("meta"), dict, f"{path}: meta", ModelError)
+    check_json(header.get("params"), list, f"{path}: params", ModelError, entry=dict)
+    shapes: dict[str, tuple[int, ...]] = {}
+    for i, entry in enumerate(header["params"]):
+        check_json(entry.get("name"), str, f"{path}: params[{i}]['name']", ModelError)
+        check_json(entry.get("shape"), list, f"{path}: params[{i}]['shape']", ModelError, entry=int)
+        if min(entry["shape"], default=0) < 0:
+            raise ModelError(f"{path}: params[{i}]['shape'] must hold sizes >= 0, got {entry['shape']}")
+        if entry["name"] in shapes:
+            raise ModelError(f"{path}: duplicate parameter name {entry['name']!r}")
+        shapes[entry["name"]] = tuple(entry["shape"])
+    return header["meta"], list(shapes.items())
+
+
+def _read_payloads(fh, path: str | Path, arrays: list[tuple[str, np.ndarray]]) -> None:
+    """Read each named float64 array's little-endian payload, in order,
+    straight into it; a short, non-finite or trailing payload is refused."""
+    for name, values in arrays:
+        if fh.readinto(values.reshape(-1).view(np.uint8)) != values.nbytes:
+            raise ModelError(f"{path}: truncated payload for parameter {name!r}")
+        if sys.byteorder == "big":  # the payloads are "<f8"
+            values.byteswap(inplace=True)
+        if not np.isfinite(values).all():
+            raise ModelError(f"{path}: parameter {name!r} holds NaN or Inf values")
+    if fh.read(1):
+        raise ModelError(f"{path}: trailing bytes after final parameter")
+
+
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     with Path(path).open("rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ModelError(f"{path}: not a checkpoint file ({exc})") from None
-        if not isinstance(header, dict):
-            raise ModelError(f"{path}: checkpoint header must be a JSON object")
-        if header.get("format") != _CHECKPOINT_FORMAT:
-            fmt = header.get("format")
-            raise ModelError(f"{path}: checkpoint format {fmt!r} is not {_CHECKPOINT_FORMAT!r}; retrain it")
-        if not isinstance(header.get("meta"), dict):
-            raise ModelError(f"{path}: checkpoint header key 'meta' must be a JSON object")
-        if not isinstance(header.get("params"), list):
-            raise ModelError(f"{path}: checkpoint header key 'params' must be a JSON array")
-        params = ModelParams()
-        for i, entry in enumerate(header["params"]):
-            shape = entry.get("shape") if isinstance(entry, dict) else None
-            if not isinstance(shape, list) or not isinstance(entry.get("name"), str) or not all(
-                type(n) is int and n >= 0 for n in shape
-            ):
-                raise ModelError(f"{path}: checkpoint params[{i}] needs a string name and shape of ints >= 0")
-            shape = tuple(shape)
-            count = int(np.prod(shape)) if shape else 1
-            payload = fh.read(count * 8)
-            if len(payload) != count * 8:
-                raise ModelError(f"{path}: truncated payload for parameter {entry['name']!r}")
-            if entry["name"] in params:
-                raise ModelError(f"{path}: duplicate parameter name {entry['name']!r}")
-            values = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-            if not np.all(np.isfinite(values)):
-                raise ModelError(f"{path}: parameter {entry['name']!r} holds NaN or Inf values")
-            params.create(entry["name"], values)
-        if fh.read(1):
-            raise ModelError(f"{path}: trailing bytes after final parameter")
-    return params, header["meta"]
+        meta, shapes = _read_header(fh, path)
+        arrays = [(name, np.empty(shape)) for name, shape in shapes]
+        _read_payloads(fh, path, arrays)
+    params = ModelParams()
+    for name, values in arrays:
+        params.create(name, values)
+    return params, meta
 
 
 def checkpoint_meta(result: FitResult) -> dict:
     return {
         "model_config": result.config.to_dict(),
         "train_config": asdict(result.train_config),
-        "gammas": result.gammas,
-        "loss_trace": result.loss_trace,
-        "level_widths": result.level_widths,
-        "fc_len": result.fc_len,
-        "subject_ids": result.subject_ids,
+        **{key: getattr(result, key) for key in _META_RECORDS},
     }
 
 
 def load_fit(path: str | Path) -> FitResult:
-    """Inverse of ``save_checkpoint(path, result.params, checkpoint_meta(result))``."""
-    params, meta = load_checkpoint(path)
-    try:
-        for key, (kind, entry) in _META_RECORDS.items():
-            _check_kind(meta[key], _JSON_KINDS[kind], key)
-            if entry is not None:
-                _check_entries(meta[key], _JSON_KINDS[entry], key)
-        for key in ("gammas", "level_widths"):
-            if sorted(meta[key]) != sorted(LEVELS):
-                raise ModelError(f"{key} must have exactly the keys {list(LEVELS)}, got {list(meta[key])}")
-        for level in LEVELS:
-            if not 0.0 <= meta["gammas"][level] <= 1.0:
-                raise ModelError(f"gammas[{level!r}] must be in [0, 1], got {meta['gammas'][level]}")
-            if meta["level_widths"][level] < 1:
-                raise ModelError(f"level_widths[{level!r}] must be >= 1, got {meta['level_widths'][level]}")
-        result = FitResult(
-            params=params,
-            config=ModelConfig.from_dict(meta["model_config"]),
-            train_config=TrainConfig(**_config_kwargs(TrainConfig, meta["train_config"], "train_config")),
-            gammas=meta["gammas"],
-            loss_trace=meta["loss_trace"],
-            level_widths=meta["level_widths"],
-            fc_len=meta["fc_len"],
-            subject_ids=meta["subject_ids"],
-            source=str(path),
-        )
-        built = build_model_params(result.config, result.level_widths, result.fc_len, result.train_config.seed)
-    except KeyError as exc:
-        raise ModelError(f"{path}: checkpoint has no {exc} record; retrain it") from None
-    except (ModelError, hgnn_mod.HgnnError, hcnn_mod.HcnnError) as exc:
-        raise ModelError(f"{path}: {exc}") from None
-    for got, want in zip_longest(_param_shapes(params), _param_shapes(built)):
-        if got != want:
-            raise ModelError(
-                f"{path}: checkpoint parameter {got} does not match {want} built from its config"
-            )
-    return result
-
-
-def _param_shapes(params: ModelParams) -> list[tuple[str, tuple[int, ...]]]:
-    return [(p.name, p.value.shape) for p in params.parameters()]
+    """Inverse of ``save_checkpoint(path, result.params, checkpoint_meta(result))``: each
+    payload is read once, straight into the parameters the checked meta builds."""
+    with Path(path).open("rb") as fh:
+        meta, shapes = _read_header(fh, path)
+        try:
+            for key, (kind, entry) in _META_RECORDS.items():
+                check_json(meta[key], kind, key, ModelError, entry)
+            for key in ("gammas", "level_widths"):
+                if sorted(meta[key]) != sorted(LEVELS):
+                    raise ModelError(f"{key} must have exactly the keys {list(LEVELS)}, got {list(meta[key])}")
+            for level in LEVELS:
+                if not 0.0 <= meta["gammas"][level] <= 1.0:
+                    raise ModelError(f"gammas[{level!r}] must be in [0, 1], got {meta['gammas'][level]}")
+                if meta["level_widths"][level] < 1:
+                    raise ModelError(f"level_widths[{level!r}] must be >= 1, got {meta['level_widths'][level]}")
+            config = ModelConfig.from_dict(meta["model_config"])
+            train_config = TrainConfig(**_config_kwargs(TrainConfig, meta["train_config"], "train_config"))
+            params = build_model_params(config, meta["level_widths"], meta["fc_len"], train_config.seed)
+        except KeyError as exc:
+            raise ModelError(f"{path}: checkpoint has no {exc} record; retrain it") from None
+        except (ModelError, hgnn_mod.HgnnError, hcnn_mod.HcnnError) as exc:
+            raise ModelError(f"{path}: {exc}") from None
+        for got, want in zip_longest(shapes, [(p.name, p.data.shape) for p in params.parameters()]):
+            if got != want:
+                raise ModelError(
+                    f"{path}: checkpoint parameter {got} does not match {want} built from its config"
+                )
+        _read_payloads(fh, path, [(p.name, p.data) for p in params.parameters()])
+    return FitResult(params, config, train_config, source=str(path), **{key: meta[key] for key in _META_RECORDS})

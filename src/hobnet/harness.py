@@ -21,7 +21,9 @@ import numpy as np
 from .connectivity import (
     AtlasHierarchy,
     RoiTimeSeries,
+    check_json,
     read_hierarchy_json,
+    read_json_object,
     read_timeseries_csv,
     write_hierarchy_json,
     write_timeseries_csv,
@@ -632,23 +634,10 @@ def read_cohort(directory: str | Path) -> Cohort:
 
 def read_split_plan(path: str | Path) -> SplitPlan:
     """The plan in a JSON file, refused unless its mode and parts are usable."""
-    with Path(path).open() as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise HarnessError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(payload, dict):
-        raise HarnessError(f"{path}: split plan file must hold a JSON object")
-    assignments, fractions = payload.get("assignments", {}), payload.get("fractions")
-    if not isinstance(assignments, dict):
-        raise HarnessError(f"{path}: split plan key 'assignments' must be a JSON object")
-    unnamed = [sid for sid, part in assignments.items() if not isinstance(part, str)]
-    if unnamed:
-        raise HarnessError(f"{path}: split plan key 'assignments' gives {unnamed[0]!r} a non-string part")
-    if fractions is not None and not (
-        isinstance(fractions, list) and all(type(f) in (int, float) for f in fractions)
-    ):
-        raise HarnessError(f"{path}: split plan key 'fractions' must be null or a JSON array of numbers")
+    payload = read_json_object(path, "split plan file", HarnessError)
+    check_json(payload.get("assignments", {}), dict, f"{path}: assignments", HarnessError, entry=str)
+    if payload.get("fractions") is not None:
+        check_json(payload["fractions"], list, f"{path}: fractions", HarnessError, entry=float)
     try:
         plan = SplitPlan.from_json(payload)
     except KeyError as exc:

@@ -155,6 +155,19 @@ class TestThresholdCurve:
         lan = ConnectivityMatrix("lan", subject_levels(workspace)["lan"], "rv")
         assert rows == retained_edge_curve(lan, np.linspace(0.0, 1.0, 11))
 
+    def test_a_one_roi_hierarchy_retains_nothing(self, workspace, tmp_path):
+        hierarchy = nested_hierarchy(1, 1, 1)
+        write_hierarchy_json(tmp_path / "h.json", hierarchy)
+        write_timeseries_csv(tmp_path / "ts.csv", random_timeseries(2, seed=4, names=[*hierarchy.rois, "extra"]))
+        out = tmp_path / "curve.csv"
+        code = run(
+            "threshold-curve", "--timeseries", tmp_path / "ts.csv",
+            "--hierarchy", tmp_path / "h.json", "--grid", 5, "--out", out,
+        )
+        assert code == 0
+        with out.open() as fh:
+            assert [r["retained_fraction"] for r in csv.DictReader(fh)] == ["0.0"] * 5
+
 
 @pytest.fixture(scope="module")
 def trained(workspace):
@@ -363,19 +376,27 @@ class TestCliErrors:
         line, payload = trained.read_bytes().split(b"\n", 1)
         header = json.loads(line)
         first, rest = header["params"][0], header["params"][1:]
-        meta_message = "checkpoint header key 'meta' must be a JSON object"
-        params_message = "checkpoint header key 'params' must be a JSON array"
-        entry_message = "checkpoint params[0] needs a string name and shape of ints >= 0"
+        meta_message = "meta must be a JSON object"
+        params_message = "params must be a JSON array"
         header, message = {
             "header not an object": ([], "checkpoint header must be a JSON object"),
             "no meta": ({k: v for k, v in header.items() if k != "meta"}, meta_message),
             "meta not an object": ({**header, "meta": []}, meta_message),
             "no params": ({k: v for k, v in header.items() if k != "params"}, params_message),
             "params not a list": ({**header, "params": {}}, params_message),
-            "param name not a string": ({**header, "params": [{**first, "name": 3}, *rest]}, entry_message),
-            "negative shape": ({**header, "params": [{**first, "shape": [-1]}, *rest]}, entry_message),
-            "shape not a list": ({**header, "params": [{**first, "shape": 4}, *rest]}, entry_message),
-            "entry not an object": ({**header, "params": [[first["name"]], *rest]}, entry_message),
+            "param name not a string": (
+                {**header, "params": [{**first, "name": 3}, *rest]}, "params[0]['name'] must be a JSON string"
+            ),
+            "negative shape": (
+                {**header, "params": [{**first, "shape": [-1]}, *rest]},
+                "params[0]['shape'] must hold sizes >= 0, got [-1]",
+            ),
+            "shape not a list": (
+                {**header, "params": [{**first, "shape": 4}, *rest]}, "params[0]['shape'] must be a JSON array"
+            ),
+            "entry not an object": (
+                {**header, "params": [[first["name"]], *rest]}, "params[0] must be a JSON object"
+            ),
             "duplicate name": (
                 {**header, "params": [first, {**rest[0], "name": first["name"]}, *rest[1:]]},
                 f"duplicate parameter name {first['name']!r}",
@@ -592,6 +613,7 @@ class TestCliErrors:
         ("reader", "damage"),
         [
             ("split plan", "truncated"),
+            ("split plan", "not UTF-8"),
             ("split plan", "missing key"),
             ("split plan", "not an object"),
             ("split plan", "unknown mode"),
@@ -601,6 +623,7 @@ class TestCliErrors:
             ("split plan", "fraction not a number"),
             ("split plan", "part not a string"),
             ("hierarchy", "truncated"),
+            ("hierarchy", "not UTF-8"),
             ("hierarchy", "missing key"),
             ("hierarchy", "not an object"),
             ("hierarchy", "lan not a list"),
@@ -608,6 +631,7 @@ class TestCliErrors:
             ("hierarchy", "ROI not a string"),
             ("hierarchy", "group not a string"),
             ("hierarchy", "network not a string"),
+            ("hierarchy", "no ROIs"),
         ],
     )
     def test_malformed_json_input_gives_one_line_and_exit_2(
@@ -621,18 +645,19 @@ class TestCliErrors:
         payload = json.loads(text)
         content, message = {
             "truncated": (text[: len(text) // 2], "not valid JSON"),
+            "not UTF-8": (b"\xff{}", "not valid JSON ('utf-8' codec can't decode byte 0xff"),
             "missing key": (
                 json.dumps({k: v for k, v in payload.items() if k != key}),
                 f"{reader} file is missing key {key!r}",
             ),
-            "not an object": ("[]", f"{reader} file must hold a JSON object"),
+            "not an object": ("[]", f"{reader} file must be a JSON object"),
             "unknown mode": (
                 json.dumps({**payload, "mode": "bogus"}),
                 "split mode must be 'holdout' or 'kfold', got 'bogus'",
             ),
             "assignments not an object": (
                 json.dumps({**payload, "assignments": []}),
-                "split plan key 'assignments' must be a JSON object",
+                "assignments must be a JSON object",
             ),
             "k-fold part not a fold": (
                 json.dumps({**payload, "mode": "kfold"}),
@@ -640,36 +665,37 @@ class TestCliErrors:
             ),
             "fractions not a list": (
                 json.dumps({**payload, "fractions": 5}),
-                "split plan key 'fractions' must be null or a JSON array of numbers",
+                "fractions must be a JSON array",
             ),
             "fraction not a number": (
                 json.dumps({**payload, "fractions": [0.7, "0.1", 0.2]}),
-                "split plan key 'fractions' must be null or a JSON array of numbers",
+                "fractions[1] must be a JSON number",
             ),
             "part not a string": (
                 json.dumps({**payload, "assignments": {"s0000": "train", "s0001": ["train"]}}),
-                "split plan key 'assignments' gives 's0001' a non-string part",
+                "assignments['s0001'] must be a JSON string",
             ),
-            "lan not a list": (json.dumps({**payload, "lan": 5}), "hierarchy key 'lan' must be a JSON array"),
+            "lan not a list": (json.dumps({**payload, "lan": 5}), "lan must be a JSON array"),
             "ROI not a string": (
                 json.dumps({**payload, "lan": [["a"], "b"]}),
-                "hierarchy key 'lan' holds ['a'], not a string name",
+                "lan[0] must be a JSON string",
             ),
             "group not a string": (
                 json.dumps({**payload, "man": {"a": ["x"], "b": "y"}}),
-                "hierarchy key 'man' holds ['x'], not a string name",
+                "man['a'] must be a JSON string",
             ),
             "network not a string": (
                 json.dumps({**payload, "wan": {"x": 7}}),
-                "hierarchy key 'wan' holds 7, not a string name",
+                "wan['x'] must be a JSON string",
             ),
             "man not an object": (
                 json.dumps({**payload, "man": "ab"}),
-                "hierarchy key 'man' must be a JSON object",
+                "man must be a JSON object",
             ),
+            "no ROIs": (json.dumps({"lan": [], "man": {}, "wan": {}}), "hierarchy has no ROIs"),
         }[damage]
         bad = tmp_path / "bad.json"
-        bad.write_text(content)
+        bad.write_bytes(content if isinstance(content, bytes) else content.encode())
         if reader == "split plan":
             argv = ("eval", "--ckpt", trained, "--cohort", workspace / "cohort", "--split-plan", bad)
         else:
@@ -795,6 +821,49 @@ class TestCliErrors:
         assert code == 2
         assert capsys.readouterr().err == f"hobnet: error: --retained-pct must be in [0, 100], got {float(pct)}\n"
         assert not (tmp_path / "g.json").exists()
+
+    @pytest.mark.parametrize("value", ["150", "-5", "nan"])
+    @pytest.mark.parametrize(
+        "argv, flag, high",
+        [
+            (["graphgen", "--timeseries", "none.csv", "--hierarchy", "none.json"], "--gamma", 1),
+            (["popgraph", "--ckpt", "none.ckpt", "--cohort", "none", "--phenotypes", "none.csv"], "--retain-pct", 100),
+        ],
+    )
+    def test_a_threshold_flag_out_of_range_is_refused_before_any_file_is_read(
+        self, tmp_path, capsys, argv, flag, high, value
+    ):
+        code = run(*argv, flag, value, "--out", tmp_path / "out")
+        assert code == 2
+        assert capsys.readouterr().err == f"hobnet: error: {flag} must be in [0, {high}], got {float(value)}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--cohort", "c", "--k", "abc", "--out", "m.ckpt"], "argument --k: invalid int value: 'abc'"),
+            (["synth", "--subjects", "4", "--hierarchy", "h.json"], "the following arguments are required: --out"),
+            (
+                ["graphgen", "--timeseries", "t.csv", "--hierarchy", "h.json", "--out", "g.json"],
+                "one of the arguments --gamma --retained-pct is required",
+            ),
+            (["ablate", "--cohort", "c", "--out", "a.csv", "--bogus"], "unrecognized arguments: --bogus"),
+            ([], "the following arguments are required: command"),
+        ],
+    )
+    def test_parser_misuse_gives_one_line_and_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"hobnet: error: {message}\n"
+
+    @pytest.mark.parametrize("argv, usage", [(["--help"], "usage: hobnet "), (["train", "--help"], "usage: hobnet train ")])
+    def test_help_prints_usage_and_exits_0(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr()
+        assert out.out.startswith(usage) and not out.err
 
     @pytest.mark.parametrize("flag, value", [("--signal", "nan"), ("--signal", "inf"), ("--noise", "inf")])
     def test_synth_with_a_non_finite_flag_gives_one_line_naming_it_and_exit_2(

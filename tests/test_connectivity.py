@@ -280,6 +280,10 @@ class TestRetainedEdgeCurve:
         with pytest.raises(ConnectivityError, match="empty"):
             retained_fractions(cm.values, [])
 
+    def test_a_one_node_matrix_retains_nothing(self):
+        fractions = retained_fractions(np.ones((2, 1, 1)), np.linspace(0, 1, 11))
+        assert fractions.shape == (2, 11) and np.all(fractions == 0.0)
+
 
 class TestSelectCutoff:
     def piecewise(self, grid, knee, slope_left=-1.0, slope_right=-0.1):
@@ -398,6 +402,10 @@ class TestGraphSet:
 
 
 class TestHierarchyValidation:
+    def test_a_hierarchy_without_rois_is_an_error(self):
+        with pytest.raises(ConnectivityError, match="hierarchy has no ROIs"):
+            AtlasHierarchy(rois=[], man_partition={}, wan_partition={})
+
     def test_missing_group_assignment_names_roi(self):
         with pytest.raises(ConnectivityError, match="'b'"):
             AtlasHierarchy(rois=["a", "b"], man_partition={"a": "g"}, wan_partition={"g": "n"})
@@ -485,6 +493,12 @@ class TestFileFormats:
         assert back.rois == h.rois
         assert back.groups == h.groups
         assert back.networks == h.networks
+
+    def test_hierarchy_refusals_name_the_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"lan": ["a"], "man": {"a": "g"}, "wan": {"g": "n", "ghost": "n"}}))
+        with pytest.raises(ConnectivityError, match=r"bad\.json: hierarchy: network map names empty group 'ghost'"):
+            read_hierarchy_json(path)
 
     def test_hierarchy_missing_key(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """Fusion head, optimizer, training loop, and checkpoint round trips."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from hobnet.ffc import (
     ADAM_SLICE,
     AdamState,
     BranchToggles,
+    FitResult,
     HcnnConfig,
     HgnnConfig,
     ModelConfig,
@@ -338,6 +340,11 @@ class TestGammaSelection:
         for g in gammas.values():
             assert 0.0 <= g <= 1.0
 
+    def test_a_one_network_level_is_edgeless_and_gets_gamma_one(self):
+        hierarchy = nested_hierarchy(1, 2, 2)
+        cohort = synth_generate(6, hierarchy, signal=0.0, seed=1, n_timepoints=40)
+        assert select_cohort_gammas([r.timeseries for r in cohort.subjects], hierarchy)["wan"] == 1.0
+
 
 class TestFit:
     def test_same_seed_gives_identical_traces_and_params(self):
@@ -444,6 +451,30 @@ class TestCheckpoint:
         assert list(back.params) == list(result.params)
         for name in result.params:
             assert back.params[name].data.tobytes() == result.params[name].data.tobytes()
+
+    def test_loading_reads_each_payload_once_into_the_parameters(self, tmp_path):
+        cfg = ModelConfig(hgnn=HgnnConfig(k=2, blocks=2, hidden_dim=8))
+        widths = {"wan": 2, "man": 4, "lan": 32}
+        result = FitResult(build_model_params(cfg, widths, 496, seed=3), cfg, TrainConfig(seed=3),
+                           dict.fromkeys(widths, 0.5), [0.7], widths, 496, ["s0"])
+        for p in result.params.parameters():
+            p.data[...] += 0.25  # not the values load_fit draws before it reads
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, result.params, checkpoint_meta(result))
+        payload = 8 * result.params.total_size()
+        assert payload > 3 << 20
+        for load in (load_fit, load_checkpoint):
+            tracemalloc.start()
+            try:
+                loaded = load(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            params = loaded.params if load is load_fit else loaded[0]
+            assert peak < 1.5 * payload, (load.__name__, peak / payload)
+            assert list(params) == list(result.params)
+            for name in result.params:
+                assert params[name].data.tobytes() == result.params[name].data.tobytes()
 
     def test_load_fit_refuses_checkpoint_without_training_record(self, tmp_path):
         hierarchy, cohort = tiny_cohort()
