@@ -357,6 +357,21 @@ def mean_over_axis(x: Tensor) -> Tensor:
     return _record("mean-over-axis", (x,), out, backward)
 
 
+def bin_mean(x: Tensor, bins: int) -> Tensor:
+    """Mean of each of ``bins`` near-equal runs of the last axis; run ``i``
+    spans ``[i * L // bins, (i + 1) * L // bins)`` of its length ``L``."""
+    if x.ndim < 1 or not 1 <= bins <= x.shape[-1]:
+        raise ShapeMismatch(f"bin-mean: cannot split shape {x.shape} into {bins} bins")
+    edges = (np.arange(bins + 1) * x.shape[-1]) // bins
+    counts = np.diff(edges)
+    out = np.add.reduceat(x.data, edges[:-1], axis=-1) / counts
+
+    def backward(g: np.ndarray):
+        return (np.repeat(g / counts, counts, axis=-1),)
+
+    return _record("bin-mean", (x,), out, backward)
+
+
 def upper_triangle_flatten(x: Tensor) -> Tensor:
     """Row-major flatten of the upper triangle, diagonal included, of each square matrix."""
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:

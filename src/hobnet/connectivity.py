@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -491,11 +492,22 @@ def read_json_object(path: str | Path, what: str, error: type[ValueError]) -> di
     return payload
 
 
+@contextmanager
+def open_csv(path: str | Path, error: type[ValueError]) -> Iterator[TextIO]:
+    """The file at ``path`` opened for the csv module; a byte that does not
+    decode as text, wherever it is read, is refused with ``error``."""
+    with Path(path).open(newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not valid CSV ({exc})") from None
+
+
 def read_timeseries_csv(path: str | Path, subject_id: str | None = None) -> RoiTimeSeries:
     """CSV with a header row of ROI names and one row per timepoint."""
     path = Path(path)
     subject_id = subject_id or path.stem
-    with path.open(newline="") as fh:
+    with open_csv(path, ConnectivityError) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -613,7 +613,7 @@ def _bind(view: np.ndarray, bound: np.ndarray | None, name: str, what: str) -> n
 
 
 # entries per slice of an Adam update, so its two scratch arrays stay small
-# however large the model (hcnn.mlp.l0.w has 9.8M entries at 196 ROIs)
+# however many parameters the configured widths give the model
 ADAM_SLICE = 8192
 
 
@@ -758,7 +758,7 @@ def fit(
 # checkpoints
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT_FORMAT = "hobnet-checkpoint-v2"
+_CHECKPOINT_FORMAT = "hobnet-checkpoint-v3"
 
 # the type of each meta record besides the two configs, and of its entries
 # if it is an object or an array

@@ -22,6 +22,7 @@ from .connectivity import (
     AtlasHierarchy,
     RoiTimeSeries,
     check_json,
+    open_csv,
     read_hierarchy_json,
     read_json_object,
     read_timeseries_csv,
@@ -538,7 +539,7 @@ def write_cohort(
 
 def _read_table(path: Path, needed: set[str]) -> Iterable[tuple[int, dict[str, str]]]:
     """(line number, row) pairs of a CSV whose header has the ``needed`` columns."""
-    with path.open(newline="") as fh:
+    with open_csv(path, HarnessError) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
             raise HarnessError(f"{path}: CSV needs columns {sorted(needed)}")

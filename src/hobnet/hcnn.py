@@ -1,11 +1,13 @@
 """Euclidean branch: 1-D convolutions over the vectorized FC matrix.
 
 The upper triangle of the functional-connectivity matrix is flattened in
-row order, passed through two strided 1-D convolution layers and an MLP to
-a fixed-width first-order feature vector, then enriched with an
-outer-product high-order term re-embedded by a second MLP. The forward
-functions take one subject's vector or a stack of them with a leading batch
-axis.
+row order and passed through two strided 1-D convolution layers. Each
+channel of their output is averaged into at most ``POOL_BINS`` near-equal
+bins (the fixed-length pooling of SPP-net), so the MLP that maps the
+flattened bins to a fixed-width first-order feature vector has the same
+size at every atlas. That vector is enriched with an outer-product
+high-order term re-embedded by a second MLP. The forward functions take one
+subject's vector or a stack of them with a leading batch axis.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Dropout, Tensor
 from .layers import mlp_forward
+
+
+# bins per channel of the conv output; a shorter output is read unpooled
+POOL_BINS = 32
 
 
 class HcnnError(ValueError):
@@ -42,13 +48,14 @@ class HcnnConfig:
             raise HcnnError("channels, MLP widths and out_dim must all be >= 1")
 
     def conv_output_length(self, input_length: int) -> int:
-        """Flattened width after both conv layers; validates kernel spans."""
+        """Flattened width after both conv layers and the pool; validates
+        kernel spans."""
         length = input_length
         for k, s in zip(self.kernel_sizes, self.strides):
             if k > length:
                 raise HcnnError(f"kernel size {k} exceeds input length {length}")
             length = (length - k) // s + 1
-        return self.channels[1] * length
+        return self.channels[1] * min(length, POOL_BINS)
 
 
 def dr_flatten(fc: np.ndarray) -> np.ndarray:
@@ -71,8 +78,9 @@ def hcnn_first_order(
     cfg: HcnnConfig,
     train: Dropout | None = None,
 ) -> Tensor:
-    """conv -> ReLU -> conv -> ReLU -> flatten -> MLP, to the branch width,
-    with dropout after each ReLU when ``train`` gives its rate and stream.
+    """conv -> ReLU -> conv -> ReLU -> pool -> flatten -> MLP, to the branch
+    width, with dropout after each ReLU when ``train`` gives its rate and
+    stream. The pool runs only on an output longer than ``POOL_BINS``.
 
     ``x`` is one FC vector ``[1, L]`` or a batch of them ``[B, 1, L]``.
     """
@@ -82,6 +90,8 @@ def hcnn_first_order(
         h = ad.relu(ad.conv1d(h, w, b, stride=stride))
         if train is not None:
             h = ad.dropout(h, *train)
+    if h.shape[-1] > POOL_BINS:
+        h = ad.bin_mean(h, POOL_BINS)
     return mlp_forward(ad.reshape(h, h.shape[:-2] + (-1,)), params, f"{prefix}.mlp")
 
 

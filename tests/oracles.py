@@ -23,6 +23,7 @@ from hobnet.connectivity import (
     select_cutoff,
 )
 from hobnet.ffc import ADAM_SLICE
+from hobnet.hcnn import POOL_BINS
 from hobnet.hgnn import LevelBatch
 from hobnet.layers import mlp_forward
 from hobnet.spectral import GraphLaplacian, SpectralError, cheb_apply
@@ -117,6 +118,15 @@ def subject_level_encoder(params, prefix, level, cfg, train) -> Tensor:
     return ad.reshape(mixed, outputs[0].shape)
 
 
+def bin_means(x: Tensor, bins: int) -> Tensor:
+    """``ad.bin_mean`` one bin at a time: the mean of ``[i * L // bins,
+    (i + 1) * L // bins)`` of the last axis for each ``i``. Forward only:
+    the result is a new tensor that records no tape node."""
+    length = x.shape[-1]
+    means = [x.data[..., i * length // bins : (i + 1) * length // bins].mean(-1) for i in range(bins)]
+    return Tensor(np.stack(means, axis=-1))
+
+
 def subject_features(params, cfg, sub, train=None) -> Tensor:
     """One subject's fused feature vector ``[fused_width]``; ``train`` is
     None or the dropout rate and stream."""
@@ -138,6 +148,8 @@ def subject_features(params, cfg, sub, train=None) -> Tensor:
                 stride=c.strides[i],
             )
             h = ad.relu(h) if train is None else ad.dropout(ad.relu(h), *train)
+        if h.shape[-1] > POOL_BINS:
+            h = bin_means(h, POOL_BINS)
         z = mlp_forward(ad.reshape(h, (-1,)), params, "hcnn.mlp")
         if cfg.toggles.cnn_high_order:
             flat = ad.upper_triangle_flatten(ad.outer(z, z))
@@ -373,15 +385,17 @@ def prepare_subject(ts, hierarchy, gammas, label=0, encoder="res-cheb", fc_sourc
     )
 
 
-def as_v1_checkpoint(path, out) -> None:
-    """Write ``path``'s checkpoint to ``out`` as the v1 format stored it: its
-    own format tag, a copy of the seed, and each branch config's dropout
-    rate and high-order MLP widths. The parameter payload is unchanged."""
+def as_old_checkpoint(path, out, version: int) -> None:
+    """Write ``path``'s checkpoint to ``out`` with the header format
+    ``version`` gave it: its own format tag and, in v1, a copy of the seed
+    and each branch config's dropout rate and high-order MLP widths. The
+    parameter payload is unchanged."""
     line, payload = path.read_bytes().split(b"\n", 1)
     header = json.loads(line)
-    meta = header["meta"]
-    meta["seed"] = meta["train_config"]["seed"]
-    meta["model_config"]["hgnn"].update(dropout=0.0, ghop_mlp_hidden=None)
-    meta["model_config"]["hcnn"].update(dropout=0.0, hop_mlp_hidden=None)
-    header["format"] = "hobnet-checkpoint-v1"
+    if version == 1:
+        meta = header["meta"]
+        meta["seed"] = meta["train_config"]["seed"]
+        meta["model_config"]["hgnn"].update(dropout=0.0, ghop_mlp_hidden=None)
+        meta["model_config"]["hcnn"].update(dropout=0.0, hop_mlp_hidden=None)
+    header["format"] = f"hobnet-checkpoint-v{version}"
     out.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)

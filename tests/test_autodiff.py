@@ -16,7 +16,7 @@ from hobnet.autodiff import (
 )
 from hobnet.rng import named_stream
 
-from oracles import per_block_norm_loop, total
+from oracles import bin_means, per_block_norm_loop, total
 
 
 def scalar_loss(out: Tensor, weight: np.ndarray) -> Tensor:
@@ -79,6 +79,23 @@ class TestPrimitiveExamples:
             for i in range(n_out):
                 expected[o, i] = np.sum(w[o] * x[:, 2 * i : 2 * i + 4]) + b[o]
         np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    def test_bin_mean_of_near_equal_runs(self):
+        out = ad.bin_mean(Tensor([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]]), 3)
+        np.testing.assert_array_equal(out.data, [[1.5, 3.5, 6.0]])  # runs of 2, 2, 3
+
+    def test_bin_mean_matches_the_per_bin_loop(self):
+        x = Tensor(np.random.default_rng(8).normal(size=(2, 3, 4774)))
+        np.testing.assert_allclose(ad.bin_mean(x, 32).data, bin_means(x, 32).data, rtol=1e-13, atol=1e-13)
+
+    def test_bin_mean_with_one_entry_per_bin_is_the_input(self):
+        x = Tensor(np.random.default_rng(9).normal(size=(3, 32)))
+        assert ad.bin_mean(x, 32).data.tobytes() == x.data.tobytes()
+
+    @pytest.mark.parametrize("shape, bins", [((2, 5), 6), ((2, 5), 0), ((), 1)])
+    def test_bin_mean_refuses_bins_it_cannot_fill(self, shape, bins):
+        with pytest.raises(ShapeMismatch, match="bin-mean"):
+            ad.bin_mean(Tensor(np.ones(shape)), bins)
 
     def test_softmax_symmetry(self):
         out = ad.softmax(Tensor([0.0, 0.0]))
@@ -367,6 +384,16 @@ class TestPrimitiveGradients:
         w = self.weight(5)
         fd_over_all_entries(lambda: scalar_loss(ad.mean_over_axis(p.value), w), [p])
 
+    @pytest.mark.parametrize(
+        "shape, bins",
+        [((2, 64), 32), ((4774,), 32), ((3, 2, 45), 8), ((2, 32), 32)],
+        ids=["divisible", "bins of 149 and 150", "batch axis", "one entry per bin"],
+    )
+    def test_bin_mean(self, shape, bins):
+        p = Parameter("x", self.rng.normal(size=shape))
+        w = self.weight(shape[:-1] + (bins,))
+        fd_over_all_entries(lambda: scalar_loss(ad.bin_mean(p.value, bins), w), [p])
+
     def test_upper_triangle_flatten(self):
         p = Parameter("x", self.rng.normal(size=(4, 4)))
         w = self.weight(10)
@@ -458,6 +485,7 @@ BATCHED_FORMS = [
     ("matmul-stacked-rhs", ad.matmul, [(4, 5), (5, 2)], [True, True]),
     ("transpose", ad.transpose, [(4, 2)], [True]),
     ("mean-over-axis", ad.mean_over_axis, [(4, 5)], [True]),
+    ("bin-mean", lambda x: ad.bin_mean(x, 4), [(2, 13)], [True]),
     ("upper-triangle-flatten", ad.upper_triangle_flatten, [(4, 4)], [True]),
     ("outer", ad.outer, [(4,), (5,)], [True, True]),
     (

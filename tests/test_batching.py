@@ -27,6 +27,7 @@ from hobnet.ffc import (
     score_subjects,
 )
 from hobnet.harness import nested_hierarchy, synth_generate
+from hobnet.hcnn import POOL_BINS
 from hobnet.hgnn import ENCODERS
 from hobnet.population import embed_subjects
 from hobnet.rng import named_stream
@@ -108,6 +109,8 @@ def test_atlas_scale_eval_scores_match_the_per_subject_oracle():
     )
     params = model_params(cfg, subs, seed=7)
     assert subs[0].levels["lan"].features.shape == (196, 196)
+    # the conv output has length 4774, so the oracle's per-bin loop checks the pool
+    assert params["hcnn.mlp.l0.w"].data.shape[0] == 16 * POOL_BINS
     embedded = embed_subjects(params, cfg, subs)
     scores = score_subjects(params, cfg, subs)
     for row, sub in enumerate(subs):

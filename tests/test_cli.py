@@ -48,7 +48,7 @@ from hobnet.harness import (
 from hobnet.hgnn import HgnnConfig
 
 from conftest import random_timeseries
-from oracles import as_v1_checkpoint, retained_edge_curve
+from oracles import as_old_checkpoint, retained_edge_curve
 
 
 @pytest.fixture(scope="module")
@@ -464,17 +464,24 @@ class TestCliErrors:
         assert capsys.readouterr().err == f"hobnet: error: {bad}: {message}\n"
         assert not (tmp_path / "m.csv").exists()
 
-    def test_eval_of_a_v1_checkpoint_gives_one_line_and_exit_2(self, workspace, trained, tmp_path, capsys):
-        as_v1_checkpoint(trained, tmp_path / "v1.ckpt")
+    def eval_of_an_old_checkpoint(self, workspace, trained, tmp_path, capsys, version):
+        old = tmp_path / f"v{version}.ckpt"
+        as_old_checkpoint(trained, old, version)
         code = run(
-            "eval", "--ckpt", tmp_path / "v1.ckpt", "--cohort", workspace / "cohort",
+            "eval", "--ckpt", old, "--cohort", workspace / "cohort",
             "--split-plan", workspace / "cohort" / "split_plan.json", "--out", tmp_path / "m.csv",
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"hobnet: error: {tmp_path / 'v1.ckpt'}: ") and err.endswith("; retrain it\n")
+        assert err.startswith(f"hobnet: error: {old}: ") and err.endswith("; retrain it\n")
         assert err.count("\n") == 1
         assert not (tmp_path / "m.csv").exists()
+
+    def test_eval_of_a_v1_checkpoint_gives_one_line_and_exit_2(self, workspace, trained, tmp_path, capsys):
+        self.eval_of_an_old_checkpoint(workspace, trained, tmp_path, capsys, 1)
+
+    def test_eval_of_a_v2_checkpoint_gives_one_line_and_exit_2(self, workspace, trained, tmp_path, capsys):
+        self.eval_of_an_old_checkpoint(workspace, trained, tmp_path, capsys, 2)
 
     def test_checkpoint_with_an_unknown_config_key_gives_one_line_and_exit_2(
         self, workspace, trained, tmp_path, capsys
@@ -727,6 +734,20 @@ class TestCliErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("hobnet: error: ") and f"s0003.csv: subject 's0003': {message}" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("name", ["labels.csv", "timeseries/s0003.csv"])
+    def test_train_on_a_csv_that_is_not_utf8_gives_one_line_and_exit_2(
+        self, workspace, tmp_path, capsys, name
+    ):
+        shutil.copytree(workspace / "cohort", tmp_path / "cohort")
+        path = tmp_path / "cohort" / name
+        path.write_bytes(b"\xff\xfe")
+        code = run("train", "--cohort", tmp_path / "cohort", "--out", tmp_path / "model.ckpt")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"hobnet: error: {path}: not valid CSV ('utf-8' codec can't decode byte 0xff")
         assert err.count("\n") == 1
         assert not (tmp_path / "model.ckpt").exists()
 

@@ -39,7 +39,7 @@ from hobnet.harness import nested_hierarchy, synth_generate
 from hobnet.layers import init_mlp
 
 from conftest import random_timeseries, toy_hierarchy_4_6_10
-from oracles import as_v1_checkpoint, total
+from oracles import as_old_checkpoint, total
 
 SMALL_MODEL = dict(
     hgnn=HgnnConfig(k=2, blocks=2, hidden_dim=4),
@@ -387,6 +387,25 @@ class TestFit:
         assert dropped.loss_trace != plain.loss_trace
         assert dropped.config == plain.config == cfg
 
+    def test_an_atlas_scale_fit_stays_within_its_memory_budget(self):
+        # 196 ROIs: the CNN branch pools its conv output, of length 4774, into
+        # 32 bins, which keeps its first dense layer at 512 x 128
+        hierarchy = nested_hierarchy(7, 4, 7)
+        cohort = synth_generate(8, hierarchy, seed=1)
+        cfg = ModelConfig(
+            toggles=parse_toggles("HGNN+HCNN"),
+            hgnn=HgnnConfig(k=3, blocks=3, hidden_dim=16),
+            hcnn=HcnnConfig(out_dim=16),
+            head_hidden=(64,),
+        )
+        tracemalloc.start()
+        try:
+            fit(cohort, hierarchy, cfg, TrainConfig(learning_rate=1e-4, epochs=3, seed=7, batch_size=8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150 << 20, f"peak {peak / 2**20:.1f} MiB"
+
     def test_all_branches_disabled_is_an_error(self):
         with pytest.raises(ModelError, match="'none': all branches disabled"):
             BranchToggles(name="none", graph=False, graph_high_order=False, cnn=False, cnn_high_order=False)
@@ -453,7 +472,8 @@ class TestCheckpoint:
             assert back.params[name].data.tobytes() == result.params[name].data.tobytes()
 
     def test_loading_reads_each_payload_once_into_the_parameters(self, tmp_path):
-        cfg = ModelConfig(hgnn=HgnnConfig(k=2, blocks=2, hidden_dim=8))
+        # a wide CNN-branch MLP makes the payload 4.5 MiB
+        cfg = ModelConfig(hgnn=HgnnConfig(k=2, blocks=2, hidden_dim=8), hcnn=HcnnConfig(mlp_hidden=(768,)))
         widths = {"wan": 2, "man": 4, "lan": 32}
         result = FitResult(build_model_params(cfg, widths, 496, seed=3), cfg, TrainConfig(seed=3),
                            dict.fromkeys(widths, 0.5), [0.7], widths, 496, ["s0"])
@@ -486,15 +506,24 @@ class TestCheckpoint:
         with pytest.raises(ModelError, match="old.ckpt: checkpoint has no 'subject_ids' record"):
             load_fit(path)
 
-    def test_load_fit_refuses_a_v1_checkpoint(self, tmp_path):
+    def refuses_an_old_checkpoint(self, tmp_path, version):
         hierarchy, cohort = tiny_cohort()
         result = fit(cohort, hierarchy, small_config(), TrainConfig(epochs=1, seed=8))
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, result.params, checkpoint_meta(result))
-        as_v1_checkpoint(path, tmp_path / "v1.ckpt")
-        message = r"v1\.ckpt: checkpoint format 'hobnet-checkpoint-v1' is not 'hobnet-checkpoint-v2'; retrain"
+        old = tmp_path / f"v{version}.ckpt"
+        as_old_checkpoint(path, old, version)
+        message = (rf"v{version}\.ckpt: checkpoint format 'hobnet-checkpoint-v{version}' "
+                   r"is not 'hobnet-checkpoint-v3'; retrain it$")
         with pytest.raises(ModelError, match=message):
-            load_fit(tmp_path / "v1.ckpt")
+            load_fit(old)
+
+    def test_load_fit_refuses_a_v1_checkpoint(self, tmp_path):
+        self.refuses_an_old_checkpoint(tmp_path, 1)
+
+    def test_load_fit_refuses_a_v2_checkpoint(self, tmp_path):
+        # v2 read the whole conv output into the CNN branch's MLP
+        self.refuses_an_old_checkpoint(tmp_path, 2)
 
     def test_checkpoint_meta_holds_each_setting_once(self, tmp_path):
         hierarchy, cohort = tiny_cohort()

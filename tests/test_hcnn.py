@@ -8,6 +8,7 @@ from hobnet.autodiff import Parameter, Tape, Tensor, backward, finite_difference
 from hobnet.connectivity import pearson_fc
 from hobnet.ffc import ModelConfig, build_model_params, parse_toggles
 from hobnet.hcnn import (
+    POOL_BINS,
     HcnnConfig,
     HcnnError,
     dr_flatten,
@@ -19,7 +20,7 @@ from hobnet.layers import init_mlp
 from hobnet.ffc import ModelParams
 
 from conftest import random_timeseries
-from oracles import dr_unflatten
+from oracles import bin_means, dr_unflatten
 
 
 class TestDrFlatten:
@@ -96,6 +97,37 @@ class TestFirstOrder:
         cfg_hcnn = HcnnConfig(kernel_sizes=(9, 5), channels=(2, 2), strides=(2, 2))
         with pytest.raises(HcnnError, match="exceeds"):
             cfg_hcnn.conv_output_length(6)
+
+
+class TestPool:
+    """The conv output's fixed-length readout."""
+
+    @pytest.mark.parametrize("rois", [116, 196, 246])
+    def test_the_readout_width_does_not_grow_with_the_atlas(self, rois):
+        _, params = branch_params(HcnnConfig(out_dim=16), fc_len=rois * (rois - 1) // 2)
+        assert params["hcnn.mlp.l0.w"].data.shape == (16 * POOL_BINS, 128)
+
+    def test_an_output_no_longer_than_the_bins_is_read_unpooled(self):
+        # 16 ROIs: 120 FC entries, 57 after the first conv, 27 after the second
+        cfg_hcnn = HcnnConfig(out_dim=16)
+        _, params = branch_params(cfg_hcnn, fc_len=120)
+        assert params["hcnn.mlp.l0.w"].data.shape == (16 * 27, 128)
+        x = Parameter("x", np.random.default_rng(4).normal(size=(1, 120)))
+        with Tape() as tape:
+            hcnn_first_order(params, "hcnn", x.value, cfg_hcnn)
+        assert "bin-mean" not in {node.op for node in tape.nodes}
+
+    def test_a_longer_output_is_pooled_before_the_mlp(self):
+        cfg_hcnn = HcnnConfig(kernel_sizes=(3, 3), channels=(2, 3), strides=(1, 1), mlp_hidden=(), out_dim=4)
+        _, params = branch_params(cfg_hcnn, fc_len=104, seed=2)
+        x = np.random.default_rng(3).normal(size=(2, 1, 104))
+        out = hcnn_first_order(params, "hcnn", Tensor(x), cfg_hcnn).data
+        h = Tensor(x)
+        for i in range(2):
+            h = ad.relu(ad.conv1d(h, params[f"hcnn.conv{i}.w"].value, params[f"hcnn.conv{i}.b"].value))
+        pooled = bin_means(h, POOL_BINS).data.reshape(2, -1)
+        expected = pooled @ params["hcnn.mlp.l0.w"].data + params["hcnn.mlp.l0.b"].data
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
 
 def flatten_channels_by_selectors(x: Tensor) -> Tensor:
