@@ -39,7 +39,7 @@ from .connectivity import (
 )
 from .hcnn import HcnnConfig, dr_flatten
 from .hgnn import HgnnConfig, LevelBatch
-from .layers import init_mlp, init_param, mlp_forward
+from .layers import initial_values, mlp_forward, mlp_layout
 from .rng import named_stream
 from .spectral import GraphLaplacian, first_order_propagation, normalized_laplacian
 
@@ -165,8 +165,8 @@ class TrainConfig:
     preset: str = "custom"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ModelError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:  # also refuses NaN
+            raise ModelError(f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise ModelError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 <= self.dropout < 1.0:
@@ -192,11 +192,14 @@ def preset_train_config(name: str, seed: int = 0, **overrides) -> TrainConfig:
 
 
 class ModelParams(Mapping):
-    """Name-keyed parameter collection; names are unique by construction."""
+    """Name-keyed parameter collection, made from ``(name, values)`` pairs;
+    names are unique by construction."""
 
-    def __init__(self):
+    def __init__(self, arrays: Iterable[tuple[str, np.ndarray]] = ()):
         self._params: dict[str, Parameter] = {}
         self._adam: AdamState | None = None  # set by AdamState.for_params
+        for name, values in arrays:
+            self.create(name, values)
 
     def create(self, name: str, values) -> Parameter:
         if name in self._params:
@@ -461,46 +464,46 @@ def prepare_cohort(
 # ---------------------------------------------------------------------------
 
 
+def param_layout(
+    cfg: ModelConfig,
+    level_widths: dict[str, int],
+    fc_len: int,
+) -> list[tuple[str, tuple[int, ...], str]]:
+    """The ``(name, shape, init)`` row of every parameter both branches and
+    the head read, in creation order: the one statement of their names and shapes."""
+    rows, d = [], cfg.hgnn.hidden_dim
+    if cfg.toggles.graph:
+        for level in cfg.graph_levels():
+            prefix = f"hgnn.{level}"
+            rows += [(f"{prefix}.proj.w", (level_widths[level], d), "glorot"),
+                     (f"{prefix}.proj.b", (d,), "zeros")]
+            for i in range(cfg.hgnn.blocks):
+                block = f"{prefix}.block{i}"
+                kernels = ["w"] if cfg.hgnn.encoder == "gcn" else [f"theta{k}" for k in range(cfg.hgnn.k)]
+                rows += [(f"{block}.{kernel}", (d, d), "glorot") for kernel in kernels]
+                rows += [(f"{block}.norm.gain", (d,), "ones"), (f"{block}.norm.shift", (d,), "small-positive")]
+            rows.append((f"{prefix}.afm.r", (cfg.hgnn.blocks,), "small-normal"))
+            if cfg.toggles.graph_high_order:
+                rows += mlp_layout(f"{prefix}.ghop", [d * (d + 1) // 2, d, d])
+    if cfg.toggles.cnn:
+        c = cfg.hcnn
+        for i, c_in in enumerate((1, c.channels[0])):
+            rows += [(f"hcnn.conv{i}.w", (c.channels[i], c_in, c.kernel_sizes[i]), "glorot"),
+                     (f"hcnn.conv{i}.b", (c.channels[i],), "zeros")]
+        rows += mlp_layout("hcnn.mlp", [c.conv_output_length(fc_len), *c.mlp_hidden, c.out_dim])
+        if cfg.toggles.cnn_high_order:
+            rows += mlp_layout("hcnn.hop", [c.out_dim * (c.out_dim + 1) // 2, c.out_dim, c.out_dim])
+    return rows + mlp_layout("head", [cfg.fused_width(), *cfg.head_hidden, 2])
+
+
 def build_model_params(
     cfg: ModelConfig,
     level_widths: dict[str, int],
     fc_len: int,
     seed: int,
 ) -> ModelParams:
-    """Create every named parameter both branches and the head will read."""
-    store = ModelParams()
-    d = cfg.hgnn.hidden_dim
-    if cfg.toggles.graph:
-        for level in cfg.graph_levels():
-            prefix = f"hgnn.{level}"
-            width = level_widths[level]
-            init_param(store, f"{prefix}.proj.w", (width, d), seed)
-            init_param(store, f"{prefix}.proj.b", (d,), seed, kind="zeros")
-            for i in range(cfg.hgnn.blocks):
-                block = f"{prefix}.block{i}"
-                if cfg.hgnn.encoder == "gcn":
-                    init_param(store, f"{block}.w", (d, d), seed)
-                else:
-                    for k in range(cfg.hgnn.k):
-                        init_param(store, f"{block}.theta{k}", (d, d), seed)
-                init_param(store, f"{block}.norm.gain", (d,), seed, kind="ones")
-                init_param(store, f"{block}.norm.shift", (d,), seed, kind="small-positive")
-            init_param(store, f"{prefix}.afm.r", (cfg.hgnn.blocks,), seed, kind="small-normal")
-            if cfg.toggles.graph_high_order:
-                tri = d * (d + 1) // 2
-                init_mlp(store, f"{prefix}.ghop", [tri, d, d], seed)
-    if cfg.toggles.cnn:
-        c = cfg.hcnn
-        init_param(store, "hcnn.conv0.w", (c.channels[0], 1, c.kernel_sizes[0]), seed)
-        init_param(store, "hcnn.conv0.b", (c.channels[0],), seed, kind="zeros")
-        init_param(store, "hcnn.conv1.w", (c.channels[1], c.channels[0], c.kernel_sizes[1]), seed)
-        init_param(store, "hcnn.conv1.b", (c.channels[1],), seed, kind="zeros")
-        init_mlp(store, "hcnn.mlp", [c.conv_output_length(fc_len), *c.mlp_hidden, c.out_dim], seed)
-        if cfg.toggles.cnn_high_order:
-            tri = c.out_dim * (c.out_dim + 1) // 2
-            init_mlp(store, "hcnn.hop", [tri, c.out_dim, c.out_dim], seed)
-    init_mlp(store, "head", [cfg.fused_width(), *cfg.head_hidden, 2], seed)
-    return store
+    """Every parameter of ``param_layout``, with initial values drawn from ``seed``."""
+    return ModelParams(initial_values(param_layout(cfg, level_widths, fc_len), seed))
 
 
 def fused_features(
@@ -818,17 +821,6 @@ def _read_payloads(fh, path: str | Path, arrays: list[tuple[str, np.ndarray]]) -
         raise ModelError(f"{path}: trailing bytes after final parameter")
 
 
-def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
-    with Path(path).open("rb") as fh:
-        meta, shapes = _read_header(fh, path)
-        arrays = [(name, np.empty(shape)) for name, shape in shapes]
-        _read_payloads(fh, path, arrays)
-    params = ModelParams()
-    for name, values in arrays:
-        params.create(name, values)
-    return params, meta
-
-
 def checkpoint_meta(result: FitResult) -> dict:
     return {
         "model_config": result.config.to_dict(),
@@ -838,8 +830,9 @@ def checkpoint_meta(result: FitResult) -> dict:
 
 
 def load_fit(path: str | Path) -> FitResult:
-    """Inverse of ``save_checkpoint(path, result.params, checkpoint_meta(result))``: each
-    payload is read once, straight into the parameters the checked meta builds."""
+    """Inverse of ``save_checkpoint(path, result.params, checkpoint_meta(result))``:
+    the header must list ``param_layout`` of the checked meta, and each payload
+    is read once, straight into its parameter's array; no value is drawn."""
     with Path(path).open("rb") as fh:
         meta, shapes = _read_header(fh, path)
         try:
@@ -855,15 +848,17 @@ def load_fit(path: str | Path) -> FitResult:
                     raise ModelError(f"level_widths[{level!r}] must be >= 1, got {meta['level_widths'][level]}")
             config = ModelConfig.from_dict(meta["model_config"])
             train_config = TrainConfig(**_config_kwargs(TrainConfig, meta["train_config"], "train_config"))
-            params = build_model_params(config, meta["level_widths"], meta["fc_len"], train_config.seed)
+            layout = param_layout(config, meta["level_widths"], meta["fc_len"])
         except KeyError as exc:
             raise ModelError(f"{path}: checkpoint has no {exc} record; retrain it") from None
         except (ModelError, hgnn_mod.HgnnError, hcnn_mod.HcnnError) as exc:
             raise ModelError(f"{path}: {exc}") from None
-        for got, want in zip_longest(shapes, [(p.name, p.data.shape) for p in params.parameters()]):
+        for got, want in zip_longest(shapes, [(name, shape) for name, shape, _ in layout]):
             if got != want:
                 raise ModelError(
                     f"{path}: checkpoint parameter {got} does not match {want} built from its config"
                 )
-        _read_payloads(fh, path, [(p.name, p.data) for p in params.parameters()])
+        arrays = [(name, np.empty(shape)) for name, shape in shapes]
+        _read_payloads(fh, path, arrays)
+    params = ModelParams(arrays)  # after the reads: a Tensor refuses what np.empty may hold
     return FitResult(params, config, train_config, source=str(path), **{key: meta[key] for key in _META_RECORDS})

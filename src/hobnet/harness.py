@@ -600,7 +600,10 @@ def read_cohort(directory: str | Path) -> Cohort:
     labels: dict[str, int] = {}
     lines: dict[str, int] = {}
     for line, row in _read_table(labels_path, {"subject-id", "label"}):
-        _check_first_row(labels_path, lines, row["subject-id"], line)
+        sid = row["subject-id"]
+        if sid in ("", ".", "..") or sid != Path(sid).name:  # it names timeseries/<id>.csv
+            raise HarnessError(f"{labels_path}: row {line}: subject id {sid!r} is not a plain file name")
+        _check_first_row(labels_path, lines, sid, line)
         try:
             label = int(row["label"])
         except ValueError:

@@ -1,11 +1,14 @@
-"""Small shared building blocks: affine layers, MLP stacks, initializers."""
+"""Small shared building blocks: affine layers, MLP stacks, and parameter
+layouts (lists of ``(name, shape, init)`` rows) with their initializer."""
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Tensor
 from .rng import named_stream
 
 
@@ -24,34 +27,37 @@ def glorot(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def init_param(store, name: str, shape: tuple[int, ...], seed: int, kind: str = "glorot") -> Parameter:
-    """Create one named parameter with a per-name deterministic stream."""
-    rng = named_stream(seed, f"init/{name}")
-    if kind == "glorot":
-        values = glorot(shape, rng)
-    elif kind == "zeros":
-        values = np.zeros(shape)
-    elif kind == "ones":
-        values = np.ones(shape)
-    elif kind == "small-normal":
-        values = 0.1 * rng.normal(size=shape)
-    elif kind == "small-positive":
-        # keeps normalized activations off the ReLU kink at initialization
-        values = np.full(shape, 0.01)
-    else:
-        raise ValueError(f"unknown init kind {kind!r}")
-    return store.create(name, values)
+def initial_values(rows, seed: int) -> Iterator[tuple[str, np.ndarray]]:
+    """``(name, values)`` for each ``(name, shape, init)`` row, in order; each
+    value is drawn from its own per-name deterministic stream."""
+    for name, shape, kind in rows:
+        rng = named_stream(seed, f"init/{name}")
+        if kind == "glorot":
+            values = glorot(shape, rng)
+        elif kind == "zeros":
+            values = np.zeros(shape)
+        elif kind == "ones":
+            values = np.ones(shape)
+        elif kind == "small-normal":
+            values = 0.1 * rng.normal(size=shape)
+        elif kind == "small-positive":
+            # keeps normalized activations off the ReLU kink at initialization
+            values = np.full(shape, 0.01)
+        else:
+            raise ValueError(f"unknown init kind {kind!r}")
+        yield name, values
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return ad.add(ad.matmul(x, weight), bias)
 
 
-def init_mlp(store, prefix: str, widths: list[int], seed: int) -> None:
-    """Parameters for an MLP given the full width chain [in, ..., out]."""
+def mlp_layout(prefix: str, widths: list[int]) -> list[tuple[str, tuple[int, ...], str]]:
+    """The parameter rows of an MLP given the full width chain [in, ..., out]."""
+    rows = []
     for i, (w_in, w_out) in enumerate(zip(widths, widths[1:])):
-        init_param(store, f"{prefix}.l{i}.w", (w_in, w_out), seed)
-        init_param(store, f"{prefix}.l{i}.b", (w_out,), seed, kind="zeros")
+        rows += [(f"{prefix}.l{i}.w", (w_in, w_out), "glorot"), (f"{prefix}.l{i}.b", (w_out,), "zeros")]
+    return rows
 
 
 def mlp_forward(x: Tensor, params, prefix: str) -> Tensor:

@@ -26,7 +26,7 @@ from .ffc import (
     eval_batches,
     fused_features,
 )
-from .layers import init_mlp, init_param, mlp_forward
+from .layers import initial_values, mlp_forward, mlp_layout
 from .spectral import first_order_propagation
 
 
@@ -131,9 +131,7 @@ def standardize_phenotypes(records: Sequence[PhenotypeRecord]) -> np.ndarray:
 
 def build_phenotype_encoder(n_features: int, seed: int) -> ModelParams:
     """Shared-weight encoder applied to every subject's phenotype vector."""
-    store = ModelParams()
-    init_mlp(store, "phenotype", [n_features, 16, 8], seed)
-    return store
+    return ModelParams(initial_values(mlp_layout("phenotype", [n_features, 16, 8]), seed))
 
 
 def weight_matrix(records: Sequence[PhenotypeRecord], encoder: ModelParams) -> np.ndarray:
@@ -205,10 +203,8 @@ def population_adjacency(
 
 
 def build_population_head(embed_dim: int, seed: int) -> ModelParams:
-    store = ModelParams()
-    init_param(store, "gcn.w", (embed_dim, GCN_DIM), seed)
-    init_mlp(store, "head", [GCN_DIM, HEAD_HIDDEN, 2], seed)
-    return store
+    rows = [("gcn.w", (embed_dim, GCN_DIM), "glorot"), *mlp_layout("head", [GCN_DIM, HEAD_HIDDEN, 2])]
+    return ModelParams(initial_values(rows, seed))
 
 
 def gcn_classify(

@@ -28,7 +28,7 @@ from hobnet.ffc import (
     build_model_params,
     checkpoint_meta,
     fit,
-    load_checkpoint,
+    load_fit,
     loss,
     model_forward,
     parse_toggles,
@@ -338,7 +338,7 @@ class TestCriterion11CheckpointRoundTrip:
         cfg = full_run["cfg"]
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, result.params, checkpoint_meta(result))
-        loaded, meta = load_checkpoint(path)
+        loaded = load_fit(path).params
         for name in result.params:
             assert result.params[name].data.tobytes() == loaded[name].data.tobytes(), name
         batch = prepare_cohort(

@@ -27,7 +27,6 @@ from hobnet.ffc import (
     TrainConfig,
     build_model_params,
     checkpoint_meta,
-    load_checkpoint,
     load_fit,
     parse_toggles,
     save_checkpoint,
@@ -283,7 +282,8 @@ class TestTrainEvalAblatePopgraph:
     def test_scoring_refuses_checkpoint_without_training_record(
         self, workspace, trained, tmp_path, capsys, command
     ):
-        params, meta = load_checkpoint(trained)
+        fitted = load_fit(trained)
+        params, meta = fitted.params, checkpoint_meta(fitted)
         del meta["subject_ids"]
         old = tmp_path / "old.ckpt"
         save_checkpoint(old, params, meta)
@@ -444,12 +444,14 @@ class TestCliErrors:
             (("loss_trace",), ["a"], "loss_trace[0] must be a JSON number"),
             (("subject_ids",), [1, 2], "subject_ids[0] must be a JSON string"),
             (("fc_len",), -3, "kernel size 7 exceeds input length -3"),
+            (("train_config", "learning_rate"), float("nan"), "learning rate must be positive and finite, got nan"),
         ],
     )
     def test_malformed_checkpoint_meta_gives_one_line_and_exit_2(
         self, workspace, trained, tmp_path, capsys, record, value, message
     ):
-        params, meta = load_checkpoint(trained)
+        fitted = load_fit(trained)
+        params, meta = fitted.params, checkpoint_meta(fitted)
         target = meta
         for key in record[:-1]:
             target = target[key]
@@ -486,7 +488,8 @@ class TestCliErrors:
     def test_checkpoint_with_an_unknown_config_key_gives_one_line_and_exit_2(
         self, workspace, trained, tmp_path, capsys
     ):
-        params, meta = load_checkpoint(trained)
+        fitted = load_fit(trained)
+        params, meta = fitted.params, checkpoint_meta(fitted)
         meta["model_config"]["hgnn"]["depth"] = 2
         ckpt = tmp_path / "future.ckpt"
         save_checkpoint(ckpt, params, meta)
@@ -749,6 +752,17 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"hobnet: error: {path}: not valid CSV ('utf-8' codec can't decode byte 0xff")
         assert err.count("\n") == 1
+        assert not (tmp_path / "model.ckpt").exists()
+
+    def test_train_on_a_subject_id_that_is_a_path_gives_one_line_and_exit_2(self, workspace, tmp_path, capsys):
+        shutil.copytree(workspace / "cohort", tmp_path / "cohort")
+        labels = tmp_path / "cohort" / "labels.csv"
+        header, first, *rest = labels.read_text().splitlines()
+        labels.write_text("\n".join([header, "../outside," + first.split(",")[1], *rest]) + "\n")
+        code = run("train", "--cohort", tmp_path / "cohort", "--out", tmp_path / "model.ckpt")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"hobnet: error: {labels}: row 2: subject id '../outside' is not a plain file name\n"
         assert not (tmp_path / "model.ckpt").exists()
 
     def test_train_on_a_cohort_missing_a_hierarchy_roi_names_the_subject(

@@ -1,5 +1,6 @@
 """Fusion head, optimizer, training loop, and checkpoint round trips."""
 
+import json
 import tracemalloc
 from types import SimpleNamespace
 
@@ -18,15 +19,16 @@ from hobnet.ffc import (
     ModelConfig,
     ModelError,
     ModelParams,
+    TOGGLES,
     TrainConfig,
     adam_step,
     build_model_params,
     checkpoint_meta,
     fit,
-    load_checkpoint,
     load_fit,
     loss,
     model_forward,
+    param_layout,
     parse_toggles,
     predict,
     prepare_cohort,
@@ -36,7 +38,8 @@ from hobnet.ffc import (
     select_cohort_gammas,
 )
 from hobnet.harness import nested_hierarchy, synth_generate
-from hobnet.layers import init_mlp
+from hobnet.hgnn import ENCODERS
+from hobnet.layers import initial_values, mlp_layout
 
 from conftest import random_timeseries, toy_hierarchy_4_6_10
 from oracles import as_old_checkpoint, total
@@ -87,8 +90,7 @@ class TestToggles:
 
 class TestPredict:
     def head_store(self, width, zero=False, seed=0):
-        store = ModelParams()
-        init_mlp(store, "head", [width, 4, 2], seed)
+        store = ModelParams(initial_values(mlp_layout("head", [width, 4, 2]), seed))
         if zero:
             for p in store.parameters():
                 p.value.data[:] = 0.0
@@ -320,6 +322,11 @@ class TestPresets:
         with pytest.raises(ModelError, match="learning rate"):
             TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_is_refused(self, rate):
+        with pytest.raises(ModelError, match=rf"learning rate must be positive and finite, got {rate}"):
+            TrainConfig(learning_rate=rate)
+
     @pytest.mark.parametrize("rate", [-0.1, 1.0])
     def test_dropout_outside_zero_to_one_is_refused(self, rate):
         with pytest.raises(ModelError, match=rf"dropout must be in \[0, 1\), got {rate}"):
@@ -444,14 +451,15 @@ class TestCheckpoint:
         result = fit(cohort, hierarchy, cfg, TrainConfig(epochs=2, seed=8))
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, result.params, checkpoint_meta(result))
-        loaded, meta = load_checkpoint(path)
+        back = load_fit(path)
+        loaded = back.params
         assert list(loaded) == list(result.params)
         for name in result.params:
             original = result.params[name].data
             restored = loaded[name].data
             assert original.tobytes() == restored.tobytes()
         subs = prepare_cohort(cohort, hierarchy, result.gammas, encoder=cfg.hgnn.encoder)
-        cfg_back = ModelConfig.from_dict(meta["model_config"])
+        cfg_back = back.config
         np.testing.assert_array_equal(
             predict_proba(result.params, cfg, subs), predict_proba(loaded, cfg_back, subs)
         )
@@ -478,23 +486,51 @@ class TestCheckpoint:
         result = FitResult(build_model_params(cfg, widths, 496, seed=3), cfg, TrainConfig(seed=3),
                            dict.fromkeys(widths, 0.5), [0.7], widths, 496, ["s0"])
         for p in result.params.parameters():
-            p.data[...] += 0.25  # not the values load_fit draws before it reads
+            p.data[...] += 0.25  # not the initial values of the same seed
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, result.params, checkpoint_meta(result))
         payload = 8 * result.params.total_size()
         assert payload > 3 << 20
-        for load in (load_fit, load_checkpoint):
-            tracemalloc.start()
-            try:
-                loaded = load(path)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            params = loaded.params if load is load_fit else loaded[0]
-            assert peak < 1.5 * payload, (load.__name__, peak / payload)
-            assert list(params) == list(result.params)
-            for name in result.params:
-                assert params[name].data.tobytes() == result.params[name].data.tobytes()
+        tracemalloc.start()
+        try:
+            params = load_fit(path).params
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * payload, peak / payload
+        assert list(params) == list(result.params)
+        for name in result.params:
+            assert params[name].data.tobytes() == result.params[name].data.tobytes()
+
+    def test_loading_draws_no_random_value(self, tmp_path, monkeypatch):
+        hierarchy, cohort = tiny_cohort()
+        result = fit(cohort, hierarchy, small_config(), TrainConfig(epochs=1, seed=8))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, result.params, checkpoint_meta(result))
+
+        def no_stream(seed, purpose):
+            raise AssertionError(f"loading drew from the stream {purpose!r}")
+
+        monkeypatch.setattr("hobnet.layers.named_stream", no_stream)
+        loaded = load_fit(path).params
+        assert list(loaded) == list(result.params)
+        for name in result.params:
+            assert loaded[name].data.tobytes() == result.params[name].data.tobytes()
+
+    @pytest.mark.parametrize("encoder", ENCODERS)
+    @pytest.mark.parametrize("toggles", sorted(TOGGLES))
+    def test_the_layout_is_what_is_built_and_saved(self, tmp_path, toggles, encoder):
+        cfg = ModelConfig(toggles=TOGGLES[toggles], hgnn=HgnnConfig(k=2, blocks=2, hidden_dim=4, encoder=encoder),
+                          hcnn=SMALL_MODEL["hcnn"], head_hidden=(8,))
+        widths = {"wan": 2, "man": 4, "lan": 8}
+        rows = [(name, shape) for name, shape, _ in param_layout(cfg, widths, 28)]
+        params = build_model_params(cfg, widths, 28, seed=0)
+        assert [(p.name, p.data.shape) for p in params.parameters()] == rows
+        result = FitResult(params, cfg, TrainConfig(), dict.fromkeys(widths, 0.5), [0.7], widths, 28, ["s0"])
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, checkpoint_meta(result))
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        assert [(e["name"], tuple(e["shape"])) for e in header["params"]] == rows
 
     def test_load_fit_refuses_checkpoint_without_training_record(self, tmp_path):
         hierarchy, cohort = tiny_cohort()
@@ -579,17 +615,17 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"\x00\x01\x02not json\n")
         with pytest.raises(ModelError, match="not a checkpoint"):
-            load_checkpoint(path)
+            load_fit(path)
 
     def test_truncated_payload_is_an_error(self, tmp_path):
-        store = ModelParams()
-        store.create("w", np.arange(4.0))
+        hierarchy, cohort = tiny_cohort()
+        result = fit(cohort, hierarchy, small_config(), TrainConfig(epochs=1, seed=8))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, store, {})
+        save_checkpoint(path, result.params, checkpoint_meta(result))
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(ModelError, match="truncated"):
-            load_checkpoint(path)
+            load_fit(path)
 
 
 class TestMixedAtlasSizes:

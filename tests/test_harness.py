@@ -1,6 +1,8 @@
 """Synthetic cohorts, split plans, metrics, and driver determinism."""
 
 import csv
+import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -325,6 +327,20 @@ class TestCohortIo:
         path.write_text(path.read_text().replace(find, replace))
         with pytest.raises(HarnessError, match=message):
             read_cohort(tmp_path)
+
+    @pytest.mark.parametrize("kind", ["relative", "absolute"])
+    def test_a_subject_id_that_is_a_path_is_refused(self, tmp_path, kind):
+        h = nested_hierarchy(2, 2, 2)
+        cohort = synth_generate(6, h, seed=9, n_timepoints=40)
+        write_cohort(tmp_path / "cohort", cohort, hierarchy=h)
+        shutil.copy(tmp_path / "cohort" / "timeseries" / "s0000.csv", tmp_path / "outside.csv")
+        sid = "../../outside" if kind == "relative" else str(tmp_path / "outside")
+        with (tmp_path / "cohort" / "labels.csv").open("a") as fh:
+            fh.write(f"{sid},1\n")
+        with (tmp_path / "cohort" / "phenotypes.csv").open("a") as fh:
+            fh.write(f"{sid},F,12.5,site-a\n")
+        with pytest.raises(HarnessError, match=rf"labels\.csv: row 8: subject id {re.escape(repr(sid))} is not a plain"):
+            read_cohort(tmp_path / "cohort")
 
     def test_non_numeric_age_names_file_row_and_subject(self, tmp_path):
         path = tmp_path / "phenotypes.csv"

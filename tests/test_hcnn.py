@@ -16,7 +16,7 @@ from hobnet.hcnn import (
     hop,
     hop_concat,
 )
-from hobnet.layers import init_mlp
+from hobnet.layers import initial_values, mlp_layout
 from hobnet.ffc import ModelParams
 
 from conftest import random_timeseries
@@ -194,10 +194,8 @@ class TestHop:
 
 class TestHopConcat:
     def build(self, d, seed=0):
-        store = ModelParams()
         tri = d * (d + 1) // 2
-        init_mlp(store, "hop", [tri, d, d], seed)
-        return store
+        return ModelParams(initial_values(mlp_layout("hop", [tri, d, d]), seed))
 
     def test_zero_input_gives_zero_vector_of_double_width(self):
         d = 4
