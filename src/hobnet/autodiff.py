@@ -306,7 +306,9 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     ``x`` is ``[channels_in, length]`` or a batch ``[batch, channels_in,
     length]``, ``kernel`` is ``[channels_out, channels_in, k]`` and ``bias``
     is ``[channels_out]``. Every output position of every input is one row
-    of a window matrix, so the batch runs as one matrix product.
+    of a window matrix, so the batch runs as one matrix product. The window
+    matrix lives only for the length of that product; backward rebuilds it
+    from ``x`` for the kernel gradient.
     """
     if stride < 1:
         raise ShapeMismatch(f"conv1d: stride must be >= 1, got {stride}")
@@ -324,16 +326,19 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         raise ShapeMismatch(f"conv1d: bias shape {bias.shape} incompatible with {c_out} channels")
     lead = x.shape[:-2]
     kd = kernel.data.reshape(c_out, c_in * k)
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=-1)[..., ::stride, :]
-    n_out = windows.shape[-2]
-    # rows: (input, output position); columns: (input channel, kernel tap)
-    cols = np.swapaxes(windows, -3, -2).reshape(-1, c_in * k)
-    out = np.ascontiguousarray(np.swapaxes((cols @ kd.T).reshape(lead + (n_out, c_out)), -1, -2))
+    n_out = (length - k) // stride + 1
+
+    def window_matrix() -> np.ndarray:
+        # rows: (input, output position); columns: (input channel, kernel tap)
+        windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=-1)[..., ::stride, :]
+        return np.swapaxes(windows, -3, -2).reshape(-1, c_in * k)
+
+    out = np.ascontiguousarray(np.swapaxes((window_matrix() @ kd.T).reshape(lead + (n_out, c_out)), -1, -2))
     out += bias.data[:, None]
 
     def backward(g: np.ndarray):
         g2 = np.swapaxes(g, -1, -2).reshape(-1, c_out)
-        dk = (g2.T @ cols).reshape(kernel.shape)
+        dk = (g2.T @ window_matrix()).reshape(kernel.shape)
         db = g2.sum(axis=0)
         dcols = np.swapaxes((g2 @ kd).reshape(lead + (n_out, c_in, k)), -3, -2)
         dx = np.zeros_like(x.data)
@@ -510,12 +515,12 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    keep = rng.random(x.shape) >= rate  # the tape holds one byte per unit, not a float mask
 
     def backward(g: np.ndarray):
-        return (g * mask,)
+        return (g * (keep / (1.0 - rate)),)
 
-    return _record("dropout", (x,), x.data * mask, backward)
+    return _record("dropout", (x,), x.data * (keep / (1.0 - rate)), backward)
 
 
 def cross_entropy(probs: Tensor, labels) -> Tensor:

@@ -8,6 +8,8 @@ with Adam on cross-entropy, and round-trips checkpoints bit for bit.
 from __future__ import annotations
 
 import json
+import math
+import os
 import sys
 from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -316,8 +318,8 @@ class SubjectInputs:
         return self.batch.fc_len
 
 
-# subjects per eval-mode forward; at 196 ROIs each adds about 4 MiB of
-# activations held at once
+# subjects per eval-mode forward; at 196 ROIs each adds about 2.6 MiB to
+# the forward's peak
 SCORE_BATCH = 8
 
 
@@ -807,9 +809,19 @@ def _read_header(fh, path: str | Path) -> tuple[dict, list[tuple[str, tuple[int,
     return header["meta"], list(shapes.items())
 
 
-def _read_payloads(fh, path: str | Path, arrays: list[tuple[str, np.ndarray]]) -> None:
-    """Read each named float64 array's little-endian payload, in order,
-    straight into it; a short, non-finite or trailing payload is refused."""
+def _read_payloads(
+    fh, path: str | Path, shapes: list[tuple[str, tuple[int, ...]]]
+) -> list[tuple[str, np.ndarray]]:
+    """Each named float64 array, in order, read straight from its
+    little-endian payload; a short, non-finite or trailing payload is refused.
+    The file's size is checked first, so a header that claims more bytes than
+    follow it allocates nothing."""
+    left, end = os.fstat(fh.fileno()).st_size - fh.tell(), 0
+    for name, shape in shapes:
+        end += 8 * math.prod(shape)
+        if end > left:
+            raise ModelError(f"{path}: truncated payload for parameter {name!r}")
+    arrays = [(name, np.empty(shape)) for name, shape in shapes]
     for name, values in arrays:
         if fh.readinto(values.reshape(-1).view(np.uint8)) != values.nbytes:
             raise ModelError(f"{path}: truncated payload for parameter {name!r}")
@@ -819,6 +831,7 @@ def _read_payloads(fh, path: str | Path, arrays: list[tuple[str, np.ndarray]]) -
             raise ModelError(f"{path}: parameter {name!r} holds NaN or Inf values")
     if fh.read(1):
         raise ModelError(f"{path}: trailing bytes after final parameter")
+    return arrays
 
 
 def checkpoint_meta(result: FitResult) -> dict:
@@ -858,7 +871,6 @@ def load_fit(path: str | Path) -> FitResult:
                 raise ModelError(
                     f"{path}: checkpoint parameter {got} does not match {want} built from its config"
                 )
-        arrays = [(name, np.empty(shape)) for name, shape in shapes]
-        _read_payloads(fh, path, arrays)
+        arrays = _read_payloads(fh, path, shapes)
     params = ModelParams(arrays)  # after the reads: a Tensor refuses what np.empty may hold
     return FitResult(params, config, train_config, source=str(path), **{key: meta[key] for key in _META_RECORDS})

@@ -2,10 +2,11 @@
 
 None of these run on a model path: each is a slow, plain or dense form of
 something the package computes another way, or a helper that builds test
-inputs and losses.
+inputs and losses or measures a call's traced memory.
 """
 
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +30,18 @@ from hobnet.layers import mlp_forward
 from hobnet.spectral import GraphLaplacian, SpectralError, cheb_apply
 
 _EXACT_MAX_NODES = 64
+
+
+def traced_peak(fn):
+    """Run ``fn()`` under tracemalloc: its result, the peak traced bytes, and
+    the bytes still traced when it returns."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, retained
 
 
 def total(x: Tensor) -> Tensor:
@@ -222,6 +235,31 @@ def adam_step_per_parameter(params, state, lr: float) -> None:
             denom += eps
             step /= denom
             xs -= step
+
+
+def conv1d_im2col(x, kernel, bias, stride=1):
+    """``ad.conv1d`` on arrays, with its window matrix built once and kept
+    alive in the backward closure: the output and ``g -> (dx, dk, db)``."""
+    c_out, c_in, k = kernel.shape
+    lead = x.shape[:-2]
+    kd = kernel.reshape(c_out, c_in * k)
+    windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=-1)[..., ::stride, :]
+    n_out = windows.shape[-2]
+    cols = np.swapaxes(windows, -3, -2).reshape(-1, c_in * k)
+    out = np.ascontiguousarray(np.swapaxes((cols @ kd.T).reshape(lead + (n_out, c_out)), -1, -2))
+    out += bias[:, None]
+
+    def backward(g):
+        g2 = np.swapaxes(g, -1, -2).reshape(-1, c_out)
+        dk = (g2.T @ cols).reshape(kernel.shape)
+        db = g2.sum(axis=0)
+        dcols = np.swapaxes((g2 @ kd).reshape(lead + (n_out, c_in, k)), -3, -2)
+        dx = np.zeros_like(x)
+        for j in range(k):
+            dx[..., j : j + stride * (n_out - 1) + 1 : stride] += dcols[..., j]
+        return dx, dk, db
+
+    return out, backward
 
 
 def per_block_norm_loop(x, gain, shift, blocks, g):

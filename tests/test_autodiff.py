@@ -16,12 +16,19 @@ from hobnet.autodiff import (
 )
 from hobnet.rng import named_stream
 
-from oracles import bin_means, per_block_norm_loop, total
+from oracles import bin_means, conv1d_im2col, per_block_norm_loop, total
 
 
 def scalar_loss(out: Tensor, weight: np.ndarray) -> Tensor:
     """Reduce an op output to a scalar with a fixed random weighting."""
     return ad.matmul(ad.reshape(out, (-1,)), Tensor(np.ravel(weight)))
+
+
+def recorded(op, *values):
+    """``op``'s output on parameters holding ``values``, and its tape node."""
+    with Tape() as tape:
+        out = op(*(Parameter(f"p{i}", v).value for i, v in enumerate(values)))
+    return out, tape.nodes[-1]
 
 
 class TestTensorBasics:
@@ -137,6 +144,16 @@ class TestPrimitiveExamples:
         np.testing.assert_allclose(kept, 1.0 / 0.7, atol=1e-12)
         assert abs(out.data.mean() - 1.0) < 0.02
 
+    def test_dropout_matches_the_float_mask_form_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        x, g = rng.normal(size=(8, 16, 57)), rng.normal(size=(8, 16, 57))
+        out, node = recorded(lambda t: ad.dropout(t, 0.3, named_stream(2, "d")), x)
+        mask = (named_stream(2, "d").random(x.shape) >= 0.3) / (1.0 - 0.3)
+        assert out.data.tobytes() == (x * mask).tobytes()
+        assert node.backward(g)[0].tobytes() == (g * mask).tobytes()
+        held = [c.cell_contents for c in node.backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+        assert [a.dtype for a in held] == [np.dtype(bool)]
+
     def test_outer_product(self):
         out = ad.outer(Tensor([1.0, 2.0]), Tensor([1.0, 2.0])).data
         np.testing.assert_array_equal(out, [[1.0, 2.0], [2.0, 4.0]])
@@ -228,6 +245,34 @@ class TestPerBlockNorm:
         x, ones = Tensor(np.zeros((2, 4, 2))), Tensor(np.ones(2))
         with pytest.raises(ShapeMismatch, match="partition 3 node rows, got 4"):
             ad.per_block_norm(x, ones, ones, ad.RowBlocks([[0, 1], [2]], 3))
+
+
+class TestConv1dWindowMatrix:
+    """``conv1d``, which rebuilds its window matrix on backward, against the
+    form that keeps it alive on the tape."""
+
+    @pytest.mark.parametrize(
+        "x_shape, kernel_shape, stride",
+        [
+            ((8, 1, 120), (8, 1, 7), 2),
+            ((8, 8, 57), (16, 8, 5), 2),
+            ((8, 1, 19110), (8, 1, 7), 2),
+            ((8, 8, 9552), (16, 8, 5), 2),
+            ((2, 40), (3, 2, 4), 2),
+            ((4, 2, 30), (3, 2, 4), 1),
+        ],
+        ids=["acc-train conv0", "acc-train conv1", "196-ROI conv0", "196-ROI conv1", "batchless", "stride 1"],
+    )
+    def test_output_and_gradients_are_bit_identical(self, x_shape, kernel_shape, stride):
+        rng = np.random.default_rng(11)
+        x, kernel = rng.normal(size=x_shape), rng.normal(size=kernel_shape)
+        bias = rng.normal(size=kernel_shape[0])
+        out, node = recorded(lambda *t: ad.conv1d(*t, stride=stride), x, kernel, bias)
+        want, want_backward = conv1d_im2col(x, kernel, bias, stride)
+        assert out.data.tobytes() == want.tobytes()
+        g = rng.normal(size=out.shape)
+        for got, expected in zip(node.backward(g), want_backward(g), strict=True):
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestBackwardSemantics:

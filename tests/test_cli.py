@@ -466,6 +466,26 @@ class TestCliErrors:
         assert capsys.readouterr().err == f"hobnet: error: {bad}: {message}\n"
         assert not (tmp_path / "m.csv").exists()
 
+    def test_a_layer_larger_than_the_file_is_refused_before_it_is_allocated(
+        self, workspace, trained, tmp_path, capsys
+    ):
+        line, payload = trained.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        header["meta"]["level_widths"]["lan"] = 10**15
+        for entry in header["params"]:
+            if entry["name"] == "hgnn.lan.proj.w":
+                entry["shape"][0] = 10**15
+        huge = tmp_path / "huge.ckpt"
+        huge.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+        code = run(
+            "eval", "--ckpt", huge, "--cohort", workspace / "cohort",
+            "--split-plan", workspace / "cohort" / "split_plan.json", "--out", tmp_path / "m.csv",
+        )
+        assert code == 2
+        message = "truncated payload for parameter 'hgnn.lan.proj.w'"
+        assert capsys.readouterr().err == f"hobnet: error: {huge}: {message}\n"
+        assert not (tmp_path / "m.csv").exists()
+
     def eval_of_an_old_checkpoint(self, workspace, trained, tmp_path, capsys, version):
         old = tmp_path / f"v{version}.ckpt"
         as_old_checkpoint(trained, old, version)

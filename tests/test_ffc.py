@@ -1,7 +1,6 @@
 """Fusion head, optimizer, training loop, and checkpoint round trips."""
 
 import json
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,7 +41,7 @@ from hobnet.hgnn import ENCODERS
 from hobnet.layers import initial_values, mlp_layout
 
 from conftest import random_timeseries, toy_hierarchy_4_6_10
-from oracles import as_old_checkpoint, total
+from oracles import as_old_checkpoint, total, traced_peak
 
 SMALL_MODEL = dict(
     hgnn=HgnnConfig(k=2, blocks=2, hidden_dim=4),
@@ -405,12 +404,8 @@ class TestFit:
             hcnn=HcnnConfig(out_dim=16),
             head_hidden=(64,),
         )
-        tracemalloc.start()
-        try:
-            fit(cohort, hierarchy, cfg, TrainConfig(learning_rate=1e-4, epochs=3, seed=7, batch_size=8))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        tc = TrainConfig(learning_rate=1e-4, epochs=3, seed=7, batch_size=8)
+        _, peak, _ = traced_peak(lambda: fit(cohort, hierarchy, cfg, tc))
         assert peak < 150 << 20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_all_branches_disabled_is_an_error(self):
@@ -491,12 +486,7 @@ class TestCheckpoint:
         save_checkpoint(path, result.params, checkpoint_meta(result))
         payload = 8 * result.params.total_size()
         assert payload > 3 << 20
-        tracemalloc.start()
-        try:
-            params = load_fit(path).params
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        params, peak, _ = traced_peak(lambda: load_fit(path).params)
         assert peak < 1.5 * payload, peak / payload
         assert list(params) == list(result.params)
         for name in result.params:

@@ -7,6 +7,7 @@ from hobnet import autodiff as ad
 from hobnet.autodiff import Parameter, Tape, Tensor, backward, finite_difference_check
 from hobnet.connectivity import pearson_fc
 from hobnet.ffc import ModelConfig, build_model_params, parse_toggles
+from hobnet.harness import nested_hierarchy, synth_generate
 from hobnet.hcnn import (
     POOL_BINS,
     HcnnConfig,
@@ -20,7 +21,7 @@ from hobnet.layers import initial_values, mlp_layout
 from hobnet.ffc import ModelParams
 
 from conftest import random_timeseries
-from oracles import bin_means, dr_unflatten
+from oracles import bin_means, dr_unflatten, traced_peak
 
 
 class TestDrFlatten:
@@ -128,6 +129,19 @@ class TestPool:
         pooled = bin_means(h, POOL_BINS).data.reshape(2, -1)
         expected = pooled @ params["hcnn.mlp.l0.w"].data + params["hcnn.mlp.l0.b"].data
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+
+class TestMemory:
+    def test_an_atlas_scale_eval_forward_holds_each_window_matrix_only_for_its_product(self):
+        # 196 ROIs: 19,110 FC entries per subject; the second conv's window
+        # matrix (12.2 MiB for 8 subjects) is freed before its output is copied
+        cohort = synth_generate(8, nested_hierarchy(7, 4, 7), seed=1)
+        fc = dr_flatten(pearson_fc([s.timeseries for s in cohort.subjects]).values)[:, None, :]
+        cfg_hcnn = HcnnConfig()
+        _, params = branch_params(cfg_hcnn, fc_len=fc.shape[-1])
+        out, peak, _ = traced_peak(lambda: hcnn_first_order(params, "hcnn", Tensor(fc), cfg_hcnn))
+        assert out.shape == (8, cfg_hcnn.out_dim)
+        assert peak < 23 << 20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def flatten_channels_by_selectors(x: Tensor) -> Tensor:

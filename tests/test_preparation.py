@@ -8,7 +8,6 @@ from its own cross-product. Every comparison here is of raw bytes, made on
 the batch's per-subject views.
 """
 
-import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -304,12 +303,8 @@ class TestOneStack:
         prepare_cohort(cohort, h, 0.3, subject_ids=cohort.ids()[:1])  # the hierarchy's cached layouts
         above_retained = {}
         for n in (12, 24):
-            tracemalloc.start()
-            try:
-                batch = prepare_cohort(cohort, h, 0.3, subject_ids=cohort.ids()[:n])
-                retained, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            ids = cohort.ids()[:n]
+            batch, peak, retained = oracles.traced_peak(lambda: prepare_cohort(cohort, h, 0.3, subject_ids=ids))
             assert len(batch) == n
             above_retained[n] = (peak - retained) / 2**20
         assert abs(above_retained[24] - above_retained[12]) <= 0.5, above_retained
