@@ -249,11 +249,13 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    out = np.where(mask, x.data, 0.0)
+    """``max(x, 0)``, with ``+0.0`` for every ``x <= 0`` (``-0.0`` too). The
+    backward masks by ``out > 0``, true exactly where ``x > 0``, so the tape
+    keeps no mask beside the output it already holds."""
+    out = np.maximum(x.data, 0.0)
 
     def backward(g: np.ndarray):
-        return (g * mask,)
+        return (g * (out > 0),)
 
     return _record("relu", (x,), out, backward)
 
@@ -300,15 +302,23 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _record("reshape", (x,), out, backward)
 
 
+# bytes of the window matrix conv1d builds at once: a chunk is one subject
+# for either conv at 196 ROIs and a whole batch of 8 at 16 ROIs
+WINDOW_BYTES = 1 << 20
+
+
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """Valid-mode 1-D convolution (sliding dot product, no kernel flip).
 
     ``x`` is ``[channels_in, length]`` or a batch ``[batch, channels_in,
     length]``, ``kernel`` is ``[channels_out, channels_in, k]`` and ``bias``
-    is ``[channels_out]``. Every output position of every input is one row
-    of a window matrix, so the batch runs as one matrix product. The window
-    matrix lives only for the length of that product; backward rebuilds it
-    from ``x`` for the kernel gradient.
+    is ``[channels_out]``. Every output position of an input is one row of a
+    window matrix. The forward builds that matrix for a chunk of inputs at a
+    time, at most ``WINDOW_BYTES`` or one input, and writes each chunk's
+    matrix product straight into the output; backward computes the input
+    gradient in the same chunks. The kernel gradient stays one product over
+    the whole batch's window matrix, rebuilt from ``x``: summed chunk by
+    chunk, it would round differently.
     """
     if stride < 1:
         raise ShapeMismatch(f"conv1d: stride must be >= 1, got {stride}")
@@ -324,29 +334,35 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         raise ShapeMismatch(f"conv1d: kernel size {k} invalid for input length {length}")
     if bias.shape != (c_out,):
         raise ShapeMismatch(f"conv1d: bias shape {bias.shape} incompatible with {c_out} channels")
-    lead = x.shape[:-2]
+    xs = x.data.reshape((-1, c_in, length))
     kd = kernel.data.reshape(c_out, c_in * k)
     n_out = (length - k) // stride + 1
+    size = max(1, WINDOW_BYTES // (8 * n_out * c_in * k))
+    chunks = [slice(start, start + size) for start in range(0, len(xs), size)]
 
-    def window_matrix() -> np.ndarray:
+    def window_matrix(inputs: np.ndarray) -> np.ndarray:
         # rows: (input, output position); columns: (input channel, kernel tap)
-        windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=-1)[..., ::stride, :]
+        windows = np.lib.stride_tricks.sliding_window_view(inputs, k, axis=-1)[..., ::stride, :]
         return np.swapaxes(windows, -3, -2).reshape(-1, c_in * k)
 
-    out = np.ascontiguousarray(np.swapaxes((window_matrix() @ kd.T).reshape(lead + (n_out, c_out)), -1, -2))
+    out = np.empty((len(xs), c_out, n_out))
+    for chunk in chunks:
+        out[chunk] = np.swapaxes((window_matrix(xs[chunk]) @ kd.T).reshape(-1, n_out, c_out), -1, -2)
     out += bias.data[:, None]
 
     def backward(g: np.ndarray):
-        g2 = np.swapaxes(g, -1, -2).reshape(-1, c_out)
-        dk = (g2.T @ window_matrix()).reshape(kernel.shape)
+        g2 = np.swapaxes(g.reshape(-1, c_out, n_out), -1, -2).reshape(-1, c_out)
+        dk = (g2.T @ window_matrix(xs)).reshape(kernel.shape)
         db = g2.sum(axis=0)
-        dcols = np.swapaxes((g2 @ kd).reshape(lead + (n_out, c_in, k)), -3, -2)
-        dx = np.zeros_like(x.data)
-        for j in range(k):
-            dx[..., j : j + stride * (n_out - 1) + 1 : stride] += dcols[..., j]
-        return dx, dk, db
+        dx = np.zeros_like(xs)
+        for chunk in chunks:
+            rows = slice(chunk.start * n_out, chunk.stop * n_out)
+            dcols = np.swapaxes((g2[rows] @ kd).reshape(-1, n_out, c_in, k), -3, -2)
+            for j in range(k):
+                dx[chunk, :, j : j + stride * (n_out - 1) + 1 : stride] += dcols[..., j]
+        return dx.reshape(x.shape), dk, db
 
-    return _record("conv1d", (x, kernel, bias), out, backward)
+    return _record("conv1d", (x, kernel, bias), out.reshape(x.shape[:-2] + (c_out, n_out)), backward)
 
 
 def mean_over_axis(x: Tensor) -> Tensor:

@@ -318,8 +318,8 @@ class SubjectInputs:
         return self.batch.fc_len
 
 
-# subjects per eval-mode forward; at 196 ROIs each adds about 2.6 MiB to
-# the forward's peak
+# subjects per eval-mode forward; at 196 ROIs each adds about 1.2 MiB of
+# conv outputs to the forward's peak (11.4 MiB traced for 8)
 SCORE_BATCH = 8
 
 

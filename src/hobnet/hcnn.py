@@ -87,7 +87,9 @@ def hcnn_first_order(
     h = x
     for i, stride in enumerate(cfg.strides):
         w, b = params[f"{prefix}.conv{i}.w"].value, params[f"{prefix}.conv{i}.b"].value
-        h = ad.relu(ad.conv1d(h, w, b, stride=stride))
+        # without a tape, the conv input is freed before the ReLU makes its output
+        h = ad.conv1d(h, w, b, stride=stride)
+        h = ad.relu(h)
         if train is not None:
             h = ad.dropout(h, *train)
     if h.shape[-1] > POOL_BINS:

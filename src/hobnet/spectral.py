@@ -32,9 +32,13 @@ class GraphLaplacian:
     @property
     def rescaled(self) -> np.ndarray:
         """``(2 / lambda_max) L - I``, spectrum in [-1, 1]; built on each read,
-        so a prepared stack holds one matrix per graph, not two."""
+        so a prepared stack holds one matrix per graph, not two. A read makes
+        one array: the identity comes off its diagonal in place."""
         scale = 2.0 / np.asarray(self.lambda_max)[..., None, None]
-        return scale * self.laplacian - np.eye(self.laplacian.shape[-1])
+        out = scale * self.laplacian
+        diag = np.arange(out.shape[-1])
+        out[..., diag, diag] -= 1.0
+        return out
 
 
 def _checked_adjacency(adjacency: np.ndarray) -> np.ndarray:

@@ -237,6 +237,13 @@ def adam_step_per_parameter(params, state, lr: float) -> None:
             xs -= step
 
 
+def relu_where(x):
+    """``ad.relu`` on arrays in its mask form: the output ``np.where(x > 0,
+    x, 0.0)`` and ``g -> (g * mask,)``, the bool mask kept for the backward."""
+    mask = x > 0
+    return np.where(mask, x, 0.0), lambda g: (g * mask,)
+
+
 def conv1d_im2col(x, kernel, bias, stride=1):
     """``ad.conv1d`` on arrays, with its window matrix built once and kept
     alive in the backward closure: the output and ``g -> (dx, dk, db)``."""
@@ -260,6 +267,12 @@ def conv1d_im2col(x, kernel, bias, stride=1):
         return dx, dk, db
 
     return out, backward
+
+
+def rescaled_two_arrays(lap: GraphLaplacian) -> np.ndarray:
+    """``GraphLaplacian.rescaled`` as a scaled copy minus a full identity."""
+    scale = 2.0 / np.asarray(lap.lambda_max)[..., None, None]
+    return scale * lap.laplacian - np.eye(lap.laplacian.shape[-1])
 
 
 def per_block_norm_loop(x, gain, shift, blocks, g):

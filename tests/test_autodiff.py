@@ -16,7 +16,7 @@ from hobnet.autodiff import (
 )
 from hobnet.rng import named_stream
 
-from oracles import bin_means, conv1d_im2col, per_block_norm_loop, total
+from oracles import bin_means, conv1d_im2col, per_block_norm_loop, relu_where, total
 
 
 def scalar_loss(out: Tensor, weight: np.ndarray) -> Tensor:
@@ -247,6 +247,19 @@ class TestPerBlockNorm:
             ad.per_block_norm(x, ones, ones, ad.RowBlocks([[0, 1], [2]], 3))
 
 
+def assert_conv1d_matches_im2col(rng, x_shape, kernel_shape, stride):
+    """``conv1d``'s output and gradients on random inputs are byte-equal to
+    the form that keeps its window matrix."""
+    x, kernel = rng.normal(size=x_shape), rng.normal(size=kernel_shape)
+    bias = rng.normal(size=kernel_shape[0])
+    out, node = recorded(lambda *t: ad.conv1d(*t, stride=stride), x, kernel, bias)
+    want, want_backward = conv1d_im2col(x, kernel, bias, stride)
+    assert out.data.tobytes() == want.tobytes()
+    g = rng.normal(size=out.shape)
+    for got, expected in zip(node.backward(g), want_backward(g), strict=True):
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestConv1dWindowMatrix:
     """``conv1d``, which rebuilds its window matrix on backward, against the
     form that keeps it alive on the tape."""
@@ -260,19 +273,52 @@ class TestConv1dWindowMatrix:
             ((8, 8, 9552), (16, 8, 5), 2),
             ((2, 40), (3, 2, 4), 2),
             ((4, 2, 30), (3, 2, 4), 1),
+            ((5, 1, 12000), (8, 1, 7), 2),
+            ((3, 8, 7000), (16, 8, 5), 2),
+            ((1, 40000), (8, 1, 7), 2),
         ],
-        ids=["acc-train conv0", "acc-train conv1", "196-ROI conv0", "196-ROI conv1", "batchless", "stride 1"],
+        ids=[
+            "acc-train conv0", "acc-train conv1", "196-ROI conv0", "196-ROI conv1", "batchless", "stride 1",
+            "chunks of 3 and 2", "one subject over the window budget", "batchless over the window budget",
+        ],
     )
     def test_output_and_gradients_are_bit_identical(self, x_shape, kernel_shape, stride):
-        rng = np.random.default_rng(11)
-        x, kernel = rng.normal(size=x_shape), rng.normal(size=kernel_shape)
-        bias = rng.normal(size=kernel_shape[0])
-        out, node = recorded(lambda *t: ad.conv1d(*t, stride=stride), x, kernel, bias)
-        want, want_backward = conv1d_im2col(x, kernel, bias, stride)
+        assert_conv1d_matches_im2col(np.random.default_rng(11), x_shape, kernel_shape, stride)
+
+    def test_the_chunked_cases_split_as_named(self):
+        # one subject's window matrix is 8 bytes x output positions x (c_in * k)
+        assert ad.WINDOW_BYTES // (8 * 5997 * 7) == 3
+        assert 8 * 3498 * 40 > ad.WINDOW_BYTES and 8 * 19997 * 7 > ad.WINDOW_BYTES
+        assert ad.WINDOW_BYTES // (8 * 27 * 40) >= 8
+
+    # one subject's window is 8 x 23 x 15 = 2760 bytes: chunks of 1, 2 and 3
+    @pytest.mark.parametrize("budget", [1, 6000, 9000])
+    def test_any_window_budget_gives_the_same_bytes(self, monkeypatch, budget):
+        monkeypatch.setattr(ad, "WINDOW_BYTES", budget)
+        assert_conv1d_matches_im2col(np.random.default_rng(12), (7, 3, 50), (4, 3, 5), 2)
+
+
+class TestReluWithoutMask:
+    """``relu``, which reads its backward mask off its output, against the
+    ``np.where`` form that keeps a bool mask."""
+
+    def test_output_and_gradient_are_bit_identical_at_signed_zeros_and_extremes(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = [-0.0, 0.0, tiny, -tiny, 1e-310, -1e-310, 1e308, -1e308, 1.0, -1.0]
+        rng = np.random.default_rng(13)
+        x = np.concatenate([special, rng.normal(size=246)]).reshape(4, 64)
+        g = rng.normal(size=x.shape)
+        g[:, :10] = -1.0  # a zeroed negative gradient keeps the sign of zero
+        out, node = recorded(ad.relu, x)
+        want, want_backward = relu_where(x)
         assert out.data.tobytes() == want.tobytes()
-        g = rng.normal(size=out.shape)
-        for got, expected in zip(node.backward(g), want_backward(g), strict=True):
-            assert got.tobytes() == expected.tobytes()
+        assert node.backward(g)[0].tobytes() == want_backward(g)[0].tobytes()
+
+    def test_the_backward_holds_no_array_but_the_output(self):
+        x = np.random.default_rng(14).normal(size=(8, 16, 57))
+        _, node = recorded(ad.relu, x)
+        held = [c.cell_contents for c in node.backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+        assert len(held) == 1 and held[0] is node.output.data
 
 
 class TestBackwardSemantics:

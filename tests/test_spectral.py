@@ -6,7 +6,7 @@ import pytest
 from hobnet.autodiff import Parameter, Tape, Tensor, backward
 from hobnet.spectral import SpectralError, cheb_apply, first_order_propagation, normalized_laplacian
 
-from oracles import block_diagonal, spectral_filter_exact, total
+from oracles import block_diagonal, rescaled_two_arrays, spectral_filter_exact, total
 
 
 def random_graph(m, seed, density=0.5):
@@ -49,6 +49,12 @@ class TestNormalizedLaplacian:
             eigvals = np.linalg.eigvalsh(lap.rescaled)
             assert eigvals.min() >= -1.0 - 1e-9
             assert eigvals.max() <= 1.0 + 1e-9
+
+    def test_rescaled_is_byte_identical_to_the_two_array_form(self):
+        stack = normalized_laplacian(np.stack([random_graph(196, seed) for seed in range(8)]))
+        one = normalized_laplacian(random_graph(12, 9))
+        for lap in (stack, one):
+            assert lap.rescaled.tobytes() == rescaled_two_arrays(lap).tobytes()
 
     def test_lambda_max_matches_eigh(self):
         graphs = [random_graph(m, seed, density) for seed, (m, density) in
