@@ -427,8 +427,7 @@ class RowBlocks(Sequence):
     The layout is ``[..., blocks, size, features]``: a reshape when the
     blocks are equal-sized runs in row order (every level of a nested
     hierarchy), else a gather into zero-padded rows of the longest block's
-    size. Built once per partition; a list of index arrays passed to
-    ``per_block_norm`` is made into one on each call.
+    size. Built once per partition.
     """
 
     def __init__(self, blocks: Sequence, m: int):
@@ -477,17 +476,17 @@ class RowBlocks(Sequence):
         return flat if self.rows is None else flat[..., self.rows, :]
 
 
-def per_block_norm(x: Tensor, gain: Tensor, shift: Tensor, blocks: Sequence[np.ndarray]) -> Tensor:
+def per_block_norm(x: Tensor, gain: Tensor, shift: Tensor, blocks: RowBlocks) -> Tensor:
     """Normalize features over the node rows of each block independently.
 
     ``x`` is ``[nodes, features]`` or a batch ``[batch, nodes, features]``;
-    ``blocks`` partitions the node rows, as a ``RowBlocks`` or a list of
-    index arrays. Statistics (mean, biased variance) are taken per matrix,
-    per block and per feature column, then a learnable per-feature affine
-    ``gain * xhat + shift`` is applied. Cross-block statistics are never
-    mixed, which preserves the block-diagonal locality of the composite
-    graphs. Every block's statistics come from one sum over the padded
-    layout, row by row in block order as a per-block ``mean``/``var`` sums.
+    ``blocks`` partitions the node rows. Statistics (mean, biased variance)
+    are taken per matrix, per block and per feature column, then a
+    learnable per-feature affine ``gain * xhat + shift`` is applied.
+    Cross-block statistics are never mixed, which preserves the
+    block-diagonal locality of the composite graphs. Every block's
+    statistics come from one sum over the padded layout, row by row in
+    block order as a per-block ``mean``/``var`` sums.
     """
     if x.ndim not in (2, 3):
         raise ShapeMismatch(f"per-block-norm expects [..., nodes, features], got {x.shape}")
@@ -496,26 +495,25 @@ def per_block_norm(x: Tensor, gain: Tensor, shift: Tensor, blocks: Sequence[np.n
         raise ShapeMismatch(
             f"per-block-norm: gain/shift must have shape ({d},), got {gain.shape} and {shift.shape}"
         )
-    plan = blocks if isinstance(blocks, RowBlocks) else RowBlocks(blocks, m)
-    if plan.m != m:
-        raise ShapeMismatch(f"per-block-norm: blocks partition {plan.m} node rows, got {m}")
+    if blocks.m != m:
+        raise ShapeMismatch(f"per-block-norm: blocks partition {blocks.m} node rows, got {m}")
 
-    dev = plan.pad(x.data)
-    dev = dev - dev.sum(axis=-2, keepdims=True) / plan.counts
-    if plan.mask is not None:
-        dev *= plan.mask
-    inv_std = 1.0 / np.sqrt((dev * dev).sum(axis=-2, keepdims=True) / plan.counts + 1e-5)
+    dev = blocks.pad(x.data)
+    dev = dev - dev.sum(axis=-2, keepdims=True) / blocks.counts
+    if blocks.mask is not None:
+        dev *= blocks.mask
+    inv_std = 1.0 / np.sqrt((dev * dev).sum(axis=-2, keepdims=True) / blocks.counts + 1e-5)
     xhat_p = dev * inv_std
-    xhat = plan.unpad(xhat_p)
+    xhat = blocks.unpad(xhat_p)
     out = xhat * gain.data + shift.data
 
     def backward(g: np.ndarray):
         dgain = (g * xhat).reshape(-1, d).sum(axis=0)
         dshift = g.reshape(-1, d).sum(axis=0)
-        gb = plan.pad(g) * gain.data
-        mean_gb = gb.sum(axis=-2, keepdims=True) / plan.counts
-        mean_gbxh = (gb * xhat_p).sum(axis=-2, keepdims=True) / plan.counts
-        return plan.unpad(inv_std * (gb - mean_gb - xhat_p * mean_gbxh)), dgain, dshift
+        gb = blocks.pad(g) * gain.data
+        mean_gb = gb.sum(axis=-2, keepdims=True) / blocks.counts
+        mean_gbxh = (gb * xhat_p).sum(axis=-2, keepdims=True) / blocks.counts
+        return blocks.unpad(inv_std * (gb - mean_gb - xhat_p * mean_gbxh)), dgain, dshift
 
     return _record("per-block-norm", (x, gain, shift), out, backward)
 

@@ -15,7 +15,6 @@ from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import zip_longest
 from pathlib import Path
-from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -194,21 +193,24 @@ def preset_train_config(name: str, seed: int = 0, **overrides) -> TrainConfig:
 
 
 class ModelParams(Mapping):
-    """Name-keyed parameter collection, made from ``(name, values)`` pairs;
-    names are unique by construction."""
+    """Name-keyed parameters whose values share one float64 buffer.
 
-    def __init__(self, arrays: Iterable[tuple[str, np.ndarray]] = ()):
+    Made from ``(name, shape)`` pairs, names unique: ``data`` is one zeroed
+    buffer and each parameter's values are a reshaped view of its slice, in
+    order; ``bounds`` holds the slices' offsets. ``zero_grad`` makes the
+    gradient buffer ``grad`` the same way on first use, and only zeroes it
+    after that, so a model that is only scored holds no gradients.
+    """
+
+    def __init__(self, shapes: Iterable[tuple[str, tuple[int, ...]]] = ()):
+        shapes = list(shapes)
+        self.bounds = np.cumsum([0] + [math.prod(shape) for _, shape in shapes])
+        self.data, self.grad = np.zeros(self.bounds[-1]), None
         self._params: dict[str, Parameter] = {}
-        self._adam: AdamState | None = None  # set by AdamState.for_params
-        for name, values in arrays:
-            self.create(name, values)
-
-    def create(self, name: str, values) -> Parameter:
-        if name in self._params:
-            raise ModelError(f"duplicate parameter name {name!r}")
-        param = Parameter(name, values)
-        self._params[name] = param
-        return param
+        for (name, shape), lo, hi in zip(shapes, self.bounds, self.bounds[1:]):
+            if name in self._params:
+                raise ModelError(f"duplicate parameter name {name!r}")
+            self._params[name] = Parameter(name, self.data[lo:hi].reshape(shape))
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
@@ -219,28 +221,34 @@ class ModelParams(Mapping):
     def __len__(self) -> int:
         return len(self._params)
 
-    def __contains__(self, name) -> bool:
-        return name in self._params
-
     def parameters(self) -> list[Parameter]:
         return list(self._params.values())
 
     def zero_grad(self) -> None:
-        if self._adam is None:
-            for p in self._params.values():
-                p.zero_grad()
-        else:
-            self._adam.attach()
-            self._adam.grad.fill(0.0)
+        if self.grad is not None:
+            self.grad.fill(0.0)
+            return
+        self.grad = np.zeros_like(self.data)
+        for p, lo, hi in zip(self._params.values(), self.bounds, self.bounds[1:]):
+            p.value.grad = self.grad[lo:hi].reshape(p.value.shape)
 
     def release_grads(self) -> None:
-        """Drop every gradient buffer; the next use of one makes it again, zeroed."""
-        self._adam = None
+        """Drop the gradient buffer; the next ``zero_grad`` makes it again."""
+        self.grad = None
         for p in self._params.values():
             p.value.grad = None
 
     def total_size(self) -> int:
-        return sum(p.value.size for p in self._params.values())
+        return self.data.size
+
+    def name_at(self, index: int) -> str:
+        """The name of the parameter that holds entry ``index`` of ``data``."""
+        return list(self._params)[np.searchsorted(self.bounds, index, side="right") - 1]
+
+    def non_finite(self) -> str | None:
+        """The name of the first parameter holding NaN or Inf, if one does."""
+        finite = np.isfinite(self.data)
+        return None if finite.all() else self.name_at(np.argmin(finite))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +399,6 @@ def prepare_stack(
     gammas: dict[str, float] | float,
     labels: Sequence[int],
     encoder: str = "res-cheb",
-    fc_series: Sequence[RoiTimeSeries] | None = None,
 ) -> SubjectBatch:
     """Build the constant model inputs of every subject.
 
@@ -399,24 +406,18 @@ def prepare_stack(
     The Laplacians (or GCN propagations) and FC vectors are allocated at
     the cohort's size and filled chunk by chunk: each chunk's rows are
     thresholded, and their graph matrices and FC vectors built, as stacks.
-    ``fc_series`` lets the Euclidean branch use a different parcellation of
-    the same recordings than the graph hierarchy; by default both branches
-    share the series. Every FC series must have the first one's column
-    count.
     """
-    n = len(connectivity)
+    n, series = len(connectivity), connectivity.series
     if not n:
         raise ModelError("no subjects to prepare")
-    fc_series = connectivity.series if fc_series is None else fc_series
-    for what, count in (("labels", len(labels)), ("FC series", len(fc_series))):
-        if count != n:
-            raise ModelError(f"{count} {what} for {n} subjects; give one per subject")
-    r = fc_columns(fc_series)
+    if len(labels) != n:
+        raise ModelError(f"{len(labels)} labels for {n} subjects; give one per subject")
+    r = fc_columns(series)
     fc = np.empty((n, 1, r * (r - 1) // 2))
     graph = {lv: np.empty_like(stack) for lv, stack in connectivity.levels.items()}
     lambda_max = {lv: np.empty(n) for lv in LEVELS}
     for rows in subject_chunks(n, hierarchy):
-        fc[rows, 0] = dr_flatten(pearson_fc(fc_series[rows]).values)
+        fc[rows, 0] = dr_flatten(pearson_fc(series[rows]).values)
         graphs = build_graph_set({lv: stack[rows] for lv, stack in connectivity.levels.items()}, gammas)
         for lv in LEVELS:
             if encoder == "gcn":
@@ -429,7 +430,7 @@ def prepare_stack(
         lap = None if encoder == "gcn" else GraphLaplacian(graph[lv], lambda_max[lv])
         propagation = graph[lv] if encoder == "gcn" else None
         level_batches[lv] = LevelBatch(connectivity.levels[lv], hierarchy.level_blocks(lv), lap, propagation)
-    ids = [ts.subject_id for ts in connectivity.series]
+    ids = [ts.subject_id for ts in series]
     return SubjectBatch(ids, np.array([int(label) for label in labels]), level_batches, fc)
 
 
@@ -439,12 +440,9 @@ def prepare_subject(
     gammas: dict[str, float] | float,
     label: int = 0,
     encoder: str = "res-cheb",
-    fc_source: RoiTimeSeries | None = None,
 ) -> SubjectBatch:
     """Build the constant model inputs for one subject: a stack of one."""
-    connectivity = CohortConnectivity.build([ts], hierarchy)
-    fc_series = None if fc_source is None else [fc_source]
-    return prepare_stack(connectivity, hierarchy, gammas, [label], encoder, fc_series)
+    return prepare_stack(CohortConnectivity.build([ts], hierarchy), hierarchy, gammas, [label], encoder)
 
 
 def prepare_cohort(
@@ -498,6 +496,15 @@ def param_layout(
     return rows + mlp_layout("head", [cfg.fused_width(), *cfg.head_hidden, 2])
 
 
+def init_params(rows: list[tuple[str, tuple[int, ...], str]], seed: int) -> ModelParams:
+    """The parameters of ``(name, shape, init)`` rows, each initial value
+    drawn from ``seed`` and written into its view."""
+    params = ModelParams((name, shape) for name, shape, _ in rows)
+    for name, values in initial_values(rows, seed):
+        params[name].data[...] = values
+    return params
+
+
 def build_model_params(
     cfg: ModelConfig,
     level_widths: dict[str, int],
@@ -505,7 +512,7 @@ def build_model_params(
     seed: int,
 ) -> ModelParams:
     """Every parameter of ``param_layout``, with initial values drawn from ``seed``."""
-    return ModelParams(initial_values(param_layout(cfg, level_widths, fc_len), seed))
+    return init_params(param_layout(cfg, level_widths, fc_len), seed)
 
 
 def fused_features(
@@ -562,59 +569,12 @@ def score_subjects(params: ModelParams, cfg: ModelConfig, batch: SubjectBatch) -
 
 
 class AdamState:
-    """Adam's step count and moments, over parameters it packs.
+    """Adam's step count ``t`` and its moments ``m`` and ``v`` over
+    ``params``: flat float64 buffers in the layout of ``params.data``."""
 
-    The parameters' values, their gradients and the two moments each live
-    in one contiguous float64 buffer (``data``, ``grad``, ``flat_m``,
-    ``flat_v``), in parameter order; every parameter's ``data`` and
-    ``grad``, and ``m[name]`` and ``v[name]``, are reshaped views of its
-    slice. An array bound in place of a parameter's view
-    (``p.value.grad = ...``) is not lost: ``attach`` copies it into the
-    buffer and binds the view again, a gradient set to None reading as
-    zeros. ``m`` and ``v`` are read-only mappings.
-    """
-
-    def __init__(self, params: list[Parameter]):
+    def __init__(self, params: ModelParams):
         self.params, self.t = params, 0
-        self.names = [p.name for p in params]
-        self.bounds = np.cumsum([0] + [p.value.size for p in params])
-        (self.data, self._data_views), (self.grad, self._grad_views) = self._zeros(), self._zeros()
-        (self.flat_m, m), (self.flat_v, v) = self._zeros(), self._zeros()
-        self.m, self.v = (MappingProxyType(dict(zip(self.names, views))) for views in (m, v))
-        self.attach()
-
-    @classmethod
-    def for_params(cls, params: ModelParams | Iterable[Parameter]) -> "AdamState":
-        """Zeroed moments for ``params``, which it packs; a packed
-        ``ModelParams`` then zeroes its gradients with one fill."""
-        if not isinstance(params, ModelParams):
-            return cls(list(params))
-        params._adam = cls(params.parameters())
-        return params._adam
-
-    def _zeros(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        flat = np.zeros(self.bounds[-1])
-        slices = zip(self.bounds, self.bounds[1:], self.params)
-        return flat, [flat[lo:hi].reshape(p.value.shape) for lo, hi, p in slices]
-
-    def attach(self) -> None:
-        for p, data, grad in zip(self.params, self._data_views, self._grad_views):
-            value = p.value
-            if value.data is not data:
-                value.data = _bind(data, value.data, p.name, "values")
-            if value.grad is not grad:
-                value.grad = _bind(grad, value.grad, p.name, "gradient")
-
-
-def _bind(view: np.ndarray, bound: np.ndarray | None, name: str, what: str) -> np.ndarray:
-    """``view``, holding what ``bound``, the array bound in its place, holds."""
-    if bound is None:
-        view.fill(0.0)
-    elif np.shape(bound) != view.shape:
-        raise ModelError(f"parameter {name!r}: {what} bound with shape {np.shape(bound)}, not {view.shape}")
-    else:
-        view[...] = bound
-    return view
+        self.m, self.v = np.zeros_like(params.data), np.zeros_like(params.data)
 
 
 # entries per slice of an Adam update, so its two scratch arrays stay small
@@ -622,26 +582,21 @@ def _bind(view: np.ndarray, bound: np.ndarray | None, name: str, what: str) -> n
 ADAM_SLICE = 8192
 
 
-def adam_step(
-    params: Iterable[Parameter],
-    state: AdamState,
-    lr: float,
-) -> None:
-    """One bias-corrected Adam update from the parameters' current gradients.
+def adam_step(state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of ``state.params`` from their gradients.
 
-    ``params`` are those ``state`` was made for, in order. The moments and
-    the parameters update in place over the flat buffers, in slices of at
-    most ``ADAM_SLICE`` entries, in the operation order of
+    The moments and the parameters update in place over the flat buffers,
+    in slices of at most ``ADAM_SLICE`` entries, in the operation order of
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
     ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)``.
     """
-    if list(params) != state.params:
-        raise ModelError("adam_step: the parameters are not those its AdamState was made for")
-    state.attach()
+    params = state.params
+    if params.grad is None:
+        raise ModelError("adam_step: no gradients; zero_grad makes them before the backward pass")
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.t += 1
     c1, c2 = 1.0 - beta1**state.t, 1.0 - beta2**state.t
-    x, g, m, v = state.data, state.grad, state.flat_m, state.flat_v
+    x, g, m, v = params.data, params.grad, state.m, state.v
     for r in range(0, x.size, ADAM_SLICE):
         part = slice(r, r + ADAM_SLICE)
         xs, gs, ms, vs = x[part], g[part], m[part], v[part]
@@ -659,9 +614,7 @@ def adam_step(
         denom += eps
         step /= denom
         xs -= step
-    if not np.isfinite(x).all():
-        first = np.flatnonzero(~np.isfinite(x))[0]
-        name = state.names[np.searchsorted(state.bounds, first, side="right") - 1]
+    if (name := params.non_finite()) is not None:
         raise NonFiniteValue(f"parameter {name!r} became non-finite after the update")
 
 
@@ -726,7 +679,7 @@ def fit(
     )
     params = build_model_params(model_cfg, cohort_batch.level_widths, cohort_batch.fc_len, train_cfg.seed)
 
-    state = AdamState.for_params(params)
+    state = AdamState(params)
     train = (train_cfg.dropout, named_stream(train_cfg.seed, "dropout"))
     shuffle_rng = named_stream(train_cfg.seed, "batch-shuffle")
     n = len(cohort_batch)
@@ -743,7 +696,7 @@ def fit(
                 probs = model_forward(params, model_cfg, mini, train=train)
                 batch_loss = loss(probs, mini.labels)
             backward(tape, batch_loss)
-            adam_step(params.parameters(), state, train_cfg.learning_rate)
+            adam_step(state, train_cfg.learning_rate)
             epoch_loss += batch_loss.item() * len(mini.labels)
         trace.append(epoch_loss / n)
     params.release_grads()
@@ -772,7 +725,7 @@ _META_RECORDS = {"gammas": (dict, float), "loss_trace": (list, float), "level_wi
 
 
 def save_checkpoint(path: str | Path, params: ModelParams, meta: dict) -> None:
-    """One JSON header line, then raw little-endian float64 payloads in order."""
+    """One JSON header line, then the values buffer as raw little-endian float64."""
     header = {
         "format": _CHECKPOINT_FORMAT,
         "meta": meta,
@@ -781,8 +734,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, meta: dict) -> None:
     with Path(path).open("wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for p in params.parameters():
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+        fh.write(params.data.astype("<f8", copy=False))
 
 
 def _read_header(fh, path: str | Path) -> tuple[dict, list[tuple[str, tuple[int, ...]]]]:
@@ -809,29 +761,27 @@ def _read_header(fh, path: str | Path) -> tuple[dict, list[tuple[str, tuple[int,
     return header["meta"], list(shapes.items())
 
 
-def _read_payloads(
-    fh, path: str | Path, shapes: list[tuple[str, tuple[int, ...]]]
-) -> list[tuple[str, np.ndarray]]:
-    """Each named float64 array, in order, read straight from its
-    little-endian payload; a short, non-finite or trailing payload is refused.
-    The file's size is checked first, so a header that claims more bytes than
-    follow it allocates nothing."""
+def _read_payloads(fh, path: str | Path, shapes: list[tuple[str, tuple[int, ...]]]) -> ModelParams:
+    """The named parameters, their values read in one pass straight from the
+    little-endian payload into their buffer; a short, non-finite or trailing
+    payload is refused, naming the parameter. The file's size is checked
+    first, so a header that claims more bytes than follow it allocates nothing."""
     left, end = os.fstat(fh.fileno()).st_size - fh.tell(), 0
     for name, shape in shapes:
         end += 8 * math.prod(shape)
         if end > left:
             raise ModelError(f"{path}: truncated payload for parameter {name!r}")
-    arrays = [(name, np.empty(shape)) for name, shape in shapes]
-    for name, values in arrays:
-        if fh.readinto(values.reshape(-1).view(np.uint8)) != values.nbytes:
-            raise ModelError(f"{path}: truncated payload for parameter {name!r}")
-        if sys.byteorder == "big":  # the payloads are "<f8"
-            values.byteswap(inplace=True)
-        if not np.isfinite(values).all():
-            raise ModelError(f"{path}: parameter {name!r} holds NaN or Inf values")
+    params = ModelParams(shapes)
+    read = fh.readinto(params.data.view(np.uint8))
+    if read != params.data.nbytes:
+        raise ModelError(f"{path}: truncated payload for parameter {params.name_at(read // 8)!r}")
+    if sys.byteorder == "big":  # the payload is "<f8"
+        params.data.byteswap(inplace=True)
+    if (name := params.non_finite()) is not None:
+        raise ModelError(f"{path}: parameter {name!r} holds NaN or Inf values")
     if fh.read(1):
         raise ModelError(f"{path}: trailing bytes after final parameter")
-    return arrays
+    return params
 
 
 def checkpoint_meta(result: FitResult) -> dict:
@@ -844,8 +794,8 @@ def checkpoint_meta(result: FitResult) -> dict:
 
 def load_fit(path: str | Path) -> FitResult:
     """Inverse of ``save_checkpoint(path, result.params, checkpoint_meta(result))``:
-    the header must list ``param_layout`` of the checked meta, and each payload
-    is read once, straight into its parameter's array; no value is drawn."""
+    the header must list ``param_layout`` of the checked meta, and the payload
+    is read once, straight into the values buffer; no value is drawn."""
     with Path(path).open("rb") as fh:
         meta, shapes = _read_header(fh, path)
         try:
@@ -871,6 +821,5 @@ def load_fit(path: str | Path) -> FitResult:
                 raise ModelError(
                     f"{path}: checkpoint parameter {got} does not match {want} built from its config"
                 )
-        arrays = _read_payloads(fh, path, shapes)
-    params = ModelParams(arrays)  # after the reads: a Tensor refuses what np.empty may hold
+        params = _read_payloads(fh, path, shapes)
     return FitResult(params, config, train_config, source=str(path), **{key: meta[key] for key in _META_RECORDS})

@@ -25,8 +25,9 @@ from .ffc import (
     adam_step,
     eval_batches,
     fused_features,
+    init_params,
 )
-from .layers import initial_values, mlp_forward, mlp_layout
+from .layers import mlp_forward, mlp_layout
 from .spectral import first_order_propagation
 
 
@@ -131,7 +132,7 @@ def standardize_phenotypes(records: Sequence[PhenotypeRecord]) -> np.ndarray:
 
 def build_phenotype_encoder(n_features: int, seed: int) -> ModelParams:
     """Shared-weight encoder applied to every subject's phenotype vector."""
-    return ModelParams(initial_values(mlp_layout("phenotype", [n_features, 16, 8]), seed))
+    return init_params(mlp_layout("phenotype", [n_features, 16, 8]), seed)
 
 
 def weight_matrix(records: Sequence[PhenotypeRecord], encoder: ModelParams) -> np.ndarray:
@@ -204,7 +205,7 @@ def population_adjacency(
 
 def build_population_head(embed_dim: int, seed: int) -> ModelParams:
     rows = [("gcn.w", (embed_dim, GCN_DIM), "glorot"), *mlp_layout("head", [GCN_DIM, HEAD_HIDDEN, 2])]
-    return ModelParams(initial_values(rows, seed))
+    return init_params(rows, seed)
 
 
 def gcn_classify(
@@ -245,7 +246,7 @@ def train_population_head(
     if train_index.size == 0:
         raise PopulationError("no labeled subjects to train on")
     head = build_population_head(y.shape[1], seed)
-    state = AdamState.for_params(head)
+    state = AdamState(head)
     # the propagation has no parameter and the head works row by row
     mixed_train = (first_order_propagation(adjacency) @ y)[train_index]
     trace = []
@@ -254,6 +255,6 @@ def train_population_head(
         with Tape() as tape:
             ce = ad.cross_entropy(head_forward(mixed_train, head), labels[train_index])
         backward(tape, ce)
-        adam_step(head.parameters(), state, lr)
+        adam_step(state, lr)
         trace.append(ce.item())
     return PopulationResult(head=head, adjacency=adjacency, loss_trace=trace)

@@ -1,9 +1,10 @@
-"""Shared builders for hierarchies and synthetic time series."""
+"""Shared builders for hierarchies, synthetic time series and parameters."""
 
 import numpy as np
 import pytest
 
 from hobnet.connectivity import AtlasHierarchy, RoiTimeSeries
+from hobnet.ffc import ModelParams
 from hobnet.harness import nested_hierarchy as _nested_hierarchy
 
 
@@ -33,6 +34,15 @@ def random_timeseries(n_rois: int, n_timepoints: int = 40, seed: int = 0, names=
         samples=rng.normal(size=(n_timepoints, n_rois)),
         roi_names=names or [f"r{i}" for i in range(n_rois)],
     )
+
+
+def params_of(values: dict) -> ModelParams:
+    """A ``ModelParams`` holding each named array, in the dict's order."""
+    arrays = {name: np.asarray(v, dtype=np.float64) for name, v in values.items()}
+    params = ModelParams((name, a.shape) for name, a in arrays.items())
+    for name, a in arrays.items():
+        params[name].data[...] = a
+    return params
 
 
 @pytest.fixture

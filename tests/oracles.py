@@ -185,12 +185,12 @@ def subject_batch_loss(params, cfg, subs, train=None) -> Tensor:
     return ad.scale(total_loss, 1.0 / len(subs))
 
 
-def adam_step(params, state, lr: float) -> None:
+def adam_step(state, lr: float) -> None:
     """One bias-corrected Adam update, one temporary array per operation."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.t += 1
     t = state.t
-    for p in params:
+    for p in state.params.parameters():
         g = p.grad
         m = state.m[p.name] = beta1 * state.m[p.name] + (1.0 - beta1) * g
         v = state.v[p.name] = beta2 * state.v[p.name] + (1.0 - beta2) * g * g
@@ -200,23 +200,23 @@ def adam_step(params, state, lr: float) -> None:
 
 
 def per_parameter_adam_state(params) -> SimpleNamespace:
-    """``AdamState.for_params`` without packing: zeroed moments of each
-    parameter's own shape, and the parameters left as they are."""
-    params = params.parameters() if hasattr(params, "parameters") else list(params)
+    """``AdamState(params)`` with a moment array of each parameter's own
+    shape in place of the flat ones, keyed by name."""
     return SimpleNamespace(
+        params=params,
         t=0,
-        m={p.name: np.zeros_like(p.data) for p in params},
-        v={p.name: np.zeros_like(p.data) for p in params},
+        m={name: np.zeros_like(params[name].data) for name in params},
+        v={name: np.zeros_like(params[name].data) for name in params},
     )
 
 
-def adam_step_per_parameter(params, state, lr: float) -> None:
+def adam_step_per_parameter(state, lr: float) -> None:
     """The in-place Adam update run parameter by parameter, in slices of
     ``ADAM_SLICE`` entries along each parameter's first axis."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.t += 1
     c1, c2 = 1.0 - beta1**state.t, 1.0 - beta2**state.t
-    for p in params:
+    for p in state.params.parameters():
         x, g, m, v = p.value.data, p.grad, state.m[p.name], state.v[p.name]
         rows = max(1, ADAM_SLICE // x[0].size)
         for r in range(0, len(x), rows):
@@ -411,7 +411,7 @@ def pearson_fc(ts) -> np.ndarray:
     return corr
 
 
-def prepare_subject(ts, hierarchy, gammas, label=0, encoder="res-cheb", fc_source=None):
+def prepare_subject(ts, hierarchy, gammas, label=0, encoder="res-cheb"):
     """One subject's model inputs, each level built from its own cross-product,
     with the fields of a prepared subject's view."""
     levels = {}
@@ -426,7 +426,7 @@ def prepare_subject(ts, hierarchy, gammas, label=0, encoder="res-cheb", fc_sourc
             lap=None if encoder == "gcn" else normalized_laplacian(adjacency),
             propagation=first_order_propagation(adjacency) if encoder == "gcn" else None,
         )
-    fc = pearson_fc(fc_source if fc_source is not None else ts)
+    fc = pearson_fc(ts)
     rows, cols = np.triu_indices(fc.shape[0], k=1)
     return SimpleNamespace(
         subject_id=ts.subject_id,

@@ -15,6 +15,7 @@ from hobnet.autodiff import Tensor, finite_difference_check
 from hobnet.cli import main as cli_main
 from hobnet.connectivity import (
     LEVELS,
+    pearson_fc,
     rv_coefficient,
     select_cutoff,
     write_hierarchy_json,
@@ -47,6 +48,7 @@ from hobnet.harness import (
     synth_generate,
     write_metrics_csv,
 )
+from hobnet.hcnn import dr_flatten
 from hobnet.hgnn import afm_weights, level_encoder
 from hobnet.population import (
     build_phenotype_encoder,
@@ -109,7 +111,9 @@ class TestCriterion1GradientCorrectness:
         hierarchy = toy_hierarchy_4_6_10()
         ts = random_timeseries(10, n_timepoints=80, seed=41, names=hierarchy.rois)
         fc_ts = random_timeseries(12, n_timepoints=80, seed=42)
-        batch = prepare_subject(ts, hierarchy, gammas=0.3, label=1, fc_source=fc_ts)
+        batch = replace(
+            prepare_subject(ts, hierarchy, 0.3, label=1), fc_input=dr_flatten(pearson_fc([fc_ts]).values)[:, None]
+        )
         sub = batch[0]
         cfg = ModelConfig(
             toggles=parse_toggles("HGNN+HCNN"),

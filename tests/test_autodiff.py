@@ -177,7 +177,8 @@ class TestPrimitiveExamples:
 
     def test_per_block_norm_zero_input_gives_shift(self):
         x = Tensor(np.zeros((4, 3)))
-        out = ad.per_block_norm(x, Tensor(np.ones(3)), Tensor([1.0, 2.0, 3.0]), [np.arange(4)])
+        blocks = ad.RowBlocks([np.arange(4)], 4)
+        out = ad.per_block_norm(x, Tensor(np.ones(3)), Tensor([1.0, 2.0, 3.0]), blocks)
         np.testing.assert_array_equal(out.data, np.tile([1.0, 2.0, 3.0], (4, 1)))
 
 
@@ -204,15 +205,14 @@ class TestPerBlockNorm:
         gain, shift = 1.0 + 0.1 * rng.normal(size=16), rng.normal(size=16)
         g = rng.normal(size=x.shape)
         want = per_block_norm_loop(x, gain, shift, blocks, g)
-        for plan in (blocks, ad.RowBlocks(blocks, m)):
-            params = [Parameter(n, v) for n, v in (("x", x), ("gain", gain), ("shift", shift))]
-            with Tape() as tape:
-                out = ad.per_block_norm(*(p.value for p in params), blocks=plan)
-                loss = scalar_loss(out, g)
-            backward(tape, loss)
-            got = [out.data] + [p.grad for p in params]
-            for a, b in zip(got, want):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        params = [Parameter(n, v) for n, v in (("x", x), ("gain", gain), ("shift", shift))]
+        with Tape() as tape:
+            out = ad.per_block_norm(*(p.value for p in params), blocks=ad.RowBlocks(blocks, m))
+            loss = scalar_loss(out, g)
+        backward(tape, loss)
+        got = [out.data] + [p.grad for p in params]
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_finite_differences_on_a_batch_of_unequal_blocks(self):
         rng = np.random.default_rng(3)
@@ -237,9 +237,8 @@ class TestPerBlockNorm:
         ids=["repeated row", "overlapping blocks", "out of range", "missing row"],
     )
     def test_blocks_that_do_not_partition_the_rows_are_refused(self, blocks, message):
-        x, ones = Tensor(np.arange(6.0).reshape(3, 2)), Tensor(np.ones(2))
         with pytest.raises(ShapeMismatch, match=message):
-            ad.per_block_norm(x, ones, ones, blocks)
+            ad.RowBlocks(blocks, 3)
 
     def test_a_partition_of_other_rows_is_refused(self):
         x, ones = Tensor(np.zeros((2, 4, 2))), Tensor(np.ones(2))
@@ -499,7 +498,7 @@ class TestPrimitiveGradients:
         x = Parameter("x", self.rng.normal(size=(7, 3)))
         g = Parameter("g", 1.0 + 0.1 * self.rng.normal(size=3))
         s = Parameter("s", 0.1 * self.rng.normal(size=3))
-        blocks = [np.array([0, 1, 2]), np.array([3, 4, 5, 6])]
+        blocks = ad.RowBlocks([np.array([0, 1, 2]), np.array([3, 4, 5, 6])], 7)
         w = self.weight((7, 3))
         fd_over_all_entries(
             lambda: scalar_loss(ad.per_block_norm(x.value, g.value, s.value, blocks=blocks), w),
@@ -569,7 +568,7 @@ class TestFiniteDifferenceChecker:
 
 
 # (name, op, operand shapes without the batch axis, whether each operand is stacked)
-BLOCKS = [np.array([0, 1, 2]), np.array([3, 4, 5, 6])]
+BLOCKS = ad.RowBlocks([np.array([0, 1, 2]), np.array([3, 4, 5, 6])], 7)
 BATCHED_FORMS = [
     ("matmul-shared-matrix", ad.matmul, [(4, 5), (5, 2)], [True, False]),
     ("matmul-shared-vector", ad.matmul, [(4, 5), (5,)], [True, False]),

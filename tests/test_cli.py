@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import shutil
 from dataclasses import replace
 
@@ -337,23 +338,51 @@ class TestCliErrors:
         assert err.startswith("hobnet: error: ") and "not in the cohort (first 's9999')" in err
         assert err.count("\n") == 1
 
-    def test_nan_weight_in_checkpoint_gives_one_line_and_exit_2(
-        self, workspace, trained, tmp_path, capsys
-    ):
+    @staticmethod
+    def damaged_payload_error(workspace, trained, tmp_path, capsys, damage) -> tuple[str, list[dict]]:
+        """The error line of ``eval`` on ``trained`` with its payload passed
+        through ``damage(payload, params)``, and the header's parameters."""
         header, payload = trained.read_bytes().split(b"\n", 1)
-        nan_ckpt = tmp_path / "nan.ckpt"
-        nan = np.array([np.nan], dtype="<f8").tobytes()
-        nan_ckpt.write_bytes(header + b"\n" + nan + payload[len(nan):])
+        params = json.loads(header)["params"]
+        bad_ckpt = tmp_path / "bad.ckpt"
+        bad_ckpt.write_bytes(header + b"\n" + damage(payload, params))
         code = run(
-            "eval", "--ckpt", nan_ckpt, "--cohort", workspace / "cohort",
+            "eval", "--ckpt", bad_ckpt, "--cohort", workspace / "cohort",
             "--split-plan", workspace / "cohort" / "split_plan.json", "--out", tmp_path / "m.csv",
         )
         assert code == 2
         err = capsys.readouterr().err
-        first = json.loads(header)["params"][0]["name"]
-        assert err.startswith("hobnet: error: ") and "NaN or Inf" in err
-        assert "nan.ckpt" in err and repr(first) in err
+        assert err.startswith("hobnet: error: ") and "bad.ckpt" in err
         assert err.count("\n") == 1
+        return err, params
+
+    @staticmethod
+    def payload_offset(params, index: int) -> int:
+        """The byte offset of parameter ``index``'s first value in the payload."""
+        return 8 * sum(math.prod(p["shape"]) for p in params[:index])
+
+    @pytest.mark.parametrize("which", ["first", "middle", "last"])
+    def test_nan_weight_in_checkpoint_gives_one_line_and_exit_2(
+        self, workspace, trained, tmp_path, capsys, which
+    ):
+        nan = np.array([np.nan], dtype="<f8").tobytes()
+
+        def damage(payload, params):
+            # the first parameter's first value, the middle one's first, the last one's last
+            at = {"first": 0, "middle": self.payload_offset(params, len(params) // 2),
+                  "last": len(payload) - 8}[which]
+            return payload[:at] + nan + payload[at + 8 :]
+
+        err, params = self.damaged_payload_error(workspace, trained, tmp_path, capsys, damage)
+        name = params[{"first": 0, "middle": len(params) // 2, "last": -1}[which]]["name"]
+        assert f"parameter {name!r} holds NaN or Inf values" in err
+
+    def test_payload_truncated_in_a_later_parameter_names_it(self, workspace, trained, tmp_path, capsys):
+        def damage(payload, params):
+            return payload[: self.payload_offset(params, len(params) // 2) + 8]
+
+        err, params = self.damaged_payload_error(workspace, trained, tmp_path, capsys, damage)
+        assert f"truncated payload for parameter {params[len(params) // 2]['name']!r}" in err
 
     @pytest.mark.parametrize(
         "damage",

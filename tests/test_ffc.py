@@ -1,13 +1,14 @@
 """Fusion head, optimizer, training loop, and checkpoint round trips."""
 
+import dataclasses
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hobnet import autodiff as ad
-from hobnet.autodiff import Parameter, Tape, Tensor, backward
+from hobnet.autodiff import Tape, Tensor, backward
+from hobnet.connectivity import pearson_fc
 from hobnet.ffc import (
     ADAM_SLICE,
     AdamState,
@@ -17,13 +18,13 @@ from hobnet.ffc import (
     HgnnConfig,
     ModelConfig,
     ModelError,
-    ModelParams,
     TOGGLES,
     TrainConfig,
     adam_step,
     build_model_params,
     checkpoint_meta,
     fit,
+    init_params,
     load_fit,
     loss,
     model_forward,
@@ -37,10 +38,11 @@ from hobnet.ffc import (
     select_cohort_gammas,
 )
 from hobnet.harness import nested_hierarchy, synth_generate
+from hobnet.hcnn import dr_flatten
 from hobnet.hgnn import ENCODERS
-from hobnet.layers import initial_values, mlp_layout
+from hobnet.layers import mlp_layout
 
-from conftest import random_timeseries, toy_hierarchy_4_6_10
+from conftest import params_of, random_timeseries, toy_hierarchy_4_6_10
 from oracles import as_old_checkpoint, total, traced_peak
 
 SMALL_MODEL = dict(
@@ -89,7 +91,7 @@ class TestToggles:
 
 class TestPredict:
     def head_store(self, width, zero=False, seed=0):
-        store = ModelParams(initial_values(mlp_layout("head", [width, 4, 2]), seed))
+        store = init_params(mlp_layout("head", [width, 4, 2]), seed)
         if zero:
             for p in store.parameters():
                 p.value.data[:] = 0.0
@@ -101,9 +103,7 @@ class TestPredict:
         np.testing.assert_allclose(probs.data, [0.5, 0.5], atol=1e-15)
 
     def test_saturated_logits(self):
-        store = ModelParams()
-        store.create("head.l0.w", np.array([[40.0, -40.0]]))
-        store.create("head.l0.b", np.zeros(2))
+        store = params_of({"head.l0.w": [[40.0, -40.0]], "head.l0.b": np.zeros(2)})
         probs = predict(Tensor([1.0]), store).data
         assert probs[0] > 1.0 - 1e-12 and probs[1] < 1e-12
 
@@ -147,53 +147,67 @@ class TestLoss:
             assert loss(Tensor([1 - p, p]), [y]).item() >= 0.0
 
 
+def moments(state, params) -> list[bytes]:
+    """The bytes of an Adam state's two moments in ``params.data``'s layout,
+    whether it keeps them flat or by parameter name."""
+    flat = [m if isinstance(m, np.ndarray) else np.concatenate([m[name].ravel() for name in params])
+            for m in (state.m, state.v)]
+    return [m.tobytes() for m in flat]
+
+
+def single_weight(values, grad=None):
+    """A ``ModelParams`` of one parameter ``w``, its gradient set when given."""
+    params = params_of({"w": values})
+    params.zero_grad()
+    if grad is not None:
+        params.grad[:] = grad
+    return params
+
+
 class TestAdam:
     def test_first_step_moves_by_learning_rate(self):
-        p = Parameter("w", [1.0])
-        p.value.grad = np.array([0.5])
-        state = AdamState.for_params([p])
-        adam_step([p], state, lr=1e-4)
-        assert p.data[0] == pytest.approx(0.9999, abs=1e-8)
+        params = single_weight([1.0], grad=0.5)
+        adam_step(AdamState(params), lr=1e-4)
+        assert params["w"].data[0] == pytest.approx(0.9999, abs=1e-8)
 
     def test_zero_gradient_is_identity(self):
-        p = Parameter("w", [2.5, -1.0])
-        state = AdamState.for_params([p])
-        adam_step([p], state, lr=0.1)
-        np.testing.assert_array_equal(p.data, [2.5, -1.0])
+        params = single_weight([2.5, -1.0])
+        adam_step(AdamState(params), lr=0.1)
+        np.testing.assert_array_equal(params["w"].data, [2.5, -1.0])
 
     def test_zero_learning_rate_is_identity(self):
-        p = Parameter("w", [3.0])
-        p.value.grad = np.array([7.0])
-        state = AdamState.for_params([p])
-        adam_step([p], state, lr=0.0)
-        np.testing.assert_array_equal(p.data, [3.0])
+        params = single_weight([3.0], grad=7.0)
+        adam_step(AdamState(params), lr=0.0)
+        np.testing.assert_array_equal(params["w"].data, [3.0])
 
     def test_descent_on_quadratic(self):
-        p = Parameter("w", [1.0])
-        state = AdamState.for_params([p])
+        params = params_of({"w": [1.0]})
+        p, state = params["w"], AdamState(params)
         values = []
         for _ in range(2):
-            p.zero_grad()
+            params.zero_grad()
             with Tape() as tape:
                 out = total(ad.hadamard(p.value, p.value))
             values.append(out.item())
             backward(tape, out)
-            adam_step([p], state, lr=0.01)
+            adam_step(state, lr=0.01)
         final = p.data[0] ** 2
         assert final < values[0]
 
     def test_moment_state_decays_as_specified(self):
-        p = Parameter("w", [0.0])
-        state = AdamState.for_params([p])
-        p.value.grad = np.array([1.0])
-        adam_step([p], state, lr=0.0)
-        np.testing.assert_allclose(state.m["w"], [0.1], atol=1e-15)
-        np.testing.assert_allclose(state.v["w"], [0.001], atol=1e-15)
-        p.value.grad = np.array([0.0])
-        adam_step([p], state, lr=0.0)
-        np.testing.assert_allclose(state.m["w"], [0.09], atol=1e-15)
-        np.testing.assert_allclose(state.v["w"], [0.000999], atol=1e-15)
+        params = single_weight([0.0], grad=1.0)
+        state = AdamState(params)
+        adam_step(state, lr=0.0)
+        np.testing.assert_allclose(state.m, [0.1], atol=1e-15)
+        np.testing.assert_allclose(state.v, [0.001], atol=1e-15)
+        params.zero_grad()
+        adam_step(state, lr=0.0)
+        np.testing.assert_allclose(state.m, [0.09], atol=1e-15)
+        np.testing.assert_allclose(state.v, [0.000999], atol=1e-15)
 
+    def test_a_step_before_any_gradient_is_refused(self):
+        with pytest.raises(ModelError, match="adam_step: no gradients"):
+            adam_step(AdamState(params_of({"w": [1.0]})), lr=0.1)
 
     def test_in_place_update_is_byte_identical_to_the_reference_order(self):
         import oracles
@@ -202,71 +216,48 @@ class TestAdam:
         shapes = {"a": (5, 3), "b": (4,), "c": (2, 3, 2), "d": (3000, 7), "e": (20000,)}
         runs = []
         for make_state, step in (
-            (AdamState.for_params, adam_step),
+            (AdamState, adam_step),
             (oracles.per_parameter_adam_state, oracles.adam_step_per_parameter),
             (oracles.per_parameter_adam_state, oracles.adam_step),
         ):
             rng = np.random.default_rng(17)
-            params = [Parameter(name, np.random.default_rng(1).normal(size=shape))
-                      for name, shape in shapes.items()]
+            params = params_of({name: np.random.default_rng(1).normal(size=shape)
+                                for name, shape in shapes.items()})
             state = make_state(params)
             grads = np.random.default_rng(2)
             for _ in range(5):
-                for p in params:
-                    p.value.grad = grads.normal(size=p.value.shape) * rng.choice([1e-3, 1.0, 50.0])
-                step(params, state, lr=1e-2)
-            runs.append([(p.data.tobytes(), state.m[p.name].tobytes(), state.v[p.name].tobytes())
-                         for p in params])
+                params.zero_grad()
+                for p in params.parameters():
+                    p.grad[...] = grads.normal(size=p.value.shape) * rng.choice([1e-3, 1.0, 50.0])
+                step(state, lr=1e-2)
+            runs.append((params.data.tobytes(), *moments(state, params)))
         assert sum(np.prod(shape) for shape in shapes.values()) > 5 * ADAM_SLICE
         assert runs[0] == runs[1] == runs[2]
 
     def test_packing_makes_every_array_a_view_of_one_buffer(self):
         params = build_model_params(small_config(), {"wan": 2, "man": 4, "lan": 8}, 28, seed=0)
-        before = {name: params[name].data.copy() for name in params}
-        state = AdamState.for_params(params)
-        assert state.data.size == state.grad.size == params.total_size()
-        for name in params:
+        assert params.data.size == params.total_size() and params.grad is None
+        params.zero_grad()
+        for name, lo, hi in zip(params, params.bounds, params.bounds[1:]):
             p = params[name]
-            np.testing.assert_array_equal(p.data, before[name])
-            for array, flat in ((p.data, state.data), (p.grad, state.grad),
-                                (state.m[name], state.flat_m), (state.v[name], state.flat_v)):
+            for array, flat in ((p.data, params.data), (p.grad, params.grad)):
                 assert array.base is flat and array.shape == p.value.shape
-        with pytest.raises(TypeError):
-            state.m[name] = np.zeros(p.value.shape)
-        state.grad[:] = 1.0
+                assert np.shares_memory(array, flat[lo:hi]) and array.size == hi - lo
+        state = AdamState(params)
+        assert state.m.shape == state.v.shape == params.data.shape
+        params.grad[:] = 1.0
         params.zero_grad()
-        assert not state.grad.any()
-
-    def test_rebound_values_and_gradients_are_taken_into_the_buffers(self):
-        params = ModelParams()
-        a, b = params.create("a", [1.0, 2.0]), params.create("b", [[3.0]])
-        state = AdamState.for_params(params)
-        a.value.data = np.array([5.0, 6.0])
-        b.value.grad = np.array([[1.0]])
-        adam_step(params.parameters(), state, lr=0.5)
-        assert a.value.data.base is state.data and b.value.grad.base is state.grad
-        np.testing.assert_allclose(state.data, [5.0, 6.0, 2.5], rtol=1e-8)
-        b.value.grad = np.ones(3)
-        with pytest.raises(ModelError, match=r"parameter 'b': gradient bound with shape \(3,\), not \(1, 1\)"):
-            adam_step(params.parameters(), state, lr=0.5)
-        b.value.grad = np.array([[4.0]])
-        params.zero_grad()
-        assert b.value.grad.base is state.grad and not state.grad.any()
+        assert not params.grad.any()
 
     @pytest.mark.parametrize("bad", ["a", "b", "c"])
     def test_a_non_finite_update_names_its_parameter_after_packing(self, bad):
-        params = [Parameter(name, np.ones(shape)) for name, shape in (("a", (3, 4)), ("b", (5,)), ("c", (2,)))]
-        state = AdamState.for_params(params)
-        for p in params:  # the first and the last entry of each parameter
+        params = params_of({"a": np.ones((3, 4)), "b": np.ones(5), "c": np.ones(2)})
+        state = AdamState(params)
+        params.zero_grad()
+        for p in params.parameters():  # the first and the last entry of each parameter
             p.grad.reshape(-1)[[0, -1]] = np.inf if p.name == bad else 1.0
         with np.errstate(invalid="ignore"), pytest.raises(ad.NonFiniteValue, match=f"parameter '{bad}'"):
-            adam_step(params, state, lr=0.1)
-
-    def test_a_step_over_other_parameters_is_refused(self):
-        params = [Parameter("a", [1.0]), Parameter("b", [2.0])]
-        state = AdamState.for_params(params)
-        with pytest.raises(ModelError, match="not those its AdamState was made for"):
-            adam_step(params[::-1], state, lr=0.1)
+            adam_step(state, lr=0.1)
 
     def test_fit_matches_the_per_parameter_update(self, monkeypatch):
         import oracles
@@ -276,7 +267,7 @@ class TestAdam:
         cohort = synth_generate(12, hierarchy, signal=0.8, noise=0.3, seed=4, n_timepoints=60)
         tc = TrainConfig(epochs=3, seed=2, batch_size=5, learning_rate=1e-2)
         flat = fit(cohort, hierarchy, small_config(), tc)
-        monkeypatch.setattr(ffc, "AdamState", SimpleNamespace(for_params=oracles.per_parameter_adam_state))
+        monkeypatch.setattr(ffc, "AdamState", oracles.per_parameter_adam_state)
         monkeypatch.setattr(ffc, "adam_step", oracles.adam_step_per_parameter)
         reference = fit(cohort, hierarchy, small_config(), tc)
         assert flat.loss_trace == reference.loss_trace
@@ -290,18 +281,19 @@ class TestAdam:
         built = build_model_params(small_config(), result.level_widths, result.fc_len, seed=0)
         for params in (built, result.params):
             predict_proba(params, small_config(), subs)
-            assert all(p.value.grad is None for p in params.parameters())
+            assert params.grad is None and all(p.value.grad is None for p in params.parameters())
             assert not params["head.l0.w"].grad.any()  # read as zeros, made on first use
 
     def test_zero_grad_reuses_each_buffer(self):
         params = build_model_params(small_config(), {"wan": 2, "man": 4, "lan": 8}, 28, seed=0)
-        buffers = {name: params[name].grad for name in params}
+        params.zero_grad()
+        buffer, views = params.grad, {name: params[name].grad for name in params}
         for name in params:
             params[name].grad[...] = 1.0
         params.zero_grad()
+        assert params.grad is buffer and not buffer.any()
         for name in params:
-            assert params[name].grad is buffers[name]
-            assert not params[name].grad.any()
+            assert params[name].grad is views[name]
 
 
 class TestPresets:
@@ -634,7 +626,9 @@ class TestMixedAtlasSizes:
         hierarchy = toy_hierarchy_4_6_10()
         ts = random_timeseries(10, n_timepoints=50, seed=9, names=hierarchy.rois)
         fc_ts = random_timeseries(12, n_timepoints=50, seed=10)
-        batch = prepare_subject(ts, hierarchy, gammas=0.3, fc_source=fc_ts)
+        batch = dataclasses.replace(
+            prepare_subject(ts, hierarchy, gammas=0.3), fc_input=dr_flatten(pearson_fc([fc_ts]).values)[:, None]
+        )
         assert batch[0].fc_len == 12 * 11 // 2
         cfg = small_config()
         params = build_model_params(

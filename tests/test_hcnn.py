@@ -6,7 +6,7 @@ import pytest
 from hobnet import autodiff as ad
 from hobnet.autodiff import Parameter, Tape, Tensor, backward, finite_difference_check
 from hobnet.connectivity import pearson_fc
-from hobnet.ffc import ModelConfig, build_model_params, parse_toggles
+from hobnet.ffc import ModelConfig, build_model_params, init_params, parse_toggles
 from hobnet.harness import nested_hierarchy, synth_generate
 from hobnet.hcnn import (
     POOL_BINS,
@@ -17,10 +17,9 @@ from hobnet.hcnn import (
     hop,
     hop_concat,
 )
-from hobnet.layers import initial_values, mlp_layout
-from hobnet.ffc import ModelParams
+from hobnet.layers import mlp_layout
 
-from conftest import random_timeseries
+from conftest import params_of, random_timeseries
 from oracles import bin_means, dr_unflatten, traced_peak
 
 
@@ -61,13 +60,11 @@ class TestFirstOrder:
     def test_pointwise_kernel_identity_mlp_passes_input(self):
         k = 6
         cfg_hcnn = HcnnConfig(kernel_sizes=(1, 1), channels=(1, 1), strides=(1, 1), mlp_hidden=(), out_dim=k)
-        store = ModelParams()
-        store.create("hcnn.conv0.w", np.ones((1, 1, 1)))
-        store.create("hcnn.conv0.b", np.zeros(1))
-        store.create("hcnn.conv1.w", np.ones((1, 1, 1)))
-        store.create("hcnn.conv1.b", np.zeros(1))
-        store.create("hcnn.mlp.l0.w", np.eye(k))
-        store.create("hcnn.mlp.l0.b", np.zeros(k))
+        store = params_of({
+            "hcnn.conv0.w": np.ones((1, 1, 1)), "hcnn.conv0.b": np.zeros(1),
+            "hcnn.conv1.w": np.ones((1, 1, 1)), "hcnn.conv1.b": np.zeros(1),
+            "hcnn.mlp.l0.w": np.eye(k), "hcnn.mlp.l0.b": np.zeros(k),
+        })
         x = np.abs(np.random.default_rng(1).normal(size=(1, k))) + 0.1
         out = hcnn_first_order(store, "hcnn", Tensor(x), cfg_hcnn)
         np.testing.assert_allclose(out.data, x[0], atol=1e-12)
@@ -223,7 +220,7 @@ class TestHop:
 class TestHopConcat:
     def build(self, d, seed=0):
         tri = d * (d + 1) // 2
-        return ModelParams(initial_values(mlp_layout("hop", [tri, d, d]), seed))
+        return init_params(mlp_layout("hop", [tri, d, d]), seed)
 
     def test_zero_input_gives_zero_vector_of_double_width(self):
         d = 4

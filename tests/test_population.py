@@ -1,7 +1,5 @@
 """Population graph construction and the transductive node classifier."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -27,6 +25,8 @@ from hobnet.population import (
     weight_matrix,
 )
 from hobnet.spectral import first_order_propagation
+
+from conftest import params_of
 
 from test_ffc import small_config
 
@@ -149,13 +149,11 @@ class TestWeightMatrix:
     def test_antipodal_outputs_give_zero(self):
         records = [record("a", "F", 10.0, "site-a"), record("b", "M", 10.0, "site-a")]
         features = standardize_phenotypes(records)
-        encoder = ModelParams()
         # single linear layer; one-hot gender columns map the two rows to +/-v
         w0 = np.zeros((features.shape[1], 2))
         w0[1, :] = [1.0, 2.0]
         w0[2, :] = [-1.0, -2.0]
-        encoder.create("phenotype.l0.w", w0)
-        encoder.create("phenotype.l0.b", np.zeros(2))
+        encoder = params_of({"phenotype.l0.w": w0, "phenotype.l0.b": np.zeros(2)})
         w = weight_matrix(records, encoder)
         assert w[0, 1] == pytest.approx(0.0, abs=1e-12)
 
@@ -180,9 +178,8 @@ class TestWeightMatrix:
 
     def test_zero_encoder_output_is_an_error(self):
         records = [record("a"), record("b", "M")]
-        encoder = ModelParams()
-        encoder.create("phenotype.l0.w", np.zeros((standardize_phenotypes(records).shape[1], 3)))
-        encoder.create("phenotype.l0.b", np.zeros(3))
+        width = standardize_phenotypes(records).shape[1]
+        encoder = params_of({"phenotype.l0.w": np.zeros((width, 3)), "phenotype.l0.b": np.zeros(3)})
         with pytest.raises(PopulationError, match="zero vector"):
             weight_matrix(records, encoder)
 
@@ -310,7 +307,7 @@ def gcn_classify_by_tensors(y, adjacency, head):
 def train_population_head_by_selector(y, adjacency, labels, train_index, seed, epochs, lr):
     """The former trainer: every node each epoch, then a dense eye-row selector."""
     head = build_population_head(y.shape[1], seed)
-    state = AdamState.for_params(head.parameters())
+    state = AdamState(head)
     selector = Tensor(np.eye(y.shape[0])[train_index])
     trace = []
     for _ in range(epochs):
@@ -319,7 +316,7 @@ def train_population_head_by_selector(y, adjacency, labels, train_index, seed, e
             picked = ad.matmul(selector, gcn_classify_by_tensors(y, adjacency, head))
             ce = ad.cross_entropy(picked, labels[train_index])
         backward(tape, ce)
-        adam_step(head.parameters(), state, lr)
+        adam_step(state, lr)
         trace.append(ce.item())
     return head, trace
 
@@ -354,7 +351,7 @@ def test_population_head_training_matches_the_per_parameter_update(monkeypatch):
     adjacency = np.maximum(adjacency, adjacency.T)
     args = (y, adjacency, labels, np.arange(14))
     flat = train_population_head(*args, seed=3, epochs=30, lr=1e-2)
-    monkeypatch.setattr(population, "AdamState", SimpleNamespace(for_params=oracles.per_parameter_adam_state))
+    monkeypatch.setattr(population, "AdamState", oracles.per_parameter_adam_state)
     monkeypatch.setattr(population, "adam_step", oracles.adam_step_per_parameter)
     reference = train_population_head(*args, seed=3, epochs=30, lr=1e-2)
     assert flat.loss_trace == reference.loss_trace

@@ -125,7 +125,7 @@ class TestStackedPreparationMatchesOracle:
         assert series[2].roi_names != h.ordered_rois
         assert_matches_oracle(series, h, encoder)
 
-    def test_cohort_fit_and_fc_source_paths(self):
+    def test_cohort_and_fit_paths(self):
         h = nested_hierarchy(4, 2, 2)
         cohort = synth_generate(10, h, signal=0.6, noise=0.5, seed=9, n_timepoints=60)
         ids = cohort.ids()[2:8]
@@ -135,13 +135,6 @@ class TestStackedPreparationMatchesOracle:
             assert_same_inputs(sub, oracles.prepare_subject(r.timeseries, h, gammas, r.label), "res-cheb")
         cfg = ModelConfig(toggles=parse_toggles("GNN"), hgnn=HgnnConfig(hidden_dim=4))
         assert fit(cohort, h, cfg, TrainConfig(epochs=1), subject_ids=ids).gammas == gammas
-        fc_ts = random_timeseries(12, n_timepoints=60, seed=10)
-        ts = records[0].timeseries
-        assert_same_inputs(
-            prepare_subject(ts, h, gammas, label=1, fc_source=fc_ts)[0],
-            oracles.prepare_subject(ts, h, gammas, label=1, fc_source=fc_ts),
-            "res-cheb",
-        )
 
 
 class TestRefusals:
@@ -185,21 +178,14 @@ class TestRefusals:
         with pytest.raises(ConnectivityError, match=message):
             fit(wider, h, cfg, TrainConfig(epochs=1))
 
-    @pytest.mark.parametrize(
-        ("labels", "fc_count", "message"),
-        [([0, 1, 0], 6, "3 labels for 6 subjects"), ([0, 1] * 3, 4, "4 FC series for 6 subjects")],
-    )
-    def test_labels_or_fc_series_not_one_per_subject_are_refused_with_both_counts(
-        self, monkeypatch, labels, fc_count, message
-    ):
+    def test_labels_not_one_per_subject_are_refused_with_both_counts(self, monkeypatch):
         h = nested_hierarchy(4, 2, 2)
         cohort = synth_generate(6, h, signal=0.6, noise=0.5, seed=13, n_timepoints=60)
-        series = [r.timeseries for r in cohort.subjects]
-        connectivity = CohortConnectivity.build(series, h)
+        connectivity = CohortConnectivity.build([r.timeseries for r in cohort.subjects], h)
         # refused before the FC series are read or any stack is allocated
         monkeypatch.setattr(ffc, "fc_columns", lambda *a: pytest.fail("read the FC series"))
-        with pytest.raises(ModelError, match=message):
-            prepare_stack(connectivity, h, 0.3, labels, fc_series=series[:fc_count])
+        with pytest.raises(ModelError, match="3 labels for 6 subjects"):
+            prepare_stack(connectivity, h, 0.3, [0, 1, 0])
 
     def test_prepare_cohort_refuses_an_unknown_subject_id(self):
         h = nested_hierarchy(4, 2, 2)
