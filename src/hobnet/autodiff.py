@@ -3,13 +3,14 @@
 All values are 64-bit floats in numpy arrays. Primitive applications record
 onto an explicit gradient tape (``Tape`` used as a context manager); running
 ``backward`` replays the tape once, in reverse, and accumulates gradients
-into the leaf tensors that requested them. A central finite-difference
+into the leaf tensors that requested them; a trainable leaf is a
+:class:`Parameter`, a tensor with a name. A central finite-difference
 checker verifies analytic gradients against numeric ones.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +33,8 @@ class TapeError(RuntimeError):
 class Tensor:
     """Dense n-dimensional array of float64 values.
 
-    ``grad`` stays ``None`` until a backward pass deposits a gradient;
-    :class:`Parameter` reads it as zeros until then.
+    ``grad`` stays ``None`` until a backward pass deposits a gradient, or
+    ``ModelParams.zero_grad`` binds a parameter's to its model's buffer.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -73,36 +74,17 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-class Parameter:
-    """Named trainable tensor with a gradient buffer made on first use.
+class Parameter(Tensor):
+    """A trainable leaf tensor with a name; the forward pass records it as is."""
 
-    A model that is only scored never allocates one; once made, the buffer
-    is kept and zeroed in place.
-    """
+    __slots__ = ("name",)
 
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, value):
+    def __init__(self, name: str, data):
+        super().__init__(data, requires_grad=True)
         self.name = name
-        self.value = value if isinstance(value, Tensor) else Tensor(value)
-        self.value.requires_grad = True
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.value.data
-
-    @property
-    def grad(self) -> np.ndarray:
-        if self.value.grad is None:
-            self.value.grad = np.zeros(self.value.shape)
-        return self.value.grad
-
-    def zero_grad(self) -> None:
-        if self.value.grad is not None:
-            self.value.grad.fill(0.0)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Parameter({self.name!r}, shape={self.value.shape})"
+        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 @dataclass
@@ -302,9 +284,20 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _record("reshape", (x,), out, backward)
 
 
-# bytes of the window matrix conv1d builds at once: a chunk is one subject
-# for either conv at 196 ROIs and a whole batch of 8 at 16 ROIs
-WINDOW_BYTES = 1 << 20
+# bytes of one chunk's working array: conv1d's window matrix holds one
+# subject for either conv at 196 ROIs and a whole batch of 8 at 16 ROIs;
+# preparation's [n, R, R] Gram stack holds a 200-subject cohort at 16 ROIs
+# and 3 subjects at 196 ROIs, where larger chunks only add to the peak
+# memory (4 MiB: about 2 MiB more)
+CHUNK_BYTES = 1 << 20
+
+
+def chunk_slices(n: int, item_bytes: int) -> Iterator[slice]:
+    """Slices of ``n`` items in order, each at most ``CHUNK_BYTES`` of
+    ``item_bytes``-sized items or one item; reads the budget when called."""
+    size = max(1, CHUNK_BYTES // item_bytes)
+    for start in range(0, n, size):
+        yield slice(start, min(start + size, n))
 
 
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
@@ -314,11 +307,11 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     length]``, ``kernel`` is ``[channels_out, channels_in, k]`` and ``bias``
     is ``[channels_out]``. Every output position of an input is one row of a
     window matrix. The forward builds that matrix for a chunk of inputs at a
-    time, at most ``WINDOW_BYTES`` or one input, and writes each chunk's
-    matrix product straight into the output; backward computes the input
-    gradient in the same chunks. The kernel gradient stays one product over
-    the whole batch's window matrix, rebuilt from ``x``: summed chunk by
-    chunk, it would round differently.
+    time (``chunk_slices``) and writes each chunk's matrix product straight
+    into the output; backward computes the input gradient in the same
+    chunks. The kernel gradient stays one product over the whole batch's
+    window matrix, rebuilt from ``x``: summed chunk by chunk, it would round
+    differently.
     """
     if stride < 1:
         raise ShapeMismatch(f"conv1d: stride must be >= 1, got {stride}")
@@ -337,8 +330,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     xs = x.data.reshape((-1, c_in, length))
     kd = kernel.data.reshape(c_out, c_in * k)
     n_out = (length - k) // stride + 1
-    size = max(1, WINDOW_BYTES // (8 * n_out * c_in * k))
-    chunks = [slice(start, start + size) for start in range(0, len(xs), size)]
+    chunks = list(chunk_slices(len(xs), 8 * n_out * c_in * k))
 
     def window_matrix(inputs: np.ndarray) -> np.ndarray:
         # rows: (input, output position); columns: (input channel, kernel tap)
@@ -578,7 +570,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Propagate d(loss)/d(leaf) through the tape, newest node first.
 
     Gradients accumulate into ``.grad`` of every leaf tensor that requires
-    them; parameters untouched by the forward pass keep zero gradients.
+    them, in place where one is held; leaves the loss misses keep theirs.
     A tape can be consumed exactly once: each node leaves it once its
     gradient has flowed back, freeing the arrays the node saved.
     """
@@ -670,6 +662,7 @@ def finite_difference_check(
     relative error per entry is ``|analytic - numeric| / max(1, |numeric|)``.
     Entries whose one-sided slopes differ by more than 5% of the larger
     slope, or of 1 (activation kinks), are skipped and reported, not judged.
+    Held gradients are zeroed in place, not rebound; unreached parameters read 0.
     """
     if h <= 0:
         raise ValueError(f"step size h must be positive, got {h}")
@@ -686,13 +679,14 @@ def finite_difference_check(
         raise RuntimeError("finite_difference_check: f is not deterministic (re-evaluation mismatch)")
 
     for p in params:
-        p.zero_grad()
+        if p.grad is not None:
+            p.grad.fill(0.0)
     with Tape() as tape:
         out = f()
     backward(tape, out)
-    analytic = {p.name: p.grad.copy() for p in params}
+    analytic = {p.name: np.zeros(p.shape) if p.grad is None else p.grad.copy() for p in params}
 
-    entries = [(p, idx) for p in params for idx in np.ndindex(p.value.shape)]
+    entries = [(p, idx) for p in params for idx in np.ndindex(p.shape)]
     if max_entries is not None and len(entries) > max_entries:
         stream = named_stream(seed, "finite-difference-sample")
         chosen = stream.choice(len(entries), size=max_entries, replace=False)
@@ -700,12 +694,12 @@ def finite_difference_check(
 
     report: list[FdEntry] = []
     for p, idx in entries:
-        original = p.value.data[idx]
-        p.value.data[idx] = original + h
+        original = p.data[idx]
+        p.data[idx] = original + h
         f_plus = evaluate()
-        p.value.data[idx] = original - h
+        p.data[idx] = original - h
         f_minus = evaluate()
-        p.value.data[idx] = original
+        p.data[idx] = original
 
         numeric = (f_plus - f_minus) / (2.0 * h)
         slope_plus = (f_plus - base) / h

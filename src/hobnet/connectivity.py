@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -24,7 +25,7 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .autodiff import RowBlocks
+from .autodiff import RowBlocks, chunk_slices
 
 WAN = "wan"
 MAN = "man"
@@ -33,11 +34,6 @@ LEVELS = (WAN, MAN, LAN)
 
 # the threshold grid that gamma selection and retained-fraction lookup scan
 GAMMA_GRID = np.linspace(0.0, 1.0, 101)
-
-# bytes of one [n, R, R] float64 stack of a preparation chunk: 1 MiB holds a
-# 200-subject cohort at 16 ROIs in one chunk, and 3 subjects at 196 ROIs,
-# where larger chunks only add to the peak memory (4 MiB: about 2 MiB more)
-STACK_BYTES = 1 << 20
 
 
 class ConnectivityError(ValueError):
@@ -241,11 +237,9 @@ def _set_diagonal(values: np.ndarray, value: float) -> None:
 
 def subject_chunks(n: int, hierarchy: AtlasHierarchy) -> Iterator[slice]:
     """Row slices of ``n`` subjects in order, each chunk's ``[n, R, R]``
-    stack fitting in ``STACK_BYTES``."""
+    stack fitting in ``autodiff.CHUNK_BYTES``."""
     r = len(hierarchy.ordered_rois)
-    size = max(1, STACK_BYTES // (8 * r * r))
-    for start in range(0, n, size):
-        yield slice(start, min(start + size, n))
+    return chunk_slices(n, 8 * r * r)
 
 
 def fc_columns(series: Sequence[RoiTimeSeries]) -> int:
@@ -518,7 +512,11 @@ def read_timeseries_csv(path: str | Path, subject_id: str | None = None) -> RoiT
             try:
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} values for {len(header)} ROI names")
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
+                for v, x, name in zip(row, values, header):
+                    if not math.isfinite(x):
+                        raise ValueError(f"non-finite value {v!r} for ROI {name.strip()!r}")
+                rows.append(values)
             except ValueError as exc:
                 raise ConnectivityError(
                     f"{path}: row {reader.line_num}: subject {subject_id!r}: {exc}"

@@ -196,10 +196,10 @@ class ModelParams(Mapping):
     """Name-keyed parameters whose values share one float64 buffer.
 
     Made from ``(name, shape)`` pairs, names unique: ``data`` is one zeroed
-    buffer and each parameter's values are a reshaped view of its slice, in
-    order; ``bounds`` holds the slices' offsets. ``zero_grad`` makes the
-    gradient buffer ``grad`` the same way on first use, and only zeroes it
-    after that, so a model that is only scored holds no gradients.
+    buffer and each parameter is a tensor over a reshaped view of its slice,
+    in order; ``bounds`` holds the offsets. ``zero_grad`` alone makes gradient
+    memory: ``grad`` the same way, on first use, with each parameter's view
+    bound; after that it only zeroes it. A scored model holds no gradients.
     """
 
     def __init__(self, shapes: Iterable[tuple[str, tuple[int, ...]]] = ()):
@@ -230,13 +230,13 @@ class ModelParams(Mapping):
             return
         self.grad = np.zeros_like(self.data)
         for p, lo, hi in zip(self._params.values(), self.bounds, self.bounds[1:]):
-            p.value.grad = self.grad[lo:hi].reshape(p.value.shape)
+            p.grad = self.grad[lo:hi].reshape(p.shape)
 
     def release_grads(self) -> None:
         """Drop the gradient buffer; the next ``zero_grad`` makes it again."""
         self.grad = None
         for p in self._params.values():
-            p.value.grad = None
+            p.grad = None
 
     def total_size(self) -> int:
         return self.data.size
@@ -729,7 +729,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, meta: dict) -> None:
     header = {
         "format": _CHECKPOINT_FORMAT,
         "meta": meta,
-        "params": [{"name": p.name, "shape": list(p.value.shape)} for p in params.parameters()],
+        "params": [{"name": p.name, "shape": list(p.shape)} for p in params.parameters()],
     }
     with Path(path).open("wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))

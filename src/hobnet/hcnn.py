@@ -86,7 +86,7 @@ def hcnn_first_order(
     """
     h = x
     for i, stride in enumerate(cfg.strides):
-        w, b = params[f"{prefix}.conv{i}.w"].value, params[f"{prefix}.conv{i}.b"].value
+        w, b = params[f"{prefix}.conv{i}.w"], params[f"{prefix}.conv{i}.b"]
         # without a tape, the conv input is freed before the ReLU makes its output
         h = ad.conv1d(h, w, b, stride=stride)
         h = ad.relu(h)

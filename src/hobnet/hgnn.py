@@ -115,14 +115,14 @@ def chebconv_block(
     ``LevelBatch.operator``), per-block norm, ReLU, dropout when ``train``
     gives its rate and stream and, for ``res-cheb``, the identity skip."""
     if cfg.encoder == "gcn":
-        conv = ad.matmul(ad.matmul(operator, h_in), params[f"{prefix}.w"].value)
+        conv = ad.matmul(ad.matmul(operator, h_in), params[f"{prefix}.w"])
     else:
-        thetas = [params[f"{prefix}.theta{k}"].value for k in range(cfg.k)]
+        thetas = [params[f"{prefix}.theta{k}"] for k in range(cfg.k)]
         conv = cheb_apply(operator, h_in, thetas)
     normed = ad.per_block_norm(
         conv,
-        params[f"{prefix}.norm.gain"].value,
-        params[f"{prefix}.norm.shift"].value,
+        params[f"{prefix}.norm.gain"],
+        params[f"{prefix}.norm.shift"],
         blocks=norm_blocks,
     )
     out = ad.relu(normed)
@@ -145,14 +145,14 @@ def level_encoder(
     operator is derived once, for every block."""
     operator = Tensor(level.operator)
     h = ad.add(
-        ad.matmul(Tensor(level.features), params[f"{prefix}.proj.w"].value),
-        params[f"{prefix}.proj.b"].value,
+        ad.matmul(Tensor(level.features), params[f"{prefix}.proj.w"]),
+        params[f"{prefix}.proj.b"],
     )
     outputs = []
     for i in range(cfg.blocks):
         h = chebconv_block(h, operator, level.norm_blocks, params, f"{prefix}.block{i}", cfg, train)
         outputs.append(h)
-    return afm_combine(outputs, params[f"{prefix}.afm.r"].value)
+    return afm_combine(outputs, params[f"{prefix}.afm.r"])
 
 
 def branch_high_order(

@@ -220,7 +220,7 @@ def gcn_classify(
 def head_forward(y: np.ndarray, head: ModelParams) -> Tensor:
     """The head on already-mixed node features, one row per node; with
     unmixed features it is the identity-adjacency baseline."""
-    hidden = ad.relu(ad.matmul(Tensor(np.asarray(y, dtype=np.float64)), head["gcn.w"].value))
+    hidden = ad.relu(ad.matmul(Tensor(np.asarray(y, dtype=np.float64)), head["gcn.w"]))
     return ad.softmax(mlp_forward(hidden, head, "head"))
 
 

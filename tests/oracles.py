@@ -108,26 +108,26 @@ def dr_unflatten(flat: np.ndarray, n: int) -> np.ndarray:
 def subject_level_encoder(params, prefix, level, cfg, train) -> Tensor:
     """One subject's view through projection, block stack and AFM mix, on 2-D tensors."""
     h = ad.add(
-        ad.matmul(Tensor(level.features), params[f"{prefix}.proj.w"].value),
-        params[f"{prefix}.proj.b"].value,
+        ad.matmul(Tensor(level.features), params[f"{prefix}.proj.w"]),
+        params[f"{prefix}.proj.b"],
     )
     outputs = []
     for i in range(cfg.blocks):
         block = f"{prefix}.block{i}"
         if cfg.encoder == "gcn":
-            conv = ad.matmul(ad.matmul(Tensor(level.propagation), h), params[f"{block}.w"].value)
+            conv = ad.matmul(ad.matmul(Tensor(level.propagation), h), params[f"{block}.w"])
         else:
-            thetas = [params[f"{block}.theta{k}"].value for k in range(cfg.k)]
+            thetas = [params[f"{block}.theta{k}"] for k in range(cfg.k)]
             conv = cheb_apply(Tensor(level.lap.rescaled), h, thetas)
         normed = ad.per_block_norm(
-            conv, params[f"{block}.norm.gain"].value, params[f"{block}.norm.shift"].value,
+            conv, params[f"{block}.norm.gain"], params[f"{block}.norm.shift"],
             blocks=level.norm_blocks,
         )
         out = ad.relu(normed) if train is None else ad.dropout(ad.relu(normed), *train)
         h = ad.add(out, h) if cfg.encoder == "res-cheb" else out
         outputs.append(h)
     columns = ad.concat(*(ad.reshape(out, (-1, 1)) for out in outputs), axis=1)
-    mixed = ad.matmul(columns, ad.softmax(params[f"{prefix}.afm.r"].value))
+    mixed = ad.matmul(columns, ad.softmax(params[f"{prefix}.afm.r"]))
     return ad.reshape(mixed, outputs[0].shape)
 
 
@@ -157,7 +157,7 @@ def subject_features(params, cfg, sub, train=None) -> Tensor:
         h = sub.fc_input
         for i in range(2):
             h = ad.conv1d(
-                h, params[f"hcnn.conv{i}.w"].value, params[f"hcnn.conv{i}.b"].value,
+                h, params[f"hcnn.conv{i}.w"], params[f"hcnn.conv{i}.b"],
                 stride=c.strides[i],
             )
             h = ad.relu(h) if train is None else ad.dropout(ad.relu(h), *train)
@@ -196,7 +196,7 @@ def adam_step(state, lr: float) -> None:
         v = state.v[p.name] = beta2 * state.v[p.name] + (1.0 - beta2) * g * g
         m_hat = m / (1.0 - beta1**t)
         v_hat = v / (1.0 - beta2**t)
-        p.value.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def per_parameter_adam_state(params) -> SimpleNamespace:
@@ -217,7 +217,7 @@ def adam_step_per_parameter(state, lr: float) -> None:
     state.t += 1
     c1, c2 = 1.0 - beta1**state.t, 1.0 - beta2**state.t
     for p in state.params.parameters():
-        x, g, m, v = p.value.data, p.grad, state.m[p.name], state.v[p.name]
+        x, g, m, v = p.data, p.grad, state.m[p.name], state.v[p.name]
         rows = max(1, ADAM_SLICE // x[0].size)
         for r in range(0, len(x), rows):
             xs, gs, ms, vs = x[r : r + rows], g[r : r + rows], m[r : r + rows], v[r : r + rows]

@@ -14,8 +14,10 @@ from hobnet.autodiff import (
     backward,
     finite_difference_check,
 )
+from hobnet.ffc import AdamState, adam_step
 from hobnet.rng import named_stream
 
+from conftest import params_of
 from oracles import bin_means, conv1d_im2col, per_block_norm_loop, relu_where, total
 
 
@@ -27,7 +29,7 @@ def scalar_loss(out: Tensor, weight: np.ndarray) -> Tensor:
 def recorded(op, *values):
     """``op``'s output on parameters holding ``values``, and its tape node."""
     with Tape() as tape:
-        out = op(*(Parameter(f"p{i}", v).value for i, v in enumerate(values)))
+        out = op(*(Parameter(f"p{i}", v) for i, v in enumerate(values)))
     return out, tape.nodes[-1]
 
 
@@ -43,10 +45,14 @@ class TestTensorBasics:
         assert t.shape == (2, 3)
         assert t.size == 6
 
-    def test_parameter_has_zero_grad_buffer(self):
+    def test_a_bare_parameter_has_no_grad_until_backward(self):
         p = Parameter("w", np.ones((2, 2)))
-        assert p.grad.shape == (2, 2)
-        assert np.all(p.grad == 0.0)
+        assert isinstance(p, Tensor) and p.requires_grad and p.grad is None
+        with Tape() as tape:
+            loss = total(p)
+        assert tape.nodes[0].inputs[0] is p
+        backward(tape, loss)
+        np.testing.assert_array_equal(p.grad, np.ones((2, 2)))
 
 
 class TestPrimitiveExamples:
@@ -207,7 +213,7 @@ class TestPerBlockNorm:
         want = per_block_norm_loop(x, gain, shift, blocks, g)
         params = [Parameter(n, v) for n, v in (("x", x), ("gain", gain), ("shift", shift))]
         with Tape() as tape:
-            out = ad.per_block_norm(*(p.value for p in params), blocks=ad.RowBlocks(blocks, m))
+            out = ad.per_block_norm(*params, blocks=ad.RowBlocks(blocks, m))
             loss = scalar_loss(out, g)
         backward(tape, loss)
         got = [out.data] + [p.grad for p in params]
@@ -222,7 +228,7 @@ class TestPerBlockNorm:
         blocks = ad.RowBlocks(self.PARTITIONS["3,5,1"][::-1], 9)
         w = rng.normal(size=(2, 9, 3))
         fd_over_all_entries(
-            lambda: scalar_loss(ad.per_block_norm(x.value, g.value, s.value, blocks=blocks), w),
+            lambda: scalar_loss(ad.per_block_norm(x, g, s, blocks=blocks), w),
             [x, g, s],
         )
 
@@ -286,14 +292,14 @@ class TestConv1dWindowMatrix:
 
     def test_the_chunked_cases_split_as_named(self):
         # one subject's window matrix is 8 bytes x output positions x (c_in * k)
-        assert ad.WINDOW_BYTES // (8 * 5997 * 7) == 3
-        assert 8 * 3498 * 40 > ad.WINDOW_BYTES and 8 * 19997 * 7 > ad.WINDOW_BYTES
-        assert ad.WINDOW_BYTES // (8 * 27 * 40) >= 8
+        assert ad.CHUNK_BYTES // (8 * 5997 * 7) == 3
+        assert 8 * 3498 * 40 > ad.CHUNK_BYTES and 8 * 19997 * 7 > ad.CHUNK_BYTES
+        assert ad.CHUNK_BYTES // (8 * 27 * 40) >= 8
 
     # one subject's window is 8 x 23 x 15 = 2760 bytes: chunks of 1, 2 and 3
     @pytest.mark.parametrize("budget", [1, 6000, 9000])
     def test_any_window_budget_gives_the_same_bytes(self, monkeypatch, budget):
-        monkeypatch.setattr(ad, "WINDOW_BYTES", budget)
+        monkeypatch.setattr(ad, "CHUNK_BYTES", budget)
         assert_conv1d_matches_im2col(np.random.default_rng(12), (7, 3, 50), (4, 3, 5), 2)
 
 
@@ -324,29 +330,30 @@ class TestBackwardSemantics:
     def test_sum_gradient_is_ones(self):
         p = Parameter("p", [1.0, 2.0, 3.0])
         with Tape() as tape:
-            loss = total(p.value)
+            loss = total(p)
         backward(tape, loss)
         np.testing.assert_allclose(p.grad, [1.0, 1.0, 1.0], atol=1e-12)
 
     def test_quadratic_gradient(self):
         p = Parameter("p", [1.0, 2.0])
         with Tape() as tape:
-            loss = total(ad.hadamard(p.value, p.value))
+            loss = total(ad.hadamard(p, p))
         backward(tape, loss)
         np.testing.assert_allclose(p.grad, [2.0, 4.0], atol=1e-12)
 
     def test_unreachable_parameter_keeps_zero_grad(self):
-        used = Parameter("used", [2.0])
-        unused = Parameter("unused", [5.0])
+        params = params_of({"used": [2.0], "unused": [5.0]})
+        params.zero_grad()
         with Tape() as tape:
-            loss = total(ad.hadamard(used.value, used.value))
+            loss = total(ad.hadamard(params["used"], params["used"]))
         backward(tape, loss)
-        np.testing.assert_array_equal(unused.grad, [0.0])
+        np.testing.assert_array_equal(params.grad, [4.0, 0.0])
+        assert np.shares_memory(params["unused"].grad, params.grad)
 
     def test_double_backward_is_an_error(self):
         p = Parameter("p", [1.0])
         with Tape() as tape:
-            loss = total(p.value)
+            loss = total(p)
         backward(tape, loss)
         with pytest.raises(TapeError, match="already ran"):
             backward(tape, loss)
@@ -354,7 +361,7 @@ class TestBackwardSemantics:
     def test_non_scalar_loss_is_an_error(self):
         p = Parameter("p", [1.0, 2.0])
         with Tape() as tape:
-            out = ad.relu(p.value)
+            out = ad.relu(p)
         with pytest.raises(TapeError, match="scalar"):
             backward(tape, out)
 
@@ -362,21 +369,21 @@ class TestBackwardSemantics:
         a = Parameter("a", np.random.default_rng(0).normal(size=(3, 4)))
         b = Parameter("b", np.random.default_rng(1).normal(size=(4, 2)))
         with Tape() as tape:
-            loss = total(ad.matmul(a.value, b.value))
+            loss = total(ad.matmul(a, b))
         backward(tape, loss)
-        assert a.grad.shape == a.value.shape
-        assert b.grad.shape == b.value.shape
+        assert a.grad.shape == a.shape
+        assert b.grad.shape == b.shape
 
     def test_reused_tensor_accumulates_both_paths(self):
         p = Parameter("p", [3.0])
         with Tape() as tape:
-            loss = total(ad.add(ad.hadamard(p.value, p.value), p.value))
+            loss = total(ad.add(ad.hadamard(p, p), p))
         backward(tape, loss)
         np.testing.assert_allclose(p.grad, [7.0], atol=1e-12)
 
     def test_no_recording_without_tape(self):
         p = Parameter("p", [1.0])
-        out = ad.relu(p.value)
+        out = ad.relu(p)
         assert out.requires_grad is False
 
 
@@ -400,16 +407,16 @@ class TestPrimitiveGradients:
         a = Parameter("a", self.rng.normal(size=(3, 4)))
         b = Parameter("b", self.rng.normal(size=(4, 2)))
         w = self.weight((3, 2))
-        fd_over_all_entries(lambda: scalar_loss(ad.matmul(a.value, b.value), w), [a, b])
+        fd_over_all_entries(lambda: scalar_loss(ad.matmul(a, b), w), [a, b])
 
     def test_matmul_vector_forms(self):
         a = Parameter("a", self.rng.normal(size=4))
         b = Parameter("b", self.rng.normal(size=(4, 3)))
         w = self.weight(3)
-        fd_over_all_entries(lambda: scalar_loss(ad.matmul(a.value, b.value), w), [a, b])
+        fd_over_all_entries(lambda: scalar_loss(ad.matmul(a, b), w), [a, b])
         c = Parameter("c", self.rng.normal(size=3))
         w2 = self.weight(4)
-        fd_over_all_entries(lambda: scalar_loss(ad.matmul(b.value, c.value), w2), [b, c])
+        fd_over_all_entries(lambda: scalar_loss(ad.matmul(b, c), w2), [b, c])
 
     def test_transpose_add_scale_hadamard(self):
         a = Parameter("a", self.rng.normal(size=(3, 2)))
@@ -417,7 +424,7 @@ class TestPrimitiveGradients:
         w = self.weight((2, 3))
 
         def f():
-            mixed = ad.add(ad.hadamard(a.value, b.value), ad.scale(b.value, -1.7))
+            mixed = ad.add(ad.hadamard(a, b), ad.scale(b, -1.7))
             return scalar_loss(ad.transpose(mixed), w)
 
         fd_over_all_entries(f, [a, b])
@@ -426,38 +433,38 @@ class TestPrimitiveGradients:
         a = Parameter("a", self.rng.normal(size=(4, 3)))
         b = Parameter("b", self.rng.normal(size=3))
         w = self.weight((4, 3))
-        fd_over_all_entries(lambda: scalar_loss(ad.add(a.value, b.value), w), [a, b])
+        fd_over_all_entries(lambda: scalar_loss(ad.add(a, b), w), [a, b])
 
     def test_hadamard_scalar_broadcast(self):
         s = Parameter("s", self.rng.normal(size=1))
         h = Parameter("h", self.rng.normal(size=(4, 3)))
         w = self.weight((4, 3))
-        fd_over_all_entries(lambda: scalar_loss(ad.hadamard(s.value, h.value), w), [s, h])
+        fd_over_all_entries(lambda: scalar_loss(ad.hadamard(s, h), w), [s, h])
 
     def test_relu_away_from_kink(self):
         x = self.rng.normal(size=(5, 3))
         x = np.where(np.abs(x) < 0.05, 0.5, x)
         p = Parameter("x", x)
         w = self.weight((5, 3))
-        fd_over_all_entries(lambda: scalar_loss(ad.relu(p.value), w), [p])
+        fd_over_all_entries(lambda: scalar_loss(ad.relu(p), w), [p])
 
     def test_softmax(self):
         p = Parameter("x", self.rng.normal(size=(3, 4)))
         w = self.weight((3, 4))
-        fd_over_all_entries(lambda: scalar_loss(ad.softmax(p.value), w), [p])
+        fd_over_all_entries(lambda: scalar_loss(ad.softmax(p), w), [p])
 
     def test_concat(self):
         a = Parameter("a", self.rng.normal(size=(2, 3)))
         b = Parameter("b", self.rng.normal(size=(4, 3)))
         w = self.weight((6, 3))
-        fd_over_all_entries(lambda: scalar_loss(ad.concat(a.value, b.value, axis=0), w), [a, b])
+        fd_over_all_entries(lambda: scalar_loss(ad.concat(a, b, axis=0), w), [a, b])
 
     def test_reshape(self):
         p = Parameter("x", self.rng.normal(size=(3, 4)))
         w = self.weight((2, 6))
-        fd_over_all_entries(lambda: scalar_loss(ad.reshape(p.value, (2, -1)), w), [p])
+        fd_over_all_entries(lambda: scalar_loss(ad.reshape(p, (2, -1)), w), [p])
         w_flat = self.weight(12)
-        fd_over_all_entries(lambda: scalar_loss(ad.reshape(p.value, (-1,)), w_flat), [p])
+        fd_over_all_entries(lambda: scalar_loss(ad.reshape(p, (-1,)), w_flat), [p])
 
     def test_conv1d(self):
         x = Parameter("x", self.rng.normal(size=(2, 12)))
@@ -466,13 +473,13 @@ class TestPrimitiveGradients:
         n_out = (12 - 4) // 2 + 1
         w = self.weight((3, n_out))
         fd_over_all_entries(
-            lambda: scalar_loss(ad.conv1d(x.value, k.value, b.value, stride=2), w), [x, k, b]
+            lambda: scalar_loss(ad.conv1d(x, k, b, stride=2), w), [x, k, b]
         )
 
     def test_mean_over_axis(self):
         p = Parameter("x", self.rng.normal(size=(4, 5)))
         w = self.weight(5)
-        fd_over_all_entries(lambda: scalar_loss(ad.mean_over_axis(p.value), w), [p])
+        fd_over_all_entries(lambda: scalar_loss(ad.mean_over_axis(p), w), [p])
 
     @pytest.mark.parametrize(
         "shape, bins",
@@ -482,17 +489,17 @@ class TestPrimitiveGradients:
     def test_bin_mean(self, shape, bins):
         p = Parameter("x", self.rng.normal(size=shape))
         w = self.weight(shape[:-1] + (bins,))
-        fd_over_all_entries(lambda: scalar_loss(ad.bin_mean(p.value, bins), w), [p])
+        fd_over_all_entries(lambda: scalar_loss(ad.bin_mean(p, bins), w), [p])
 
     def test_upper_triangle_flatten(self):
         p = Parameter("x", self.rng.normal(size=(4, 4)))
         w = self.weight(10)
-        fd_over_all_entries(lambda: scalar_loss(ad.upper_triangle_flatten(p.value), w), [p])
+        fd_over_all_entries(lambda: scalar_loss(ad.upper_triangle_flatten(p), w), [p])
 
     def test_outer_product(self):
         a = Parameter("a", self.rng.normal(size=4))
         w = self.weight((4, 4))
-        fd_over_all_entries(lambda: scalar_loss(ad.outer(a.value, a.value), w), [a])
+        fd_over_all_entries(lambda: scalar_loss(ad.outer(a, a), w), [a])
 
     def test_per_block_norm(self):
         x = Parameter("x", self.rng.normal(size=(7, 3)))
@@ -501,7 +508,7 @@ class TestPrimitiveGradients:
         blocks = ad.RowBlocks([np.array([0, 1, 2]), np.array([3, 4, 5, 6])], 7)
         w = self.weight((7, 3))
         fd_over_all_entries(
-            lambda: scalar_loss(ad.per_block_norm(x.value, g.value, s.value, blocks=blocks), w),
+            lambda: scalar_loss(ad.per_block_norm(x, g, s, blocks=blocks), w),
             [x, g, s],
         )
 
@@ -511,7 +518,7 @@ class TestPrimitiveGradients:
 
         def f():
             # fresh generator per call keeps the mask, and hence f, deterministic
-            return scalar_loss(ad.dropout(p.value, 0.4, named_stream(9, "mask")), w)
+            return scalar_loss(ad.dropout(p, 0.4, named_stream(9, "mask")), w)
 
         fd_over_all_entries(f, [p])
 
@@ -519,14 +526,14 @@ class TestPrimitiveGradients:
         raw = self.rng.uniform(0.1, 0.9, size=(6, 2))
         p = Parameter("probs", raw)
         labels = np.array([0, 1, 1, 0, 1, 0])
-        fd_over_all_entries(lambda: ad.cross_entropy(p.value, labels), [p])
+        fd_over_all_entries(lambda: ad.cross_entropy(p, labels), [p])
 
 
 class TestFiniteDifferenceChecker:
     def test_quadratic_matches_exactly(self):
         theta = Parameter("theta", [3.0])
         report = finite_difference_check(
-            lambda: total(ad.hadamard(theta.value, theta.value)), [theta], h=1e-5
+            lambda: total(ad.hadamard(theta, theta)), [theta], h=1e-5
         )
         entry = report.entries[0]
         assert abs(entry.analytic - 6.0) < 1e-9
@@ -534,7 +541,7 @@ class TestFiniteDifferenceChecker:
 
     def test_relu_kink_is_skipped_and_reported(self):
         theta = Parameter("theta", [0.0])
-        report = finite_difference_check(lambda: total(ad.relu(theta.value)), [theta])
+        report = finite_difference_check(lambda: total(ad.relu(theta)), [theta])
         assert len(report.skipped) == 1
         assert report.skipped[0].name == "theta"
 
@@ -548,20 +555,40 @@ class TestFiniteDifferenceChecker:
         w = rng.normal(size=3)
 
         def f():
-            h = ad.relu(ad.add(ad.matmul(x, w1.value), b1.value))
-            return scalar_loss(ad.add(ad.matmul(h, w2.value), b2.value), w)
+            h = ad.relu(ad.add(ad.matmul(x, w1), b1))
+            return scalar_loss(ad.add(ad.matmul(h, w2), b2), w)
 
         report = finite_difference_check(f, [w1, b1, w2, b2], max_entries=50, tolerance=1e-6)
         assert len(report.entries) == 50
         assert not report.skipped
         assert report.passed, report.max_rel_error
 
+    def test_a_model_keeps_its_gradient_buffer_through_the_check(self):
+        rng = np.random.default_rng(15)
+        params = params_of({"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2), "unused": [1.0]})
+        x, weight = Tensor(rng.normal(size=3)), rng.normal(size=2)
+        params.zero_grad()
+        params.grad.fill(5.0)  # a stale gradient the check must zero where it lies
+        report = finite_difference_check(
+            lambda: scalar_loss(ad.add(ad.matmul(x, params["w"]), params["b"]), weight), params.parameters()
+        )
+        assert report.passed, report.max_rel_error
+        for p in params.parameters():
+            assert np.shares_memory(p.grad, params.grad), p.name
+        for e in report.entries:
+            assert params[e.name].grad[e.index] == e.analytic
+        assert params["unused"].grad[0] == 0.0
+        # the next step reads the same buffer: Adam's first step is -lr * sign(g)
+        before = params.data.copy()
+        adam_step(AdamState(params), 0.1)
+        np.testing.assert_allclose(params.data - before, -0.1 * np.sign(params.grad), rtol=0, atol=1e-6)
+
     def test_nondeterministic_f_detected(self):
         gen = np.random.default_rng(0)
         p = Parameter("p", [1.0])
 
         def f():
-            return ad.matmul(p.value, Tensor([gen.random()]))
+            return ad.matmul(p, Tensor([gen.random()]))
 
         with pytest.raises(RuntimeError, match="not deterministic"):
             finite_difference_check(f, [p])
@@ -597,7 +624,7 @@ def run_with_grads(op, values, weight):
     """Forward value and every operand's gradient under a fixed scalar weighting."""
     params = [Parameter(f"p{i}", v) for i, v in enumerate(values)]
     with Tape() as tape:
-        out = op(*(p.value for p in params))
+        out = op(*params)
         loss = scalar_loss(out, weight)
     backward(tape, loss)
     return out.data, [p.grad for p in params]
@@ -615,9 +642,9 @@ class TestBatchedPrimitives:
 
     def test_finite_differences(self, op, shapes, stacked):
         params = [Parameter(f"p{i}", v) for i, v in enumerate(self.operands(shapes, stacked, 3))]
-        out = op(*(p.value for p in params))
+        out = op(*params)
         weight = np.random.default_rng(1).normal(size=out.shape)
-        fd_over_all_entries(lambda: scalar_loss(op(*(p.value for p in params)), weight), params)
+        fd_over_all_entries(lambda: scalar_loss(op(*params), weight), params)
 
     def test_a_batch_of_one_is_the_unbatched_form_bit_for_bit(self, op, shapes, stacked):
         single = self.operands(shapes, stacked, 1)

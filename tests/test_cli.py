@@ -803,6 +803,23 @@ class TestCliErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_train_on_a_non_finite_sample_gives_one_line_naming_file_row_and_roi_and_exit_2(
+        self, workspace, tmp_path, capsys, value
+    ):
+        shutil.copytree(workspace / "cohort", tmp_path / "cohort")
+        path = tmp_path / "cohort" / "timeseries" / "s0003.csv"
+        header, first, second, *rest = path.read_text().splitlines()
+        cells = second.split(",")
+        cells[1] = value
+        path.write_text("\n".join([header, first, ",".join(cells), *rest]) + "\n")
+        code = run("train", "--cohort", tmp_path / "cohort", "--out", tmp_path / "model.ckpt")
+        assert code == 2
+        roi = header.split(",")[1]
+        message = f"{path}: row 3: subject 's0003': non-finite value {value!r} for ROI {roi!r}"
+        assert capsys.readouterr().err == f"hobnet: error: {message}\n"
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_train_on_a_subject_id_that_is_a_path_gives_one_line_and_exit_2(self, workspace, tmp_path, capsys):
         shutil.copytree(workspace / "cohort", tmp_path / "cohort")
         labels = tmp_path / "cohort" / "labels.csv"

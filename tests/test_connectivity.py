@@ -459,6 +459,14 @@ class TestFileFormats:
         with pytest.raises(ConnectivityError, match=rf"ts\.csv: row 3: subject 'sub7': {message}"):
             read_timeseries_csv(path, subject_id="sub7")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_sample_names_file_row_subject_and_roi(self, tmp_path, value):
+        path = tmp_path / "ts.csv"
+        path.write_text(f"a,b,c\n0.5,0.1,0.2\n1.0,{value},3.0\n")
+        message = rf"ts\.csv: row 3: subject 'sub7': non-finite value '{value}' for ROI 'b'$"
+        with pytest.raises(ConnectivityError, match=message):
+            read_timeseries_csv(path, subject_id="sub7")
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(

@@ -94,7 +94,7 @@ class TestPredict:
         store = init_params(mlp_layout("head", [width, 4, 2]), seed)
         if zero:
             for p in store.parameters():
-                p.value.data[:] = 0.0
+                p.data[:] = 0.0
         return store
 
     def test_zero_head_gives_uniform_probabilities(self):
@@ -122,7 +122,7 @@ class TestPredict:
         z = np.random.default_rng(3).normal(size=4)
         probs = predict(Tensor(z), store).data
         assert abs(probs.sum() - 1.0) <= 1e-12
-        store["head.l1.b"].value.data += 7.5  # shifts both logits equally
+        store["head.l1.b"].data += 7.5  # shifts both logits equally
         shifted = predict(Tensor(z), store).data
         np.testing.assert_allclose(shifted, probs, atol=1e-12)
 
@@ -187,7 +187,7 @@ class TestAdam:
         for _ in range(2):
             params.zero_grad()
             with Tape() as tape:
-                out = total(ad.hadamard(p.value, p.value))
+                out = total(ad.hadamard(p, p))
             values.append(out.item())
             backward(tape, out)
             adam_step(state, lr=0.01)
@@ -228,7 +228,7 @@ class TestAdam:
             for _ in range(5):
                 params.zero_grad()
                 for p in params.parameters():
-                    p.grad[...] = grads.normal(size=p.value.shape) * rng.choice([1e-3, 1.0, 50.0])
+                    p.grad[...] = grads.normal(size=p.shape) * rng.choice([1e-3, 1.0, 50.0])
                 step(state, lr=1e-2)
             runs.append((params.data.tobytes(), *moments(state, params)))
         assert sum(np.prod(shape) for shape in shapes.values()) > 5 * ADAM_SLICE
@@ -241,7 +241,7 @@ class TestAdam:
         for name, lo, hi in zip(params, params.bounds, params.bounds[1:]):
             p = params[name]
             for array, flat in ((p.data, params.data), (p.grad, params.grad)):
-                assert array.base is flat and array.shape == p.value.shape
+                assert array.base is flat and array.shape == p.shape
                 assert np.shares_memory(array, flat[lo:hi]) and array.size == hi - lo
         state = AdamState(params)
         assert state.m.shape == state.v.shape == params.data.shape
@@ -281,8 +281,7 @@ class TestAdam:
         built = build_model_params(small_config(), result.level_widths, result.fc_len, seed=0)
         for params in (built, result.params):
             predict_proba(params, small_config(), subs)
-            assert params.grad is None and all(p.value.grad is None for p in params.parameters())
-            assert not params["head.l0.w"].grad.any()  # read as zeros, made on first use
+            assert params.grad is None and all(p.grad is None for p in params.parameters())
 
     def test_zero_grad_reuses_each_buffer(self):
         params = build_model_params(small_config(), {"wan": 2, "man": 4, "lan": 8}, 28, seed=0)

@@ -112,7 +112,7 @@ class TestPool:
         assert params["hcnn.mlp.l0.w"].data.shape == (16 * 27, 128)
         x = Parameter("x", np.random.default_rng(4).normal(size=(1, 120)))
         with Tape() as tape:
-            hcnn_first_order(params, "hcnn", x.value, cfg_hcnn)
+            hcnn_first_order(params, "hcnn", x, cfg_hcnn)
         assert "bin-mean" not in {node.op for node in tape.nodes}
 
     def test_a_longer_output_is_pooled_before_the_mlp(self):
@@ -122,7 +122,7 @@ class TestPool:
         out = hcnn_first_order(params, "hcnn", Tensor(x), cfg_hcnn).data
         h = Tensor(x)
         for i in range(2):
-            h = ad.relu(ad.conv1d(h, params[f"hcnn.conv{i}.w"].value, params[f"hcnn.conv{i}.b"].value))
+            h = ad.relu(ad.conv1d(h, params[f"hcnn.conv{i}.w"], params[f"hcnn.conv{i}.b"]))
         pooled = bin_means(h, POOL_BINS).data.reshape(2, -1)
         expected = pooled @ params["hcnn.mlp.l0.w"].data + params["hcnn.mlp.l0.b"].data
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
@@ -170,9 +170,9 @@ class TestChannelFlatten:
         w = Tensor(rng.normal(size=16 * 11))
         values, grads = [], []
         for flatten in (lambda h: ad.reshape(h, (-1,)), flatten_channels_by_selectors):
-            x.zero_grad()
+            x.grad = None
             with Tape() as tape:
-                flat = flatten(ad.relu(ad.conv1d(x.value, kernel, bias)))
+                flat = flatten(ad.relu(ad.conv1d(x, kernel, bias)))
                 loss = ad.matmul(flat, w)
             backward(tape, loss)
             values.append(flat.data.tobytes())

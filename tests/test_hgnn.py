@@ -58,9 +58,9 @@ class TestAfm:
         results = []
         for combine in (afm_combine, afm_combine_by_selectors):
             for p in (r, *outs):
-                p.zero_grad()
+                p.grad = None
             with Tape() as tape:
-                z = combine([o.value for o in outs], r.value)
+                z = combine(outs, r)
                 loss = ad.matmul(ad.reshape(z, (-1,)), w)
             backward(tape, loss)
             results.append((z.data, r.grad.copy(), [o.grad.copy() for o in outs]))
@@ -115,7 +115,7 @@ class TestAfm:
         def f():
             from hobnet import autodiff as ad
 
-            return ad.matmul(ad.reshape(afm_combine(outs, r.value), (-1,)), Tensor(w.ravel()))
+            return ad.matmul(ad.reshape(afm_combine(outs, r), (-1,)), Tensor(w.ravel()))
 
         report = finite_difference_check(f, [r], tolerance=1e-6)
         assert report.passed and not report.skipped
@@ -157,9 +157,9 @@ class TestChebconvBlock:
             seed=0,
         )
         for k in range(cfg.k):
-            params[f"hgnn.man.block0.theta{k}"].value.data[:] = 0.0
-        params["hgnn.man.block0.norm.gain"].value.data[:] = 1.0
-        params["hgnn.man.block0.norm.shift"].value.data[:] = 0.0
+            params[f"hgnn.man.block0.theta{k}"].data[:] = 0.0
+        params["hgnn.man.block0.norm.gain"].data[:] = 1.0
+        params["hgnn.man.block0.norm.shift"].data[:] = 0.0
         h_in = Tensor(np.random.default_rng(6).normal(size=(1, level.features.shape[1], 5)))
         out = chebconv_block(
             h_in, Tensor(level.operator), level.norm_blocks, params, "hgnn.man.block0", cfg, None
@@ -178,7 +178,7 @@ class TestChebconvBlock:
         )
         h_in = Tensor(np.random.default_rng(7).normal(size=(level.features.shape[0], 4)))
         theta0 = params["hgnn.wan.block0.theta0"]
-        out = cheb_apply(Tensor(level.lap.rescaled), h_in, [theta0.value])
+        out = cheb_apply(Tensor(level.lap.rescaled), h_in, [theta0])
         np.testing.assert_allclose(out.data, h_in.data @ theta0.data, atol=1e-12)
 
     @pytest.mark.parametrize("encoder", ["res-cheb", "cheb", "gcn"])

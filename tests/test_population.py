@@ -300,7 +300,7 @@ class TestGcnClassify:
 def gcn_classify_by_tensors(y, adjacency, head):
     """The former classifier: the propagation and the head recorded as one forward."""
     mixed = ad.matmul(Tensor(first_order_propagation(adjacency)), Tensor(y))
-    hidden = ad.relu(ad.matmul(mixed, head["gcn.w"].value))
+    hidden = ad.relu(ad.matmul(mixed, head["gcn.w"]))
     return ad.softmax(mlp_forward(hidden, head, "head"))
 
 

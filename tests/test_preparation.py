@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hobnet import connectivity, ffc, population
+from hobnet import autodiff, connectivity, ffc, population
 from hobnet.connectivity import LEVELS, ConnectivityError, RoiTimeSeries, pearson_fc
 from hobnet.ffc import (
     SCORE_BATCH,
@@ -82,7 +82,7 @@ def chunk_size(hierarchy) -> int:
 @pytest.fixture
 def small_chunks(monkeypatch):
     """Chunks of 3 subjects at 16 ROIs, where the module constant holds 512."""
-    monkeypatch.setattr(connectivity, "STACK_BYTES", 3 * 16 * 16 * 8)
+    monkeypatch.setattr(autodiff, "CHUNK_BYTES", 3 * 16 * 16 * 8)
 
 
 class TestStackedPreparationMatchesOracle:
@@ -230,7 +230,7 @@ class TestOneStack:
     @pytest.mark.parametrize("chunks", ["one chunk", "chunks of 3"])
     def test_views_and_eval_slices_share_memory_with_the_prepared_stack(self, monkeypatch, encoder, chunks):
         if chunks == "chunks of 3":
-            monkeypatch.setattr(connectivity, "STACK_BYTES", 3 * 16 * 16 * 8)
+            monkeypatch.setattr(autodiff, "CHUNK_BYTES", 3 * 16 * 16 * 8)
         h = nested_hierarchy(4, 2, 2)
         cohort = synth_generate(SCORE_BATCH + 3, h, signal=0.6, noise=0.5, seed=14, n_timepoints=60)
         batch = prepare_cohort(cohort, h, 0.3, encoder=encoder)

@@ -124,7 +124,7 @@ class TestChebApply:
         h = Parameter("h", rng.normal(size=(4, 3)))
         thetas = [Parameter(f"t{k}", rng.normal(size=(3, 2))) for k in range(3)]
         with Tape() as tape:
-            loss = total(cheb_apply(Tensor(lap.rescaled), h.value, [t.value for t in thetas]))
+            loss = total(cheb_apply(Tensor(lap.rescaled), h, list(thetas)))
         backward(tape, loss)
         assert np.any(h.grad != 0.0)
         for t in thetas:
