@@ -118,14 +118,10 @@ class Tape:
 _TAPE_STACK: list[Tape] = []
 
 
-def _active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray, backward) -> Tensor:
     if not np.isfinite(out_data).all():
         raise NonFiniteValue(f"{op} produced NaN or Inf values")
-    tape = _active_tape()
+    tape = _TAPE_STACK[-1] if _TAPE_STACK else None
     needs_grad = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor._wrap(out_data, requires_grad=needs_grad)
     if needs_grad:

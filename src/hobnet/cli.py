@@ -23,6 +23,7 @@ from .connectivity import (
     LEVELS,
     ConnectivityError,
     build_graph_set,
+    read_covering_hierarchy,
     read_hierarchy_json,
     read_timeseries_csv,
     retained_fractions,
@@ -112,7 +113,8 @@ def subject_levels(args) -> tuple[str, dict[str, np.ndarray]]:
     """The subject id of ``--timeseries`` and each level's ``[m, m]``
     composite connectivity over ``--hierarchy``, as preparation builds it."""
     ts = read_timeseries_csv(args.timeseries)
-    connectivity = CohortConnectivity.build([ts], read_hierarchy_json(args.hierarchy))
+    hierarchy = read_covering_hierarchy(args.hierarchy, ts, args.timeseries)
+    connectivity = CohortConnectivity.build([ts], hierarchy)
     return ts.subject_id, {lv: stack[0] for lv, stack in connectivity.levels.items()}
 
 
@@ -157,7 +159,7 @@ def cmd_threshold_curve(args) -> int:
 
 def cmd_train(args) -> int:
     cohort = read_cohort(args.cohort)
-    hierarchy = read_cohort_hierarchy(args.cohort)
+    hierarchy = read_cohort_hierarchy(args.cohort, cohort)
     model_cfg = ModelConfig(
         toggles=parse_toggles(args.toggles),
         hgnn=HgnnConfig(k=args.k, blocks=args.blocks, encoder=args.encoder),
@@ -177,7 +179,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     result = load_fit(args.ckpt)
     cohort = read_cohort(args.cohort)
-    hierarchy = read_cohort_hierarchy(args.cohort)
+    hierarchy = read_cohort_hierarchy(args.cohort, cohort)
     plan = read_split_plan(args.split_plan)
     require_parts(plan, [part for part, _, _ in plan.scored_parts()], args.split_plan)
     rows = [
@@ -196,7 +198,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cohort = read_cohort(args.cohort)
-    hierarchy = read_cohort_hierarchy(args.cohort)
+    hierarchy = read_cohort_hierarchy(args.cohort, cohort)
     # desk-scale sweep defaults: narrow model, short schedule
     model_cfg = ModelConfig(hgnn=HgnnConfig(hidden_dim=16))
     train_cfg = preset_train_config("custom", seed=0, epochs=40, dropout=0.1, batch_size=8)
@@ -214,7 +216,7 @@ def cmd_popgraph(args) -> int:
     result = load_fit(args.ckpt)
     seed = result.train_config.seed
     cohort = read_cohort(args.cohort)
-    hierarchy = read_cohort_hierarchy(args.cohort)
+    hierarchy = read_cohort_hierarchy(args.cohort, cohort)
     phenotypes = read_phenotypes_csv(args.phenotypes)
     missing = [sid for sid in cohort.ids() if sid not in phenotypes]
     if missing:

@@ -138,14 +138,6 @@ class AtlasHierarchy:
             raise ConnectivityError(f"unknown level {level!r}; expected one of {LEVELS}")
         return self._layouts[level]
 
-    def level_blocks(self, level: str) -> RowBlocks:
-        """Row-index blocks of the composite node order at ``level``.
-
-        The top level forms a single block; lower levels group their nodes
-        by parent, which is the block structure of the composite matrices.
-        """
-        return self.layout(level).blocks
-
     @cached_property
     def _layouts(self) -> dict[str, LevelLayout]:
         group_of = {r: self.groups.index(self.man_partition[r]) for r in self.ordered_rois}
@@ -476,8 +468,9 @@ def check_json(value, kind: type, where: str, error: type[ValueError], entry: ty
 
 
 def read_json_object(path: str | Path, what: str, error: type[ValueError]) -> dict:
-    """The JSON object in the file at ``path``; ``what`` names the file in a refusal."""
-    with Path(path).open() as fh:
+    """The JSON object in the UTF-8 file at ``path``, after any byte-order
+    mark; ``what`` names the file in a refusal."""
+    with Path(path).open(encoding="utf-8-sig") as fh:
         try:
             payload = json.load(fh)
         except ValueError as exc:  # JSON or UTF-8 decoding
@@ -488,9 +481,10 @@ def read_json_object(path: str | Path, what: str, error: type[ValueError]) -> di
 
 @contextmanager
 def open_csv(path: str | Path, error: type[ValueError]) -> Iterator[TextIO]:
-    """The file at ``path`` opened for the csv module; a byte that does not
-    decode as text, wherever it is read, is refused with ``error``."""
-    with Path(path).open(newline="") as fh:
+    """The UTF-8 file at ``path`` opened for the csv module, past any
+    byte-order mark; a byte that does not decode, wherever it is read, is
+    refused with ``error``."""
+    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -550,6 +544,17 @@ def read_hierarchy_json(path: str | Path) -> AtlasHierarchy:
         return AtlasHierarchy(rois=payload["lan"], man_partition=payload["man"], wan_partition=payload["wan"])
     except ConnectivityError as exc:
         raise ConnectivityError(f"{path}: {exc}") from None
+
+
+def read_covering_hierarchy(path: str | Path, ts: RoiTimeSeries, ts_path: str | Path) -> AtlasHierarchy:
+    """The hierarchy in the JSON file at ``path``, refused unless the time
+    series ``ts``, read from ``ts_path``, has every one of its ROIs."""
+    hierarchy = read_hierarchy_json(path)
+    try:
+        hierarchy.ordered_columns(ts)
+    except ConnectivityError as exc:
+        raise ConnectivityError(f"{ts_path}: {exc} of {path}") from None
+    return hierarchy
 
 
 def write_hierarchy_json(path: str | Path, hierarchy: AtlasHierarchy) -> None:

@@ -429,7 +429,7 @@ def prepare_stack(
     for lv in LEVELS:
         lap = None if encoder == "gcn" else GraphLaplacian(graph[lv], lambda_max[lv])
         propagation = graph[lv] if encoder == "gcn" else None
-        level_batches[lv] = LevelBatch(connectivity.levels[lv], hierarchy.level_blocks(lv), lap, propagation)
+        level_batches[lv] = LevelBatch(connectivity.levels[lv], hierarchy.layout(lv).blocks, lap, propagation)
     ids = [ts.subject_id for ts in series]
     return SubjectBatch(ids, np.array([int(label) for label in labels]), level_batches, fc)
 
@@ -536,16 +536,6 @@ def fused_features(
     return parts[0] if len(parts) == 1 else ad.concat(*parts, axis=-1)
 
 
-def predict(z: Tensor, params: ModelParams) -> Tensor:
-    """Two-class probabilities from the fused features, one row per subject."""
-    return ad.softmax(mlp_forward(z, params, "head"))
-
-
-def loss(probs: Tensor, labels) -> Tensor:
-    """Mean cross-entropy over the positive-class probabilities."""
-    return ad.cross_entropy(probs, labels)
-
-
 def model_forward(
     params: ModelParams,
     cfg: ModelConfig,
@@ -554,7 +544,7 @@ def model_forward(
 ) -> Tensor:
     """Class probabilities ``[B, 2]`` of a stack of subjects; ``train`` as
     for ``fused_features``."""
-    return predict(fused_features(params, cfg, batch, train), params)
+    return ad.softmax(mlp_forward(fused_features(params, cfg, batch, train), params, "head"))
 
 
 def score_subjects(params: ModelParams, cfg: ModelConfig, batch: SubjectBatch) -> np.ndarray:
@@ -694,7 +684,7 @@ def fit(
             params.zero_grad()
             with Tape() as tape:
                 probs = model_forward(params, model_cfg, mini, train=train)
-                batch_loss = loss(probs, mini.labels)
+                batch_loss = ad.cross_entropy(probs, mini.labels)
             backward(tape, batch_loss)
             adam_step(state, train_cfg.learning_rate)
             epoch_loss += batch_loss.item() * len(mini.labels)

@@ -23,6 +23,7 @@ from .connectivity import (
     RoiTimeSeries,
     check_json,
     open_csv,
+    read_covering_hierarchy,
     read_hierarchy_json,
     read_json_object,
     read_timeseries_csv,
@@ -679,8 +680,13 @@ def require_parts(plan: SplitPlan, parts: Iterable[str], source: str | Path) -> 
             raise HarnessError(f"{source}: split plan part {part!r} is empty")
 
 
-def read_cohort_hierarchy(directory: str | Path) -> AtlasHierarchy:
+def read_cohort_hierarchy(directory: str | Path, cohort: Cohort) -> AtlasHierarchy:
+    """The cohort directory's hierarchy, refused unless the first subject's
+    time series, whose header every other repeats, has all its ROIs."""
     path = Path(directory) / "hierarchy.json"
     if not path.exists():
         raise HarnessError(f"{directory}: no hierarchy.json in cohort directory")
-    return read_hierarchy_json(path)
+    if not cohort.subjects:
+        return read_hierarchy_json(path)
+    ts = cohort.subjects[0].timeseries
+    return read_covering_hierarchy(path, ts, Path(directory) / "timeseries" / f"{ts.subject_id}.csv")

@@ -97,14 +97,7 @@ def hcnn_first_order(
     return mlp_forward(ad.reshape(h, h.shape[:-2] + (-1,)), params, f"{prefix}.mlp")
 
 
-def hop(z: Tensor) -> Tensor:
-    """Outer product of the first-order feature vector (or of each row) with itself."""
-    if z.ndim not in (1, 2):
-        raise HcnnError(f"hop expects a 1-D feature vector or rows of them, got shape {z.shape}")
-    return ad.outer(z, z)
-
-
 def hop_concat(z: Tensor, params, prefix: str) -> Tensor:
     """First-order features joined with the re-embedded outer-product terms."""
-    flat = ad.upper_triangle_flatten(hop(z))
+    flat = ad.upper_triangle_flatten(ad.outer(z, z))
     return ad.concat(z, mlp_forward(flat, params, prefix), axis=-1)

@@ -97,11 +97,6 @@ def afm_combine(block_outputs: list[Tensor], r: Tensor) -> Tensor:
     return ad.reshape(ad.matmul(columns, afm_weights(r)), shape)
 
 
-def ghop(z: Tensor) -> Tensor:
-    """Gram matrix of node embeddings ``[..., m, d]``: symmetric PSD high-order statistics."""
-    return ad.matmul(ad.transpose(z), z)
-
-
 def chebconv_block(
     h_in: Tensor,
     operator: Tensor,
@@ -172,6 +167,6 @@ def branch_high_order(
     first = ad.mean_over_axis(z)
     if not high_order:
         return first
-    gram_flat = ad.upper_triangle_flatten(ghop(z))
+    gram_flat = ad.upper_triangle_flatten(ad.matmul(ad.transpose(z), z))
     high = mlp_forward(gram_flat, params, prefix)
     return ad.concat(first, high, axis=-1)

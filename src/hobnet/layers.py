@@ -1,4 +1,4 @@
-"""Small shared building blocks: affine layers, MLP stacks, and parameter
+"""Small shared building blocks: MLP stacks and parameter
 layouts (lists of ``(name, shape, init)`` rows) with their initializer."""
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ def initial_values(rows, seed: int) -> Iterator[tuple[str, np.ndarray]]:
         yield name, values
 
 
-def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    return ad.add(ad.matmul(x, weight), bias)
-
-
 def mlp_layout(prefix: str, widths: list[int]) -> list[tuple[str, tuple[int, ...], str]]:
     """The parameter rows of an MLP given the full width chain [in, ..., out]."""
     rows = []
@@ -69,7 +65,7 @@ def mlp_forward(x: Tensor, params, prefix: str) -> Tensor:
         raise KeyError(f"no MLP parameters under prefix {prefix!r}")
     h = x
     for i in range(n_layers):
-        h = affine(h, params[f"{prefix}.l{i}.w"], params[f"{prefix}.l{i}.b"])
+        h = ad.add(ad.matmul(h, params[f"{prefix}.l{i}.w"]), params[f"{prefix}.l{i}.b"])
         if i < n_layers - 1:
             h = ad.relu(h)
     return h

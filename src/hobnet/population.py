@@ -227,7 +227,6 @@ def head_forward(y: np.ndarray, head: ModelParams) -> Tensor:
 @dataclass
 class PopulationResult:
     head: ModelParams
-    adjacency: np.ndarray
     loss_trace: list[float] = field(default_factory=list)
 
 
@@ -257,4 +256,4 @@ def train_population_head(
         backward(tape, ce)
         adam_step(state, lr)
         trace.append(ce.item())
-    return PopulationResult(head=head, adjacency=adjacency, loss_trace=trace)
+    return PopulationResult(head=head, loss_trace=trace)

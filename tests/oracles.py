@@ -354,7 +354,7 @@ def composite_connectivity(ts, hierarchy, level) -> ConnectivityMatrix:
         return cm
     m = cm.values.shape[-1]
     mask = np.zeros((m, m), dtype=bool)
-    for idx in hierarchy.level_blocks(level):
+    for idx in hierarchy.layout(level).blocks:
         mask[np.ix_(idx, idx)] = True
     return ConnectivityMatrix(level=level, values=np.where(mask, cm.values, 0.0), kind="rv")
 
@@ -422,7 +422,7 @@ def prepare_subject(ts, hierarchy, gammas, label=0, encoder="res-cheb"):
         np.fill_diagonal(adjacency, 1.0)
         levels[level] = LevelBatch(
             features=cm.values.copy(),
-            norm_blocks=hierarchy.level_blocks(level),
+            norm_blocks=hierarchy.layout(level).blocks,
             lap=None if encoder == "gcn" else normalized_laplacian(adjacency),
             propagation=first_order_propagation(adjacency) if encoder == "gcn" else None,
         )

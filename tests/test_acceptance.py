@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hobnet.autodiff import Tensor, finite_difference_check
+from hobnet.autodiff import Tensor, cross_entropy, finite_difference_check
 from hobnet.cli import main as cli_main
 from hobnet.connectivity import (
     LEVELS,
@@ -30,7 +30,6 @@ from hobnet.ffc import (
     checkpoint_meta,
     fit,
     load_fit,
-    loss,
     model_forward,
     parse_toggles,
     prepare_cohort,
@@ -125,7 +124,7 @@ class TestCriterion1GradientCorrectness:
         params = build_model_params(cfg, widths, sub.fc_len, seed=13)
 
         def f():
-            return loss(model_forward(params, cfg, batch), [sub.label])
+            return cross_entropy(model_forward(params, cfg, batch), [sub.label])
 
         fd = finite_difference_check(
             f, params.parameters(), h=1e-5, tolerance=1e-4, max_entries=120, seed=3

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hobnet import ffc
-from hobnet.autodiff import Tape, backward
+from hobnet.autodiff import Tape, backward, cross_entropy
 from hobnet.connectivity import LEVELS
 from hobnet.ffc import (
     SCORE_BATCH,
@@ -20,7 +20,6 @@ from hobnet.ffc import (
     ModelConfig,
     build_model_params,
     fused_features,
-    loss,
     model_forward,
     parse_toggles,
     prepare_cohort,
@@ -88,7 +87,7 @@ def test_batched_path_matches_the_per_subject_oracle(prepared, toggles, encoder)
             assert_close(probs[row], subject_forward(params, cfg, subs[i]).data, f"probs B={size}")
         train = (0.0, named_stream(0, "dropout"))  # rate 0: a training forward draws no mask
         batched = gradients(
-            params, lambda: loss(model_forward(params, cfg, batch, train), batch.labels)
+            params, lambda: cross_entropy(model_forward(params, cfg, batch, train), batch.labels)
         )
         per_subject = gradients(
             params, lambda: subject_batch_loss(params, cfg, [subs[i] for i in chosen], train)
@@ -132,7 +131,7 @@ def test_the_training_tape_of_a_batch_of_8_is_as_long_as_a_batch_of_1(prepared):
 
     def train_loss(size):
         batch = subs.take(np.arange(size))
-        return lambda: loss(model_forward(params, cfg, batch, train), batch.labels)
+        return lambda: cross_entropy(model_forward(params, cfg, batch, train), batch.labels)
 
     assert tape_nodes(train_loss(8)) == tape_nodes(train_loss(1)) > 100
 
@@ -150,7 +149,7 @@ def test_a_training_mini_batch_of_the_criterion_5_model_records_a_fixed_tape(pre
     params = model_params(cfg, subs)
     batch = subs.take(np.arange(8))
     with Tape() as tape:
-        loss(model_forward(params, cfg, batch, (0.0, named_stream(0, "dropout"))), batch.labels)
+        cross_entropy(model_forward(params, cfg, batch, (0.0, named_stream(0, "dropout"))), batch.labels)
     assert Counter(node.op for node in tape.nodes) == {
         "add": 51, "concat": 8, "conv1d": 2, "cross-entropy": 1, "matmul": 66, "mean-over-axis": 3,
         "outer-product": 1, "per-block-norm": 9, "relu": 17, "reshape": 13, "scalar-scale": 18,

@@ -803,6 +803,46 @@ class TestCliErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "model.ckpt").exists()
 
+    def test_train_reads_files_that_start_with_a_byte_order_mark(self, workspace, trained, tmp_path):
+        # spreadsheets save "CSV UTF-8" with a leading byte-order mark
+        cohort = tmp_path / "cohort"
+        shutil.copytree(workspace / "cohort", cohort)
+        paths = [cohort / name for name in ("labels.csv", "phenotypes.csv", "hierarchy.json", "split_plan.json")]
+        for path in [*paths, *(cohort / "timeseries").glob("*.csv")]:
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        ckpt = tmp_path / "model.ckpt"
+        code = run(
+            "train", "--cohort", cohort,
+            "--preset", "custom", "--toggles", "HGNN+HCNN",
+            "--encoder", "res-cheb", "--k", 2, "--blocks", 2,
+            "--seed", 3, "--out", ckpt,
+        )
+        assert code == 0
+        assert ckpt.read_bytes() == trained.read_bytes()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "popgraph", "graphgen"])
+    def test_a_hierarchy_roi_missing_from_the_time_series_names_both_files_and_exits_2(
+        self, workspace, trained, tmp_path, capsys, command
+    ):
+        cohort = tmp_path / "cohort"
+        shutil.copytree(workspace / "cohort", cohort)
+        hierarchy = cohort / "hierarchy.json"
+        write_hierarchy_json(hierarchy, nested_hierarchy(2, 2, 3))
+        first = cohort / "timeseries" / "s0000.csv"
+        out = tmp_path / "out"
+        argv = {
+            "train": ("train", "--cohort", cohort),
+            "eval": ("eval", "--ckpt", trained, "--cohort", cohort, "--split-plan", cohort / "split_plan.json"),
+            "popgraph": ("popgraph", "--ckpt", trained, "--cohort", cohort, "--phenotypes", cohort / "phenotypes.csv"),
+            "graphgen": ("graphgen", "--timeseries", first, "--hierarchy", hierarchy, "--gamma", 0.4),
+        }[command]
+        assert run(*argv, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"hobnet: error: {first}: subject 's0000': time series is missing hierarchy ROI "
+            f"'net0.grp0.roi2' of {hierarchy}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_train_on_a_non_finite_sample_gives_one_line_naming_file_row_and_roi_and_exit_2(
         self, workspace, tmp_path, capsys, value

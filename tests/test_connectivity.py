@@ -385,7 +385,7 @@ class TestGraphSet:
         levels = subject_values(ts, h)
         graphs = build_graph_set(levels, gammas=0.0, mode="weighted")
         for level in (MAN, LAN):
-            blocks = h.level_blocks(level)
+            blocks = h.layout(level).blocks
             m = graphs[level].shape[0]
             mask = np.ones((m, m), dtype=bool)
             for idx in blocks:
@@ -428,9 +428,9 @@ class TestHierarchyValidation:
 
     def test_nested_blocks_are_contiguous(self):
         h = toy_hierarchy_4_6_10()
-        man_blocks = h.level_blocks(MAN)
+        man_blocks = h.layout(MAN).blocks
         assert [len(b) for b in man_blocks] == [2, 1, 1, 2]
-        lan_blocks = h.level_blocks(LAN)
+        lan_blocks = h.layout(LAN).blocks
         assert [len(b) for b in lan_blocks] == [2, 1, 2, 1, 1, 3]
 
     def test_timeseries_missing_hierarchy_roi(self):

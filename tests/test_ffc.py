@@ -26,11 +26,9 @@ from hobnet.ffc import (
     fit,
     init_params,
     load_fit,
-    loss,
     model_forward,
     param_layout,
     parse_toggles,
-    predict,
     prepare_cohort,
     prepare_subject,
     preset_train_config,
@@ -40,7 +38,7 @@ from hobnet.ffc import (
 from hobnet.harness import nested_hierarchy, synth_generate
 from hobnet.hcnn import dr_flatten
 from hobnet.hgnn import ENCODERS
-from hobnet.layers import mlp_layout
+from hobnet.layers import mlp_forward, mlp_layout
 
 from conftest import params_of, random_timeseries, toy_hierarchy_4_6_10
 from oracles import as_old_checkpoint, total, traced_peak
@@ -99,18 +97,18 @@ class TestPredict:
 
     def test_zero_head_gives_uniform_probabilities(self):
         store = self.head_store(6, zero=True)
-        probs = predict(Tensor(np.random.default_rng(1).normal(size=6)), store)
+        probs = ad.softmax(mlp_forward(Tensor(np.random.default_rng(1).normal(size=6)), store, "head"))
         np.testing.assert_allclose(probs.data, [0.5, 0.5], atol=1e-15)
 
     def test_saturated_logits(self):
         store = params_of({"head.l0.w": [[40.0, -40.0]], "head.l0.b": np.zeros(2)})
-        probs = predict(Tensor([1.0]), store).data
+        probs = ad.softmax(mlp_forward(Tensor([1.0]), store, "head")).data
         assert probs[0] > 1.0 - 1e-12 and probs[1] < 1e-12
 
     def test_matches_softmax_mlp_oracle(self):
         store = self.head_store(5, seed=2)
         z = np.random.default_rng(2).normal(size=5)
-        probs = predict(Tensor(z), store).data
+        probs = ad.softmax(mlp_forward(Tensor(z), store, "head")).data
         h = np.maximum(z @ store["head.l0.w"].data + store["head.l0.b"].data, 0.0)
         logits = h @ store["head.l1.w"].data + store["head.l1.b"].data
         e = np.exp(logits - logits.max())
@@ -120,31 +118,31 @@ class TestPredict:
     def test_probabilities_sum_to_one_and_shift_invariant(self):
         store = self.head_store(4, seed=3)
         z = np.random.default_rng(3).normal(size=4)
-        probs = predict(Tensor(z), store).data
+        probs = ad.softmax(mlp_forward(Tensor(z), store, "head")).data
         assert abs(probs.sum() - 1.0) <= 1e-12
         store["head.l1.b"].data += 7.5  # shifts both logits equally
-        shifted = predict(Tensor(z), store).data
+        shifted = ad.softmax(mlp_forward(Tensor(z), store, "head")).data
         np.testing.assert_allclose(shifted, probs, atol=1e-12)
 
 
 class TestLoss:
     def test_confident_correct_prediction_is_zero(self):
-        assert loss(Tensor([0.0, 1.0]), [1]).item() == pytest.approx(0.0, abs=1e-9)
+        assert ad.cross_entropy(Tensor([0.0, 1.0]), [1]).item() == pytest.approx(0.0, abs=1e-9)
 
     def test_half_probability_gives_log_two(self):
-        assert loss(Tensor([0.5, 0.5]), [1]).item() == pytest.approx(np.log(2.0), abs=1e-12)
+        assert ad.cross_entropy(Tensor([0.5, 0.5]), [1]).item() == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_batch_mean_of_individual_losses(self):
         probs = Tensor([[0.2, 0.8], [0.8, 0.2]])
-        single = [loss(Tensor([0.2, 0.8]), [1]).item(), loss(Tensor([0.8, 0.2]), [0]).item()]
-        assert loss(probs, [1, 0]).item() == pytest.approx(np.mean(single), abs=1e-12)
+        single = [ad.cross_entropy(Tensor(p), [y]).item() for p, y in [([0.2, 0.8], 1), ([0.8, 0.2], 0)]]
+        assert ad.cross_entropy(probs, [1, 0]).item() == pytest.approx(np.mean(single), abs=1e-12)
 
     def test_loss_is_non_negative(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             p = rng.uniform(1e-6, 1 - 1e-6)
             y = int(rng.integers(2))
-            assert loss(Tensor([1 - p, p]), [y]).item() >= 0.0
+            assert ad.cross_entropy(Tensor([1 - p, p]), [y]).item() >= 0.0
 
 
 def moments(state, params) -> list[bytes]:

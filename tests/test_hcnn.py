@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hobnet import autodiff as ad
-from hobnet.autodiff import Parameter, Tape, Tensor, backward, finite_difference_check
+from hobnet.autodiff import Parameter, ShapeMismatch, Tape, Tensor, backward, finite_difference_check
 from hobnet.connectivity import pearson_fc
 from hobnet.ffc import ModelConfig, build_model_params, init_params, parse_toggles
 from hobnet.harness import nested_hierarchy, synth_generate
@@ -14,7 +14,6 @@ from hobnet.hcnn import (
     HcnnError,
     dr_flatten,
     hcnn_first_order,
-    hop,
     hop_concat,
 )
 from hobnet.layers import mlp_layout
@@ -182,17 +181,16 @@ class TestChannelFlatten:
 
 
 class TestHop:
-    def test_outer_product_example(self):
-        np.testing.assert_array_equal(
-            hop(Tensor([1.0, 2.0])).data, [[1.0, 2.0], [2.0, 4.0]]
-        )
+    """The HCNN's high-order pooling: the outer product of the first-order
+    vector (or of each row) with itself."""
 
     def test_zero_vector_gives_zero_matrix(self):
-        np.testing.assert_array_equal(hop(Tensor(np.zeros(3))).data, np.zeros((3, 3)))
+        z = Tensor(np.zeros(3))
+        np.testing.assert_array_equal(ad.outer(z, z).data, np.zeros((3, 3)))
 
     def test_matches_double_loop_oracle(self):
         z = np.random.default_rng(3).normal(size=5)
-        out = hop(Tensor(z)).data
+        out = ad.outer(Tensor(z), Tensor(z)).data
         for i in range(5):
             for j in range(5):
                 assert out[i, j] == pytest.approx(z[i] * z[j], abs=1e-12)
@@ -200,21 +198,22 @@ class TestHop:
     def test_symmetric_with_rank_at_most_one(self):
         for seed in range(10):
             z = np.random.default_rng(seed).normal(size=6)
-            out = hop(Tensor(z)).data
+            out = ad.outer(Tensor(z), Tensor(z)).data
             np.testing.assert_array_equal(out, out.T)
             eigvals = np.sort(np.abs(np.linalg.eigvalsh(out)))
             assert np.all(eigvals[:-1] <= 1e-10)
 
     def test_rows_are_a_batch_of_vectors(self):
         z = np.random.default_rng(11).normal(size=(3, 4))
-        out = hop(Tensor(z)).data
+        out = ad.outer(Tensor(z), Tensor(z)).data
         assert out.shape == (3, 4, 4)
         for row, vector in zip(out, z):
-            np.testing.assert_array_equal(row, hop(Tensor(vector)).data)
+            np.testing.assert_array_equal(row, ad.outer(Tensor(vector), Tensor(vector)).data)
 
     def test_rejects_stacks_of_matrices(self):
-        with pytest.raises(HcnnError, match="1-D"):
-            hop(Tensor(np.zeros((2, 2, 2))))
+        z = Tensor(np.zeros((2, 2, 2)))
+        with pytest.raises(ShapeMismatch, match="vectors or rows"):
+            ad.outer(z, z)
 
 
 class TestHopConcat:
