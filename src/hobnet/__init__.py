@@ -3,7 +3,7 @@
 Subpackages:
     autodiff      dense float64 reverse-mode differentiation engine
     connectivity  Pearson FC and multi-level RV-coefficient graph construction
-    spectral      graph Laplacians, Chebyshev filtering, eigendecomposition oracle
+    spectral      graph Laplacians, Chebyshev filtering, GCN propagation
     hgnn          graph branch: residual spectral encoders + high-order pooling
     hcnn          Euclidean branch: 1-D convolutions + outer-product pooling
     ffc           fusion head, loss, Adam, training loop, checkpoints

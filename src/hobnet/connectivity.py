@@ -180,46 +180,24 @@ class LevelLayout:
         )
 
 
-@dataclass
-class ConnectivityMatrix:
-    """Symmetric association matrices with unit diagonal.
-
-    ``values`` is one subject's ``[m, m]`` matrix or a stack ``[N, m, m]``;
-    ``subject_ids`` names the subject of each, so that a refused matrix is
-    named by its subject.
+def _refuse_non_finite(values: np.ndarray, subject_ids: Sequence[str], level: str) -> np.ndarray:
+    """``values`` (``[N, m, m]``), refused if a matrix holds NaN or Inf,
+    which an overflow in the Gram products leaves; the refusal names the
+    first such subject and the level. Nothing else needs a check, as
+    construction makes every matrix symmetric bit for bit (Pearson writes
+    ``cross + cross.T``, RV ``sums + sums.T`` over the commutative
+    ``norms_i * norms_j``, and the block masks are symmetric), writes the
+    unit diagonal last (``_set_diagonal``) and bounds the range
+    (``np.clip(..., -1, 1)``, or ``np.minimum(..., 1)`` of non-negative sums
+    over positive norms; a NaN passes both). The adjacencies thresholded
+    from these values are therefore symmetric and non-negative too.
     """
-
-    level: str
-    values: np.ndarray
-    kind: str
-    subject_ids: Sequence[str] = ()
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim < 2 or v.shape[-2] != v.shape[-1]:
-            raise ConnectivityError(f"connectivity matrix must be square, got {v.shape}")
-        if self.kind not in ("rv", "pearson"):
-            raise ConnectivityError(f"unknown connectivity kind {self.kind!r}")
-        low = 0.0 if self.kind == "rv" else -1.0
-        stack = v.reshape(-1, *v.shape[-2:])
-        flat = stack.reshape(len(stack), -1)
-        smallest, largest = flat.min(axis=1), flat.max(axis=1)  # NaN propagates into both
-        self._refuse(~(np.isfinite(smallest) & np.isfinite(largest)), "has NaN or Inf entries")
-        asymmetry = stack - stack.transpose(0, 2, 1)
-        np.abs(asymmetry, out=asymmetry)
-        asymmetric = asymmetry.reshape(len(stack), -1).max(axis=1) > 1e-12
-        self._refuse(asymmetric, "is not symmetric within 1e-12")
-        diagonal = np.diagonal(stack, axis1=1, axis2=2)
-        self._refuse((diagonal != 1.0).any(axis=1), "diagonal must be exactly 1")
-        outside = (smallest < low) | (largest > 1.0)
-        self._refuse(outside, f"has {self.kind} entries outside [{low:g}, 1]")
-        self.values = v
-
-    def _refuse(self, bad: np.ndarray, problem: str) -> None:
-        if bad.any():
-            k = int(np.argmax(bad))
-            who = f"subject {self.subject_ids[k]!r}: " if k < len(self.subject_ids) else ""
-            raise ConnectivityError(f"{who}{self.level} connectivity matrix {problem}")
+    flat = values.reshape(len(values), -1)
+    bad = ~(np.isfinite(flat.min(axis=1)) & np.isfinite(flat.max(axis=1)))  # NaN propagates into both
+    if bad.any():
+        who = subject_ids[int(np.argmax(bad))]
+        raise ConnectivityError(f"subject {who!r}: {level} connectivity matrix has NaN or Inf entries")
+    return values
 
 
 def _set_diagonal(values: np.ndarray, value: float) -> None:
@@ -247,7 +225,7 @@ def fc_columns(series: Sequence[RoiTimeSeries]) -> int:
     return r
 
 
-def pearson_fc(series: Sequence[RoiTimeSeries]) -> ConnectivityMatrix:
+def pearson_fc(series: Sequence[RoiTimeSeries]) -> np.ndarray:
     """Pearson correlation between every pair of ROI columns, per subject.
 
     Each subject keeps its own column order; the result is ``[N, R, R]``.
@@ -263,9 +241,7 @@ def pearson_fc(series: Sequence[RoiTimeSeries]) -> ConnectivityMatrix:
         corr /= 2.0
         np.clip(corr, -1.0, 1.0, out=corr)
     _set_diagonal(corr, 1.0)
-    return ConnectivityMatrix(
-        level="fc", values=corr, kind="pearson", subject_ids=[ts.subject_id for ts in series]
-    )
+    return _refuse_non_finite(corr, [ts.subject_id for ts in series], "fc")
 
 
 def rv_coefficient(a: np.ndarray, b: np.ndarray) -> float:
@@ -319,7 +295,7 @@ def gram_stack(series: Sequence[RoiTimeSeries], hierarchy: AtlasHierarchy) -> Gr
     return GramStack(subject_ids=[ts.subject_id for ts in series], squares=squares)
 
 
-def level_connectivity(grams: GramStack, hierarchy: AtlasHierarchy, level: str) -> ConnectivityMatrix:
+def level_connectivity(grams: GramStack, hierarchy: AtlasHierarchy, level: str) -> np.ndarray:
     """RV coefficient between every pair of same-level column blocks.
 
     With C = X'X the subject's Gram matrix, block (i, j) of C is A_i'A_j,
@@ -347,7 +323,7 @@ def level_connectivity(grams: GramStack, hierarchy: AtlasHierarchy, level: str) 
         sums /= norms[:, :, None] * norms[:, None, :]
         np.minimum(sums, 1.0, out=sums)
     _set_diagonal(sums, 1.0)
-    return ConnectivityMatrix(level=level, values=sums, kind="rv", subject_ids=grams.subject_ids)
+    return _refuse_non_finite(sums, grams.subject_ids, level)
 
 
 def retained_fractions(values: np.ndarray, gammas) -> np.ndarray:
@@ -394,9 +370,8 @@ def select_cutoff(curve: list[tuple[float, float]]) -> float:
 
 
 def build_adjacency(values: np.ndarray, gamma: float, mode: str = "binary") -> np.ndarray:
-    """Sparsify checked connectivity values (``ConnectivityMatrix.values``,
-    or rows of them) by threshold: keep entries strictly above gamma, unit
-    diagonal."""
+    """Sparsify connectivity values (one ``[m, m]`` matrix, or a stack) by
+    threshold: keep entries strictly above gamma, unit diagonal."""
     if not 0.0 <= gamma <= 1.0:
         raise ConnectivityError(f"gamma must be in [0, 1], got {gamma}")
     if mode not in ("binary", "weighted"):
@@ -410,19 +385,17 @@ def build_adjacency(values: np.ndarray, gamma: float, mode: str = "binary") -> n
     return adj
 
 
-def composite_connectivity(
-    grams: GramStack, hierarchy: AtlasHierarchy, level: str
-) -> ConnectivityMatrix:
+def composite_connectivity(grams: GramStack, hierarchy: AtlasHierarchy, level: str) -> np.ndarray:
     """Level connectivity with entries outside the parent blocks zeroed.
 
     The top level is a single graph, so it passes through unmasked; the two
     lower levels keep only within-parent associations, matching the
     block-diagonal assembly of their adjacency.
     """
-    cm = level_connectivity(grams, hierarchy, level)
-    if level != WAN:  # zeroing whole blocks keeps every property the matrix was checked for
-        np.copyto(cm.values, 0.0, where=~hierarchy.layout(level).mask)
-    return cm
+    values = level_connectivity(grams, hierarchy, level)
+    if level != WAN:  # zeroing a symmetric mask of off-diagonal blocks keeps symmetry and range
+        np.copyto(values, 0.0, where=~hierarchy.layout(level).mask)
+    return values
 
 
 def build_graph_set(
@@ -432,9 +405,9 @@ def build_graph_set(
 ) -> dict[str, np.ndarray]:
     """Threshold each level's composite connectivity into its adjacency.
 
-    ``levels`` holds each level's checked values (``ConnectivityMatrix.values``)
-    of one subject, or a stack of them; ``gammas`` is a per-level dict or
-    one shared threshold. The values themselves are the node features: row
+    ``levels`` holds each level's composite connectivity of one subject, or
+    a stack of them; ``gammas`` is a per-level dict or one shared
+    threshold. The values themselves are the node features: row
     i is node i's connectivity profile. The two lower levels were masked to
     their parent blocks, which makes both adjacency and features exactly
     block-diagonal (features are zero-padded to the composite width).

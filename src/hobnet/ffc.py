@@ -358,7 +358,7 @@ class CohortConnectivity:
         for rows in subject_chunks(len(series), hierarchy):
             grams = gram_stack(series[rows], hierarchy)
             for lv, stack in levels.items():
-                stack[rows] = composite_connectivity(grams, hierarchy, lv).values
+                stack[rows] = composite_connectivity(grams, hierarchy, lv)
         return cls(series, levels)
 
     def __len__(self) -> int:
@@ -417,7 +417,7 @@ def prepare_stack(
     graph = {lv: np.empty_like(stack) for lv, stack in connectivity.levels.items()}
     lambda_max = {lv: np.empty(n) for lv in LEVELS}
     for rows in subject_chunks(n, hierarchy):
-        fc[rows, 0] = dr_flatten(pearson_fc(series[rows]).values)
+        fc[rows, 0] = dr_flatten(pearson_fc(series[rows]))
         graphs = build_graph_set({lv: stack[rows] for lv, stack in connectivity.levels.items()}, gammas)
         for lv in LEVELS:
             if encoder == "gcn":

@@ -234,7 +234,7 @@ class SplitPlan:
 
 
 def holdout_plan(seed: int, fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)) -> SplitPlan:
-    if abs(sum(fractions) - 1.0) > 1e-9 or any(f < 0 for f in fractions):
+    if not (abs(sum(fractions) - 1.0) <= 1e-9 and all(f >= 0 for f in fractions)):  # NaN fails both
         raise HarnessError(f"holdout fractions must be non-negative and sum to 1, got {fractions}")
     return SplitPlan(mode="holdout", seed=seed, fractions=fractions)
 
@@ -247,7 +247,7 @@ def kfold_plan(seed: int, k: int) -> SplitPlan:
 
 def _apportion(class_counts: dict[int, int], target: int, total: int) -> dict[int, int]:
     """Largest-remainder allocation of ``target`` slots across classes."""
-    quotas = {c: n * target / total for c, n in class_counts.items()}
+    quotas = {c: n * target / max(total, 1) for c, n in class_counts.items()}  # total is 0 only if every n is
     base = {c: int(math.floor(q)) for c, q in quotas.items()}
     short = target - sum(base.values())
     by_remainder = sorted(quotas, key=lambda c: (quotas[c] - base[c], -c), reverse=True)

@@ -18,7 +18,7 @@ _LAMBDA_TOL = 1e-9
 
 
 class SpectralError(ValueError):
-    """Invalid adjacency or filter shapes."""
+    """Invalid filter or feature shapes."""
 
 
 @dataclass
@@ -41,41 +41,22 @@ class GraphLaplacian:
         return out
 
 
-def _checked_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    """``adjacency`` (``[m, m]`` or ``[N, m, m]``) as float64, refused unless
-    square, symmetric and non-negative; a refused graph of a stack is named
-    by its index."""
-    a = np.asarray(adjacency, dtype=np.float64)
-    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
-        raise SpectralError(f"adjacency must be square, got shape {a.shape}")
-    stack = a.reshape(-1, *a.shape[-2:])
-    asymmetry = stack - stack.transpose(0, 2, 1)
-    np.abs(asymmetry, out=asymmetry)
-    for bad, problem in (
-        (asymmetry.reshape(len(stack), -1).max(axis=1) > 1e-12, "is asymmetric beyond 1e-12"),
-        (stack.reshape(len(stack), -1).min(axis=1) < 0.0, "entries must be non-negative"),
-    ):
-        if bad.any():
-            which = f"graph {int(np.argmax(bad))}: " if a.ndim == 3 else ""
-            raise SpectralError(f"{which}adjacency {problem}")
-    return a
-
-
 def normalized_laplacian(adjacency: np.ndarray) -> GraphLaplacian:
     """I - D^{-1/2} A D^{-1/2} with isolated-node rows left as identity.
 
-    Takes one adjacency ``[m, m]`` or a stack ``[N, m, m]``. The dominant
+    Takes one symmetric, non-negative float64 adjacency ``[m, m]`` or a
+    stack ``[N, m, m]``, as ``connectivity.build_adjacency`` and
+    ``population.population_adjacency`` make them. The dominant
     eigenvalue is the last of ``np.linalg.eigvalsh``, exact to rounding and
     independent of node order; a Laplacian without a positive eigenvalue
     (self-loops only) takes the spectral upper bound 2 instead, so the
     rescaled spectrum never exceeds [-1, 1].
     """
-    a = _checked_adjacency(adjacency)
-    degrees = a.sum(axis=-1)
+    degrees = adjacency.sum(axis=-1)
     inv_sqrt = np.where(degrees > 0.0, 1.0 / np.sqrt(np.where(degrees > 0.0, degrees, 1.0)), 0.0)
-    lap = inv_sqrt[..., :, None] * a
+    lap = inv_sqrt[..., :, None] * adjacency
     lap *= inv_sqrt[..., None, :]
-    np.subtract(np.eye(a.shape[-1]), lap, out=lap)
+    np.subtract(np.eye(adjacency.shape[-1]), lap, out=lap)
     lap = lap + np.swapaxes(lap, -1, -2)
     lap /= 2.0
     lam = np.linalg.eigvalsh(lap)[..., -1]
@@ -119,9 +100,8 @@ def cheb_apply(rescaled: Tensor, features: Tensor, thetas: list[Tensor]) -> Tens
 
 def first_order_propagation(adjacency: np.ndarray) -> np.ndarray:
     """Renormalized propagation D^{-1/2} (A + I) D^{-1/2} for plain GCN layers,
-    of one adjacency ``[m, m]`` or a stack ``[N, m, m]``."""
-    a = _checked_adjacency(adjacency)
-    a_hat = a + np.eye(a.shape[-1])
+    of an adjacency or a stack of them as ``normalized_laplacian`` takes it."""
+    a_hat = adjacency + np.eye(adjacency.shape[-1])
     inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=-1))
     a_hat *= inv_sqrt[..., :, None]
     a_hat *= inv_sqrt[..., None, :]

@@ -20,7 +20,6 @@ from hobnet.connectivity import (
     MAN,
     WAN,
     ConnectivityError,
-    ConnectivityMatrix,
     select_cutoff,
 )
 from hobnet.ffc import ADAM_SLICE
@@ -331,7 +330,7 @@ def group_columns(hierarchy, level, roi_names) -> list[np.ndarray]:
     ]
 
 
-def level_connectivity(ts, hierarchy, level) -> ConnectivityMatrix:
+def level_connectivity(ts, hierarchy, level) -> np.ndarray:
     """One subject's RV matrix at ``level`` from its own cross-product of the level's columns."""
     columns = group_columns(hierarchy, level, ts.roi_names)
     x = ts.samples[:, np.concatenate(columns)]
@@ -344,25 +343,25 @@ def level_connectivity(ts, hierarchy, level) -> ConnectivityMatrix:
         raise ConnectivityError("rv_coefficient: all-zero block, coefficient undefined")
     values = np.minimum(sums / np.outer(norms, norms), 1.0)
     np.fill_diagonal(values, 1.0)
-    return ConnectivityMatrix(level=level, values=values, kind="rv")
+    return values
 
 
-def composite_connectivity(ts, hierarchy, level) -> ConnectivityMatrix:
+def composite_connectivity(ts, hierarchy, level) -> np.ndarray:
     """``level_connectivity`` with entries outside the parent blocks zeroed."""
-    cm = level_connectivity(ts, hierarchy, level)
+    values = level_connectivity(ts, hierarchy, level)
     if level == WAN:
-        return cm
-    m = cm.values.shape[-1]
+        return values
+    m = values.shape[-1]
     mask = np.zeros((m, m), dtype=bool)
     for idx in hierarchy.layout(level).blocks:
         mask[np.ix_(idx, idx)] = True
-    return ConnectivityMatrix(level=level, values=np.where(mask, cm.values, 0.0), kind="rv")
+    return np.where(mask, values, 0.0)
 
 
-def retained_edge_curve(cm, gammas) -> list[tuple[float, float]]:
-    """One count per threshold."""
-    m = cm.values.shape[-1]
-    off = cm.values[~np.eye(m, dtype=bool)]
+def retained_edge_curve(values, gammas) -> list[tuple[float, float]]:
+    """One count per threshold of one ``[m, m]`` matrix."""
+    m = values.shape[-1]
+    off = values[~np.eye(m, dtype=bool)]
     total = m * (m - 1)
     return [(float(g), float(np.count_nonzero(off > g) / total)) for g in gammas]
 
@@ -373,8 +372,8 @@ def select_cohort_gammas(series, hierarchy) -> dict[str, float]:
     for level in LEVELS:
         mean_curve = np.zeros(GAMMA_GRID.size)
         for ts in series:
-            cm = composite_connectivity(ts, hierarchy, level)
-            mean_curve += [f for _, f in retained_edge_curve(cm, GAMMA_GRID)]
+            values = composite_connectivity(ts, hierarchy, level)
+            mean_curve += [f for _, f in retained_edge_curve(values, GAMMA_GRID)]
         mean_curve /= len(series)
         if np.all(mean_curve == 0.0):
             gammas[level] = 1.0
@@ -416,12 +415,12 @@ def prepare_subject(ts, hierarchy, gammas, label=0, encoder="res-cheb"):
     with the fields of a prepared subject's view."""
     levels = {}
     for level in LEVELS:
-        cm = composite_connectivity(ts, hierarchy, level)
+        values = composite_connectivity(ts, hierarchy, level)
         gamma = gammas[level] if isinstance(gammas, dict) else float(gammas)
-        adjacency = (cm.values > gamma).astype(np.float64)
+        adjacency = (values > gamma).astype(np.float64)
         np.fill_diagonal(adjacency, 1.0)
         levels[level] = LevelBatch(
-            features=cm.values.copy(),
+            features=values.copy(),
             norm_blocks=hierarchy.layout(level).blocks,
             lap=None if encoder == "gcn" else normalized_laplacian(adjacency),
             propagation=first_order_propagation(adjacency) if encoder == "gcn" else None,

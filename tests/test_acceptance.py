@@ -111,7 +111,7 @@ class TestCriterion1GradientCorrectness:
         ts = random_timeseries(10, n_timepoints=80, seed=41, names=hierarchy.rois)
         fc_ts = random_timeseries(12, n_timepoints=80, seed=42)
         batch = replace(
-            prepare_subject(ts, hierarchy, 0.3, label=1), fc_input=dr_flatten(pearson_fc([fc_ts]).values)[:, None]
+            prepare_subject(ts, hierarchy, 0.3, label=1), fc_input=dr_flatten(pearson_fc([fc_ts]))[:, None]
         )
         sub = batch[0]
         cfg = ModelConfig(

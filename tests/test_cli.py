@@ -13,7 +13,6 @@ from hobnet.cli import main
 from hobnet.connectivity import (
     GAMMA_GRID,
     LEVELS,
-    ConnectivityMatrix,
     RoiTimeSeries,
     build_graph_set,
     read_hierarchy_json,
@@ -116,7 +115,7 @@ class TestSynthAndGraphgen:
         assert code == 0
         levels = subject_levels(workspace)
         for r in json.loads(out.read_text()):
-            curve = retained_edge_curve(ConnectivityMatrix(r["level"], levels[r["level"]], "rv"), GAMMA_GRID)
+            curve = retained_edge_curve(levels[r["level"]], GAMMA_GRID)
             expected = min(g for g, kept in curve if kept <= pct / 100)
             assert r["gamma"] == expected
 
@@ -152,8 +151,7 @@ class TestThresholdCurve:
         assert code == 0
         with out.open() as fh:
             rows = [(float(r["gamma"]), float(r["retained_fraction"])) for r in csv.DictReader(fh)]
-        lan = ConnectivityMatrix("lan", subject_levels(workspace)["lan"], "rv")
-        assert rows == retained_edge_curve(lan, np.linspace(0.0, 1.0, 11))
+        assert rows == retained_edge_curve(subject_levels(workspace)["lan"], np.linspace(0.0, 1.0, 11))
 
     def test_a_one_roi_hierarchy_retains_nothing(self, workspace, tmp_path):
         hierarchy = nested_hierarchy(1, 1, 1)
@@ -296,6 +294,53 @@ class TestTrainEvalAblatePopgraph:
         code = run(command, "--ckpt", old, "--cohort", cohort, *extra, "--out", tmp_path / "x.csv")
         assert code == 2
         assert "no 'subject_ids' record" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def blind_cohort(workspace):
+    """A 20-subject synth cohort and the checkpoint ``train`` writes on it."""
+    cohort = workspace / "blind"
+    assert run("synth", "--subjects", 20, "--seed", 5, "--hierarchy", workspace / "hierarchy.json",
+               "--out", cohort) == 0
+    assert run("train", "--cohort", cohort, "--seed", 3, "--out", workspace / "blind.ckpt") == 0
+    return cohort, (workspace / "blind.ckpt").read_bytes()
+
+
+class TestTrainIsBlindToHeldOutSubjects:
+    """``hobnet train`` on a holdout plan reads nothing of the test and val
+    parts: changing their labels or series leaves the checkpoint, with its
+    gammas and training record, byte-identical."""
+
+    def retrain(self, blind_cohort, tmp_path, change) -> bytes:
+        source, _ = blind_cohort
+        copy = tmp_path / "cohort"
+        shutil.copytree(source, copy)
+        change(copy, read_split_plan(copy / "split_plan.json"))
+        assert run("train", "--cohort", copy, "--seed", 3, "--out", tmp_path / "model.ckpt") == 0
+        return (tmp_path / "model.ckpt").read_bytes()
+
+    def test_flipping_every_held_out_label_changes_no_checkpoint_byte(self, blind_cohort, tmp_path):
+        def flip(cohort, plan):
+            held_out = set(plan.subjects_in("test") + plan.subjects_in("val"))
+            with (cohort / "labels.csv").open() as fh:
+                header, *rows = list(csv.reader(fh))
+            assert len(held_out) == 6 and {sid for sid, _ in rows} > held_out
+            flipped = [[sid, str(1 - int(label)) if sid in held_out else label] for sid, label in rows]
+            with (cohort / "labels.csv").open("w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows([header, *flipped])
+
+        assert self.retrain(blind_cohort, tmp_path, flip) == blind_cohort[1]
+
+    def test_perturbing_a_test_subject_s_series_changes_no_checkpoint_byte(self, blind_cohort, tmp_path):
+        def perturb(cohort, plan):
+            # every ROI follows one shared factor, which would move a gamma chosen with this subject
+            path = cohort / "timeseries" / f"{plan.subjects_in('test')[0]}.csv"
+            ts = read_timeseries_csv(path)
+            rng = np.random.default_rng(0)
+            shared = rng.normal(size=(len(ts.samples), 1)) + 0.01 * rng.normal(size=ts.samples.shape)
+            write_timeseries_csv(path, replace(ts, samples=shared))
+
+        assert self.retrain(blind_cohort, tmp_path, perturb) == blind_cohort[1]
 
 
 class TestCliErrors:

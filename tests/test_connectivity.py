@@ -3,7 +3,6 @@
 import csv
 import json
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,6 @@ from hobnet.connectivity import (
     WAN,
     AtlasHierarchy,
     ConnectivityError,
-    ConnectivityMatrix,
     RoiTimeSeries,
     LEVELS,
     build_adjacency,
@@ -34,6 +32,7 @@ from hobnet.connectivity import (
     write_hierarchy_json,
     write_timeseries_csv,
 )
+from hobnet.ffc import CohortConnectivity
 
 from conftest import make_nested_hierarchy, random_timeseries, toy_hierarchy_4_6_10
 from oracles import block_diagonal, group_columns
@@ -48,14 +47,13 @@ def rv_trace_oracle(a, b):
 
 def subject_level(ts, hierarchy, level):
     """One subject's level connectivity: the stack of one, unstacked."""
-    cm = level_connectivity(gram_stack([ts], hierarchy), hierarchy, level)
-    return replace(cm, values=cm.values[0])
+    return level_connectivity(gram_stack([ts], hierarchy), hierarchy, level)[0]
 
 
 def subject_values(ts, hierarchy):
     """One subject's composite connectivity values per level, as ``build_graph_set`` takes them."""
     grams = gram_stack([ts], hierarchy)
-    return {level: composite_connectivity(grams, hierarchy, level).values[0] for level in LEVELS}
+    return {level: composite_connectivity(grams, hierarchy, level)[0] for level in LEVELS}
 
 
 def rv_pair_loop(ts, hierarchy, level):
@@ -73,7 +71,7 @@ def assert_matches_pair_loop(ts, hierarchy):
     for level in (WAN, MAN, LAN):
         expected = rv_pair_loop(ts, hierarchy, level)
         np.testing.assert_allclose(
-            subject_level(ts, hierarchy, level).values, expected, rtol=0, atol=1e-12
+            subject_level(ts, hierarchy, level), expected, rtol=0, atol=1e-12
         )
 
 
@@ -91,18 +89,18 @@ class TestPearsonFc:
         rng = np.random.default_rng(0)
         col = rng.normal(size=30)
         ts = RoiTimeSeries("s", np.column_stack([col, col, rng.normal(size=30)]), ["a", "b", "c"])
-        fc = pearson_fc([ts]).values[0]
+        fc = pearson_fc([ts])[0]
         assert fc[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_negated_column_gives_minus_one(self):
         rng = np.random.default_rng(1)
         col = rng.normal(size=25)
         ts = RoiTimeSeries("s", np.column_stack([col, -col]), ["a", "b"])
-        assert pearson_fc([ts]).values[0, 0, 1] == pytest.approx(-1.0, abs=1e-12)
+        assert pearson_fc([ts])[0, 0, 1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_matches_covariance_ratio_oracle(self):
         ts = random_timeseries(4, n_timepoints=50, seed=2)
-        fc = pearson_fc([ts]).values[0]
+        fc = pearson_fc([ts])[0]
         x = ts.samples
         for i in range(4):
             for j in range(4):
@@ -112,7 +110,7 @@ class TestPearsonFc:
                 assert fc[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_diagonal_exactly_one(self):
-        fc = pearson_fc([random_timeseries(5, seed=3)]).values[0]
+        fc = pearson_fc([random_timeseries(5, seed=3)])[0]
         assert np.all(np.diag(fc) == 1.0)
 
     def test_zero_variance_column_names_roi(self):
@@ -177,23 +175,23 @@ class TestLevelConnectivity:
         h = make_nested_hierarchy(n_networks=7, groups_per_network=1, rois_per_group=2)
         ts = random_timeseries(14, seed=5, names=h.rois)
         cm = subject_level(ts, h, WAN)
-        assert cm.values.shape == (7, 7)
-        assert np.all(np.diag(cm.values) == 1.0)
-        np.testing.assert_allclose(cm.values, cm.values.T, atol=1e-15)
+        assert cm.shape == (7, 7)
+        assert np.all(np.diag(cm) == 1.0)
+        np.testing.assert_allclose(cm, cm.T, atol=1e-15)
 
     def test_one_roi_per_group_levels_coincide(self):
         h = make_nested_hierarchy(n_networks=3, groups_per_network=1, rois_per_group=1)
         ts = random_timeseries(3, seed=6, names=h.rois)
-        wan = subject_level(ts, h, WAN).values
-        man = subject_level(ts, h, MAN).values
-        lan = subject_level(ts, h, LAN).values
+        wan = subject_level(ts, h, WAN)
+        man = subject_level(ts, h, MAN)
+        lan = subject_level(ts, h, LAN)
         np.testing.assert_allclose(wan, man, atol=0)
         np.testing.assert_allclose(man, lan, atol=0)
 
     def test_matches_trace_oracle_on_toy_hierarchy(self):
         h = make_nested_hierarchy(n_networks=3, groups_per_network=1, rois_per_group=2)
         ts = random_timeseries(6, n_timepoints=30, seed=7, names=h.rois)
-        cm = subject_level(ts, h, WAN).values
+        cm = subject_level(ts, h, WAN)
         cols = group_columns(h, WAN, ts.roi_names)
         for i in range(3):
             for j in range(3):
@@ -205,7 +203,7 @@ class TestLevelConnectivity:
     def test_lan_uses_single_columns(self):
         h = make_nested_hierarchy(n_networks=2, groups_per_network=1, rois_per_group=2)
         ts = random_timeseries(4, seed=8, names=h.rois)
-        cm = subject_level(ts, h, LAN).values
+        cm = subject_level(ts, h, LAN)
         a = ts.samples[:, [0]]
         b = ts.samples[:, [1]]
         assert cm[0, 1] == pytest.approx(rv_trace_oracle(a, b), abs=1e-12)
@@ -240,7 +238,7 @@ class TestLevelConnectivityMatchesPairLoop:
         samples[10:, :4] = 0.0
         ts = RoiTimeSeries("s", samples, h.rois)
         for level in (WAN, MAN, LAN):
-            values = subject_level(ts, h, level).values
+            values = subject_level(ts, h, level)
             half = values.shape[0] // 2
             assert np.all(values[:half, half:] == 0.0) and np.all(values[half:, :half] == 0.0)
             assert np.all(values[:half, :half] > 0.0)
@@ -248,37 +246,36 @@ class TestLevelConnectivityMatchesPairLoop:
 
 class TestRetainedEdgeCurve:
     def matrix_from_offdiag(self, values):
-        m = ConnectivityMatrix.__new__(ConnectivityMatrix)
         n = 3
         mat = np.ones((n, n))
         mat[0, 1] = mat[1, 0] = values[0]
         mat[0, 2] = mat[2, 0] = values[1]
         mat[1, 2] = mat[2, 1] = values[2]
-        return ConnectivityMatrix(level=WAN, values=mat, kind="rv")
+        return mat
 
     def test_gamma_zero_counts_strictly_positive(self):
         cm = self.matrix_from_offdiag([0.0, 0.4, 0.8])
-        assert retained_fractions(cm.values, [0.0, 1.0])[0] == pytest.approx(4 / 6)
+        assert retained_fractions(cm, [0.0, 1.0])[0] == pytest.approx(4 / 6)
 
     def test_gamma_one_retains_nothing(self):
         cm = self.matrix_from_offdiag([0.3, 0.9, 1.0])
-        assert retained_fractions(cm.values, [0.0, 1.0])[-1] == 0.0
+        assert retained_fractions(cm, [0.0, 1.0])[-1] == 0.0
 
     def test_counts_match_brute_force(self):
         cm = self.matrix_from_offdiag([0.1, 0.5, 0.9])
-        fractions = retained_fractions(cm.values, [0.0, 0.5, 0.95])
+        fractions = retained_fractions(cm, [0.0, 0.5, 0.95])
         assert fractions[1] == pytest.approx(1 / 3)
 
     def test_monotone_non_increasing(self):
         h = make_nested_hierarchy(2, 2, 2)
         ts = random_timeseries(8, seed=9, names=h.rois)
-        fracs = retained_fractions(subject_level(ts, h, LAN).values, np.linspace(0, 1, 101))
+        fracs = retained_fractions(subject_level(ts, h, LAN), np.linspace(0, 1, 101))
         assert all(a >= b for a, b in zip(fracs, fracs[1:]))
 
     def test_empty_grid_is_an_error(self):
         cm = self.matrix_from_offdiag([0.1, 0.5, 0.9])
         with pytest.raises(ConnectivityError, match="empty"):
-            retained_fractions(cm.values, [])
+            retained_fractions(cm, [])
 
     def test_a_one_node_matrix_retains_nothing(self):
         fractions = retained_fractions(np.ones((2, 1, 1)), np.linspace(0, 1, 11))
@@ -330,8 +327,7 @@ class TestSelectCutoff:
 
 class TestBuildAdjacency:
     def setup_method(self):
-        vals = np.array([[1.0, 0.6, 0.2], [0.6, 1.0, 0.9], [0.2, 0.9, 1.0]])
-        self.values = ConnectivityMatrix(level=WAN, values=vals, kind="rv").values
+        self.values = np.array([[1.0, 0.6, 0.2], [0.6, 1.0, 0.9], [0.2, 0.9, 1.0]])
 
     def test_gamma_one_gives_identity(self):
         np.testing.assert_array_equal(build_adjacency(self.values, 1.0, "binary"), np.eye(3))
@@ -399,6 +395,62 @@ class TestGraphSet:
         graphs = build_graph_set(subject_values(ts, h), gammas=0.5)
         for level in (WAN, MAN, LAN):
             assert np.all(np.diag(graphs[level]) == 1.0)
+
+
+INVARIANT_HIERARCHIES = {
+    "nested_4_2_2": lambda: make_nested_hierarchy(4, 2, 2),
+    "toy_4_6_10": toy_hierarchy_4_6_10,
+    "nested_7_4_7": lambda: make_nested_hierarchy(7, 4, 7),
+}
+
+
+def invariant_series(hierarchy, scale):
+    """Four subjects over ``hierarchy``'s ROIs, scaled by ``scale``: two at
+    random and two whose odd columns are 3 and -3 times the even ones, so
+    that Pearson and RV entries sit at the edges of their range, which
+    rounding crosses unless the clip holds them. At 196 ROIs the four
+    cross a chunk boundary."""
+    r = len(hierarchy.rois)
+    series = []
+    for i, factor in enumerate((0.0, 0.0, 3.0, -3.0)):
+        samples = random_timeseries(r, n_timepoints=50, seed=30 + i).samples
+        if factor:
+            samples[:, 1::2] = factor * samples[:, 0 : r - r % 2 : 2]
+        series.append(RoiTimeSeries(f"s{i}", samples * scale, hierarchy.rois))
+    return series
+
+
+def assert_byte_symmetric(stack):
+    assert stack.tobytes() == np.ascontiguousarray(np.swapaxes(stack, -1, -2)).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-60, 1.0, 1e60])
+@pytest.mark.parametrize("shape", INVARIANT_HIERARCHIES)
+class TestConstructionInvariants:
+    """What construction guarantees and nothing checks at run time."""
+
+    def test_pearson_fc_is_symmetric_with_unit_diagonal_in_range(self, shape, scale):
+        fc = pearson_fc(invariant_series(INVARIANT_HIERARCHIES[shape](), scale))
+        assert_byte_symmetric(fc)
+        assert np.all(np.diagonal(fc, axis1=1, axis2=2) == 1.0)
+        assert fc.min() >= -1.0 and fc.max() <= 1.0
+
+    def test_each_level_is_symmetric_with_unit_diagonal_in_range(self, shape, scale):
+        h = INVARIANT_HIERARCHIES[shape]()
+        levels = CohortConnectivity.build(invariant_series(h, scale), h).levels
+        for level in LEVELS:
+            assert_byte_symmetric(levels[level])
+            assert np.all(np.diagonal(levels[level], axis1=1, axis2=2) == 1.0), level
+            assert levels[level].min() >= 0.0 and levels[level].max() <= 1.0, level
+
+    def test_every_adjacency_is_symmetric_and_non_negative(self, shape, scale):
+        h = INVARIANT_HIERARCHIES[shape]()
+        levels = CohortConnectivity.build(invariant_series(h, scale), h).levels
+        for gamma in (0.0, 0.3, 0.9):
+            for mode in ("binary", "weighted"):
+                for level, adjacency in build_graph_set(levels, gamma, mode).items():
+                    assert_byte_symmetric(adjacency)
+                    assert adjacency.min() >= 0.0, (level, gamma, mode)
 
 
 class TestHierarchyValidation:

@@ -624,7 +624,7 @@ class TestMixedAtlasSizes:
         ts = random_timeseries(10, n_timepoints=50, seed=9, names=hierarchy.rois)
         fc_ts = random_timeseries(12, n_timepoints=50, seed=10)
         batch = dataclasses.replace(
-            prepare_subject(ts, hierarchy, gammas=0.3), fc_input=dr_flatten(pearson_fc([fc_ts]).values)[:, None]
+            prepare_subject(ts, hierarchy, gammas=0.3), fc_input=dr_flatten(pearson_fc([fc_ts]))[:, None]
         )
         assert batch[0].fc_len == 12 * 11 // 2
         cfg = small_config()

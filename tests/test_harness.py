@@ -1,6 +1,7 @@
 """Synthetic cohorts, split plans, metrics, and driver determinism."""
 
 import csv
+import math
 import re
 import shutil
 import tempfile
@@ -78,7 +79,7 @@ class TestSynthGenerate:
         rois_b = [i for i, n in enumerate(net_of) if n == h.networks[1]]
         means = {0: [], 1: []}
         for record in cohort.subjects:
-            fc = pearson_fc([record.timeseries]).values[0]
+            fc = pearson_fc([record.timeseries])[0]
             means[record.label].append(np.mean(fc[np.ix_(rois_a, rois_b)]))
         difference = np.mean(means[1]) - np.mean(means[0])
         assert difference > 0.2
@@ -125,7 +126,7 @@ class TestSynthGenerate:
 def class_mean_fc_difference(cohort, planted_rois):
     means = {0: [], 1: []}
     for record in cohort.subjects:
-        fc = pearson_fc([record.timeseries]).values[0]
+        fc = pearson_fc([record.timeseries])[0]
         means[record.label].append(fc[np.ix_(planted_rois, planted_rois)])
     return np.mean(means[1], axis=0) - np.mean(means[0], axis=0)
 
@@ -199,6 +200,17 @@ class TestSplits:
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(HarnessError, match="sum to 1"):
             holdout_plan(seed=0, fractions=(0.5, 0.2, 0.2))
+
+    @pytest.mark.parametrize("fractions", [(1.0, 0.0, 0.0), (0.5, 0.5, 0.0)])
+    def test_an_empty_test_part_is_a_class_too_small(self, fractions):
+        cohort = synth_generate(10, nested_hierarchy(2, 2, 2))
+        with pytest.raises(HarnessError, match="^class too small: the test split lacks one class$"):
+            make_splits(cohort, holdout_plan(seed=0, fractions=fractions))
+
+    @pytest.mark.parametrize("fractions", [(math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (math.inf, -math.inf, 1.0)])
+    def test_non_finite_fractions_are_refused_by_the_plan(self, fractions):
+        with pytest.raises(HarnessError, match="must be non-negative and sum to 1"):
+            holdout_plan(seed=0, fractions=fractions)
 
     def test_plan_json_roundtrip(self, tmp_path):
         cohort = self.cohort_of(10)

@@ -32,7 +32,7 @@ class TestDrFlatten:
         assert dr_flatten(m).shape == (6,)
 
     def test_roundtrip_through_unflatten(self):
-        fc = pearson_fc([random_timeseries(5, seed=0)]).values[0]
+        fc = pearson_fc([random_timeseries(5, seed=0)])[0]
         flat = dr_flatten(fc)
         back = dr_unflatten(flat, 5)
         off = ~np.eye(5, dtype=bool)
@@ -133,7 +133,7 @@ class TestMemory:
         """An eval forward of 8 subjects at 196 ROIs (19,110 FC entries
         each): its output and traced peak."""
         cohort = synth_generate(8, nested_hierarchy(7, 4, 7), seed=1)
-        fc = dr_flatten(pearson_fc([s.timeseries for s in cohort.subjects]).values)[:, None, :]
+        fc = dr_flatten(pearson_fc([s.timeseries for s in cohort.subjects]))[:, None, :]
         cfg_hcnn = HcnnConfig()
         _, params = branch_params(cfg_hcnn, fc_len=fc.shape[-1])
         out, peak, _ = traced_peak(lambda: hcnn_first_order(params, "hcnn", Tensor(fc), cfg_hcnn))
@@ -249,7 +249,7 @@ class TestHopConcat:
 class TestCnnBranchGradients:
     def test_branch_gradients_match_finite_differences(self):
         ts = random_timeseries(10, n_timepoints=40, seed=6)
-        fc_vec = dr_flatten(pearson_fc([ts]).values[0])
+        fc_vec = dr_flatten(pearson_fc([ts])[0])
         cfg_hcnn = HcnnConfig(kernel_sizes=(7, 5), channels=(3, 4), strides=(2, 2), mlp_hidden=(12,), out_dim=6)
         cfg, params = branch_params(cfg_hcnn, fc_len=fc_vec.size, seed=7)
         x = Tensor(fc_vec[None, :])

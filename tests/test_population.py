@@ -240,6 +240,17 @@ class TestPopulationAdjacency:
                 assert np.all(binary >= previous)
             previous = binary
 
+    @pytest.mark.parametrize("retain", [0.1, 0.5, 1.0])
+    def test_the_program_s_adjacency_is_byte_symmetric_and_non_negative(self, retain):
+        # m1, m2 and w as popgraph builds them, each symmetrized by its maker
+        records = [r.phenotype for r in synth_generate(30, nested_hierarchy(2, 2, 2), seed=4).subjects]
+        y = np.random.default_rng(12).normal(size=(30, 24))
+        encoder = build_phenotype_encoder(standardize_phenotypes(records).shape[1], seed=3)
+        m1, m2, w = similarity_m1(y), phenotype_similarity_m2(records), weight_matrix(records, encoder)
+        for adjacency in population_adjacency(m1, m2, w, retain_fraction=retain):
+            assert adjacency.tobytes() == np.ascontiguousarray(adjacency.T).tobytes()
+            assert adjacency.min() >= 0.0
+
     def test_all_equal_similarities_is_an_error(self):
         n = 3
         m1 = np.ones((n, n))

@@ -138,14 +138,20 @@ class TestStackedPreparationMatchesOracle:
 
 
 class TestRefusals:
-    def test_overflowing_connectivity_is_refused_with_subject_and_level(self):
+    @pytest.mark.parametrize("level", ["fc", *LEVELS])
+    def test_overflowing_connectivity_is_refused_with_subject_and_level(self, level):
         h = nested_hierarchy(4, 2, 2)
         ts = random_timeseries(16, n_timepoints=60, seed=3, names=h.rois)
-        big = RoiTimeSeries("s0007", ts.samples * 1e160, ts.roi_names)
-        with pytest.raises(ConnectivityError, match="subject 's0007': wan connectivity matrix has NaN or Inf"):
-            prepare_subject(big, h, 0.3)
-        with pytest.raises(ConnectivityError, match="subject 's0007': fc connectivity matrix has NaN or Inf"):
-            pearson_fc([big])
+        series = [ts, RoiTimeSeries("s0007", ts.samples * 1e160, ts.roi_names)]
+        message = f"^subject 's0007': {level} connectivity matrix has NaN or Inf entries$"
+        with pytest.raises(ConnectivityError, match=message):
+            if level == "fc":
+                pearson_fc(series)
+            else:
+                connectivity.composite_connectivity(connectivity.gram_stack(series, h), h, level)
+        if level == LEVELS[0]:  # preparation builds the levels in order, so it stops at the first
+            with pytest.raises(ConnectivityError, match=message):
+                CohortConnectivity.build(series, h)
 
     def test_a_missing_hierarchy_roi_names_the_subject(self):
         h = nested_hierarchy(4, 2, 2)
