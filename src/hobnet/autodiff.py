@@ -284,7 +284,8 @@ def reshape(x: Tensor, shape) -> Tensor:
 # subject for either conv at 196 ROIs and a whole batch of 8 at 16 ROIs;
 # preparation's [n, R, R] Gram stack holds a 200-subject cohort at 16 ROIs
 # and 3 subjects at 196 ROIs, where larger chunks only add to the peak
-# memory (4 MiB: about 2 MiB more)
+# memory (4 MiB: about 2 MiB more); each of an Adam step's two scratch
+# arrays holds 131,072 parameters
 CHUNK_BYTES = 1 << 20
 
 
@@ -408,46 +409,29 @@ def outer(a: Tensor, b: Tensor) -> Tensor:
     return _record("outer-product", (a, b), out, backward)
 
 
-class RowBlocks(Sequence):
-    """A partition of ``m`` node rows into normalization blocks, and the
-    padded layout ``per_block_norm`` takes their statistics in.
+class RowBlocks:
+    """Normalization blocks as runs of consecutive node rows, given by
+    their lengths ``sizes``, and the padded layout ``per_block_norm`` takes
+    their statistics in.
 
     The layout is ``[..., blocks, size, features]``: a reshape when the
-    blocks are equal-sized runs in row order (every level of a nested
-    hierarchy), else a gather into zero-padded rows of the longest block's
-    size. Built once per partition.
+    runs are equal (every level of a nested hierarchy), else a scatter into
+    zero-padded rows of the longest run's size. Built once per level.
     """
 
-    def __init__(self, blocks: Sequence, m: int):
-        self.blocks = [np.asarray(b, dtype=np.intp).reshape(-1) for b in blocks]
-        self.m = m
-        sizes = np.array([b.size for b in self.blocks], dtype=np.intp)
-        if not sizes.size or not sizes.all():
-            raise ShapeMismatch("per-block-norm: needs at least one block, and no empty ones")
-        rows = np.concatenate(self.blocks)
-        outside = rows[(rows < 0) | (rows >= m)]
-        if outside.size:
-            raise ShapeMismatch(f"per-block-norm: block row {outside[0]} is outside the {m} node rows")
-        seen = np.bincount(rows, minlength=m)
-        if (seen != 1).any():
-            row = int(np.flatnonzero(seen != 1)[0])
-            what = f"is listed {seen[row]} times" if seen[row] else "is in no block"
-            raise ShapeMismatch(f"per-block-norm: blocks must partition the node rows; row {row} {what}")
+    def __init__(self, sizes):
+        self.sizes = sizes = np.asarray(sizes, dtype=np.intp).reshape(-1)
+        if not sizes.size or sizes.min() < 1:
+            raise ShapeMismatch(f"per-block-norm: needs one or more runs of length >= 1, got {sizes.tolist()}")
+        self.m = int(sizes.sum())
         self.shape = (sizes.size, int(sizes.max()))
         self.counts = sizes.astype(np.float64)[:, None, None]
         # each row's place in the padded layout, and the places that hold a row
         self.rows = self.mask = None
-        if (sizes != self.shape[1]).any() or (rows != np.arange(m)).any():
+        if (sizes != self.shape[1]).any():
             starts = np.cumsum(sizes) - sizes
-            self.rows = np.empty(m, dtype=np.intp)
-            self.rows[rows] = np.arange(m) + np.repeat(np.arange(sizes.size) * self.shape[1] - starts, sizes)
-            self.mask = np.isin(np.arange(sizes.size * self.shape[1]), self.rows).reshape(self.shape + (1,))
-
-    def __getitem__(self, index):
-        return self.blocks[index]
-
-    def __len__(self) -> int:
-        return len(self.blocks)
+            self.rows = np.arange(self.m) + np.repeat(np.arange(sizes.size) * self.shape[1] - starts, sizes)
+            self.mask = (np.arange(self.shape[1]) < sizes[:, None])[..., None]
 
     def pad(self, a: np.ndarray) -> np.ndarray:
         """``[..., m, d]`` rows in the ``[..., blocks, size, d]`` layout, zeros in the padding."""
@@ -468,7 +452,7 @@ def per_block_norm(x: Tensor, gain: Tensor, shift: Tensor, blocks: RowBlocks) ->
     """Normalize features over the node rows of each block independently.
 
     ``x`` is ``[nodes, features]`` or a batch ``[batch, nodes, features]``;
-    ``blocks`` partitions the node rows. Statistics (mean, biased variance)
+    ``blocks`` splits the node rows into runs. Statistics (mean, biased variance)
     are taken per matrix, per block and per feature column, then a
     learnable per-feature affine ``gain * xhat + shift`` is applied.
     Cross-block statistics are never mixed, which preserves the

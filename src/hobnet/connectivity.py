@@ -171,11 +171,10 @@ class LevelLayout:
     @classmethod
     def build(cls, node_of: list[int], parent_of: list[int]) -> LevelLayout:
         parents = np.array(parent_of)
-        starts = np.flatnonzero(np.diff(parents, prepend=-1))
         membership = (np.array(node_of)[:, None] == np.arange(len(parents))).astype(np.float64)
         return cls(
             membership=None if len(node_of) == len(parents) else membership,
-            blocks=RowBlocks(np.split(np.arange(len(parents)), starts[1:]), len(parents)),
+            blocks=RowBlocks(np.bincount(parents)),
             mask=parents[:, None] == parents[None, :],
         )
 

@@ -567,16 +567,12 @@ class AdamState:
         self.m, self.v = np.zeros_like(params.data), np.zeros_like(params.data)
 
 
-# entries per slice of an Adam update, so its two scratch arrays stay small
-# however many parameters the configured widths give the model
-ADAM_SLICE = 8192
-
-
 def adam_step(state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update of ``state.params`` from their gradients.
 
     The moments and the parameters update in place over the flat buffers,
-    in slices of at most ``ADAM_SLICE`` entries, in the operation order of
+    in slices of at most ``autodiff.CHUNK_BYTES`` (``chunk_slices``), so its
+    two scratch arrays stay small at any model width, in the operation order of
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
     ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)``.
     """
@@ -587,8 +583,7 @@ def adam_step(state: AdamState, lr: float) -> None:
     state.t += 1
     c1, c2 = 1.0 - beta1**state.t, 1.0 - beta2**state.t
     x, g, m, v = params.data, params.grad, state.m, state.v
-    for r in range(0, x.size, ADAM_SLICE):
-        part = slice(r, r + ADAM_SLICE)
+    for part in ad.chunk_slices(x.size, 8):
         xs, gs, ms, vs = x[part], g[part], m[part], v[part]
         step = np.multiply(gs, 1.0 - beta1)
         ms *= beta1

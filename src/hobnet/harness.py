@@ -234,6 +234,8 @@ class SplitPlan:
 
 
 def holdout_plan(seed: int, fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)) -> SplitPlan:
+    if len(fractions) != 3:
+        raise HarnessError(f"holdout fractions must be (train, val, test), got {fractions}")
     if not (abs(sum(fractions) - 1.0) <= 1e-9 and all(f >= 0 for f in fractions)):  # NaN fails both
         raise HarnessError(f"holdout fractions must be non-negative and sum to 1, got {fractions}")
     return SplitPlan(mode="holdout", seed=seed, fractions=fractions)

@@ -84,17 +84,10 @@ def afm_weights(r: Tensor) -> Tensor:
 
 
 def afm_combine(block_outputs: list[Tensor], r: Tensor) -> Tensor:
-    """Softmax-weighted sum of same-shape block embeddings."""
-    if not block_outputs:
-        raise HgnnError("afm_combine needs at least one block output")
-    shape = block_outputs[0].shape
-    for out in block_outputs[1:]:
-        if out.shape != shape:
-            raise HgnnError(f"block output shapes differ: {shape} vs {out.shape}")
-    if r.shape != (len(block_outputs),):
-        raise HgnnError(f"need {len(block_outputs)} mixing weights, got shape {r.shape}")
-    columns = ad.concat(*(ad.reshape(out, (-1, 1)) for out in block_outputs), axis=1)
-    return ad.reshape(ad.matmul(columns, afm_weights(r)), shape)
+    """Softmax-weighted sum of same-shape block embeddings: the outputs
+    stacked on a new last axis, times the weights."""
+    stacked = ad.concat(*(ad.reshape(out, out.shape + (1,)) for out in block_outputs), axis=-1)
+    return ad.matmul(stacked, afm_weights(r))
 
 
 def chebconv_block(

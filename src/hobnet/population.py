@@ -71,8 +71,9 @@ def _pearson_rows(y: np.ndarray) -> np.ndarray:
     flat = np.where(norms == 0.0)[0]
     if flat.size:
         raise PopulationError(f"subject row {flat[0]} has a constant embedding; correlation undefined")
+    # byte-symmetric: numpy runs x @ x.T as one symmetric product, and n_i * n_j commutes
     corr = (centered @ centered.T) / np.outer(norms, norms)
-    return np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
+    return np.clip(corr, -1.0, 1.0)
 
 
 def similarity_m1(y: np.ndarray) -> np.ndarray:
@@ -91,10 +92,7 @@ def similarity_m1(y: np.ndarray) -> np.ndarray:
     sigma_sq = rho_sq[np.triu_indices(m, k=1)].mean()
     if sigma_sq == 0.0:
         return np.ones((m, m))
-    out = np.exp(-rho_sq / (2.0 * sigma_sq))
-    out = (out + out.T) / 2.0
-    np.fill_diagonal(out, 1.0)
-    return out
+    return np.exp(-rho_sq / (2.0 * sigma_sq))
 
 
 def phenotype_similarity_m2(records: Sequence[PhenotypeRecord]) -> np.ndarray:
@@ -108,9 +106,7 @@ def phenotype_similarity_m2(records: Sequence[PhenotypeRecord]) -> np.ndarray:
     same_site = (sites[:, None] == sites[None, :]).astype(np.float64)
     age_gap = ages[:, None] - ages[None, :]
     age_kernel = np.exp(-(age_gap**2) / (2.0 * AGE_KERNEL_YEARS**2))
-    out = (same_gender + same_site + age_kernel) / 3.0
-    np.fill_diagonal(out, 1.0)
-    return out
+    return (same_gender + same_site + age_kernel) / 3.0
 
 
 def standardize_phenotypes(records: Sequence[PhenotypeRecord]) -> np.ndarray:
@@ -147,8 +143,7 @@ def weight_matrix(records: Sequence[PhenotypeRecord], encoder: ModelParams) -> n
         )
     cosine = np.clip((encoded @ encoded.T) / np.outer(norms, norms), -1.0, 1.0)
     w = (cosine + 1.0) / 2.0
-    w = (w + w.T) / 2.0
-    np.fill_diagonal(w, 1.0)
+    np.fill_diagonal(w, 1.0)  # a cosine's diagonal can miss 1 by an ulp
     return w
 
 

@@ -22,7 +22,6 @@ from hobnet.connectivity import (
     ConnectivityError,
     select_cutoff,
 )
-from hobnet.ffc import ADAM_SLICE
 from hobnet.hcnn import POOL_BINS
 from hobnet.hgnn import LevelBatch
 from hobnet.layers import mlp_forward
@@ -211,13 +210,13 @@ def per_parameter_adam_state(params) -> SimpleNamespace:
 
 def adam_step_per_parameter(state, lr: float) -> None:
     """The in-place Adam update run parameter by parameter, in slices of
-    ``ADAM_SLICE`` entries along each parameter's first axis."""
+    ``autodiff.CHUNK_BYTES`` along each parameter's first axis."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     state.t += 1
     c1, c2 = 1.0 - beta1**state.t, 1.0 - beta2**state.t
     for p in state.params.parameters():
         x, g, m, v = p.data, p.grad, state.m[p.name], state.v[p.name]
-        rows = max(1, ADAM_SLICE // x[0].size)
+        rows = max(1, ad.CHUNK_BYTES // (8 * x[0].size))
         for r in range(0, len(x), rows):
             xs, gs, ms, vs = x[r : r + rows], g[r : r + rows], m[r : r + rows], v[r : r + rows]
             step = np.multiply(gs, 1.0 - beta1)
@@ -274,13 +273,20 @@ def rescaled_two_arrays(lap: GraphLaplacian) -> np.ndarray:
     return scale * lap.laplacian - np.eye(lap.laplacian.shape[-1])
 
 
+def row_runs(blocks: ad.RowBlocks) -> list[np.ndarray]:
+    """The node rows of each run in ``blocks``, in order."""
+    return np.split(np.arange(blocks.m), np.cumsum(blocks.sizes)[:-1])
+
+
 def per_block_norm_loop(x, gain, shift, blocks, g):
-    """``per_block_norm`` block by block: the output for ``x`` and the
-    gradients of ``x``, ``gain`` and ``shift`` for the output gradient ``g``."""
+    """``per_block_norm`` block by block over the runs of ``blocks``: the
+    output for ``x`` and the gradients of ``x``, ``gain`` and ``shift`` for
+    the output gradient ``g``."""
     d = x.shape[-1]
     xhat = np.empty_like(x)
     inv_std = []
-    for idx in blocks:
+    runs = row_runs(blocks)
+    for idx in runs:
         xb = x[..., idx, :]
         mu = xb.mean(axis=-2, keepdims=True)
         var = xb.var(axis=-2, keepdims=True)
@@ -291,7 +297,7 @@ def per_block_norm_loop(x, gain, shift, blocks, g):
     dgain = (g * xhat).reshape(-1, d).sum(axis=0)
     dshift = g.reshape(-1, d).sum(axis=0)
     dx = np.empty_like(x)
-    for idx, istd in zip(blocks, inv_std):
+    for idx, istd in zip(runs, inv_std):
         gb = g[..., idx, :] * gain
         xh = xhat[..., idx, :]
         mean_gb = gb.mean(axis=-2, keepdims=True)
@@ -353,7 +359,7 @@ def composite_connectivity(ts, hierarchy, level) -> np.ndarray:
         return values
     m = values.shape[-1]
     mask = np.zeros((m, m), dtype=bool)
-    for idx in hierarchy.layout(level).blocks:
+    for idx in row_runs(hierarchy.layout(level).blocks):
         mask[np.ix_(idx, idx)] = True
     return np.where(mask, values, 0.0)
 

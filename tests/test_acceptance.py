@@ -64,7 +64,7 @@ from hobnet.population import (
 from hobnet.spectral import cheb_apply, normalized_laplacian
 
 from conftest import random_timeseries, toy_hierarchy_4_6_10
-from oracles import spectral_filter_exact
+from oracles import row_runs, spectral_filter_exact
 
 
 def report(criterion: int, detail: str) -> None:
@@ -172,7 +172,7 @@ class TestCriterion3BlockDiagonalLocality:
         checks = 0
         for level_name in ("man", "lan"):
             level = batch.levels[level_name]
-            blocks = level.norm_blocks
+            blocks = row_runs(level.norm_blocks)
             base = level_encoder(params, f"hgnn.{level_name}", level, cfg).data[0]
             for b, block in enumerate(blocks):
                 bumped_feats = level.features.copy()

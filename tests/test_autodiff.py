@@ -183,7 +183,7 @@ class TestPrimitiveExamples:
 
     def test_per_block_norm_zero_input_gives_shift(self):
         x = Tensor(np.zeros((4, 3)))
-        blocks = ad.RowBlocks([np.arange(4)], 4)
+        blocks = ad.RowBlocks([4])
         out = ad.per_block_norm(x, Tensor(np.ones(3)), Tensor([1.0, 2.0, 3.0]), blocks)
         np.testing.assert_array_equal(out.data, np.tile([1.0, 2.0, 3.0], (4, 1)))
 
@@ -191,21 +191,14 @@ class TestPrimitiveExamples:
 class TestPerBlockNorm:
     """The padded-layout norm against the per-block loop, and its refusals."""
 
-    # equal runs (a reshape), unequal runs, a single row and shuffled rows (gathers)
-    PARTITIONS = {
-        "2x8": [np.arange(8), np.arange(8, 16)],
-        "4": [np.arange(4)],
-        "3,4": [np.arange(3), np.arange(3, 7)],
-        "3,5,1": [np.arange(3), np.arange(3, 8), np.array([8])],
-        "7x28": list(np.arange(196).reshape(7, 28)),
-        "shuffled": [np.array([4, 0, 2]), np.array([1, 3])],
-    }
+    # run lengths: equal runs (a reshape) and unequal runs, one of a single row (a scatter)
+    RUNS = {"2x8": [8, 8], "4": [4], "3,4": [3, 4], "3,5,1": [3, 5, 1], "7x28": [28] * 7}
 
     @pytest.mark.parametrize("lead", [(), (1,), (5,)])
-    @pytest.mark.parametrize("name", PARTITIONS)
+    @pytest.mark.parametrize("name", RUNS)
     def test_matches_the_per_block_loop_byte_for_byte(self, name, lead):
-        blocks = self.PARTITIONS[name]
-        m = sum(len(b) for b in blocks)
+        blocks = ad.RowBlocks(self.RUNS[name])
+        m = blocks.m
         rng = np.random.default_rng(m)
         x = rng.normal(size=lead + (m, 16)) * 3.0 + 1.5
         gain, shift = 1.0 + 0.1 * rng.normal(size=16), rng.normal(size=16)
@@ -213,7 +206,7 @@ class TestPerBlockNorm:
         want = per_block_norm_loop(x, gain, shift, blocks, g)
         params = [Parameter(n, v) for n, v in (("x", x), ("gain", gain), ("shift", shift))]
         with Tape() as tape:
-            out = ad.per_block_norm(*params, blocks=ad.RowBlocks(blocks, m))
+            out = ad.per_block_norm(*params, blocks=blocks)
             loss = scalar_loss(out, g)
         backward(tape, loss)
         got = [out.data] + [p.grad for p in params]
@@ -225,7 +218,7 @@ class TestPerBlockNorm:
         x = Parameter("x", rng.normal(size=(2, 9, 3)))
         g = Parameter("g", 1.0 + 0.1 * rng.normal(size=3))
         s = Parameter("s", 0.1 * rng.normal(size=3))
-        blocks = ad.RowBlocks(self.PARTITIONS["3,5,1"][::-1], 9)
+        blocks = ad.RowBlocks(self.RUNS["3,5,1"][::-1])
         w = rng.normal(size=(2, 9, 3))
         fd_over_all_entries(
             lambda: scalar_loss(ad.per_block_norm(x, g, s, blocks=blocks), w),
@@ -233,23 +226,16 @@ class TestPerBlockNorm:
         )
 
     @pytest.mark.parametrize(
-        "blocks, message",
-        [
-            ([np.array([0, 0, 2])], "row 0 is listed 2 times"),
-            ([[0, 1], [1, 2]], "row 1 is listed 2 times"),
-            ([[0, 1], [2, 3]], "block row 3 is outside the 3 node rows"),
-            ([[0, 2]], "row 1 is in no block"),
-        ],
-        ids=["repeated row", "overlapping blocks", "out of range", "missing row"],
+        "sizes", [[], [3, 0, 2], [2, -1]], ids=["no runs", "empty run", "negative length"]
     )
-    def test_blocks_that_do_not_partition_the_rows_are_refused(self, blocks, message):
-        with pytest.raises(ShapeMismatch, match=message):
-            ad.RowBlocks(blocks, 3)
+    def test_runs_of_length_below_one_or_none_are_refused(self, sizes):
+        with pytest.raises(ShapeMismatch, match=r"runs of length >= 1, got \["):
+            ad.RowBlocks(sizes)
 
     def test_a_partition_of_other_rows_is_refused(self):
         x, ones = Tensor(np.zeros((2, 4, 2))), Tensor(np.ones(2))
         with pytest.raises(ShapeMismatch, match="partition 3 node rows, got 4"):
-            ad.per_block_norm(x, ones, ones, ad.RowBlocks([[0, 1], [2]], 3))
+            ad.per_block_norm(x, ones, ones, ad.RowBlocks([2, 1]))
 
 
 def assert_conv1d_matches_im2col(rng, x_shape, kernel_shape, stride):
@@ -505,7 +491,7 @@ class TestPrimitiveGradients:
         x = Parameter("x", self.rng.normal(size=(7, 3)))
         g = Parameter("g", 1.0 + 0.1 * self.rng.normal(size=3))
         s = Parameter("s", 0.1 * self.rng.normal(size=3))
-        blocks = ad.RowBlocks([np.array([0, 1, 2]), np.array([3, 4, 5, 6])], 7)
+        blocks = ad.RowBlocks([3, 4])
         w = self.weight((7, 3))
         fd_over_all_entries(
             lambda: scalar_loss(ad.per_block_norm(x, g, s, blocks=blocks), w),
@@ -595,7 +581,7 @@ class TestFiniteDifferenceChecker:
 
 
 # (name, op, operand shapes without the batch axis, whether each operand is stacked)
-BLOCKS = ad.RowBlocks([np.array([0, 1, 2]), np.array([3, 4, 5, 6])], 7)
+BLOCKS = ad.RowBlocks([3, 4])
 BATCHED_FORMS = [
     ("matmul-shared-matrix", ad.matmul, [(4, 5), (5, 2)], [True, False]),
     ("matmul-shared-vector", ad.matmul, [(4, 5), (5,)], [True, False]),

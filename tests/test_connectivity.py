@@ -35,7 +35,7 @@ from hobnet.connectivity import (
 from hobnet.ffc import CohortConnectivity
 
 from conftest import make_nested_hierarchy, random_timeseries, toy_hierarchy_4_6_10
-from oracles import block_diagonal, group_columns
+from oracles import block_diagonal, group_columns, row_runs
 
 
 def rv_trace_oracle(a, b):
@@ -381,10 +381,9 @@ class TestGraphSet:
         levels = subject_values(ts, h)
         graphs = build_graph_set(levels, gammas=0.0, mode="weighted")
         for level in (MAN, LAN):
-            blocks = h.layout(level).blocks
             m = graphs[level].shape[0]
             mask = np.ones((m, m), dtype=bool)
-            for idx in blocks:
+            for idx in row_runs(h.layout(level).blocks):
                 mask[np.ix_(idx, idx)] = False
             assert np.all(graphs[level][mask] == 0.0)
             assert np.all(levels[level][mask] == 0.0)
@@ -480,10 +479,8 @@ class TestHierarchyValidation:
 
     def test_nested_blocks_are_contiguous(self):
         h = toy_hierarchy_4_6_10()
-        man_blocks = h.layout(MAN).blocks
-        assert [len(b) for b in man_blocks] == [2, 1, 1, 2]
-        lan_blocks = h.layout(LAN).blocks
-        assert [len(b) for b in lan_blocks] == [2, 1, 2, 1, 1, 3]
+        assert h.layout(MAN).blocks.sizes.tolist() == [2, 1, 1, 2]
+        assert h.layout(LAN).blocks.sizes.tolist() == [2, 1, 2, 1, 1, 3]
 
     def test_timeseries_missing_hierarchy_roi(self):
         h = toy_hierarchy_4_6_10()

@@ -10,7 +10,6 @@ from hobnet import autodiff as ad
 from hobnet.autodiff import Tape, Tensor, backward
 from hobnet.connectivity import pearson_fc
 from hobnet.ffc import (
-    ADAM_SLICE,
     AdamState,
     BranchToggles,
     FitResult,
@@ -207,10 +206,12 @@ class TestAdam:
         with pytest.raises(ModelError, match="adam_step: no gradients"):
             adam_step(AdamState(params_of({"w": [1.0]})), lr=0.1)
 
-    def test_in_place_update_is_byte_identical_to_the_reference_order(self):
+    def test_in_place_update_is_byte_identical_to_the_reference_order(self, monkeypatch):
         import oracles
 
-        # "d" and "e" span several ADAM_SLICE slices; packed, slices cross parameter boundaries
+        # at 8,192 entries a slice, "d" and "e" span several slices; packed,
+        # slices cross parameter boundaries
+        monkeypatch.setattr(ad, "CHUNK_BYTES", 65536)
         shapes = {"a": (5, 3), "b": (4,), "c": (2, 3, 2), "d": (3000, 7), "e": (20000,)}
         runs = []
         for make_state, step in (
@@ -229,7 +230,7 @@ class TestAdam:
                     p.grad[...] = grads.normal(size=p.shape) * rng.choice([1e-3, 1.0, 50.0])
                 step(state, lr=1e-2)
             runs.append((params.data.tobytes(), *moments(state, params)))
-        assert sum(np.prod(shape) for shape in shapes.values()) > 5 * ADAM_SLICE
+        assert sum(np.prod(shape) for shape in shapes.values()) > 5 * ad.CHUNK_BYTES // 8
         assert runs[0] == runs[1] == runs[2]
 
     def test_packing_makes_every_array_a_view_of_one_buffer(self):

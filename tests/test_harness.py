@@ -201,6 +201,12 @@ class TestSplits:
         with pytest.raises(HarnessError, match="sum to 1"):
             holdout_plan(seed=0, fractions=(0.5, 0.2, 0.2))
 
+    @pytest.mark.parametrize("fractions", [(1.0,), (0.5, 0.5), (0.5, 0.2, 0.2, 0.1)])
+    def test_fractions_other_than_train_val_test_are_refused_by_the_plan(self, fractions):
+        message = rf"must be \(train, val, test\), got {re.escape(str(fractions))}$"
+        with pytest.raises(HarnessError, match=message):
+            holdout_plan(seed=0, fractions=fractions)
+
     @pytest.mark.parametrize("fractions", [(1.0, 0.0, 0.0), (0.5, 0.5, 0.0)])
     def test_an_empty_test_part_is_a_class_too_small(self, fractions):
         cohort = synth_generate(10, nested_hierarchy(2, 2, 2))

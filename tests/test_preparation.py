@@ -53,7 +53,7 @@ def assert_same_inputs(got, want, encoder):
         a, b = got.levels[level], want.levels[level]
         where = f"{got.subject_id} {level}"
         assert same_bits(a.features, b.features), where
-        assert [blk.tolist() for blk in a.norm_blocks] == [blk.tolist() for blk in b.norm_blocks]
+        assert a.norm_blocks.sizes.tolist() == b.norm_blocks.sizes.tolist(), where
         if encoder == "gcn":
             assert a.lap is None and same_bits(a.propagation, b.propagation), where
         else:
