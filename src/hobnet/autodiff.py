@@ -179,6 +179,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", (a, b), out, backward)
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node: a ``[k, p]`` weight shared by every row of
+    ``x`` ``[..., k]``, and a ``[p]`` bias. Forward and backward run the
+    numpy operations of ``add(matmul(x, w), b)``."""
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeMismatch(f"affine: cannot map shape {x.shape} by {w.shape} plus {b.shape}")
+    x2 = x.data.reshape(-1, w.shape[0])
+    out = (x2 @ w.data).reshape(x.shape[:-1] + b.shape)
+    out += b.data
+
+    def backward(g: np.ndarray):
+        g2 = g.reshape(x2.shape[0], -1)
+        return (g2 @ w.data.T).reshape(x.shape), x2.T @ g2, _unbroadcast(g, b.shape)
+
+    return _record("affine", (x, w, b), out, backward)
+
+
 def transpose(x: Tensor) -> Tensor:
     """Swap the last two axes."""
     if x.ndim < 2:

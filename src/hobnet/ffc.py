@@ -560,19 +560,23 @@ def score_subjects(params: ModelParams, cfg: ModelConfig, batch: SubjectBatch) -
 
 class AdamState:
     """Adam's step count ``t`` and its moments ``m`` and ``v`` over
-    ``params``: flat float64 buffers in the layout of ``params.data``."""
+    ``params``: flat float64 buffers in the layout of ``params.data``; and
+    the two scratch buffers a step works in, one ``autodiff.CHUNK_BYTES``
+    slice long, or the whole layout when that is shorter."""
 
     def __init__(self, params: ModelParams):
         self.params, self.t = params, 0
         self.m, self.v = np.zeros_like(params.data), np.zeros_like(params.data)
+        size = max(1, min(params.data.size, ad.CHUNK_BYTES // 8))
+        self.step, self.denom = np.empty(size), np.empty(size)
 
 
 def adam_step(state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update of ``state.params`` from their gradients.
 
     The moments and the parameters update in place over the flat buffers,
-    in slices of at most ``autodiff.CHUNK_BYTES`` (``chunk_slices``), so its
-    two scratch arrays stay small at any model width, in the operation order of
+    in slices as long as the state's scratch buffers, so a step makes no
+    array at any model width, in the operation order of
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
     ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)``.
     """
@@ -583,9 +587,12 @@ def adam_step(state: AdamState, lr: float) -> None:
     state.t += 1
     c1, c2 = 1.0 - beta1**state.t, 1.0 - beta2**state.t
     x, g, m, v = params.data, params.grad, state.m, state.v
-    for part in ad.chunk_slices(x.size, 8):
+    size = state.step.size
+    for start in range(0, x.size, size):
+        part = slice(start, start + size)
         xs, gs, ms, vs = x[part], g[part], m[part], v[part]
-        step = np.multiply(gs, 1.0 - beta1)
+        step, denom = state.step[: xs.size], state.denom[: xs.size]
+        np.multiply(gs, 1.0 - beta1, out=step)
         ms *= beta1
         ms += step
         np.multiply(gs, 1.0 - beta2, out=step)
@@ -594,7 +601,7 @@ def adam_step(state: AdamState, lr: float) -> None:
         vs += step
         np.divide(ms, c1, out=step)
         step *= lr
-        denom = np.divide(vs, c2)
+        np.divide(vs, c2, out=denom)
         np.sqrt(denom, out=denom)
         denom += eps
         step /= denom

@@ -132,10 +132,7 @@ def level_encoder(
     and mix the per-block embeddings with adaptive feature maps. The level's
     operator is derived once, for every block."""
     operator = Tensor(level.operator)
-    h = ad.add(
-        ad.matmul(Tensor(level.features), params[f"{prefix}.proj.w"]),
-        params[f"{prefix}.proj.b"],
-    )
+    h = ad.affine(Tensor(level.features), params[f"{prefix}.proj.w"], params[f"{prefix}.proj.b"])
     outputs = []
     for i in range(cfg.blocks):
         h = chebconv_block(h, operator, level.norm_blocks, params, f"{prefix}.block{i}", cfg, train)

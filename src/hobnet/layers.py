@@ -65,7 +65,7 @@ def mlp_forward(x: Tensor, params, prefix: str) -> Tensor:
         raise KeyError(f"no MLP parameters under prefix {prefix!r}")
     h = x
     for i in range(n_layers):
-        h = ad.add(ad.matmul(h, params[f"{prefix}.l{i}.w"]), params[f"{prefix}.l{i}.b"])
+        h = ad.affine(h, params[f"{prefix}.l{i}.w"], params[f"{prefix}.l{i}.b"])
         if i < n_layers - 1:
             h = ad.relu(h)
     return h

@@ -2,7 +2,8 @@
 
 The symmetric normalized Laplacian is rescaled by its dominant eigenvalue so
 its spectrum fits in [-1, 1], which is where the Chebyshev recurrence is
-stable. ``cheb_apply`` runs the recurrence through the autodiff primitives.
+stable. ``cheb_apply`` is one autodiff primitive: the whole K-term filter,
+recurrence and its transpose included, is a single tape node.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import ShapeMismatch, Tensor, _record
 
 _LAMBDA_TOL = 1e-9
 
@@ -65,11 +65,17 @@ def normalized_laplacian(adjacency: np.ndarray) -> GraphLaplacian:
 
 
 def cheb_apply(rescaled: Tensor, features: Tensor, thetas: list[Tensor]) -> Tensor:
-    """Sum_k T_k(rescaled L) @ H @ theta_k via the three-term recurrence.
+    """Sum_k T_k(rescaled L) @ H @ theta_k via the three-term recurrence, as
+    one tape node.
 
-    ``rescaled`` is the rescaled Laplacian ``[m, m]`` and ``features``
-    ``[m, d]``, or stacks of them ``[B, m, m]`` and ``[B, m, d]``; each
-    ``theta_k`` is one ``[d, out_dim]`` matrix shared by the stack.
+    ``rescaled`` is the rescaled Laplacian ``[..., m, m]`` and ``features``
+    ``[..., m, d]`` with the same leading axes; each ``theta_k`` is one
+    ``[d, out_dim]`` matrix shared by the stack. The forward keeps every
+    ``Z_k = T_k(L) H``; the backward runs the recurrence transposed,
+    ``dZ_k = -dZ_{k+2} + L^T (2 dZ_{k+1}) + g theta_k^T``, and returns the
+    features' gradient as up to three terms (``-dZ_2``, ``L^T dZ_1``,
+    ``g theta_0^T``), so every gradient is summed in the order of the same
+    recurrence written with ``matmul``, ``scale`` and ``add`` nodes.
     Differentiable with respect to the features and every filter matrix;
     the Laplacian itself is a constant of the graph.
     """
@@ -77,17 +83,50 @@ def cheb_apply(rescaled: Tensor, features: Tensor, thetas: list[Tensor]) -> Tens
         raise SpectralError("cheb_apply needs at least one filter matrix (K >= 1)")
     if features.ndim < 2:
         raise SpectralError(f"features must be [..., nodes, dim], got shape {features.shape}")
-    out = ad.matmul(features, thetas[0])
-    if len(thetas) == 1:
-        return out
-    z_prev2 = features
-    z_prev1 = ad.matmul(rescaled, features)
-    out = ad.add(out, ad.matmul(z_prev1, thetas[1]))
-    for k in range(2, len(thetas)):
-        z_k = ad.add(ad.scale(ad.matmul(rescaled, z_prev1), 2.0), ad.scale(z_prev2, -1.0))
-        out = ad.add(out, ad.matmul(z_k, thetas[k]))
-        z_prev2, z_prev1 = z_prev1, z_k
-    return out
+    lap, h = rescaled.data, features.data
+    m, d = h.shape[-2:]
+    if lap.shape != h.shape[:-2] + (m, m):
+        raise ShapeMismatch(f"cheb-conv: Laplacian shape {lap.shape} does not match features {h.shape}")
+    p = thetas[0].shape[-1]
+    if any(t.shape != (d, p) for t in thetas):
+        raise ShapeMismatch(
+            f"cheb-conv: filters {[t.shape for t in thetas]} do not all map {d} features to {p}"
+        )
+    k_max = len(thetas)
+    zs = [h] if k_max == 1 else [h, np.matmul(lap, h)]
+    while len(zs) < k_max:
+        z = np.matmul(lap, zs[-1])
+        z *= 2.0
+        z -= zs[-2]
+        zs.append(z)
+    flat = [z.reshape(-1, d) for z in zs]
+    out = flat[0] @ thetas[0].data
+    for z, theta in zip(flat[1:], thetas[1:]):
+        out += z @ theta.data
+
+    def backward(g: np.ndarray):
+        g2 = g.reshape(-1, p)
+        lap_t = np.swapaxes(lap, -1, -2)
+        dz: list = [None] * k_max
+
+        def terms(k: int) -> list[np.ndarray]:
+            """The gradient terms of ``Z_k``, in the order the recurrence's
+            own nodes would hand them back."""
+            out = [-dz[k + 2]] if k + 2 < k_max else []
+            if k + 1 < k_max:  # Z_{k+1} = 2 L Z_k - Z_{k-1}, but Z_1 = L Z_0
+                out.append(np.matmul(lap_t, dz[k + 1] * 2.0 if k else dz[1]))
+            out.append((g2 @ thetas[k].data.T).reshape(h.shape))
+            return out
+
+        for k in range(k_max - 1, 0, -1):
+            parts = terms(k)
+            dz[k] = sum(parts[1:], parts[0])
+        return (*terms(0), *(z.T @ g2 for z in reversed(flat)))
+
+    # features once per gradient term; the filters newest first, the order
+    # in which the recurrence's own nodes would hand back their gradients
+    inputs = (features,) * min(k_max, 3) + tuple(reversed(thetas))
+    return _record("cheb-conv", inputs, out.reshape(h.shape[:-1] + (p,)), backward)
 
 
 def first_order_propagation(adjacency: np.ndarray) -> np.ndarray:

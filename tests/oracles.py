@@ -25,7 +25,7 @@ from hobnet.connectivity import (
 from hobnet.hcnn import POOL_BINS
 from hobnet.hgnn import LevelBatch
 from hobnet.layers import mlp_forward
-from hobnet.spectral import GraphLaplacian, SpectralError, cheb_apply
+from hobnet.spectral import GraphLaplacian, SpectralError
 
 _EXACT_MAX_NODES = 64
 
@@ -72,6 +72,27 @@ def spectral_filter_exact(lap: GraphLaplacian, features: Tensor, thetas: list[Te
     return out
 
 
+def cheb_apply_composed(rescaled: Tensor, features: Tensor, thetas: list[Tensor]) -> Tensor:
+    """``spectral.cheb_apply`` as the three-term recurrence written with
+    ``matmul``, ``scale`` and ``add`` nodes: ten nodes at K = 3."""
+    out = ad.matmul(features, thetas[0])
+    if len(thetas) == 1:
+        return out
+    z_prev2 = features
+    z_prev1 = ad.matmul(rescaled, features)
+    out = ad.add(out, ad.matmul(z_prev1, thetas[1]))
+    for k in range(2, len(thetas)):
+        z_k = ad.add(ad.scale(ad.matmul(rescaled, z_prev1), 2.0), ad.scale(z_prev2, -1.0))
+        out = ad.add(out, ad.matmul(z_k, thetas[k]))
+        z_prev2, z_prev1 = z_prev1, z_k
+    return out
+
+
+def affine_composed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``ad.affine`` as a ``matmul`` node and an ``add`` node."""
+    return ad.add(ad.matmul(x, w), b)
+
+
 def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
     """Stack square blocks along the diagonal, exact zeros elsewhere."""
     if not blocks:
@@ -105,10 +126,7 @@ def dr_unflatten(flat: np.ndarray, n: int) -> np.ndarray:
 
 def subject_level_encoder(params, prefix, level, cfg, train) -> Tensor:
     """One subject's view through projection, block stack and AFM mix, on 2-D tensors."""
-    h = ad.add(
-        ad.matmul(Tensor(level.features), params[f"{prefix}.proj.w"]),
-        params[f"{prefix}.proj.b"],
-    )
+    h = affine_composed(Tensor(level.features), params[f"{prefix}.proj.w"], params[f"{prefix}.proj.b"])
     outputs = []
     for i in range(cfg.blocks):
         block = f"{prefix}.block{i}"
@@ -116,7 +134,7 @@ def subject_level_encoder(params, prefix, level, cfg, train) -> Tensor:
             conv = ad.matmul(ad.matmul(Tensor(level.propagation), h), params[f"{block}.w"])
         else:
             thetas = [params[f"{block}.theta{k}"] for k in range(cfg.k)]
-            conv = cheb_apply(Tensor(level.lap.rescaled), h, thetas)
+            conv = cheb_apply_composed(Tensor(level.lap.rescaled), h, thetas)
         normed = ad.per_block_norm(
             conv, params[f"{block}.norm.gain"], params[f"{block}.norm.shift"],
             blocks=level.norm_blocks,

@@ -18,7 +18,7 @@ from hobnet.ffc import AdamState, adam_step
 from hobnet.rng import named_stream
 
 from conftest import params_of
-from oracles import bin_means, conv1d_im2col, per_block_norm_loop, relu_where, total
+from oracles import affine_composed, bin_means, conv1d_im2col, per_block_norm_loop, relu_where, total
 
 
 def scalar_loss(out: Tensor, weight: np.ndarray) -> Tensor:
@@ -287,6 +287,29 @@ class TestConv1dWindowMatrix:
     def test_any_window_budget_gives_the_same_bytes(self, monkeypatch, budget):
         monkeypatch.setattr(ad, "CHUNK_BYTES", budget)
         assert_conv1d_matches_im2col(np.random.default_rng(12), (7, 3, 50), (4, 3, 5), 2)
+
+
+class TestAffineAgainstMatmulThenAdd:
+    """``affine``'s single node against ``add(matmul(x, w), b)``, byte for byte."""
+
+    @pytest.mark.parametrize("x_shape", [(5,), (4, 5), (3, 4, 5)], ids=["row", "matrix", "stack"])
+    def test_output_and_every_gradient_are_byte_equal(self, x_shape):
+        rng = np.random.default_rng(15)
+        values = [rng.normal(size=x_shape), rng.normal(size=(5, 3)), rng.normal(size=3)]
+        weight = rng.normal(size=x_shape[:-1] + (3,))
+        runs = [run_with_grads(op, values, weight) for op in (ad.affine, affine_composed)]
+        (out, grads), (want, want_grads) = runs
+        assert out.tobytes() == want.tobytes()
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
+
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, b_shape",
+        [((4, 5), (6, 3), (3,)), ((4, 5), (5, 3), (4, 3)), ((4, 5), (5,), ()), ((), (1, 3), (3,))],
+        ids=["inner", "bias", "vector weight", "scalar input"],
+    )
+    def test_shapes_it_cannot_map_are_refused(self, x_shape, w_shape, b_shape):
+        with pytest.raises(ShapeMismatch, match="affine: cannot map"):
+            ad.affine(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)))
 
 
 class TestReluWithoutMask:
@@ -586,6 +609,7 @@ BATCHED_FORMS = [
     ("matmul-shared-matrix", ad.matmul, [(4, 5), (5, 2)], [True, False]),
     ("matmul-shared-vector", ad.matmul, [(4, 5), (5,)], [True, False]),
     ("matmul-stacked-rhs", ad.matmul, [(4, 5), (5, 2)], [True, True]),
+    ("affine", ad.affine, [(4, 5), (5, 2), (2,)], [True, False, False]),
     ("transpose", ad.transpose, [(4, 2)], [True]),
     ("mean-over-axis", ad.mean_over_axis, [(4, 5)], [True]),
     ("bin-mean", lambda x: ad.bin_mean(x, 4), [(2, 13)], [True]),

@@ -233,6 +233,23 @@ class TestAdam:
         assert sum(np.prod(shape) for shape in shapes.values()) > 5 * ad.CHUNK_BYTES // 8
         assert runs[0] == runs[1] == runs[2]
 
+    def test_a_second_step_of_the_criterion_5_model_makes_no_scratch_array(self):
+        cfg = ModelConfig(
+            toggles=parse_toggles("HGNN+HCNN"),
+            hgnn=HgnnConfig(k=3, blocks=3, hidden_dim=16),
+            hcnn=HcnnConfig(out_dim=16),
+            head_hidden=(64,),
+        )
+        params = build_model_params(cfg, {"wan": 4, "man": 8, "lan": 16}, 120, seed=0)
+        params.zero_grad()
+        params.grad[:] = np.random.default_rng(3).normal(size=params.grad.size)
+        state = AdamState(params)
+        adam_step(state, lr=1e-4)
+        _, peak, _ = traced_peak(lambda: adam_step(state, lr=1e-4))
+        # two arrays of the whole layout would take 1.28 MiB
+        assert params.data.size == 84155
+        assert peak < 0.1 * 2**20, f"a second step traced {peak} bytes"
+
     def test_packing_makes_every_array_a_view_of_one_buffer(self):
         params = build_model_params(small_config(), {"wan": 2, "man": 4, "lan": 8}, 28, seed=0)
         assert params.data.size == params.total_size() and params.grad is None

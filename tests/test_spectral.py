@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from hobnet.autodiff import Parameter, ShapeMismatch, Tape, Tensor, backward
+from hobnet import autodiff as ad
+from hobnet.autodiff import Parameter, ShapeMismatch, Tape, Tensor, backward, finite_difference_check
 from hobnet.spectral import SpectralError, cheb_apply, first_order_propagation, normalized_laplacian
 
-from oracles import block_diagonal, rescaled_two_arrays, spectral_filter_exact, total
+from oracles import block_diagonal, cheb_apply_composed, rescaled_two_arrays, spectral_filter_exact, total
 
 
 def random_graph(m, seed, density=0.5):
@@ -90,10 +91,14 @@ class TestChebApply:
 
     def test_shape_mismatch_is_an_error(self):
         rescaled = Tensor(normalized_laplacian(random_graph(3, 3)).rescaled)
-        with pytest.raises(ShapeMismatch, match="matmul: inner dimensions"):
+        with pytest.raises(ShapeMismatch, match="cheb-conv: filters"):
             cheb_apply(rescaled, Tensor(np.zeros((3, 2))), [Tensor(np.zeros((5, 4)))])
-        with pytest.raises(ShapeMismatch, match="matmul: inner dimensions"):
+        with pytest.raises(ShapeMismatch, match="cheb-conv: filters"):
+            cheb_apply(rescaled, Tensor(np.zeros((3, 2))), [Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 3)))])
+        with pytest.raises(ShapeMismatch, match="cheb-conv: Laplacian"):
             cheb_apply(rescaled, Tensor(np.zeros((4, 2))), [Tensor(np.zeros((2, 4)))] * 2)
+        with pytest.raises(ShapeMismatch, match="cheb-conv: Laplacian"):
+            cheb_apply(rescaled, Tensor(np.zeros((2, 3, 2))), [Tensor(np.zeros((2, 4)))] * 2)
 
     def test_linearity_in_features(self):
         lap = normalized_laplacian(random_graph(6, 4))
@@ -119,6 +124,63 @@ class TestChebApply:
         assert np.any(h.grad != 0.0)
         for t in thetas:
             assert np.any(t.grad != 0.0)
+
+
+def filter_run(conv, rescaled, h0, thetas0, upstream, skip):
+    """``conv``'s output, then the gradients of the features and of each
+    filter, as bytes, for the loss ``<upstream, out>``; with ``skip`` the
+    features are also added to the output, as the res-cheb block does."""
+    h = Parameter("h", h0)
+    thetas = [Parameter(f"theta{k}", t) for k, t in enumerate(thetas0)]
+    with Tape() as tape:
+        out = conv(Tensor(rescaled), h, thetas)
+        if skip:
+            out = ad.add(out, h)
+        loss = ad.matmul(ad.reshape(out, (-1,)), Tensor(upstream))
+    backward(tape, loss)
+    return [out.data.tobytes(), h.grad.tobytes()] + [t.grad.tobytes() for t in thetas]
+
+
+class TestOneNodeAgainstTheComposedRecurrence:
+    """``cheb_apply``'s single node against the recurrence written with
+    ``matmul``, ``scale`` and ``add`` nodes, byte for byte."""
+
+    @pytest.mark.parametrize("skip", [False, True], ids=["plain", "skip"])
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["one subject", "stack of 3"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_output_and_every_gradient_are_byte_equal(self, k, batch, skip):
+        rng = np.random.default_rng(20 + k)
+        m, d = 7, 5
+        graphs = np.stack([random_graph(m, 40 + i) for i in range(3)])[: batch[0] if batch else 1]
+        rescaled = normalized_laplacian(graphs.reshape(batch + (m, m))).rescaled
+        h0 = rng.normal(size=batch + (m, d)) * rng.choice([1e-3, 1.0, 1e3], size=batch + (m, d))
+        thetas0 = [rng.normal(size=(d, d)) for _ in range(k)]
+        upstream = rng.normal(size=h0.size)
+        fused = filter_run(cheb_apply, rescaled, h0, thetas0, upstream, skip)
+        composed = filter_run(cheb_apply_composed, rescaled, h0, thetas0, upstream, skip)
+        assert fused == composed
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_one_filter_is_one_node(self, k):
+        h = Parameter("h", np.ones((2, 4, 3)))
+        thetas = [Parameter(f"theta{i}", np.ones((3, 2))) for i in range(k)]
+        rescaled = Tensor(normalized_laplacian(np.stack([random_graph(4, 7)] * 2)).rescaled)
+        with Tape() as tape:
+            cheb_apply(rescaled, h, thetas)
+        assert [node.op for node in tape.nodes] == ["cheb-conv"]
+
+    def test_finite_differences_on_a_stack_at_k3(self):
+        rng = np.random.default_rng(31)
+        rescaled = Tensor(normalized_laplacian(np.stack([random_graph(6, 50 + i) for i in range(3)])).rescaled)
+        h = Parameter("h", rng.normal(size=(3, 6, 4)))
+        thetas = [Parameter(f"theta{k}", rng.normal(size=(4, 2))) for k in range(3)]
+        weight = Tensor(rng.normal(size=3 * 6 * 2))
+
+        def f():
+            return ad.matmul(ad.reshape(cheb_apply(rescaled, h, thetas), (-1,)), weight)
+
+        report = finite_difference_check(f, [h, *thetas], h=1e-5, tolerance=1e-6)
+        assert not report.skipped and report.passed, f"max relative error {report.max_rel_error}"
 
 
 class TestExactOracleAgreement:
