@@ -302,7 +302,9 @@ def reshape(x: Tensor, shape) -> Tensor:
 # preparation's [n, R, R] Gram stack holds a 200-subject cohort at 16 ROIs
 # and 3 subjects at 196 ROIs, where larger chunks only add to the peak
 # memory (4 MiB: about 2 MiB more); each of an Adam step's two scratch
-# arrays holds 131,072 parameters
+# arrays takes a quarter of it, 32,768 parameters: they stay alive through
+# fit's forward and backward, where its peak lies, and slices of 4,096 cost
+# more in per-slice overhead than they save
 CHUNK_BYTES = 1 << 20
 
 
@@ -427,13 +429,15 @@ def outer(a: Tensor, b: Tensor) -> Tensor:
 
 
 class RowBlocks:
-    """Normalization blocks as runs of consecutive node rows, given by
-    their lengths ``sizes``, and the padded layout ``per_block_norm`` takes
-    their statistics in.
+    """A level's blocks (its nodes' parents) as runs of consecutive node
+    rows, given by their lengths ``sizes``, and the padded layout
+    ``per_block_norm`` takes their statistics in.
 
     The layout is ``[..., blocks, size, features]``: a reshape when the
     runs are equal (every level of a nested hierarchy), else a scatter into
-    zero-padded rows of the longest run's size. Built once per level.
+    zero-padded rows of the longest run's size. The diagonal blocks of
+    ``[..., m, m]`` matrices take the same layout, ``[..., blocks, size,
+    size]`` (``gather`` and ``scatter``). Built once per level.
     """
 
     def __init__(self, sizes):
@@ -443,12 +447,34 @@ class RowBlocks:
         self.m = int(sizes.sum())
         self.shape = (sizes.size, int(sizes.max()))
         self.counts = sizes.astype(np.float64)[:, None, None]
+        held = np.arange(self.shape[1]) < sizes[:, None]
         # each row's place in the padded layout, and the places that hold a row
         self.rows = self.mask = None
         if (sizes != self.shape[1]).any():
-            starts = np.cumsum(sizes) - sizes
-            self.rows = np.arange(self.m) + np.repeat(np.arange(sizes.size) * self.shape[1] - starts, sizes)
-            self.mask = (np.arange(self.shape[1]) < sizes[:, None])[..., None]
+            self.rows = np.flatnonzero(held)
+            self.mask = held[..., None]
+        # each diagonal-block cell's flat index into an [m, m] matrix (cell 0
+        # for the padding), and the cells that hold one
+        nodes = (np.cumsum(sizes) - sizes)[:, None] + np.arange(self.shape[1])
+        self.held = held[:, :, None] & held[:, None, :]
+        self.cells = np.where(self.held, nodes[:, :, None] * self.m + nodes[:, None, :], 0)
+
+    def gather(self, a: np.ndarray) -> np.ndarray:
+        """The diagonal blocks of ``[..., m, m]`` matrices as ``[..., blocks,
+        size, size]``, zeros in the padding; entries outside them are not read."""
+        if a.shape[-2:] != (self.m, self.m):
+            raise ShapeMismatch(f"row-blocks: blocks partition {self.m} nodes, got matrices {a.shape}")
+        out = a.reshape(a.shape[:-2] + (-1,))[..., self.cells]
+        if self.rows is not None:
+            np.copyto(out, 0.0, where=~self.held)
+        return out
+
+    def scatter(self, blocks: np.ndarray) -> np.ndarray:
+        """Inverse of ``gather``: the ``[..., m, m]`` matrices with these
+        diagonal blocks and exact zeros elsewhere."""
+        out = np.zeros(blocks.shape[:-3] + (self.m * self.m,))
+        out[..., self.cells[self.held]] = blocks[..., self.held]
+        return out.reshape(blocks.shape[:-3] + (self.m, self.m))
 
     def pad(self, a: np.ndarray) -> np.ndarray:
         """``[..., m, d]`` rows in the ``[..., blocks, size, d]`` layout, zeros in the padding."""

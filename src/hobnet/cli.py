@@ -21,6 +21,7 @@ from .autodiff import NonFiniteValue, ShapeMismatch, TapeError
 from .connectivity import (
     GAMMA_GRID,
     LEVELS,
+    AtlasHierarchy,
     ConnectivityError,
     build_graph_set,
     read_covering_hierarchy,
@@ -109,25 +110,26 @@ def check_flag(flag: str, value: float | None, high: float) -> None:
         raise HarnessError(f"{flag} must be in [0, {high:g}], got {value}")
 
 
-def subject_levels(args) -> tuple[str, dict[str, np.ndarray]]:
-    """The subject id of ``--timeseries`` and each level's ``[m, m]``
-    composite connectivity over ``--hierarchy``, as preparation builds it."""
+def subject_levels(args) -> tuple[str, AtlasHierarchy, dict[str, np.ndarray]]:
+    """The subject id of ``--timeseries``, the ``--hierarchy`` and each
+    level's ``[m, m]`` composite connectivity over it, as preparation builds it."""
     ts = read_timeseries_csv(args.timeseries)
     hierarchy = read_covering_hierarchy(args.hierarchy, ts, args.timeseries)
     connectivity = CohortConnectivity.build([ts], hierarchy)
-    return ts.subject_id, {lv: stack[0] for lv, stack in connectivity.levels.items()}
+    return ts.subject_id, hierarchy, {lv: stack[0] for lv, stack in connectivity.levels.items()}
 
 
 def cmd_graphgen(args) -> int:
     check_flag("--gamma", args.gamma, 1.0)
     check_flag("--retained-pct", args.retained_pct, 100.0)
-    subject_id, levels = subject_levels(args)
+    subject_id, hierarchy, levels = subject_levels(args)
     if args.gamma is not None:
         gammas = dict.fromkeys(LEVELS, float(args.gamma))
     else:  # per level, the smallest grid threshold at which at most that share of edges survives
         gammas = {}
         for lv in LEVELS:
-            kept = retained_fractions(levels[lv], GAMMA_GRID) <= args.retained_pct / 100.0
+            curve = retained_fractions(levels[lv], hierarchy.layout(lv).blocks, GAMMA_GRID)
+            kept = curve <= args.retained_pct / 100.0
             gammas[lv] = float(GAMMA_GRID[np.argmax(kept)])
     adjacency = build_graph_set(levels, gammas, args.mode)
     records = [  # dense row-major; a level's features are its connectivity values
@@ -146,12 +148,13 @@ def cmd_graphgen(args) -> int:
 def cmd_threshold_curve(args) -> int:
     if args.grid < 1:
         raise ConnectivityError(f"--grid must be at least 1, got {args.grid}")
-    _, levels = subject_levels(args)
+    _, hierarchy, levels = subject_levels(args)
     grid = np.linspace(0.0, 1.0, args.grid)
+    curve = retained_fractions(levels["lan"], hierarchy.layout("lan").blocks, grid)
     with Path(args.out).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["gamma", "retained_fraction"])
-        for gamma, fraction in zip(grid.tolist(), retained_fractions(levels["lan"], grid).tolist()):
+        for gamma, fraction in zip(grid.tolist(), curve.tolist()):
             writer.writerow([repr(gamma), repr(fraction)])
     print(f"wrote {args.grid}-point retained-edge curve to {args.out}")
     return 0

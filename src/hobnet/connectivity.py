@@ -325,28 +325,33 @@ def level_connectivity(grams: GramStack, hierarchy: AtlasHierarchy, level: str) 
     return _refuse_non_finite(sums, grams.subject_ids, level)
 
 
-def retained_fractions(values: np.ndarray, gammas) -> np.ndarray:
+def retained_fractions(values: np.ndarray, blocks: RowBlocks, gammas) -> np.ndarray:
     """Fraction of each matrix's off-diagonal entries strictly above each
     threshold: ``[..., m, m]`` matrices give ``[..., len(gammas)]``.
 
-    Each entry is placed on the grid once; the count above threshold j is
-    the number of entries with more than j grid points below them. The
-    counts are integers, so the fractions are exact quotients; a one-node
-    matrix has no off-diagonal entries and retains none.
+    Only the diagonal blocks of ``blocks`` (a level's parent blocks; the
+    top level is one block) are read: every entry outside them must be
+    exactly 0.0, as ``composite_connectivity`` leaves them. Such an entry,
+    like the padding of unequal blocks, lies above no threshold and counts
+    in the denominator m(m-1) alone. Each entry read is placed on the grid
+    once; the count above threshold j is the number of entries with more
+    than j grid points below them. The counts are integers, so the
+    fractions are exact quotients; a one-node matrix has no off-diagonal
+    entries and retains none.
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     if gammas.size == 0:
         raise ConnectivityError("retained_fractions: threshold grid is empty")
     if np.any(np.diff(gammas) <= 0) or gammas[0] < 0.0 or gammas[-1] > 1.0:
         raise ConnectivityError("threshold grid must be strictly increasing within [0, 1]")
-    m, g = values.shape[-1], gammas.size
-    off = values.reshape(-1, m, m)[:, ~np.eye(m, dtype=bool)]
+    m, g, s = values.shape[-1], gammas.size, blocks.shape[1]
+    inner = blocks.gather(values.reshape(-1, m, m))
+    off = inner[..., ~np.eye(s, dtype=bool)].reshape(len(inner), blocks.shape[0] * s * (s - 1))
     below = np.searchsorted(gammas, off, side="left")  # grid points strictly below each entry
     below += (g + 1) * np.arange(len(off))[:, None]
     hist = np.bincount(below.ravel(), minlength=len(off) * (g + 1)).reshape(len(off), g + 1)
-    total = m * (m - 1)
-    above = total - np.cumsum(hist, axis=1)[:, :g]
-    return (above / max(total, 1)).reshape(*values.shape[:-2], g)
+    above = off.shape[1] - np.cumsum(hist, axis=1)[:, :g]
+    return (above / max(m * (m - 1), 1)).reshape(*values.shape[:-2], g)
 
 
 def select_cutoff(curve: list[tuple[float, float]]) -> float:

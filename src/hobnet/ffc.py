@@ -381,8 +381,9 @@ def select_cohort_gammas(
     gammas: dict[str, float] = {}
     for level in LEVELS:
         mean_curve = np.zeros(GAMMA_GRID.size)
+        blocks = hierarchy.layout(level).blocks
         for rows in subject_chunks(len(series), hierarchy):
-            for curve in retained_fractions(series.levels[level][rows], GAMMA_GRID):
+            for curve in retained_fractions(series.levels[level][rows], blocks, GAMMA_GRID):
                 mean_curve += curve
         mean_curve /= len(series)
         if np.all(mean_curve == 0.0):
@@ -423,7 +424,7 @@ def prepare_stack(
             if encoder == "gcn":
                 graph[lv][rows] = first_order_propagation(graphs[lv])
             else:
-                lap = normalized_laplacian(graphs[lv])
+                lap = normalized_laplacian(graphs[lv], hierarchy.layout(lv).blocks)
                 graph[lv][rows], lambda_max[lv][rows] = lap.laplacian, lap.lambda_max
     level_batches = {}
     for lv in LEVELS:
@@ -561,13 +562,13 @@ def score_subjects(params: ModelParams, cfg: ModelConfig, batch: SubjectBatch) -
 class AdamState:
     """Adam's step count ``t`` and its moments ``m`` and ``v`` over
     ``params``: flat float64 buffers in the layout of ``params.data``; and
-    the two scratch buffers a step works in, one ``autodiff.CHUNK_BYTES``
-    slice long, or the whole layout when that is shorter."""
+    the two scratch buffers a step works in, each a quarter of
+    ``autodiff.CHUNK_BYTES`` long, or the whole layout when that is shorter."""
 
     def __init__(self, params: ModelParams):
         self.params, self.t = params, 0
         self.m, self.v = np.zeros_like(params.data), np.zeros_like(params.data)
-        size = max(1, min(params.data.size, ad.CHUNK_BYTES // 8))
+        size = max(1, min(params.data.size, ad.CHUNK_BYTES // 32))
         self.step, self.denom = np.empty(size), np.empty(size)
 
 

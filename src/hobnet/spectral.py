@@ -2,8 +2,10 @@
 
 The symmetric normalized Laplacian is rescaled by its dominant eigenvalue so
 its spectrum fits in [-1, 1], which is where the Chebyshev recurrence is
-stable. ``cheb_apply`` is one autodiff primitive: the whole K-term filter,
-recurrence and its transpose included, is a single tape node.
+stable; a level's graph connects nodes only within their parent blocks, so
+that eigenvalue is the largest of the blocks' own. ``cheb_apply`` is one
+autodiff primitive: the whole K-term filter, recurrence and its transpose
+included, is a single tape node.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeMismatch, Tensor, _record
+from .autodiff import RowBlocks, ShapeMismatch, Tensor, _record
 
 _LAMBDA_TOL = 1e-9
 
@@ -41,27 +43,34 @@ class GraphLaplacian:
         return out
 
 
-def normalized_laplacian(adjacency: np.ndarray) -> GraphLaplacian:
-    """I - D^{-1/2} A D^{-1/2} with isolated-node rows left as identity.
+def normalized_laplacian(adjacency: np.ndarray, blocks: RowBlocks) -> GraphLaplacian:
+    """I - D^{-1/2} A D^{-1/2} with isolated-node rows left as identity,
+    built and eigensolved block by block.
 
     Takes one symmetric, non-negative float64 adjacency ``[m, m]`` or a
-    stack ``[N, m, m]``, as ``connectivity.build_adjacency`` and
-    ``population.population_adjacency`` make them. The dominant
-    eigenvalue is the last of ``np.linalg.eigvalsh``, exact to rounding and
+    stack ``[N, m, m]`` whose entries outside the diagonal blocks of
+    ``blocks`` (a level's parent blocks; the top level is one block) are
+    exactly 0.0, as ``connectivity.build_adjacency`` makes them from
+    ``composite_connectivity``. Its Laplacian is then block-diagonal too:
+    each block's is built in the padded layout of ``blocks``, where the
+    padding's rows and columns stay zero and so add only zero eigenvalues,
+    and scattered into the dense stack. The dominant eigenvalue is the
+    largest over the blocks' ``np.linalg.eigvalsh``, exact to rounding and
     independent of node order; a Laplacian without a positive eigenvalue
     (self-loops only) takes the spectral upper bound 2 instead, so the
     rescaled spectrum never exceeds [-1, 1].
     """
-    degrees = adjacency.sum(axis=-1)
+    a = blocks.gather(adjacency)
+    degrees = a.sum(axis=-1)
     inv_sqrt = np.where(degrees > 0.0, 1.0 / np.sqrt(np.where(degrees > 0.0, degrees, 1.0)), 0.0)
-    lap = inv_sqrt[..., :, None] * adjacency
+    lap = inv_sqrt[..., :, None] * a
     lap *= inv_sqrt[..., None, :]
-    np.subtract(np.eye(adjacency.shape[-1]), lap, out=lap)
+    np.subtract(blocks.gather(np.eye(blocks.m)), lap, out=lap)
     lap = lap + np.swapaxes(lap, -1, -2)
     lap /= 2.0
-    lam = np.linalg.eigvalsh(lap)[..., -1]
+    lam = np.linalg.eigvalsh(lap)[..., -1].max(axis=-1)
     lam = np.where(lam <= _LAMBDA_TOL, 2.0, lam)
-    return GraphLaplacian(laplacian=lap, lambda_max=float(lam) if lam.ndim == 0 else lam)
+    return GraphLaplacian(laplacian=blocks.scatter(lap), lambda_max=float(lam) if lam.ndim == 0 else lam)
 
 
 def cheb_apply(rescaled: Tensor, features: Tensor, thetas: list[Tensor]) -> Tensor:

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hobnet.autodiff import Tensor, cross_entropy, finite_difference_check
+from hobnet.autodiff import RowBlocks, Tensor, cross_entropy, finite_difference_check
 from hobnet.cli import main as cli_main
 from hobnet.connectivity import (
     LEVELS,
@@ -149,7 +149,7 @@ class TestCriterion2SpectralExactness:
             a = np.triu(a, 1)
             a = a + a.T
             np.fill_diagonal(a, 1.0)
-            lap = normalized_laplacian(a)
+            lap = normalized_laplacian(a, RowBlocks([m]))
             h = Tensor(rng.normal(size=(m, 3)))
             thetas = [Tensor(rng.normal(size=(3, 2))) for _ in range(k)]
             delta = np.max(

@@ -18,7 +18,7 @@ from hobnet.ffc import AdamState, adam_step
 from hobnet.rng import named_stream
 
 from conftest import params_of
-from oracles import affine_composed, bin_means, conv1d_im2col, per_block_norm_loop, relu_where, total
+from oracles import affine_composed, bin_means, conv1d_im2col, per_block_norm_loop, relu_where, row_runs, total
 
 
 def scalar_loss(out: Tensor, weight: np.ndarray) -> Tensor:
@@ -212,6 +212,21 @@ class TestPerBlockNorm:
         got = [out.data] + [p.grad for p in params]
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("name", RUNS)
+    def test_gather_takes_the_diagonal_blocks_and_scatter_puts_them_back(self, name, lead):
+        blocks = ad.RowBlocks(self.RUNS[name])
+        a = np.random.default_rng(blocks.m).normal(size=lead + (blocks.m, blocks.m))
+        gathered = blocks.gather(a)
+        assert gathered.shape == lead + (blocks.shape[0],) + (blocks.shape[1],) * 2
+        inside = np.zeros(a.shape, dtype=bool)
+        for b, run in enumerate(row_runs(blocks)):
+            k = len(run)
+            assert gathered[..., b, :k, :k].tobytes() == a[..., run[:, None], run].tobytes()
+            assert not gathered[..., b, k:, :].any() and not gathered[..., b, :, k:].any()
+            inside[..., run[:, None], run] = True
+        assert blocks.scatter(gathered).tobytes() == np.where(inside, a, 0.0).tobytes()
 
     def test_finite_differences_on_a_batch_of_unequal_blocks(self):
         rng = np.random.default_rng(3)

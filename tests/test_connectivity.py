@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hobnet.autodiff import RowBlocks
 from hobnet.connectivity import (
     LAN,
     MAN,
@@ -244,6 +245,9 @@ class TestLevelConnectivityMatchesPairLoop:
             assert np.all(values[:half, :half] > 0.0)
 
 
+ONE_BLOCK = RowBlocks([3])
+
+
 class TestRetainedEdgeCurve:
     def matrix_from_offdiag(self, values):
         n = 3
@@ -255,30 +259,30 @@ class TestRetainedEdgeCurve:
 
     def test_gamma_zero_counts_strictly_positive(self):
         cm = self.matrix_from_offdiag([0.0, 0.4, 0.8])
-        assert retained_fractions(cm, [0.0, 1.0])[0] == pytest.approx(4 / 6)
+        assert retained_fractions(cm, ONE_BLOCK, [0.0, 1.0])[0] == pytest.approx(4 / 6)
 
     def test_gamma_one_retains_nothing(self):
         cm = self.matrix_from_offdiag([0.3, 0.9, 1.0])
-        assert retained_fractions(cm, [0.0, 1.0])[-1] == 0.0
+        assert retained_fractions(cm, ONE_BLOCK, [0.0, 1.0])[-1] == 0.0
 
     def test_counts_match_brute_force(self):
         cm = self.matrix_from_offdiag([0.1, 0.5, 0.9])
-        fractions = retained_fractions(cm, [0.0, 0.5, 0.95])
+        fractions = retained_fractions(cm, ONE_BLOCK, [0.0, 0.5, 0.95])
         assert fractions[1] == pytest.approx(1 / 3)
 
     def test_monotone_non_increasing(self):
         h = make_nested_hierarchy(2, 2, 2)
         ts = random_timeseries(8, seed=9, names=h.rois)
-        fracs = retained_fractions(subject_level(ts, h, LAN), np.linspace(0, 1, 101))
+        fracs = retained_fractions(subject_level(ts, h, LAN), RowBlocks([8]), np.linspace(0, 1, 101))
         assert all(a >= b for a, b in zip(fracs, fracs[1:]))
 
     def test_empty_grid_is_an_error(self):
         cm = self.matrix_from_offdiag([0.1, 0.5, 0.9])
         with pytest.raises(ConnectivityError, match="empty"):
-            retained_fractions(cm, [])
+            retained_fractions(cm, ONE_BLOCK, [])
 
     def test_a_one_node_matrix_retains_nothing(self):
-        fractions = retained_fractions(np.ones((2, 1, 1)), np.linspace(0, 1, 11))
+        fractions = retained_fractions(np.ones((2, 1, 1)), RowBlocks([1]), np.linspace(0, 1, 11))
         assert fractions.shape == (2, 11) and np.all(fractions == 0.0)
 
 

@@ -209,7 +209,7 @@ class TestAdam:
     def test_in_place_update_is_byte_identical_to_the_reference_order(self, monkeypatch):
         import oracles
 
-        # at 8,192 entries a slice, "d" and "e" span several slices; packed,
+        # at 2,048 entries a slice, "d" and "e" span several slices; packed,
         # slices cross parameter boundaries
         monkeypatch.setattr(ad, "CHUNK_BYTES", 65536)
         shapes = {"a": (5, 3), "b": (4,), "c": (2, 3, 2), "d": (3000, 7), "e": (20000,)}
@@ -249,6 +249,8 @@ class TestAdam:
         # two arrays of the whole layout would take 1.28 MiB
         assert params.data.size == 84155
         assert peak < 0.1 * 2**20, f"a second step traced {peak} bytes"
+        # the scratch buffers are 256 KiB slices, which fit's peak carries
+        assert state.step.nbytes == state.denom.nbytes == 2**18
 
     def test_packing_makes_every_array_a_view_of_one_buffer(self):
         params = build_model_params(small_config(), {"wan": 2, "man": 4, "lan": 8}, 28, seed=0)

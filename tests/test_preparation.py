@@ -5,7 +5,11 @@ level, retained-edge curve, Laplacian, GCN propagation and FC vector of a
 chunk of subjects as stacks, and returns them as one ``SubjectBatch``.
 ``tests/oracles.py`` keeps the per-subject code, which builds each level
 from its own cross-product. Every comparison here is of raw bytes, made on
-the batch's per-subject views.
+the batch's per-subject views, but for one: preparation solves each level's
+eigenproblem block by block, the oracle the whole matrix at once, so at
+atlas scale λ_max and the rescaled Laplacian agree within a relative 1e-14
+(48 subjects each: λ_max gaps of up to 9 ulp measured at 116 ROIs, 6 at 196
+and 7 at 246, none at 16).
 """
 
 from collections import Counter
@@ -15,7 +19,16 @@ import numpy as np
 import pytest
 
 from hobnet import autodiff, connectivity, ffc, population
-from hobnet.connectivity import LEVELS, ConnectivityError, RoiTimeSeries, pearson_fc
+from hobnet.connectivity import (
+    GAMMA_GRID,
+    LEVELS,
+    MAN,
+    ConnectivityError,
+    RoiTimeSeries,
+    build_adjacency,
+    pearson_fc,
+    retained_fractions,
+)
 from hobnet.ffc import (
     SCORE_BATCH,
     CohortConnectivity,
@@ -36,9 +49,10 @@ from hobnet.harness import Cohort, HarnessError, nested_hierarchy, synth_generat
 from hobnet.hcnn import HcnnConfig
 from hobnet.hgnn import ENCODERS, HgnnConfig
 from hobnet.population import embed_subjects
+from hobnet.spectral import normalized_laplacian
 
 import oracles
-from conftest import random_timeseries
+from conftest import random_timeseries, toy_hierarchy_4_6_10
 
 
 def same_bits(a, b) -> bool:
@@ -46,7 +60,16 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_same_inputs(got, want, encoder):
+def close(got, want, rel: float) -> bool:
+    """Bit for bit when ``rel`` is 0, else within ``rel`` of ``want``'s
+    largest magnitude."""
+    if not rel:
+        return same_bits(got, want)
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+def assert_same_inputs(got, want, encoder, rel=0.0):
     assert (got.subject_id, got.label) == (want.subject_id, want.label)
     assert same_bits(got.fc_input.data, want.fc_input.data), got.subject_id
     for level in LEVELS:
@@ -59,19 +82,21 @@ def assert_same_inputs(got, want, encoder):
         else:
             assert a.propagation is None
             assert same_bits(a.lap.laplacian, b.lap.laplacian), where
-            assert type(a.lap.lambda_max) is float and a.lap.lambda_max == b.lap.lambda_max, where
-            assert same_bits(a.lap.rescaled, b.lap.rescaled), where
+            assert type(a.lap.lambda_max) is float and close(a.lap.lambda_max, b.lap.lambda_max, rel), where
+            assert close(a.lap.rescaled, b.lap.rescaled, rel), where
 
 
-def assert_matches_oracle(series, hierarchy, encoder, labels=None):
-    """Gamma selection and preparation of ``series`` as stacks, against the oracle."""
+def assert_matches_oracle(series, hierarchy, encoder, labels=None, rel=0.0):
+    """Gamma selection and preparation of ``series`` as stacks, against the
+    oracle; ``rel`` as ``assert_same_inputs`` takes it."""
     labels = [i % 2 for i in range(len(series))] if labels is None else labels
     gammas = select_cohort_gammas(series, hierarchy)
     assert gammas == oracles.select_cohort_gammas(series, hierarchy)
     subs = prepare_stack(CohortConnectivity.build(series, hierarchy), hierarchy, gammas, labels, encoder)
     assert len(subs) == len(series)
     for sub, ts, label in zip(subs, series, labels):
-        assert_same_inputs(sub, oracles.prepare_subject(ts, hierarchy, gammas, label, encoder), encoder)
+        want = oracles.prepare_subject(ts, hierarchy, gammas, label, encoder)
+        assert_same_inputs(sub, want, encoder, rel)
 
 
 def chunk_size(hierarchy) -> int:
@@ -103,7 +128,7 @@ class TestStackedPreparationMatchesOracle:
         assert chunk >= 2
         n = {"one": 1, "chunk": chunk, "chunk+1": chunk + 1}[count]
         cohort = synth_generate(n + n % 2 + 2, h, signal=0.6, noise=0.5, seed=6, n_timepoints=120)
-        assert_matches_oracle([r.timeseries for r in cohort.subjects[:n]], h, "res-cheb")
+        assert_matches_oracle([r.timeseries for r in cohort.subjects[:n]], h, "res-cheb", rel=1e-14)
 
     @pytest.mark.parametrize("encoder", ENCODERS)
     def test_unequal_timepoint_counts(self, small_chunks, encoder):
@@ -135,6 +160,37 @@ class TestStackedPreparationMatchesOracle:
             assert_same_inputs(sub, oracles.prepare_subject(r.timeseries, h, gammas, r.label), "res-cheb")
         cfg = ModelConfig(toggles=parse_toggles("GNN"), hgnn=HgnnConfig(hidden_dim=4))
         assert fit(cohort, h, cfg, TrainConfig(epochs=1), subject_ids=ids).gammas == gammas
+
+
+class TestUnequalParentBlocks:
+    """Levels of unequal parent blocks take ``RowBlocks``' padded layout."""
+
+    @staticmethod
+    def levels():
+        h = toy_hierarchy_4_6_10()
+        cohort = synth_generate(6, h, signal=0.6, noise=0.5, seed=21, n_timepoints=60)
+        return h, CohortConnectivity.build([r.timeseries for r in cohort.subjects], h).levels
+
+    def test_retained_curves_match_the_dense_count(self):
+        h, levels = self.levels()
+        assert h.layout(MAN).blocks.sizes.tolist() == [2, 1, 1, 2]
+        for lv in LEVELS:
+            curves = retained_fractions(levels[lv], h.layout(lv).blocks, GAMMA_GRID)
+            for curve, values in zip(curves, levels[lv]):
+                assert curve.tolist() == [f for _, f in oracles.retained_edge_curve(values, GAMMA_GRID)], lv
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
+    def test_laplacians_match_the_dense_eigensolve(self, gamma):
+        h, levels = self.levels()
+        for lv in LEVELS:
+            adjacency = build_adjacency(levels[lv], gamma)
+            lap = normalized_laplacian(adjacency, h.layout(lv).blocks)
+            for laplacian, lam, a in zip(lap.laplacian, lap.lambda_max, adjacency):
+                want = oracles.normalized_laplacian(a)
+                assert same_bits(laplacian, want.laplacian), lv
+                assert close(lam, want.lambda_max, 1e-14), lv
+            if gamma == 1.0:  # self-loops only: the padding must not lift λ_max off the fallback
+                assert lap.lambda_max.tolist() == [2.0] * len(adjacency), lv
 
 
 class TestRefusals:

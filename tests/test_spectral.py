@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from hobnet import autodiff as ad
-from hobnet.autodiff import Parameter, ShapeMismatch, Tape, Tensor, backward, finite_difference_check
+from hobnet.autodiff import Parameter, RowBlocks, ShapeMismatch, Tape, Tensor, backward, finite_difference_check
 from hobnet.spectral import SpectralError, cheb_apply, first_order_propagation, normalized_laplacian
 
 from oracles import block_diagonal, cheb_apply_composed, rescaled_two_arrays, spectral_filter_exact, total
+
+
+def laplacian(adjacency):
+    """``normalized_laplacian`` of a graph, or a stack, read as one block."""
+    return normalized_laplacian(adjacency, RowBlocks([adjacency.shape[-1]]))
 
 
 def random_graph(m, seed, density=0.5):
@@ -21,39 +26,39 @@ def random_graph(m, seed, density=0.5):
 
 class TestNormalizedLaplacian:
     def test_two_node_path_hand_eigendecomposition(self):
-        lap = normalized_laplacian(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        lap = laplacian(np.array([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_allclose(lap.laplacian, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
         assert lap.lambda_max == pytest.approx(2.0, abs=1e-9)
         np.testing.assert_allclose(lap.rescaled, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-9)
 
     def test_empty_graph_isolated_node_convention(self):
-        lap = normalized_laplacian(np.zeros((3, 3)))
+        lap = laplacian(np.zeros((3, 3)))
         np.testing.assert_array_equal(lap.laplacian, np.eye(3))
         assert lap.lambda_max == pytest.approx(1.0, abs=1e-12)
 
     def test_self_loop_only_graph_uses_fallback(self):
-        lap = normalized_laplacian(np.eye(4))
+        lap = laplacian(np.eye(4))
         np.testing.assert_allclose(lap.laplacian, np.zeros((4, 4)), atol=1e-15)
         assert lap.lambda_max == 2.0
         np.testing.assert_allclose(lap.rescaled, -np.eye(4), atol=1e-15)
 
     def test_eigenvalues_within_zero_two(self):
         for seed in range(5):
-            lap = normalized_laplacian(random_graph(6, seed))
+            lap = laplacian(random_graph(6, seed))
             eigvals = np.linalg.eigvalsh(lap.laplacian)
             assert eigvals.min() >= -1e-10
             assert eigvals.max() <= 2.0 + 1e-10
 
     def test_rescaled_spectrum_within_unit_interval(self):
         for seed in range(10):
-            lap = normalized_laplacian(random_graph(9, seed + 50))
+            lap = laplacian(random_graph(9, seed + 50))
             eigvals = np.linalg.eigvalsh(lap.rescaled)
             assert eigvals.min() >= -1.0 - 1e-9
             assert eigvals.max() <= 1.0 + 1e-9
 
     def test_rescaled_is_byte_identical_to_the_two_array_form(self):
-        stack = normalized_laplacian(np.stack([random_graph(196, seed) for seed in range(8)]))
-        one = normalized_laplacian(random_graph(12, 9))
+        stack = laplacian(np.stack([random_graph(196, seed) for seed in range(8)]))
+        one = laplacian(random_graph(12, 9))
         for lap in (stack, one):
             assert lap.rescaled.tobytes() == rescaled_two_arrays(lap).tobytes()
 
@@ -64,13 +69,31 @@ class TestNormalizedLaplacian:
         graphs += [block_diagonal([random_graph(m, 10 + seed + m) for m in (1, 2, 5, 7)])
                    for seed in range(5)]
         for a in graphs:
-            lap = normalized_laplacian(a)
+            lap = laplacian(a)
             assert abs(lap.lambda_max - np.linalg.eigh(lap.laplacian)[0][-1]) <= 1e-12
+        # the same block-diagonal graphs solved block by block, in the padded
+        # layout; a block's weighted degrees sum in another order than its rows'
+        for a in graphs[5:]:
+            lap = normalized_laplacian(a, RowBlocks([1, 2, 5, 7]))
+            np.testing.assert_allclose(lap.laplacian, laplacian(a).laplacian, rtol=0, atol=1e-15)
+            assert abs(lap.lambda_max - np.linalg.eigh(lap.laplacian)[0][-1]) <= 1e-12
+
+    @pytest.mark.parametrize("sizes", [[3], [2, 2], [2, 1, 3], [1, 1]])
+    def test_a_level_whose_blocks_have_only_self_loops_takes_the_fallback(self, sizes):
+        # padding rows left as identity would add the eigenvalue 1
+        blocks = RowBlocks(sizes)
+        lap = normalized_laplacian(np.stack([np.eye(blocks.m)] * 2), blocks)
+        assert not lap.laplacian.any()
+        assert lap.lambda_max.tolist() == [2.0, 2.0]
+
+    def test_an_adjacency_of_another_size_than_its_blocks_is_refused(self):
+        with pytest.raises(ShapeMismatch, match=r"row-blocks: blocks partition 5 nodes"):
+            normalized_laplacian(np.eye(4), RowBlocks([2, 3]))
 
 
 class TestChebApply:
     def test_k1_is_feature_projection(self):
-        lap = normalized_laplacian(random_graph(5, 0))
+        lap = laplacian(random_graph(5, 0))
         rng = np.random.default_rng(1)
         h = Tensor(rng.normal(size=(5, 3)))
         theta = Tensor(rng.normal(size=(3, 2)))
@@ -78,19 +101,19 @@ class TestChebApply:
         np.testing.assert_allclose(out.data, h.data @ theta.data, atol=1e-14)
 
     def test_two_node_path_hand_computation(self):
-        lap = normalized_laplacian(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        lap = laplacian(np.array([[0.0, 1.0], [1.0, 0.0]]))
         h = Tensor(np.array([[1.0], [1.0]]))
         thetas = [Tensor([[1.0]]), Tensor([[1.0]])]
         out = cheb_apply(Tensor(lap.rescaled), h, thetas)
         np.testing.assert_allclose(out.data, [[0.0], [0.0]], atol=1e-9)
 
     def test_k_zero_is_an_error(self):
-        lap = normalized_laplacian(random_graph(3, 2))
+        lap = laplacian(random_graph(3, 2))
         with pytest.raises(SpectralError, match="K >= 1"):
             cheb_apply(Tensor(lap.rescaled), Tensor(np.zeros((3, 2))), [])
 
     def test_shape_mismatch_is_an_error(self):
-        rescaled = Tensor(normalized_laplacian(random_graph(3, 3)).rescaled)
+        rescaled = Tensor(laplacian(random_graph(3, 3)).rescaled)
         with pytest.raises(ShapeMismatch, match="cheb-conv: filters"):
             cheb_apply(rescaled, Tensor(np.zeros((3, 2))), [Tensor(np.zeros((5, 4)))])
         with pytest.raises(ShapeMismatch, match="cheb-conv: filters"):
@@ -101,7 +124,7 @@ class TestChebApply:
             cheb_apply(rescaled, Tensor(np.zeros((2, 3, 2))), [Tensor(np.zeros((2, 4)))] * 2)
 
     def test_linearity_in_features(self):
-        lap = normalized_laplacian(random_graph(6, 4))
+        lap = laplacian(random_graph(6, 4))
         rng = np.random.default_rng(5)
         h1 = rng.normal(size=(6, 3))
         h2 = rng.normal(size=(6, 3))
@@ -114,7 +137,7 @@ class TestChebApply:
         np.testing.assert_allclose(combined, separate, atol=1e-10)
 
     def test_gradients_flow_to_thetas_and_features(self):
-        lap = normalized_laplacian(random_graph(4, 6))
+        lap = laplacian(random_graph(4, 6))
         rng = np.random.default_rng(7)
         h = Parameter("h", rng.normal(size=(4, 3)))
         thetas = [Parameter(f"t{k}", rng.normal(size=(3, 2))) for k in range(3)]
@@ -152,7 +175,7 @@ class TestOneNodeAgainstTheComposedRecurrence:
         rng = np.random.default_rng(20 + k)
         m, d = 7, 5
         graphs = np.stack([random_graph(m, 40 + i) for i in range(3)])[: batch[0] if batch else 1]
-        rescaled = normalized_laplacian(graphs.reshape(batch + (m, m))).rescaled
+        rescaled = laplacian(graphs.reshape(batch + (m, m))).rescaled
         h0 = rng.normal(size=batch + (m, d)) * rng.choice([1e-3, 1.0, 1e3], size=batch + (m, d))
         thetas0 = [rng.normal(size=(d, d)) for _ in range(k)]
         upstream = rng.normal(size=h0.size)
@@ -164,14 +187,14 @@ class TestOneNodeAgainstTheComposedRecurrence:
     def test_one_filter_is_one_node(self, k):
         h = Parameter("h", np.ones((2, 4, 3)))
         thetas = [Parameter(f"theta{i}", np.ones((3, 2))) for i in range(k)]
-        rescaled = Tensor(normalized_laplacian(np.stack([random_graph(4, 7)] * 2)).rescaled)
+        rescaled = Tensor(laplacian(np.stack([random_graph(4, 7)] * 2)).rescaled)
         with Tape() as tape:
             cheb_apply(rescaled, h, thetas)
         assert [node.op for node in tape.nodes] == ["cheb-conv"]
 
     def test_finite_differences_on_a_stack_at_k3(self):
         rng = np.random.default_rng(31)
-        rescaled = Tensor(normalized_laplacian(np.stack([random_graph(6, 50 + i) for i in range(3)])).rescaled)
+        rescaled = Tensor(laplacian(np.stack([random_graph(6, 50 + i) for i in range(3)])).rescaled)
         h = Parameter("h", rng.normal(size=(3, 6, 4)))
         thetas = [Parameter(f"theta{k}", rng.normal(size=(4, 2))) for k in range(3)]
         weight = Tensor(rng.normal(size=3 * 6 * 2))
@@ -185,7 +208,7 @@ class TestOneNodeAgainstTheComposedRecurrence:
 
 class TestExactOracleAgreement:
     def test_k1_identical_to_recurrence(self):
-        lap = normalized_laplacian(random_graph(5, 8))
+        lap = laplacian(random_graph(5, 8))
         rng = np.random.default_rng(9)
         h = Tensor(rng.normal(size=(5, 2)))
         thetas = [Tensor(rng.normal(size=(2, 2)))]
@@ -195,7 +218,7 @@ class TestExactOracleAgreement:
 
     def test_diagonal_rescaled_laplacian_acts_entrywise(self):
         # a self-loop-only graph has rescaled Laplacian -I, so T_k(-1) = (-1)^k
-        lap = normalized_laplacian(np.eye(3))
+        lap = laplacian(np.eye(3))
         rng = np.random.default_rng(10)
         h = rng.normal(size=(3, 2))
         thetas = [Tensor(rng.normal(size=(2, 2))) for _ in range(3)]
@@ -212,7 +235,7 @@ class TestExactOracleAgreement:
         for trial in range(100):
             m = int(rng.integers(2, 17))
             k = int(rng.integers(1, 6))
-            lap = normalized_laplacian(random_graph(m, 1000 + trial))
+            lap = laplacian(random_graph(m, 1000 + trial))
             h = Tensor(rng.normal(size=(m, 3)))
             thetas = [Tensor(rng.normal(size=(3, 2))) for _ in range(k)]
             exact = spectral_filter_exact(lap, h, thetas)
@@ -221,7 +244,7 @@ class TestExactOracleAgreement:
         assert worst <= 1e-8, f"max |exact - recurrence| = {worst}"
 
     def test_oracle_rejects_large_graphs(self):
-        lap = normalized_laplacian(random_graph(65, 12))
+        lap = laplacian(random_graph(65, 12))
         with pytest.raises(SpectralError, match="cheb_apply"):
             spectral_filter_exact(lap, Tensor(np.zeros((65, 1))), [Tensor(np.zeros((1, 1)))])
 
@@ -235,9 +258,9 @@ class TestPermutationEquivariance:
             h = rng.normal(size=(m, 3))
             thetas = [Tensor(rng.normal(size=(3, 2))) for _ in range(3)]
             perm = rng.permutation(m)
-            base = cheb_apply(Tensor(normalized_laplacian(a).rescaled), Tensor(h), thetas).data
+            base = cheb_apply(Tensor(laplacian(a).rescaled), Tensor(h), thetas).data
             permuted = cheb_apply(
-                Tensor(normalized_laplacian(a[np.ix_(perm, perm)]).rescaled), Tensor(h[perm]), thetas
+                Tensor(laplacian(a[np.ix_(perm, perm)]).rescaled), Tensor(h[perm]), thetas
             ).data
             restored = np.empty_like(permuted)
             restored[perm] = permuted
