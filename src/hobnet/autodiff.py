@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -152,7 +153,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     every row of a batched lhs ``[..., n, k]``: the product runs as one
     ``[N*n, k] @ [k, p]`` call, and the rhs gradient reduces over the batch in
     one more. A batched rhs ``[..., k, p]`` pairs with a lhs of the same
-    leading axes, matrix by matrix.
+    leading axes, matrix by matrix. A constant operand (``requires_grad``
+    False) gets no gradient: the backward hands back None for it.
     """
     if a.ndim < 1 or b.ndim < 1 or (b.ndim > 2 and a.shape[:-2] != b.shape[:-2]):
         raise ShapeMismatch(f"matmul: cannot multiply shapes {a.shape} and {b.shape}")
@@ -163,8 +165,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         out = np.matmul(a.data, b.data)
 
         def backward(g: np.ndarray):
-            da = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            return da, np.matmul(np.swapaxes(a.data, -1, -2), g)
+            da = np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires_grad else None
+            return da, np.matmul(np.swapaxes(a.data, -1, -2), g) if b.requires_grad else None
 
         return _record("matmul", (a, b), out, backward)
 
@@ -174,7 +176,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray):
         g2 = g.reshape(a2.shape[0], b2.shape[1])
-        return (g2 @ b2.T).reshape(a.shape), (a2.T @ g2).reshape(b.shape)
+        da = (g2 @ b2.T).reshape(a.shape) if a.requires_grad else None
+        return da, (a2.T @ g2).reshape(b.shape) if b.requires_grad else None
 
     return _record("matmul", (a, b), out, backward)
 
@@ -182,7 +185,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` as one node: a ``[k, p]`` weight shared by every row of
     ``x`` ``[..., k]``, and a ``[p]`` bias. Forward and backward run the
-    numpy operations of ``add(matmul(x, w), b)``."""
+    numpy operations of ``add(matmul(x, w), b)``; a constant input gets no
+    gradient, as in ``matmul``."""
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeMismatch(f"affine: cannot map shape {x.shape} by {w.shape} plus {b.shape}")
     x2 = x.data.reshape(-1, w.shape[0])
@@ -191,7 +195,11 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray):
         g2 = g.reshape(x2.shape[0], -1)
-        return (g2 @ w.data.T).reshape(x.shape), x2.T @ g2, _unbroadcast(g, b.shape)
+        return (
+            (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None,
+            x2.T @ g2 if w.requires_grad else None,
+            _unbroadcast(g, b.shape) if b.requires_grad else None,
+        )
 
     return _record("affine", (x, w, b), out, backward)
 
@@ -304,7 +312,10 @@ def reshape(x: Tensor, shape) -> Tensor:
 # memory (4 MiB: about 2 MiB more); each of an Adam step's two scratch
 # arrays takes a quarter of it, 32,768 parameters: they stay alive through
 # fit's forward and backward, where its peak lies, and slices of 4,096 cost
-# more in per-slice overhead than they save
+# more in per-slice overhead than they save; an eval stack's [n, 1, fc_len]
+# FC vectors hold 1,092 subjects at 16 ROIs, so one forward scores a
+# 200-subject cohort (3.7 MiB traced), and 6 at 196 ROIs, each adding about
+# 1.2 MiB of conv outputs to the peak (9.2 MiB traced)
 CHUNK_BYTES = 1 << 20
 
 
@@ -327,7 +338,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     into the output; backward computes the input gradient in the same
     chunks. The kernel gradient stays one product over the whole batch's
     window matrix, rebuilt from ``x``: summed chunk by chunk, it would round
-    differently.
+    differently. A constant input gets no gradient, as in ``matmul``.
     """
     if stride < 1:
         raise ShapeMismatch(f"conv1d: stride must be >= 1, got {stride}")
@@ -360,8 +371,10 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
 
     def backward(g: np.ndarray):
         g2 = np.swapaxes(g.reshape(-1, c_out, n_out), -1, -2).reshape(-1, c_out)
-        dk = (g2.T @ window_matrix(xs)).reshape(kernel.shape)
-        db = g2.sum(axis=0)
+        dk = (g2.T @ window_matrix(xs)).reshape(kernel.shape) if kernel.requires_grad else None
+        db = g2.sum(axis=0) if bias.requires_grad else None
+        if not x.requires_grad:
+            return None, dk, db
         dx = np.zeros_like(xs)
         for chunk in chunks:
             rows = slice(chunk.start * n_out, chunk.stop * n_out)
@@ -401,11 +414,19 @@ def bin_mean(x: Tensor, bins: int) -> Tensor:
     return _record("bin-mean", (x,), out, backward)
 
 
+@cache
+def _triu_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n)``, made once per size and read-only."""
+    rows, cols = np.triu_indices(n)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def upper_triangle_flatten(x: Tensor) -> Tensor:
     """Row-major flatten of the upper triangle, diagonal included, of each square matrix."""
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise ShapeMismatch(f"upper-triangle-flatten expects square matrices, got {x.shape}")
-    rows, cols = np.triu_indices(x.shape[-1])
+    rows, cols = _triu_indices(x.shape[-1])
     out = x.data[..., rows, cols]
 
     def backward(g: np.ndarray):
@@ -560,7 +581,7 @@ def cross_entropy(probs: Tensor, labels) -> Tensor:
     do not flow through clamped entries.
     """
     y = np.atleast_1d(np.asarray(labels))
-    if not np.all(np.isin(y, (0, 1))):
+    if not np.all((y == 0) | (y == 1)):
         raise ValueError(f"cross-entropy labels must be 0 or 1, got {np.unique(y)}")
     y = y.astype(np.float64)
     p2 = probs.data if probs.ndim == 2 else probs.data[None, :]

@@ -326,15 +326,14 @@ class SubjectInputs:
         return self.batch.fc_len
 
 
-# subjects per eval-mode forward; at 196 ROIs each adds about 1.2 MiB of
-# conv outputs to the forward's peak (11.4 MiB traced for 8)
-SCORE_BATCH = 8
-
-
 def eval_batches(batch: SubjectBatch) -> Iterator[SubjectBatch]:
-    """``batch`` in order, in slices of at most ``SCORE_BATCH`` subjects."""
-    for start in range(0, len(batch), SCORE_BATCH):
-        yield batch.take(slice(start, start + SCORE_BATCH))
+    """``batch`` in order, in the stacks of one eval-mode forward each: as
+    many subjects as have their FC vectors fit in ``autodiff.CHUNK_BYTES``
+    (``chunk_slices``), or one. That is 1,092 subjects at 16 ROIs and 6 at
+    196, where each subject adds about 1.2 MiB of conv outputs to the
+    forward's peak."""
+    for rows in ad.chunk_slices(len(batch), 8 * batch.fc_len):
+        yield batch.take(rows)
 
 
 @dataclass

@@ -59,10 +59,12 @@ HEAD_HIDDEN = 16
 
 
 def embed_subjects(params: ModelParams, cfg: ModelConfig, batch: SubjectBatch) -> np.ndarray:
-    """Fused feature vector per subject, eval mode; rows follow ``batch``."""
+    """Fused feature vector per subject, eval mode; rows follow ``batch``,
+    and no subjects give no rows."""
     if not params:
         raise PopulationError("embed_subjects needs trained model parameters")
-    return np.vstack([fused_features(params, cfg, part).data for part in eval_batches(batch)])
+    rows = [fused_features(params, cfg, part).data for part in eval_batches(batch)]
+    return np.vstack(rows) if rows else np.zeros((0, cfg.fused_width()))
 
 
 def _pearson_rows(y: np.ndarray) -> np.ndarray:
@@ -209,13 +211,13 @@ def gcn_classify(
     head: ModelParams,
 ) -> Tensor:
     """Per-node class probabilities from one propagation layer plus the head."""
-    return head_forward(first_order_propagation(adjacency) @ y, head)
+    return head_forward(Tensor(first_order_propagation(adjacency) @ y), head)
 
 
-def head_forward(y: np.ndarray, head: ModelParams) -> Tensor:
+def head_forward(y: Tensor, head: ModelParams) -> Tensor:
     """The head on already-mixed node features, one row per node; with
     unmixed features it is the identity-adjacency baseline."""
-    hidden = ad.relu(ad.matmul(Tensor(np.asarray(y, dtype=np.float64)), head["gcn.w"]))
+    hidden = ad.relu(ad.matmul(y, head["gcn.w"]))
     return ad.softmax(mlp_forward(hidden, head, "head"))
 
 
@@ -242,12 +244,13 @@ def train_population_head(
     head = build_population_head(y.shape[1], seed)
     state = AdamState(head)
     # the propagation has no parameter and the head works row by row
-    mixed_train = (first_order_propagation(adjacency) @ y)[train_index]
+    mixed_train = Tensor((first_order_propagation(adjacency) @ y)[train_index])
+    train_labels = labels[train_index]
     trace = []
     for _ in range(epochs):
         head.zero_grad()
         with Tape() as tape:
-            ce = ad.cross_entropy(head_forward(mixed_train, head), labels[train_index])
+            ce = ad.cross_entropy(head_forward(mixed_train, head), train_labels)
         backward(tape, ce)
         adam_step(state, lr)
         trace.append(ce.item())

@@ -22,6 +22,7 @@ from hobnet.connectivity import (
     ConnectivityError,
     select_cutoff,
 )
+from hobnet.ffc import fused_features, model_forward
 from hobnet.hcnn import POOL_BINS
 from hobnet.hgnn import LevelBatch
 from hobnet.layers import mlp_forward
@@ -199,6 +200,22 @@ def subject_batch_loss(params, cfg, subs, train=None) -> Tensor:
         ce = ad.cross_entropy(subject_forward(params, cfg, sub, train), [sub.label])
         total_loss = ce if total_loss is None else ad.add(total_loss, ce)
     return ad.scale(total_loss, 1.0 / len(subs))
+
+
+def in_stacks_of_eight(batch):
+    """``batch`` in order, eight subjects at a time: the fixed eval stacks
+    scoring ran in before ``ffc.eval_batches`` sized them by the chunk budget."""
+    return [batch.take(slice(start, start + 8)) for start in range(0, len(batch), 8)]
+
+
+def scores_in_eights(params, cfg, batch) -> np.ndarray:
+    """``ffc.score_subjects`` one eval forward per eight subjects."""
+    return np.concatenate([model_forward(params, cfg, part).data[:, 1] for part in in_stacks_of_eight(batch)])
+
+
+def embeddings_in_eights(params, cfg, batch) -> np.ndarray:
+    """``population.embed_subjects`` one eval forward per eight subjects."""
+    return np.vstack([fused_features(params, cfg, part).data for part in in_stacks_of_eight(batch)])
 
 
 def adam_step(state, lr: float) -> None:

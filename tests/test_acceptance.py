@@ -381,7 +381,7 @@ class TestCriterion12PopulationGraph:
         head = build_population_head(y.shape[1], seed=0)
         probe = np.random.default_rng(0).normal(size=(4, y.shape[1]))
         np.testing.assert_allclose(
-            gcn_classify(probe, np.eye(4), head).data, head_forward(probe, head).data, atol=1e-12
+            gcn_classify(probe, np.eye(4), head).data, head_forward(Tensor(probe), head).data, atol=1e-12
         )
 
         order = {sid: i for i, sid in enumerate(s.subject_id for s in subs)}

@@ -177,9 +177,15 @@ class TestPrimitiveExamples:
         with pytest.raises(ShapeMismatch, match=r"\(3, 4\).*\(5, -1\)"):
             ad.reshape(Tensor(np.zeros((3, 4))), (5, -1))
 
-    def test_cross_entropy_label_validation(self):
-        with pytest.raises(ValueError, match="labels"):
-            ad.cross_entropy(Tensor([0.5, 0.5]), [2])
+    @pytest.mark.parametrize(
+        "labels, named",
+        [([2], r"\[2\]"), ([0, -1], r"\[-1  0\]"), ([0.5, 1], r"\[0\.5 1\. \]")],
+        ids=["two", "minus one", "a half"],
+    )
+    def test_cross_entropy_label_validation(self, labels, named):
+        probs = Tensor(np.full((len(labels), 2), 0.5))
+        with pytest.raises(ValueError, match=rf"cross-entropy labels must be 0 or 1, got {named}$"):
+            ad.cross_entropy(probs, labels)
 
     def test_per_block_norm_zero_input_gives_shift(self):
         x = Tensor(np.zeros((4, 3)))
@@ -689,3 +695,39 @@ class TestBatchedPrimitives:
         for b in range(3):
             row = op(*(Tensor(v[b] if s else v) for v, s in zip(values, stacked))).data
             np.testing.assert_allclose(out[b], row, rtol=1e-13, atol=1e-13)
+
+
+CONSTANT_INPUT_FORMS = [
+    case for case in BATCHED_FORMS if case[0] in ("matmul-shared-matrix", "matmul-stacked-rhs", "affine", "conv1d")
+]
+
+
+@pytest.mark.parametrize("constant", [0, 1], ids=["constant input", "constant weight"])
+@pytest.mark.parametrize(
+    "op, shapes, stacked", [case[1:] for case in CONSTANT_INPUT_FORMS], ids=[c[0] for c in CONSTANT_INPUT_FORMS]
+)
+class TestConstantInputs:
+    """``matmul``, ``affine`` and ``conv1d`` compute no gradient for an input
+    that does not require one; the parameters' gradients keep their bytes."""
+
+    def test_the_constant_gets_none_and_each_parameter_its_gradient(self, op, shapes, stacked, constant):
+        rng = np.random.default_rng(21)
+        values = [rng.normal(size=((3,) if s else ()) + shape) for shape, s in zip(shapes, stacked)]
+        inputs = [Tensor(v) if i == constant else Parameter(f"p{i}", v) for i, v in enumerate(values)]
+        with Tape() as tape:
+            out = op(*inputs)
+        weight = rng.normal(size=out.shape)
+        grads = tape.nodes[-1].backward(weight)
+        assert grads[constant] is None
+        _, every_grad = run_with_grads(op, values, weight)
+        for i, g in enumerate(grads):
+            if i != constant:
+                assert g.tobytes() == every_grad[i].tobytes(), f"operand {i}"
+
+    def test_finite_differences_over_the_parameters(self, op, shapes, stacked, constant):
+        rng = np.random.default_rng(22)
+        values = [rng.normal(size=((3,) if s else ()) + shape) for shape, s in zip(shapes, stacked)]
+        inputs = [Tensor(v) if i == constant else Parameter(f"p{i}", v) for i, v in enumerate(values)]
+        weight = rng.normal(size=op(*inputs).shape)
+        params = [t for t in inputs if isinstance(t, Parameter)]
+        fd_over_all_entries(lambda: scalar_loss(op(*inputs), weight), params)

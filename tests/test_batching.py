@@ -9,16 +9,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hobnet import ffc
+from hobnet import autodiff, ffc
 from hobnet.autodiff import Tape, backward, cross_entropy
 from hobnet.connectivity import LEVELS
 from hobnet.ffc import (
-    SCORE_BATCH,
     TOGGLES,
     HcnnConfig,
     HgnnConfig,
     ModelConfig,
+    SubjectBatch,
     build_model_params,
+    eval_batches,
     fused_features,
     model_forward,
     parse_toggles,
@@ -31,7 +32,7 @@ from hobnet.hgnn import ENCODERS
 from hobnet.population import embed_subjects
 from hobnet.rng import named_stream
 
-from oracles import subject_batch_loss, subject_features, subject_forward
+from oracles import embeddings_in_eights, scores_in_eights, subject_batch_loss, subject_features, subject_forward
 
 SIZES = (1, 3, 8)
 
@@ -96,16 +97,24 @@ def test_batched_path_matches_the_per_subject_oracle(prepared, toggles, encoder)
             assert_close(batched[name], per_subject[name], f"d/d {name}, B={size}")
 
 
-def test_atlas_scale_eval_scores_match_the_per_subject_oracle():
-    hierarchy = nested_hierarchy(7, 4, 7)
-    cohort = synth_generate(4, hierarchy, signal=0.6, noise=0.5, seed=1, n_timepoints=120)
-    subs = prepare_cohort(cohort, hierarchy, {"wan": 0.02, "man": 0.59, "lan": 0.73})
-    cfg = ModelConfig(
+def criterion_5_config() -> ModelConfig:
+    return ModelConfig(
         toggles=parse_toggles("HGNN+HCNN"),
         hgnn=HgnnConfig(k=3, blocks=3, hidden_dim=16),
         hcnn=HcnnConfig(out_dim=16),
         head_hidden=(64,),
     )
+
+
+def atlas_scale_cohort(n: int):
+    hierarchy = nested_hierarchy(7, 4, 7)
+    cohort = synth_generate(n, hierarchy, signal=0.6, noise=0.5, seed=1, n_timepoints=120)
+    return prepare_cohort(cohort, hierarchy, {"wan": 0.02, "man": 0.59, "lan": 0.73})
+
+
+def test_atlas_scale_eval_scores_match_the_per_subject_oracle():
+    subs = atlas_scale_cohort(4)
+    cfg = criterion_5_config()
     params = model_params(cfg, subs, seed=7)
     assert subs[0].levels["lan"].features.shape == (196, 196)
     # the conv output has length 4774, so the oracle's per-bin loop checks the pool
@@ -160,17 +169,68 @@ def test_a_training_mini_batch_of_the_criterion_5_model_records_a_fixed_tape(pre
 
 def test_scoring_a_full_stack_records_no_more_than_scoring_one_subject(prepared, monkeypatch):
     subs = prepared["res-cheb"]
-    assert len(subs) >= SCORE_BATCH
     cfg = small_config("hgnn+hcnn")
     params = model_params(cfg, subs)
     calls = []
     forward = ffc.model_forward
     monkeypatch.setattr(ffc, "model_forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
     counts = []
-    for n in (1, SCORE_BATCH):
+    for n in (1, len(subs)):
         calls.clear()
         nodes = tape_nodes(lambda: score_subjects(params, cfg, subs.take(slice(n))))
         embed_nodes = tape_nodes(lambda: embed_subjects(params, cfg, subs.take(slice(n))))
         counts.append((nodes, embed_nodes, len(calls)))
     assert counts[1] == counts[0]
     assert counts[0][2] == 1
+
+
+def fc_only_batch(n: int, fc_len: int) -> SubjectBatch:
+    """``n`` subjects with ``fc_len``-long FC vectors and no graph levels:
+    enough for ``eval_batches`` to size its stacks."""
+    return SubjectBatch([f"s{i}" for i in range(n)], np.zeros(n, dtype=int), {}, np.zeros((n, 1, fc_len)))
+
+
+class TestEvalStacks:
+    """Scoring and embedding run one eval forward per stack of as many
+    subjects as have their FC vectors fit in ``autodiff.CHUNK_BYTES``."""
+
+    @pytest.mark.parametrize(
+        "n, rois, stacks",
+        [
+            (0, 16, []), (200, 16, [200]), (1092, 16, [1092]), (1093, 16, [1092, 1]),
+            (12, 196, [6, 6]), (13, 196, [6, 6, 1]),
+        ],
+    )
+    def test_the_budget_sizes_the_stacks(self, n, rois, stacks):
+        batch = fc_only_batch(n, rois * (rois - 1) // 2)
+        parts = list(eval_batches(batch))
+        assert [len(part) for part in parts] == stacks
+        assert sum((part.subject_ids for part in parts), []) == batch.subject_ids
+        assert all(np.shares_memory(part.fc_input, batch.fc_input) for part in parts)
+
+    @pytest.mark.parametrize(
+        "budget, stacks",
+        [(3 * 8 * 120, [3, 3, 3, 1]), (3 * 8 * 120 - 1, [2] * 5), (8 * 120 - 1, [1] * 10), (1 << 30, [10])],
+        ids=["three FC vectors", "just under three", "under one", "all ten"],
+    )
+    def test_a_budget_splits_as_its_name_says(self, monkeypatch, budget, stacks):
+        monkeypatch.setattr(autodiff, "CHUNK_BYTES", budget)
+        assert [len(part) for part in eval_batches(fc_only_batch(10, 120))] == stacks
+
+    def test_acceptance_scale_is_one_stack_within_1e12_of_stacks_of_eight(self):
+        hierarchy = nested_hierarchy(4, 2, 2)
+        cohort = synth_generate(200, hierarchy, signal=0.6, noise=0.5, seed=1, n_timepoints=120)
+        subs = prepare_cohort(cohort, hierarchy, 0.3)
+        cfg = criterion_5_config()
+        params = model_params(cfg, subs, seed=7)
+        assert [len(part) for part in eval_batches(subs)] == [200]
+        assert_close(score_subjects(params, cfg, subs), scores_in_eights(params, cfg, subs), "scores")
+        assert_close(embed_subjects(params, cfg, subs), embeddings_in_eights(params, cfg, subs), "embeddings")
+
+    def test_atlas_scale_stacks_of_six_give_the_bytes_of_stacks_of_eight(self):
+        subs = atlas_scale_cohort(12)
+        cfg = criterion_5_config()
+        params = model_params(cfg, subs, seed=7)
+        assert [len(part) for part in eval_batches(subs)] == [6, 6]
+        assert score_subjects(params, cfg, subs).tobytes() == scores_in_eights(params, cfg, subs).tobytes()
+        assert embed_subjects(params, cfg, subs).tobytes() == embeddings_in_eights(params, cfg, subs).tobytes()

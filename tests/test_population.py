@@ -27,6 +27,7 @@ from hobnet.population import (
 from hobnet.spectral import first_order_propagation
 
 from conftest import params_of
+from oracles import embeddings_in_eights
 
 from test_ffc import small_config
 
@@ -272,7 +273,7 @@ class TestGcnClassify:
         y = rng.normal(size=(6, 8))
         head = build_population_head(8, seed=2)
         via_graph = gcn_classify(y, np.eye(6), head).data
-        bare = head_forward(y, head).data
+        bare = head_forward(Tensor(y), head).data
         np.testing.assert_allclose(via_graph, bare, atol=1e-12)
 
     def test_disconnected_components_are_independent(self):
@@ -392,13 +393,13 @@ class TestEmbedAndTrain:
         np.testing.assert_array_equal(y, embed_subjects(result.params, cfg, subs))
 
     def test_embeddings_match_forward_oracle(self):
-        from hobnet.ffc import SCORE_BATCH, fused_features
+        from hobnet.ffc import fused_features
 
         cohort, cfg, result, subs = self.setup_model()
         y = embed_subjects(result.params, cfg, subs)
-        stacks = [subs.take(slice(i, i + SCORE_BATCH)) for i in range(0, len(subs), SCORE_BATCH)]
-        direct = [fused_features(result.params, cfg, s).data for s in stacks]
-        np.testing.assert_array_equal(y, np.vstack(direct))
+        np.testing.assert_array_equal(y, fused_features(result.params, cfg, subs).data)
+        in_eights = embeddings_in_eights(result.params, cfg, subs)
+        np.testing.assert_allclose(y, in_eights, rtol=1e-12, atol=1e-12)
         alone = fused_features(result.params, cfg, subs.take(slice(3, 4))).data[0]
         np.testing.assert_allclose(y[3], alone, rtol=1e-12, atol=1e-12)
 

@@ -30,7 +30,6 @@ from hobnet.connectivity import (
     retained_fractions,
 )
 from hobnet.ffc import (
-    SCORE_BATCH,
     CohortConnectivity,
     ModelConfig,
     ModelError,
@@ -291,10 +290,14 @@ class TestOneStack:
     @pytest.mark.parametrize("encoder", ENCODERS)
     @pytest.mark.parametrize("chunks", ["one chunk", "chunks of 3"])
     def test_views_and_eval_slices_share_memory_with_the_prepared_stack(self, monkeypatch, encoder, chunks):
+        # a budget of three 16-ROI Gram matrices holds six 120-entry FC
+        # vectors: preparation runs in chunks of 3 and scoring in stacks of 6
+        eval_stacks = [11]
         if chunks == "chunks of 3":
             monkeypatch.setattr(autodiff, "CHUNK_BYTES", 3 * 16 * 16 * 8)
+            eval_stacks = [6, 5]
         h = nested_hierarchy(4, 2, 2)
-        cohort = synth_generate(SCORE_BATCH + 3, h, signal=0.6, noise=0.5, seed=14, n_timepoints=60)
+        cohort = synth_generate(11, h, signal=0.6, noise=0.5, seed=14, n_timepoints=60)
         batch = prepare_cohort(cohort, h, 0.3, encoder=encoder)
         prepared = stacks(batch)
         graph = "propagation" if encoder == "gcn" else "laplacian"
@@ -327,7 +330,7 @@ class TestOneStack:
         params = build_model_params(cfg, batch.level_widths, batch.fc_len, seed=3)
         assert score_subjects(params, cfg, batch).shape == (len(batch),)
         assert embed_subjects(params, cfg, batch).shape == (len(batch), cfg.fused_width())
-        assert [len(part) for part in seen] == [SCORE_BATCH, 3] * 2
+        assert [len(part) for part in seen] == eval_stacks * 2
         for part in seen:
             for name, array in stacks(part).items():
                 assert np.shares_memory(array, prepared[name]), name
@@ -390,6 +393,15 @@ class TestOneStack:
         params = build_model_params(cfg, empty.level_widths, empty.fc_len, seed=3)
         scores = score_subjects(params, cfg, empty)
         assert scores.shape == (0,) and scores.dtype == np.float64
+
+    def test_an_empty_slice_embeds_to_no_rows(self):
+        h = nested_hierarchy(4, 2, 2)
+        cohort = synth_generate(6, h, signal=0.6, noise=0.5, seed=16, n_timepoints=60)
+        empty = prepare_cohort(cohort, h, 0.3).take(slice(0, 0))
+        cfg = small_model()
+        params = build_model_params(cfg, empty.level_widths, empty.fc_len, seed=3)
+        rows = embed_subjects(params, cfg, empty)
+        assert rows.shape == (0, cfg.fused_width()) and rows.dtype == np.float64
 
 
 class TestStackedCallCounts:
