@@ -305,6 +305,19 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _record("reshape", (x,), out, backward)
 
 
+def take_rows(x: Tensor, rows: slice) -> Tensor:
+    """Rows ``rows`` of the leading axis, a view; the backward writes the
+    gradient into zeros of ``x``'s shape."""
+    out = x.data[rows]
+
+    def backward(g: np.ndarray):
+        dx = np.zeros_like(x.data)
+        dx[rows] = g
+        return (dx,)
+
+    return _record("take-rows", (x,), out, backward)
+
+
 # bytes of one chunk's working array: conv1d's window matrix holds one
 # subject for either conv at 196 ROIs and a whole batch of 8 at 16 ROIs;
 # preparation's [n, R, R] Gram stack holds a 200-subject cohort at 16 ROIs
@@ -312,10 +325,12 @@ def reshape(x: Tensor, shape) -> Tensor:
 # memory (4 MiB: about 2 MiB more); each of an Adam step's two scratch
 # arrays takes a quarter of it, 32,768 parameters: they stay alive through
 # fit's forward and backward, where its peak lies, and slices of 4,096 cost
-# more in per-slice overhead than they save; an eval stack's [n, 1, fc_len]
-# FC vectors hold 1,092 subjects at 16 ROIs, so one forward scores a
-# 200-subject cohort (3.7 MiB traced), and 6 at 196 ROIs, each adding about
-# 1.2 MiB of conv outputs to the peak (9.2 MiB traced)
+# more in per-slice overhead than they save; the HCNN runs its conv stack
+# over chunks of subjects whose first conv outputs [n, 8, n_out] fit, 287
+# subjects at 16 ROIs and one at 196 ROIs (an 8-subject eval peaks at 3.2
+# MiB traced, as one subject does); an eval stack's [n, 1, fc_len] FC
+# vectors hold 1,092 subjects at 16 ROIs, so one forward scores a
+# 200-subject cohort (3.7 MiB traced), and 6 at 196 ROIs
 CHUNK_BYTES = 1 << 20
 
 
@@ -336,9 +351,11 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     window matrix. The forward builds that matrix for a chunk of inputs at a
     time (``chunk_slices``) and writes each chunk's matrix product straight
     into the output; backward computes the input gradient in the same
-    chunks. The kernel gradient stays one product over the whole batch's
-    window matrix, rebuilt from ``x``: summed chunk by chunk, it would round
-    differently. A constant input gets no gradient, as in ``matmul``.
+    chunks. The kernel gradient stays one product over the window matrix of
+    all of ``x``, rebuilt from it: summed chunk by chunk, it would round
+    differently. ``hcnn_first_order`` passes one chunk of its stack at a
+    time, so at 196 ROIs that matrix holds one subject's windows. A
+    constant input gets no gradient, as in ``matmul``.
     """
     if stride < 1:
         raise ShapeMismatch(f"conv1d: stride must be >= 1, got {stride}")
@@ -415,9 +432,9 @@ def bin_mean(x: Tensor, bins: int) -> Tensor:
 
 
 @cache
-def _triu_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n)``, made once per size and read-only."""
-    rows, cols = np.triu_indices(n)
+def triu_indices(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k)``, made once per size and read-only."""
+    rows, cols = np.triu_indices(n, k)
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
 
@@ -426,7 +443,7 @@ def upper_triangle_flatten(x: Tensor) -> Tensor:
     """Row-major flatten of the upper triangle, diagonal included, of each square matrix."""
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise ShapeMismatch(f"upper-triangle-flatten expects square matrices, got {x.shape}")
-    rows, cols = _triu_indices(x.shape[-1])
+    rows, cols = triu_indices(x.shape[-1])
     out = x.data[..., rows, cols]
 
     def backward(g: np.ndarray):
@@ -554,7 +571,10 @@ def per_block_norm(x: Tensor, gain: Tensor, shift: Tensor, blocks: RowBlocks) ->
     return _record("per-block-norm", (x, gain, shift), out, backward)
 
 
-# a training forward's dropout: the rate and the stream its masks are drawn from
+# a training forward's dropout: the rate and the stream its masks are drawn
+# from, in forward order; hcnn_first_order draws its conv masks chunk by
+# chunk, so a stack of several chunks (196-ROI training) draws them in
+# another order than one mask per layer over the whole stack would
 Dropout = tuple[float, np.random.Generator]
 
 

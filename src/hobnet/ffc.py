@@ -330,8 +330,9 @@ def eval_batches(batch: SubjectBatch) -> Iterator[SubjectBatch]:
     """``batch`` in order, in the stacks of one eval-mode forward each: as
     many subjects as have their FC vectors fit in ``autodiff.CHUNK_BYTES``
     (``chunk_slices``), or one. That is 1,092 subjects at 16 ROIs and 6 at
-    196, where each subject adds about 1.2 MiB of conv outputs to the
-    forward's peak."""
+    196, where the CNN branch runs its convolutions a subject at a time
+    (``HcnnConfig.stack_chunks``), so a stack's conv outputs never exist
+    at once."""
     for rows in ad.chunk_slices(len(batch), 8 * batch.fc_len):
         yield batch.take(rows)
 

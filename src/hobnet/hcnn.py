@@ -12,6 +12,7 @@ subject's vector or a stack of them with a leading batch axis.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,14 @@ class HcnnConfig:
             length = (length - k) // s + 1
         return self.channels[1] * min(length, POOL_BINS)
 
+    def stack_chunks(self, n: int, input_length: int) -> Iterator[slice]:
+        """The row chunks ``hcnn_first_order`` runs the conv stack over: as
+        many of ``n`` inputs as have their first conv output fit in
+        ``autodiff.CHUNK_BYTES`` (``chunk_slices``), or one. That is one
+        subject at 196 ROIs and 287 at 16 ROIs."""
+        n_out0 = (input_length - self.kernel_sizes[0]) // self.strides[0] + 1
+        return ad.chunk_slices(n, 8 * self.channels[0] * n_out0)
+
 
 def dr_flatten(fc: np.ndarray) -> np.ndarray:
     """Strict upper triangle of a symmetric matrix, row-major order; a stack
@@ -67,7 +76,7 @@ def dr_flatten(fc: np.ndarray) -> np.ndarray:
     n = values.shape[-1]
     if n < 2:
         raise HcnnError("FC matrix needs at least 2 regions to flatten")
-    rows, cols = np.triu_indices(n, k=1)
+    rows, cols = ad.triu_indices(n, 1)
     return values[..., rows, cols]
 
 
@@ -82,18 +91,29 @@ def hcnn_first_order(
     width, with dropout after each ReLU when ``train`` gives its rate and
     stream. The pool runs only on an output longer than ``POOL_BINS``.
 
-    ``x`` is one FC vector ``[1, L]`` or a batch of them ``[B, 1, L]``.
+    ``x`` is one FC vector ``[1, L]`` or a batch of them ``[B, 1, L]``. A
+    batch runs the convolutions and the pool one row chunk at a time
+    (``HcnnConfig.stack_chunks``), so only one chunk's conv outputs and
+    window matrices exist at once, and each kernel gradient is one product
+    over a chunk's windows; one concat joins the pooled rows. A batch of
+    one chunk, every batch at 16 ROIs, records no concat. With dropout and
+    more than one chunk (atlas-scale training), the masks are drawn chunk
+    by chunk, both layers' for one chunk before the next chunk's: a
+    different draw order from one mask per layer over the whole batch.
     """
-    h = x
-    for i, stride in enumerate(cfg.strides):
-        w, b = params[f"{prefix}.conv{i}.w"], params[f"{prefix}.conv{i}.b"]
-        # without a tape, the conv input is freed before the ReLU makes its output
-        h = ad.conv1d(h, w, b, stride=stride)
-        h = ad.relu(h)
-        if train is not None:
-            h = ad.dropout(h, *train)
-    if h.shape[-1] > POOL_BINS:
-        h = ad.bin_mean(h, POOL_BINS)
+    pooled = []
+    for rows in cfg.stack_chunks(len(x.data), x.shape[-1]):
+        h = ad.take_rows(x, rows)
+        for i, stride in enumerate(cfg.strides):
+            w, b = params[f"{prefix}.conv{i}.w"], params[f"{prefix}.conv{i}.b"]
+            # without a tape, the conv input is freed before the ReLU makes
+            # its output, and a chunk's conv outputs before the next chunk's
+            h = ad.conv1d(h, w, b, stride=stride)
+            h = ad.relu(h)
+            if train is not None:
+                h = ad.dropout(h, *train)
+        pooled.append(ad.bin_mean(h, POOL_BINS) if h.shape[-1] > POOL_BINS else h)
+    h = pooled[0] if len(pooled) == 1 else ad.concat(*pooled)
     return mlp_forward(ad.reshape(h, h.shape[:-2] + (-1,)), params, f"{prefix}.mlp")
 
 

@@ -91,7 +91,7 @@ def similarity_m1(y: np.ndarray) -> np.ndarray:
     np.fill_diagonal(rho, 0.0)
     rho_sq = rho * rho
     m = y.shape[0]
-    sigma_sq = rho_sq[np.triu_indices(m, k=1)].mean()
+    sigma_sq = rho_sq[ad.triu_indices(m, 1)].mean()
     if sigma_sq == 0.0:
         return np.ones((m, m))
     return np.exp(-rho_sq / (2.0 * sigma_sq))

@@ -157,6 +157,21 @@ def bin_means(x: Tensor, bins: int) -> Tensor:
     return Tensor(np.stack(means, axis=-1))
 
 
+def hcnn_whole_stack(params, prefix, x, cfg, train=None) -> Tensor:
+    """``hcnn.hcnn_first_order`` with each layer run over the whole stack
+    before the next starts: one conv output per layer for every subject,
+    one dropout mask per layer."""
+    h = x
+    for i, stride in enumerate(cfg.strides):
+        h = ad.conv1d(h, params[f"{prefix}.conv{i}.w"], params[f"{prefix}.conv{i}.b"], stride=stride)
+        h = ad.relu(h)
+        if train is not None:
+            h = ad.dropout(h, *train)
+    if h.shape[-1] > POOL_BINS:
+        h = ad.bin_mean(h, POOL_BINS)
+    return mlp_forward(ad.reshape(h, h.shape[:-2] + (-1,)), params, f"{prefix}.mlp")
+
+
 def subject_features(params, cfg, sub, train=None) -> Tensor:
     """One subject's fused feature vector ``[fused_width]``; ``train`` is
     None or the dropout rate and stream."""

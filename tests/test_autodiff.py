@@ -173,6 +173,12 @@ class TestPrimitiveExamples:
         np.testing.assert_array_equal(ad.reshape(Tensor(x), (-1,)).data, x.ravel())
         np.testing.assert_array_equal(ad.reshape(Tensor(x), (2, 6)).data, x.reshape(2, 6))
 
+    def test_take_rows_is_a_view_of_the_rows(self):
+        x = np.arange(12.0).reshape(4, 3)
+        rows = ad.take_rows(Tensor(x), slice(1, 3)).data
+        np.testing.assert_array_equal(rows, x[1:3])
+        assert np.shares_memory(rows, x)
+
     def test_reshape_bad_shape_names_both_shapes(self):
         with pytest.raises(ShapeMismatch, match=r"\(3, 4\).*\(5, -1\)"):
             ad.reshape(Tensor(np.zeros((3, 4))), (5, -1))
@@ -495,6 +501,11 @@ class TestPrimitiveGradients:
         fd_over_all_entries(lambda: scalar_loss(ad.reshape(p, (2, -1)), w), [p])
         w_flat = self.weight(12)
         fd_over_all_entries(lambda: scalar_loss(ad.reshape(p, (-1,)), w_flat), [p])
+
+    def test_take_rows(self):
+        p = Parameter("x", self.rng.normal(size=(5, 2, 3)))
+        w = self.weight((2, 2, 3))
+        fd_over_all_entries(lambda: scalar_loss(ad.take_rows(p, slice(1, 3)), w), [p])
 
     def test_conv1d(self):
         x = Parameter("x", self.rng.normal(size=(2, 12)))

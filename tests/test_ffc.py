@@ -402,6 +402,23 @@ class TestFit:
         assert dropped.loss_trace != plain.loss_trace
         assert dropped.config == plain.config == cfg
 
+    def test_an_atlas_scale_dropout_fit_is_deterministic_across_conv_chunks(self, tmp_path):
+        # 196 ROIs: each subject of a mini-batch of 4 is a conv chunk of its
+        # own, and the CNN's dropout masks are drawn chunk by chunk; the CNN
+        # alone, as the clamped cross-entropy zeroes the fused model's gradients
+        hierarchy = nested_hierarchy(7, 4, 7)
+        cohort = synth_generate(8, hierarchy, seed=2)
+        cfg = ModelConfig(toggles=parse_toggles("HCNN"), hcnn=HcnnConfig(out_dim=16), head_hidden=(64,))
+        tc = TrainConfig(learning_rate=1e-3, epochs=2, seed=5, batch_size=4, dropout=0.2)
+        runs = []
+        for i in range(2):
+            result = fit(cohort, hierarchy, cfg, tc)
+            save_checkpoint(tmp_path / f"{i}.ckpt", result.params, checkpoint_meta(result))
+            runs.append((result.loss_trace, (tmp_path / f"{i}.ckpt").read_bytes()))
+        assert runs[0] == runs[1]
+        plain = fit(cohort, hierarchy, cfg, dataclasses.replace(tc, dropout=0.0))
+        assert plain.loss_trace != runs[0][0]
+
     @pytest.fixture(scope="class")
     def atlas_fit_peak(self):
         """The traced peak of a 3-epoch fit on 8 subjects at 196 ROIs."""
@@ -425,7 +442,8 @@ class TestFit:
     def test_an_atlas_scale_fit_builds_its_conv_windows_in_chunks(self, atlas_fit_peak):
         # the conv forward's window matrix and the input gradient are built a
         # subject at a time: 64.5 MiB traced, from 69.8 with one window
-        # matrix per batch
+        # matrix per batch; 45.6 with the whole conv stack, the kernel
+        # gradient's windows included, run a subject at a time
         assert atlas_fit_peak < 67 << 20, f"peak {atlas_fit_peak / 2**20:.1f} MiB"
 
     def test_all_branches_disabled_is_an_error(self):

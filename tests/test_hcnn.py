@@ -19,7 +19,7 @@ from hobnet.hcnn import (
 from hobnet.layers import mlp_layout
 
 from conftest import params_of, random_timeseries
-from oracles import bin_means, dr_unflatten, traced_peak
+from oracles import bin_means, dr_unflatten, hcnn_whole_stack, total, traced_peak
 
 
 class TestDrFlatten:
@@ -127,16 +127,115 @@ class TestPool:
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
 
+@pytest.fixture(scope="module")
+def atlas_fc():
+    """The FC vectors ``[8, 1, 19110]`` of 8 subjects at 196 ROIs."""
+    cohort = synth_generate(8, nested_hierarchy(7, 4, 7), seed=1)
+    return dr_flatten(pearson_fc([s.timeseries for s in cohort.subjects]))[:, None, :]
+
+
+def branch_grads(forward, cfg_hcnn, fc, seed=0):
+    """Every HCNN parameter's gradient of a fixed weighted sum of the
+    branch's output, ``hop_concat`` included, on the stack ``fc``."""
+    _, params = branch_params(cfg_hcnn, fc_len=fc.shape[-1], seed=seed)
+    w = np.random.default_rng(seed + 1).normal(size=(len(fc), 2 * cfg_hcnn.out_dim))
+    with Tape() as tape:
+        out = hop_concat(forward(params, "hcnn", Tensor(fc), cfg_hcnn), params, "hcnn.hop")
+        loss = total(ad.hadamard(out, Tensor(w)))
+    backward(tape, loss)
+    return {p.name: p.grad for p in params.parameters() if p.name.startswith("hcnn.")}
+
+
+class TestConvStackChunks:
+    """``hcnn_first_order`` runs the conv stack one row chunk at a time;
+    ``oracles.hcnn_whole_stack`` runs each layer over the whole stack."""
+
+    @pytest.mark.parametrize("rois, per_chunk", [(16, 287), (196, 1)])
+    def test_the_first_conv_output_sizes_the_chunks(self, rois, per_chunk):
+        # 8 bytes x 8 channels x (57 or 9552) first-conv output positions
+        chunks = list(HcnnConfig().stack_chunks(600, rois * (rois - 1) // 2))
+        assert chunks[0] == slice(0, per_chunk)
+        assert chunks[-1].stop == 600
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_an_atlas_scale_forward_is_byte_equal_to_the_whole_stack(self, atlas_fc, n):
+        cfg_hcnn = HcnnConfig()
+        _, params = branch_params(cfg_hcnn, fc_len=atlas_fc.shape[-1])
+        fc = atlas_fc[:n]
+        out = hcnn_first_order(params, "hcnn", Tensor(fc), cfg_hcnn).data
+        assert out.tobytes() == hcnn_whole_stack(params, "hcnn", Tensor(fc), cfg_hcnn).data.tobytes()
+
+    def test_a_forced_chunk_boundary_at_16_rois_is_byte_equal(self, monkeypatch):
+        # each first-conv output is 8 x 8 x 57 bytes: chunks of 3, 3, 3 and 1
+        monkeypatch.setattr(ad, "CHUNK_BYTES", 3 * 8 * 8 * 57)
+        cfg_hcnn = HcnnConfig(out_dim=16)
+        assert [c.stop - c.start for c in cfg_hcnn.stack_chunks(10, 120)] == [3, 3, 3, 1]
+        _, params = branch_params(cfg_hcnn, fc_len=120, seed=2)
+        fc = np.random.default_rng(5).normal(size=(10, 1, 120))
+        with Tape() as tape:
+            out = hcnn_first_order(params, "hcnn", Tensor(fc), cfg_hcnn)
+        assert [node.op for node in tape.nodes].count("concat") == 1
+        assert out.data.tobytes() == hcnn_whole_stack(params, "hcnn", Tensor(fc), cfg_hcnn).data.tobytes()
+
+    def test_one_chunk_records_the_whole_stack_tape(self):
+        # a 16-ROI mini-batch: no row slice of the constant input, no concat
+        cfg_hcnn = HcnnConfig(out_dim=16)
+        _, params = branch_params(cfg_hcnn, fc_len=120)
+        fc = np.random.default_rng(6).normal(size=(8, 1, 120))
+        ops = []
+        for forward in (hcnn_first_order, hcnn_whole_stack):
+            with Tape() as tape:
+                forward(params, "hcnn", Tensor(fc), cfg_hcnn)
+            ops.append([node.op for node in tape.nodes])
+        assert ops[0] == ops[1]
+
+
+class TestChunkGradients:
+    def test_gradients_across_chunks_match_finite_differences(self, monkeypatch):
+        # 10 ROIs: 45 FC entries, 20 first-conv positions of 3 channels,
+        # 480 bytes per subject: chunks of 2 and 1
+        monkeypatch.setattr(ad, "CHUNK_BYTES", 2 * 480)
+        cfg_hcnn = HcnnConfig(kernel_sizes=(7, 5), channels=(3, 4), strides=(2, 2), mlp_hidden=(12,), out_dim=6)
+        assert len(list(cfg_hcnn.stack_chunks(3, 45))) == 2
+        ts = [random_timeseries(10, n_timepoints=40, seed=s) for s in range(3)]
+        x = Parameter("x", dr_flatten(pearson_fc(ts))[:, None, :])
+        _, params = branch_params(cfg_hcnn, fc_len=45, seed=7)
+        w = Tensor(np.random.default_rng(8).normal(size=(3, 6)))
+
+        def f():
+            return total(ad.hadamard(hcnn_first_order(params, "hcnn", x, cfg_hcnn), w))
+
+        # the input too: each chunk's rows reach it through a row slice
+        branch = [p for p in params.parameters() if p.name.startswith(("hcnn.conv", "hcnn.mlp"))]
+        report = finite_difference_check(f, branch + [x], h=1e-5, tolerance=1e-4)
+        assert not report.skipped
+        assert report.passed, f"max rel error {report.max_rel_error}"
+
+    def test_an_atlas_scale_mini_batch_agrees_with_the_whole_stack_within_1e12(self, atlas_fc):
+        # each subject is a chunk: the kernel and bias gradients are sums of
+        # eight per-subject products, not one product over the batch
+        got = branch_grads(hcnn_first_order, HcnnConfig(), atlas_fc)
+        want = branch_grads(hcnn_whole_stack, HcnnConfig(), atlas_fc)
+        assert list(got) == list(want)
+        for name in want:
+            assert np.abs(want[name]).max() > 0, name
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-12, err_msg=name)
+
+    def test_an_acceptance_scale_mini_batch_gives_the_whole_stack_bytes(self):
+        fc = np.random.default_rng(9).normal(size=(8, 1, 120))
+        got = branch_grads(hcnn_first_order, HcnnConfig(out_dim=16), fc)
+        want = branch_grads(hcnn_whole_stack, HcnnConfig(out_dim=16), fc)
+        assert {n: g.tobytes() for n, g in got.items()} == {n: g.tobytes() for n, g in want.items()}
+
+
 class TestMemory:
     @pytest.fixture(scope="class")
-    def atlas_eval(self):
+    def atlas_eval(self, atlas_fc):
         """An eval forward of 8 subjects at 196 ROIs (19,110 FC entries
         each): its output and traced peak."""
-        cohort = synth_generate(8, nested_hierarchy(7, 4, 7), seed=1)
-        fc = dr_flatten(pearson_fc([s.timeseries for s in cohort.subjects]))[:, None, :]
         cfg_hcnn = HcnnConfig()
-        _, params = branch_params(cfg_hcnn, fc_len=fc.shape[-1])
-        out, peak, _ = traced_peak(lambda: hcnn_first_order(params, "hcnn", Tensor(fc), cfg_hcnn))
+        _, params = branch_params(cfg_hcnn, fc_len=atlas_fc.shape[-1])
+        out, peak, _ = traced_peak(lambda: hcnn_first_order(params, "hcnn", Tensor(atlas_fc), cfg_hcnn))
         return out, peak
 
     def test_an_atlas_scale_eval_forward_holds_each_window_matrix_only_for_its_product(self, atlas_eval):
@@ -149,9 +248,17 @@ class TestMemory:
     def test_an_atlas_scale_eval_forward_builds_its_window_matrices_a_subject_at_a_time(self, atlas_eval):
         # at 196 ROIs each subject's window matrix is a chunk of its own, and
         # each conv input is freed before the ReLU makes its output: 11.4 MiB
-        # traced, from 21.0 with one window matrix per batch
+        # traced with each conv run over the whole stack, 21.0 with one
+        # window matrix per batch
         _, peak = atlas_eval
         assert peak < 13 << 20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_an_atlas_scale_eval_forward_peaks_as_one_subject(self, atlas_eval):
+        # the conv stack runs a subject at a time, so only one subject's
+        # conv outputs exist at once: 3.24 MiB traced for 8 subjects, 3.21
+        # for one, from 11.37 with each conv run over the whole stack
+        _, peak = atlas_eval
+        assert peak < 4 << 20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def flatten_channels_by_selectors(x: Tensor) -> Tensor:
